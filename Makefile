@@ -40,6 +40,7 @@ fuzz:
 	$(GO) test ./internal/routing -run '^$$' -fuzz FuzzRouteCube -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/routing -run '^$$' -fuzz FuzzRouteTree -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/faults -run '^$$' -fuzz FuzzFaultSpec -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeEntry -fuzztime $(FUZZTIME)
 
 # One benchmark per table, figure and ablation of the paper.
 bench:

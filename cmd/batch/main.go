@@ -2,62 +2,53 @@
 // configurations, each a core.Config with unset fields taking the paper's
 // defaults. Results are printed as a table and optionally dumped as CSV.
 //
-//	batch -config study.json [-csv results.csv] [-workers 4]
+//	batch -config study.json [-csv results.csv]
 //	batch -scaffold > study.json    # emit a template to start from
+//
+// The run options are the grid set of internal/cli, shared with
+// cmd/sweep and cmd/experiments; configs run in parallel across
+// GOMAXPROCS.
 //
 // Observability (internal/obs): -v adds structured run logs, a live
 // progress line and a final per-stage engine timing report on stderr;
-// -manifest appends one JSONL record per configuration; and
+// -manifest writes one JSONL record per configuration; and
 // -cpuprofile/-memprofile/-trace feed go tool pprof/trace.
 //
 // Resilience (internal/resilience): a failing or panicking config no
 // longer aborts the study — every failure is reported at the end;
-// -checkpoint journals completed configs, Ctrl-C flushes the journal
-// and partial manifest, -resume skips journaled configs on the next
-// invocation, and -watchdog aborts deadlocked configs with a stall
-// diagnosis (configs that set WatchdogCycles keep their own budget).
+// -checkpoint journals completed configs, Ctrl-C flushes the journal,
+// partial manifest and store, -resume skips journaled configs on the
+// next invocation, and -watchdog aborts deadlocked configs with a stall
+// diagnosis. -watchdog, -faults and -burst fill only the configs that
+// leave the field unset.
 //
 // Caching (internal/store): -store points at a content-addressed
-// result store shared with cmd/sweep and cmd/serve; configs the store
-// holds are replayed instead of re-run, and completed runs are
-// written back.
+// result store shared with cmd/sweep, cmd/experiments and cmd/serve;
+// configs the store holds are replayed instead of re-run, and
+// completed runs are written back.
 //
 // Telemetry (internal/telemetry): -metrics-addr serves live fabric
 // state over HTTP while the study runs; -timeseries journals each
 // config's sampled time series and congestion events to a JSONL
-// sidecar; -sample-every sets the cadence.
+// sidecar.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
-	"time"
 
+	"smart/internal/cli"
 	"smart/internal/core"
-	"smart/internal/faults"
-	"smart/internal/obs"
-	"smart/internal/resilience"
 	"smart/internal/results"
-	"smart/internal/store"
-	"smart/internal/telemetry"
 )
 
 func main() {
-	obsFlags := obs.AddFlags(flag.CommandLine)
-	resFlags := resilience.AddFlags(flag.CommandLine)
-	telFlags := telemetry.AddFlags(flag.CommandLine)
+	flags := cli.AddFlags(flag.CommandLine)
 	configPath := flag.String("config", "", "path to the JSON batch description")
 	csvPath := flag.String("csv", "", "also write results as CSV")
-	manifestPath := flag.String("manifest", "", "append one JSONL run record per configuration to this file")
-	storeDir := flag.String("store", "", "read-through result store directory: cached configs are replayed instead of re-run, and completed runs are written back")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel simulations")
 	scaffold := flag.Bool("scaffold", false, "print a template batch file and exit")
-	shards := flag.Int("shards", 1, "fabric shards per run (0 = auto from network size and GOMAXPROCS; results are bit-identical)")
-	faultsFlag := flag.String("faults", "", "fault schedule (spec or smart/faults/v1 JSONL file) for configs that set none")
-	burstFlag := flag.String("burst", "", "bursty injection (mmpp:<dwellOn>:<dwellOff>:<peak>) for configs that set none")
 	flag.Parse()
 
 	if *scaffold {
@@ -78,116 +69,33 @@ func main() {
 		fmt.Fprintln(os.Stderr, "batch: -config is required (or -scaffold for a template)")
 		os.Exit(2)
 	}
-	file, err := os.Open(*configPath)
+	b, err := readBatch(*configPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "batch:", err)
 		os.Exit(1)
 	}
-	b, err := core.DecodeBatch(file)
-	file.Close()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "batch:", err)
-		os.Exit(1)
-	}
-	faultsSpec, err := faults.ResolveFlag(*faultsFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "batch:", err)
-		os.Exit(1)
-	}
+
+	opts, finish := flags.Open("batch", len(b.Configs))
 	for i := range b.Configs {
-		if b.Configs[i].WatchdogCycles == 0 {
-			b.Configs[i].WatchdogCycles = resFlags.Watchdog
-		}
-		if b.Configs[i].Faults == "" {
-			b.Configs[i].Faults = faultsSpec
-		}
-		if b.Configs[i].Burst == "" {
-			b.Configs[i].Burst = *burstFlag
-		}
+		flags.Apply(&b.Configs[i])
 	}
+	finish(run(b, opts, flags, *csvPath))
+}
 
-	stopProf, err := obsFlags.Start()
+func readBatch(path string) (core.Batch, error) {
+	file, err := os.Open(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "batch:", err)
-		os.Exit(1)
+		return core.Batch{}, err
 	}
-	ctx, stop := resilience.SignalContext(context.Background())
-	defer stop()
-	opts := core.Options{Logger: obsFlags.Logger(), Context: ctx, Shards: *shards}
-	ckpt, err := resFlags.Open()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "batch:", err)
-		os.Exit(1)
-	}
-	if ckpt != nil {
-		if resFlags.Resume && ckpt.Len() > 0 {
-			fmt.Fprintf(os.Stderr, "batch: resuming past %d checkpointed runs in %s\n", ckpt.Len(), ckpt.Path())
-		}
-		opts.Checkpoint = ckpt
-	}
-	var profiler *obs.StageProfiler
-	var progress *obs.Progress
-	if obsFlags.Verbose {
-		profiler = obs.NewStageProfiler()
-		progress = obs.NewProgress(os.Stderr, len(b.Configs), 2*time.Second)
-		progress.Start()
-		opts.Profiler = profiler
-		opts.Progress = progress
-	}
-	tel, telAddr, telStop, err := telFlags.Open(resFlags.Resume)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "batch:", err)
-		os.Exit(1)
-	}
-	if tel != nil {
-		if tel.Server != nil {
-			// Grid progress is served even without -v: an unstarted
-			// Progress never prints but still snapshots.
-			if progress == nil {
-				progress = obs.NewProgress(os.Stderr, len(b.Configs), 2*time.Second)
-				opts.Progress = progress
-			}
-			tel.Server.SetProgress(progress)
-			fmt.Fprintf(os.Stderr, "batch: serving telemetry on http://%s/metrics\n", telAddr)
-		}
-		opts.Telemetry = tel
-	}
-	if *manifestPath != "" {
-		mf, err := os.Create(*manifestPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "batch:", err)
-			os.Exit(1)
-		}
-		defer mf.Close()
-		opts.Manifest = obs.NewManifestWriter(mf)
-	}
-	if *storeDir != "" {
-		st, err := store.Open(*storeDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "batch:", err)
-			os.Exit(1)
-		}
-		defer st.Close()
-		fmt.Fprintf(os.Stderr, "batch: store %s holds %d results\n", *storeDir, st.Len())
-		opts.Store = st
-	}
+	defer file.Close()
+	return core.DecodeBatch(file)
+}
 
-	res, err := b.RunWith(*workers, opts)
-	progress.Stop()
-	if ckpt != nil {
-		if cerr := ckpt.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	if terr := telStop(); terr != nil && err == nil {
-		err = terr
-	}
+// run executes the study and prints its table.
+func run(b core.Batch, opts core.Options, flags *cli.Flags, csvPath string) error {
+	res, err := b.RunWith(runtime.GOMAXPROCS(0), opts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "batch:", err)
-		if ckpt != nil {
-			fmt.Fprintf(os.Stderr, "batch: checkpoint %s holds %d completed runs; rerun with -resume to continue\n", ckpt.Path(), ckpt.Len())
-		}
-		os.Exit(1)
+		return err
 	}
 
 	fmt.Printf("batch %q: %d simulations\n\n", b.Name, len(res))
@@ -206,33 +114,17 @@ func main() {
 	}
 	fmt.Print(results.FormatTable(headers, rows))
 
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "batch:", err)
-			os.Exit(1)
+	if csvPath != "" {
+		if err := results.WriteCSVFile(csvPath, headers, rows); err != nil {
+			return err
 		}
-		defer f.Close()
-		if err := results.WriteCSV(f, headers, rows); err != nil {
-			fmt.Fprintln(os.Stderr, "batch:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %s\n", *csvPath)
+		fmt.Printf("\nwrote %s\n", csvPath)
 	}
-	if *manifestPath != "" {
-		fmt.Printf("\nrun manifest written to %s\n", *manifestPath)
+	if flags.Manifest != "" {
+		fmt.Printf("\nrun manifest written to %s\n", flags.Manifest)
 	}
-	if telFlags.SidecarPath != "" {
-		fmt.Printf("\ntime series written to %s\n", telFlags.SidecarPath)
+	if flags.Telemetry.SidecarPath != "" {
+		fmt.Printf("\ntime series written to %s\n", flags.Telemetry.SidecarPath)
 	}
-
-	if profiler != nil {
-		fmt.Fprintln(os.Stderr)
-		fmt.Fprintln(os.Stderr, "per-stage engine timing (hottest first):")
-		fmt.Fprint(os.Stderr, obs.FormatStageReport(profiler.Report()))
-	}
-	if err := stopProf(); err != nil {
-		fmt.Fprintln(os.Stderr, "batch:", err)
-		os.Exit(1)
-	}
+	return nil
 }

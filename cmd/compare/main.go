@@ -133,16 +133,10 @@ func main() {
 			{"-throughput", th, tr},
 			{"-latency", lh, lr},
 		} {
-			f, err := os.Create(base + out.suffix + ext)
-			if err != nil {
+			if err := results.WriteCSVFile(base+out.suffix+ext, out.headers, out.rows); err != nil {
 				fmt.Fprintln(os.Stderr, "compare:", err)
 				os.Exit(1)
 			}
-			if err := results.WriteCSV(f, out.headers, out.rows); err != nil {
-				fmt.Fprintln(os.Stderr, "compare:", err)
-				os.Exit(1)
-			}
-			f.Close()
 			fmt.Printf("wrote %s\n", base+out.suffix+ext)
 		}
 	}

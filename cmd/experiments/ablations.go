@@ -2,358 +2,218 @@ package main
 
 import (
 	"fmt"
-	"runtime"
 
 	"smart/internal/core"
-	"smart/internal/results"
 )
 
-// runAblations executes the extension studies DESIGN.md commits to: the
-// design-choice sensitivities the paper discusses qualitatively but does
-// not plot.
-func runAblations(loads []float64, warmup, horizon int64, seed uint64, csvDir string) {
-	fmt.Println("== Ablation: lane buffer depth (tree, 2 VCs, uniform) ==")
-	fmt.Println()
-	fmt.Println("The paper fixes input and output lanes at 4 flits; deeper lanes absorb")
-	fmt.Println("more blocking in the descending phase.")
-	fmt.Println()
-	{
-		var labels []string
-		var sweeps [][]core.Result
-		for _, depth := range []int{2, 4, 8} {
-			cfg := core.Config{Network: core.NetworkTree, Algorithm: core.AlgAdaptive, VCs: 2,
-				BufDepth: depth, Seed: seed, Warmup: warmup, Horizon: horizon}
-			swept, err := core.Sweep(cfg, loads, runtime.GOMAXPROCS(0))
-			if err != nil {
-				fatal(err)
-			}
-			labels = append(labels, fmt.Sprintf("%d-flit lanes", depth))
-			sweeps = append(sweeps, swept)
-		}
-		h, r, err := results.MultiSeries(labels, sweeps, func(res core.Result) float64 { return res.Sample.Accepted }, "offered")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(results.FormatTable(h, r))
-		writeCSV(csvDir, "ablation-bufdepth.csv", h, r)
-		fmt.Println()
-	}
+// study is one extension or ablation: a family of configurations swept
+// over the grid's load axis and tabulated side by side. name prefixes
+// the manifest batch of its runs (name/variant label).
+type study struct {
+	name, title, intro string
+	variants           []variant
+	metrics            []metric
+}
 
-	fmt.Println("== Ablation: packet size (cube duato, uniform) ==")
-	fmt.Println()
-	fmt.Println("Longer worms raise the tail latency and deepen blocking trees; the")
-	fmt.Println("paper's 64-byte packets sit between the extremes.")
-	fmt.Println()
-	{
-		var labels []string
-		var sweeps [][]core.Result
-		for _, bytes := range []int{16, 64, 256} {
-			cfg := core.Config{Network: core.NetworkCube, Algorithm: core.AlgDuato, VCs: 4,
-				PacketBytes: bytes, Seed: seed, Warmup: warmup, Horizon: horizon}
-			swept, err := core.Sweep(cfg, loads, runtime.GOMAXPROCS(0))
-			if err != nil {
-				fatal(err)
-			}
-			labels = append(labels, fmt.Sprintf("%dB packets", bytes))
-			sweeps = append(sweeps, swept)
-		}
-		h, r, err := results.MultiSeries(labels, sweeps, func(res core.Result) float64 { return res.Sample.Accepted }, "offered")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("accepted bandwidth (fraction of capacity):")
-		fmt.Print(results.FormatTable(h, r))
-		writeCSV(csvDir, "ablation-packetsize-accepted.csv", h, r)
-		h, r, err = results.MultiSeries(labels, sweeps, func(res core.Result) float64 { return res.Sample.AvgLatency }, "offered")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("network latency (cycles):")
-		fmt.Print(results.FormatTable(h, r))
-		writeCSV(csvDir, "ablation-packetsize-latency.csv", h, r)
-		fmt.Println()
-	}
+// variant is one curve of a study; an empty label takes the
+// configuration's own.
+type variant struct {
+	label string
+	cfg   core.Config
+}
 
-	fmt.Println("== Ablation: source throttling (cube duato, uniform) ==")
-	fmt.Println()
-	fmt.Println("The paper's single injection channel keeps throughput stable above")
-	fmt.Println("saturation (§3); multiple injection lanes let a node push several")
-	fmt.Println("worms concurrently.")
-	fmt.Println()
-	{
-		var labels []string
-		var sweeps [][]core.Result
-		for _, lanes := range []int{1, 2, 4} {
-			cfg := core.Config{Network: core.NetworkCube, Algorithm: core.AlgDuato, VCs: 4,
-				InjLanes: lanes, Seed: seed, Warmup: warmup, Horizon: horizon}
-			swept, err := core.Sweep(cfg, loads, runtime.GOMAXPROCS(0))
-			if err != nil {
-				fatal(err)
-			}
-			labels = append(labels, fmt.Sprintf("%d inj lanes", lanes))
-			sweeps = append(sweeps, swept)
-		}
-		h, r, err := results.MultiSeries(labels, sweeps, func(res core.Result) float64 { return res.Sample.Accepted }, "offered")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(results.FormatTable(h, r))
-		writeCSV(csvDir, "ablation-injlanes.csv", h, r)
-		fmt.Println()
-	}
+// ownCapacityHeading heads accepted-bandwidth tables that compare
+// networks of different capacity.
+const ownCapacityHeading = "accepted bandwidth (fraction of each network's own capacity):"
 
-	fmt.Println("== Ablation: fat-tree ascent policy (tree, 2 VCs, uniform) ==")
-	fmt.Println()
-	fmt.Println("The paper's algorithm picks the least-loaded up link; round-robin")
-	fmt.Println("ignores load, digit-aligned is fully oblivious (optimal for the")
-	fmt.Println("congestion-free permutations, blind under random traffic).")
-	fmt.Println()
+// ablations are the extension studies DESIGN.md commits to: the
+// design-choice sensitivities the paper discusses qualitatively but
+// does not plot.
+var ablations = []study{
 	{
-		var labels []string
-		var sweeps [][]core.Result
-		for _, ascent := range []string{"least-loaded", "round-robin", "digit-aligned"} {
-			cfg := core.Config{Network: core.NetworkTree, Algorithm: core.AlgAdaptive, VCs: 2,
-				TreeAscent: ascent, Seed: seed, Warmup: warmup, Horizon: horizon}
-			swept, err := core.Sweep(cfg, loads, runtime.GOMAXPROCS(0))
-			if err != nil {
-				fatal(err)
-			}
-			labels = append(labels, ascent)
-			sweeps = append(sweeps, swept)
-		}
-		h, r, err := results.MultiSeries(labels, sweeps, func(res core.Result) float64 { return res.Sample.Accepted }, "offered")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(results.FormatTable(h, r))
-		writeCSV(csvDir, "ablation-ascent.csv", h, r)
-		fmt.Println()
-	}
-
-	fmt.Println("== Ablation: switching mode (cube duato, uniform) ==")
-	fmt.Println()
-	fmt.Println("Wormhole (4-flit lanes) vs virtual cut-through (16-flit lanes) vs")
-	fmt.Println("store-and-forward (16-flit lanes, whole-packet gate): SAF pays the")
-	fmt.Println("distance-times-length latency product wormhole switching avoids.")
-	fmt.Println()
+		name:  "ablation-bufdepth",
+		title: "Ablation: lane buffer depth (tree, 2 VCs, uniform)",
+		intro: `The paper fixes input and output lanes at 4 flits; deeper lanes absorb
+more blocking in the descending phase.
+`,
+		variants: []variant{
+			{"2-flit lanes", core.Config{Network: core.NetworkTree, Algorithm: core.AlgAdaptive, VCs: 2, BufDepth: 2}},
+			{"4-flit lanes", core.Config{Network: core.NetworkTree, Algorithm: core.AlgAdaptive, VCs: 2, BufDepth: 4}},
+			{"8-flit lanes", core.Config{Network: core.NetworkTree, Algorithm: core.AlgAdaptive, VCs: 2, BufDepth: 8}},
+		},
+		metrics: []metric{{"", "ablation-bufdepth.csv", accepted}},
+	},
 	{
-		type mode struct {
-			label string
-			cfg   core.Config
-		}
-		modes := []mode{
+		name:  "ablation-packetsize",
+		title: "Ablation: packet size (cube duato, uniform)",
+		intro: `Longer worms raise the tail latency and deepen blocking trees; the
+paper's 64-byte packets sit between the extremes.
+`,
+		variants: []variant{
+			{"16B packets", core.Config{Network: core.NetworkCube, Algorithm: core.AlgDuato, VCs: 4, PacketBytes: 16}},
+			{"64B packets", core.Config{Network: core.NetworkCube, Algorithm: core.AlgDuato, VCs: 4, PacketBytes: 64}},
+			{"256B packets", core.Config{Network: core.NetworkCube, Algorithm: core.AlgDuato, VCs: 4, PacketBytes: 256}},
+		},
+		metrics: []metric{
+			{acceptedHeading, "ablation-packetsize-accepted.csv", accepted},
+			{"network latency (cycles):", "ablation-packetsize-latency.csv", latency},
+		},
+	},
+	{
+		name:  "ablation-injlanes",
+		title: "Ablation: source throttling (cube duato, uniform)",
+		intro: `The paper's single injection channel keeps throughput stable above
+saturation (§3); multiple injection lanes let a node push several
+worms concurrently.
+`,
+		variants: []variant{
+			{"1 inj lanes", core.Config{Network: core.NetworkCube, Algorithm: core.AlgDuato, VCs: 4, InjLanes: 1}},
+			{"2 inj lanes", core.Config{Network: core.NetworkCube, Algorithm: core.AlgDuato, VCs: 4, InjLanes: 2}},
+			{"4 inj lanes", core.Config{Network: core.NetworkCube, Algorithm: core.AlgDuato, VCs: 4, InjLanes: 4}},
+		},
+		metrics: []metric{{"", "ablation-injlanes.csv", accepted}},
+	},
+	{
+		name:  "ablation-ascent",
+		title: "Ablation: fat-tree ascent policy (tree, 2 VCs, uniform)",
+		intro: `The paper's algorithm picks the least-loaded up link; round-robin
+ignores load, digit-aligned is fully oblivious (optimal for the
+congestion-free permutations, blind under random traffic).
+`,
+		variants: []variant{
+			{"least-loaded", core.Config{Network: core.NetworkTree, Algorithm: core.AlgAdaptive, VCs: 2, TreeAscent: "least-loaded"}},
+			{"round-robin", core.Config{Network: core.NetworkTree, Algorithm: core.AlgAdaptive, VCs: 2, TreeAscent: "round-robin"}},
+			{"digit-aligned", core.Config{Network: core.NetworkTree, Algorithm: core.AlgAdaptive, VCs: 2, TreeAscent: "digit-aligned"}},
+		},
+		metrics: []metric{{"", "ablation-ascent.csv", accepted}},
+	},
+	{
+		name:  "ablation-switching",
+		title: "Ablation: switching mode (cube duato, uniform)",
+		intro: `Wormhole (4-flit lanes) vs virtual cut-through (16-flit lanes) vs
+store-and-forward (16-flit lanes, whole-packet gate): SAF pays the
+distance-times-length latency product wormhole switching avoids.
+`,
+		variants: []variant{
 			{"wormhole", core.Config{Network: core.NetworkCube, Algorithm: core.AlgDuato, VCs: 4}},
 			{"cut-through", core.Config{Network: core.NetworkCube, Algorithm: core.AlgDuato, VCs: 4, BufDepth: 16}},
 			{"store-and-forward", core.Config{Network: core.NetworkCube, Algorithm: core.AlgDuato, VCs: 4, BufDepth: 16, StoreAndForward: true}},
-		}
-		var labels []string
-		var sweeps [][]core.Result
-		for _, m := range modes {
-			m.cfg.Seed = seed
-			m.cfg.Warmup, m.cfg.Horizon = warmup, horizon
-			swept, err := core.Sweep(m.cfg, loads, runtime.GOMAXPROCS(0))
-			if err != nil {
-				fatal(err)
-			}
-			labels = append(labels, m.label)
-			sweeps = append(sweeps, swept)
-		}
-		h, r, err := results.MultiSeries(labels, sweeps, func(res core.Result) float64 { return res.Sample.Accepted }, "offered")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("accepted bandwidth (fraction of capacity):")
-		fmt.Print(results.FormatTable(h, r))
-		h, r, err = results.MultiSeries(labels, sweeps, func(res core.Result) float64 { return res.Sample.AvgLatency }, "offered")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("network latency (cycles):")
-		fmt.Print(results.FormatTable(h, r))
-		writeCSV(csvDir, "ablation-switching.csv", h, r)
-		fmt.Println()
-	}
-
-	fmt.Println("== Ablation: routing-delay stretch (cube duato, uniform) ==")
-	fmt.Println()
-	fmt.Println("De-equalizing the pipeline: one header routed per switch every R")
-	fmt.Println("cycles emulates a slower routing decision than the cost model's")
-	fmt.Println("single cycle.")
-	fmt.Println()
+		},
+		metrics: []metric{
+			{acceptedHeading, "ablation-switching-accepted.csv", accepted},
+			{"network latency (cycles):", "ablation-switching.csv", latency},
+		},
+	},
 	{
-		var labels []string
-		var sweeps [][]core.Result
-		for _, every := range []int{1, 2, 4} {
-			cfg := core.Config{Network: core.NetworkCube, Algorithm: core.AlgDuato, VCs: 4,
-				RouteEvery: every, Seed: seed, Warmup: warmup, Horizon: horizon}
-			swept, err := core.Sweep(cfg, loads, runtime.GOMAXPROCS(0))
-			if err != nil {
-				fatal(err)
-			}
-			labels = append(labels, fmt.Sprintf("route every %d", every))
-			sweeps = append(sweeps, swept)
-		}
-		h, r, err := results.MultiSeries(labels, sweeps, func(res core.Result) float64 { return res.Sample.Accepted }, "offered")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(results.FormatTable(h, r))
-		writeCSV(csvDir, "ablation-routeevery.csv", h, r)
-		fmt.Println()
-	}
-
-	fmt.Println("== Ablation: torus vs mesh (duato, uniform) ==")
-	fmt.Println()
-	fmt.Println("Removing the wrap-around links halves the bisection; offered load is")
-	fmt.Println("normalized to each network's own capacity bound, so equal fractions")
-	fmt.Println("hide a 2x difference in absolute traffic.")
-	fmt.Println()
+		name:  "ablation-routeevery",
+		title: "Ablation: routing-delay stretch (cube duato, uniform)",
+		intro: `De-equalizing the pipeline: one header routed per switch every R
+cycles emulates a slower routing decision than the cost model's
+single cycle.
+`,
+		variants: []variant{
+			{"route every 1", core.Config{Network: core.NetworkCube, Algorithm: core.AlgDuato, VCs: 4, RouteEvery: 1}},
+			{"route every 2", core.Config{Network: core.NetworkCube, Algorithm: core.AlgDuato, VCs: 4, RouteEvery: 2}},
+			{"route every 4", core.Config{Network: core.NetworkCube, Algorithm: core.AlgDuato, VCs: 4, RouteEvery: 4}},
+		},
+		metrics: []metric{{"", "ablation-routeevery.csv", accepted}},
+	},
 	{
-		var labels []string
-		var sweeps [][]core.Result
-		for _, network := range []core.NetworkKind{core.NetworkCube, core.NetworkMesh} {
-			cfg := core.Config{Network: network, Algorithm: core.AlgDuato, VCs: 4,
-				Seed: seed, Warmup: warmup, Horizon: horizon}
-			swept, err := core.Sweep(cfg, loads, runtime.GOMAXPROCS(0))
-			if err != nil {
-				fatal(err)
-			}
-			labels = append(labels, swept[0].Config.Label())
-			sweeps = append(sweeps, swept)
-		}
-		h, r, err := results.MultiSeries(labels, sweeps, func(res core.Result) float64 { return res.Sample.Accepted }, "offered")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("accepted bandwidth (fraction of each network's own capacity):")
-		fmt.Print(results.FormatTable(h, r))
-		h, r, err = results.MultiSeries(labels, sweeps, func(res core.Result) float64 { return res.AcceptedBitsNS }, "offered")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("accepted traffic (bits/ns, absolute):")
-		fmt.Print(results.FormatTable(h, r))
-		writeCSV(csvDir, "ablation-mesh.csv", h, r)
-		fmt.Println()
-	}
-
-	fmt.Println("== Extension: diminishing returns beyond 4 virtual channels (tree, uniform) ==")
-	fmt.Println()
-	fmt.Println("The paper predicts (§11) that past four virtual channels the routing")
-	fmt.Println("delay overtakes the wire delay, so extra lanes buy cycles-domain")
-	fmt.Println("throughput but lose absolute bits/ns. Eight lanes put the clock at")
-	fmt.Println("T_routing = 11.66 ns against the 4-lane 10.84 ns.")
-	fmt.Println()
+		name:  "ablation-mesh",
+		title: "Ablation: torus vs mesh (duato, uniform)",
+		intro: `Removing the wrap-around links halves the bisection; offered load is
+normalized to each network's own capacity bound, so equal fractions
+hide a 2x difference in absolute traffic.
+`,
+		variants: []variant{
+			{"", core.Config{Network: core.NetworkCube, Algorithm: core.AlgDuato, VCs: 4}},
+			{"", core.Config{Network: core.NetworkMesh, Algorithm: core.AlgDuato, VCs: 4}},
+		},
+		metrics: []metric{
+			{ownCapacityHeading, "ablation-mesh-accepted.csv", accepted},
+			{"accepted traffic (bits/ns, absolute):", "ablation-mesh.csv", bitsNS},
+		},
+	},
 	{
-		var labels []string
-		var sweeps [][]core.Result
-		for _, vcs := range []int{2, 4, 8} {
-			cfg := core.Config{Network: core.NetworkTree, Algorithm: core.AlgAdaptive, VCs: vcs,
-				Seed: seed, Warmup: warmup, Horizon: horizon}
-			swept, err := core.Sweep(cfg, loads, runtime.GOMAXPROCS(0))
-			if err != nil {
-				fatal(err)
-			}
-			labels = append(labels, fmt.Sprintf("%d vc", vcs))
-			sweeps = append(sweeps, swept)
-		}
-		h, r, err := results.MultiSeries(labels, sweeps, func(res core.Result) float64 { return res.Sample.Accepted }, "offered")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("accepted bandwidth (fraction of capacity):")
-		fmt.Print(results.FormatTable(h, r))
-		h, r, err = results.MultiSeries(labels, sweeps, func(res core.Result) float64 { return res.AcceptedBitsNS }, "offered")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("accepted traffic (bits/ns, absolute):")
-		fmt.Print(results.FormatTable(h, r))
-		writeCSV(csvDir, "extension-8vc.csv", h, r)
-		fmt.Println()
-	}
-
-	fmt.Println("== Extension: hypercubes again? (2-ary 8-cube vs 16-ary 2-cube) ==")
-	fmt.Println()
-	fmt.Println("The paper cites Duato & Malumbres' question of whether hypercubes beat")
-	fmt.Println("low-dimensional tori once router complexity is charged. The binary")
-	fmt.Println("8-cube pays a 65-port crossbar and F = 18 routing freedom under the")
-	fmt.Println("same cost model; both networks have 256 nodes.")
-	fmt.Println()
+		name:  "extension-8vc",
+		title: "Extension: diminishing returns beyond 4 virtual channels (tree, uniform)",
+		intro: `The paper predicts (§11) that past four virtual channels the routing
+delay overtakes the wire delay, so extra lanes buy cycles-domain
+throughput but lose absolute bits/ns. Eight lanes put the clock at
+T_routing = 11.66 ns against the 4-lane 10.84 ns.
+`,
+		variants: []variant{
+			{"2 vc", core.Config{Network: core.NetworkTree, Algorithm: core.AlgAdaptive, VCs: 2}},
+			{"4 vc", core.Config{Network: core.NetworkTree, Algorithm: core.AlgAdaptive, VCs: 4}},
+			{"8 vc", core.Config{Network: core.NetworkTree, Algorithm: core.AlgAdaptive, VCs: 8}},
+		},
+		metrics: []metric{
+			{acceptedHeading, "extension-8vc-accepted.csv", accepted},
+			{"accepted traffic (bits/ns, absolute):", "extension-8vc.csv", bitsNS},
+		},
+	},
 	{
-		type study struct {
-			label string
-			cfg   core.Config
-		}
-		studies := []study{
+		name:  "extension-hypercube",
+		title: "Extension: hypercubes again? (2-ary 8-cube vs 16-ary 2-cube)",
+		intro: `The paper cites Duato & Malumbres' question of whether hypercubes beat
+low-dimensional tori once router complexity is charged. The binary
+8-cube pays a 65-port crossbar and F = 18 routing freedom under the
+same cost model; both networks have 256 nodes.
+`,
+		variants: []variant{
 			{"torus duato", core.Config{Network: core.NetworkCube, Algorithm: core.AlgDuato, VCs: 4}},
-			{"hypercube duato", core.Config{Network: core.NetworkCube, K: 2, N: 8, Algorithm: core.AlgDuato, VCs: 4}},
-			{"hypercube det", core.Config{Network: core.NetworkCube, K: 2, N: 8, Algorithm: core.AlgDeterministic, VCs: 4}},
-		}
-		var labels []string
-		var sweeps [][]core.Result
-		for _, s := range studies {
-			s.cfg.Seed = seed
-			s.cfg.Warmup, s.cfg.Horizon = warmup, horizon
-			swept, err := core.Sweep(s.cfg, loads, runtime.GOMAXPROCS(0))
-			if err != nil {
-				fatal(err)
-			}
-			labels = append(labels, s.label)
-			sweeps = append(sweeps, swept)
-		}
-		h, r, err := results.MultiSeries(labels, sweeps, func(res core.Result) float64 { return res.Sample.Accepted }, "offered")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("accepted bandwidth (fraction of each network's own capacity):")
-		fmt.Print(results.FormatTable(h, r))
-		h, r, err = results.MultiSeries(labels, sweeps, func(res core.Result) float64 { return res.AcceptedBitsNS }, "offered")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("accepted traffic (bits/ns, absolute after cost-model filtering):")
-		fmt.Print(results.FormatTable(h, r))
-		writeCSV(csvDir, "extension-hypercube.csv", h, r)
-		fmt.Println()
-	}
-
-	fmt.Println("== Extension: additional traffic patterns ==")
-	fmt.Println()
-	fmt.Println("Tornado on the cube (adversarial ring pressure), perfect shuffle and")
-	fmt.Println("a 5% hotspot on both networks.")
-	fmt.Println()
+			{"hypercube duato", core.Config{Network: core.NetworkCube, Algorithm: core.AlgDuato, VCs: 4, K: 2, N: 8}},
+			{"hypercube det", core.Config{Network: core.NetworkCube, Algorithm: core.AlgDeterministic, VCs: 4, K: 2, N: 8}},
+		},
+		metrics: []metric{
+			{ownCapacityHeading, "extension-hypercube-accepted.csv", accepted},
+			{"accepted traffic (bits/ns, absolute after cost-model filtering):", "extension-hypercube.csv", bitsNS},
+		},
+	},
 	{
-		type study struct {
-			label string
-			cfg   core.Config
-		}
-		studies := []study{
+		name:  "extension-patterns",
+		title: "Extension: additional traffic patterns",
+		intro: `Tornado on the cube (adversarial ring pressure), perfect shuffle and
+a 5% hotspot on both networks.
+`,
+		variants: []variant{
 			{"cube duato / tornado", core.Config{Network: core.NetworkCube, Algorithm: core.AlgDuato, VCs: 4, Pattern: core.PatternTornado}},
 			{"cube det / tornado", core.Config{Network: core.NetworkCube, Algorithm: core.AlgDeterministic, VCs: 4, Pattern: core.PatternTornado}},
 			{"cube duato / shuffle", core.Config{Network: core.NetworkCube, Algorithm: core.AlgDuato, VCs: 4, Pattern: core.PatternShuffle}},
 			{"tree 4vc / shuffle", core.Config{Network: core.NetworkTree, Algorithm: core.AlgAdaptive, VCs: 4, Pattern: core.PatternShuffle}},
 			{"cube duato / hotspot", core.Config{Network: core.NetworkCube, Algorithm: core.AlgDuato, VCs: 4, Pattern: core.PatternHotspot}},
 			{"tree 4vc / hotspot", core.Config{Network: core.NetworkTree, Algorithm: core.AlgAdaptive, VCs: 4, Pattern: core.PatternHotspot}},
-		}
-		var labels []string
-		var sweeps [][]core.Result
-		for _, s := range studies {
-			s.cfg.Seed = seed
-			s.cfg.Warmup, s.cfg.Horizon = warmup, horizon
-			swept, err := core.Sweep(s.cfg, loads, runtime.GOMAXPROCS(0))
-			if err != nil {
-				fatal(err)
+		},
+		metrics: []metric{{"", "extension-patterns.csv", accepted}},
+	},
+}
+
+// runAblations runs every study of the ablations table under the
+// command's options and prints its tables.
+func (g *grid) runAblations() error {
+	for _, s := range ablations {
+		fmt.Printf("== %s ==\n\n%s\n", s.title, s.intro)
+		labels := make([]string, len(s.variants))
+		sweeps := make([][]core.Result, len(s.variants))
+		for i, v := range s.variants {
+			cfg := v.cfg
+			g.flags.Apply(&cfg)
+			label := v.label
+			if label == "" {
+				label = cfg.WithDefaults().Label()
 			}
-			labels = append(labels, s.label)
-			sweeps = append(sweeps, swept)
+			swept, err := g.sweep(cfg, s.name+"/"+label)
+			if err != nil {
+				return err
+			}
+			labels[i], sweeps[i] = label, swept
 		}
-		h, r, err := results.MultiSeries(labels, sweeps, func(res core.Result) float64 { return res.Sample.Accepted }, "offered")
-		if err != nil {
-			fatal(err)
+		for _, m := range s.metrics {
+			if err := g.table(m.heading, m.csv, labels, sweeps, m.value); err != nil {
+				return err
+			}
 		}
-		fmt.Print(results.FormatTable(h, r))
-		writeCSV(csvDir, "extension-patterns.csv", h, r)
 		fmt.Println()
 	}
+	return nil
 }

@@ -4,17 +4,20 @@
 // transpose and bit-reversal traffic), Figure 7 (the absolute-unit
 // comparison), and a paper-versus-measured scorecard of every saturation
 // point the text quotes. With -ablations it also runs the extension
-// studies (buffer depth, packet size, injection lanes, extra patterns).
+// studies (buffer depth, packet size, injection lanes, extra patterns);
+// with -degraded, the degraded-operation study.
 //
 // The full grid is 4 patterns x 5 configurations x 20 offered loads at
 // the paper's 20000-cycle horizon; use -quick for a coarse preview.
 //
 // Output is a self-contained text report on stdout (tee it to a file);
-// -csvdir additionally dumps every series as CSV for plotting.
+// -csvdir additionally dumps every series as CSV for plotting. The run
+// options are the grid set of internal/cli, shared with cmd/sweep and
+// cmd/batch, and reach every study: Ctrl-C, -checkpoint/-resume,
+// -watchdog, -manifest, -store, -shards and the telemetry sinks.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -22,18 +25,12 @@ import (
 	"runtime"
 	"time"
 
+	"smart/internal/cli"
 	"smart/internal/core"
 	"smart/internal/cost"
-	"smart/internal/faults"
 	"smart/internal/obs"
-	"smart/internal/resilience"
 	"smart/internal/results"
-	"smart/internal/telemetry"
 )
-
-// ckpt is the completed-run journal (-checkpoint); fatal reports it so
-// an interrupted or failed grid can be resumed instead of recomputed.
-var ckpt *resilience.Checkpoint
 
 // paperSaturation records the saturation points the paper's text quotes,
 // as fractions of capacity, keyed by pattern then configuration label.
@@ -46,55 +43,88 @@ var paperSaturation = map[string]map[string]float64{
 
 var patterns = []string{"uniform", "complement", "transpose", "bitrev"}
 
+// The per-run values the report tabulates against offered load.
+var (
+	accepted  = func(r core.Result) float64 { return r.Sample.Accepted }
+	latency   = func(r core.Result) float64 { return r.Sample.AvgLatency }
+	bitsNS    = func(r core.Result) float64 { return r.AcceptedBitsNS }
+	latencyNS = func(r core.Result) float64 { return r.LatencyNS }
+)
+
+// acceptedHeading heads accepted-bandwidth tables.
+const acceptedHeading = "accepted bandwidth (fraction of capacity):"
+
+// metric is one table of a figure or study: the heading printed above
+// it (none when empty), the CSV file it goes to, and the value it plots.
+type metric struct {
+	heading, csv string
+	value        func(core.Result) float64
+}
+
+// grid is the methodology and run options every study of the report
+// shares.
+type grid struct {
+	flags           *cli.Flags
+	opts            core.Options
+	loads           []float64
+	warmup, horizon int64
+	seed            uint64
+	csvDir          string
+	elapsed         func() time.Duration
+}
+
 func main() {
-	obsFlags := obs.AddFlags(flag.CommandLine)
-	resFlags := resilience.AddFlags(flag.CommandLine)
-	telFlags := telemetry.AddFlags(flag.CommandLine)
+	flags := cli.AddFlags(flag.CommandLine)
 	quick := flag.Bool("quick", false, "coarse grid and short horizon (preview quality)")
 	ablate := flag.Bool("ablations", false, "also run the extension/ablation studies")
 	degraded := flag.Bool("degraded", false, "also run the degraded-operation study (clean vs faulted vs bursty saturation)")
-	faultsFlag := flag.String("faults", "", "fault schedule applied to every grid run (spec or smart/faults/v1 JSONL file); deterministic cube routing is fault-oblivious and may wedge — pair with -watchdog")
-	burst := flag.String("burst", "", "bursty injection applied to every grid run (mmpp:<dwellOn>:<dwellOff>:<peak>)")
 	seed := flag.Uint64("seed", 1, "random seed")
 	csvDir := flag.String("csvdir", "", "write every series as CSV files into this directory")
-	manifestPath := flag.String("manifest", "", "append one JSONL run record per simulation to this file")
-	selfCheck := flag.Bool("selfcheck", false, "shadow every run with the reference oracle simulator in lockstep (slow; fails at the first divergent cycle)")
-	shards := flag.Int("shards", 1, "fabric shards per run (0 = auto from network size and GOMAXPROCS; results are bit-identical)")
 	flag.Parse()
 
-	faultsSpec, err := faults.ResolveFlag(*faultsFlag)
-	if err != nil {
-		fatal(err)
-	}
-
+	g := &grid{flags: flags, seed: *seed, csvDir: *csvDir, elapsed: obs.Stopwatch()}
 	step := 0.05
-	var warmup, horizon int64 // 0 = paper defaults
 	if *quick {
 		step = 0.10
-		warmup, horizon = 1000, 8000
+		g.warmup, g.horizon = 1000, 8000
 	}
-	var loads []float64
 	for l := step; l <= 1.0001; l += step {
-		loads = append(loads, l)
-	}
-	if *csvDir != "" {
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fatal(err)
-		}
+		g.loads = append(g.loads, l)
 	}
 
-	elapsed := obs.Stopwatch()
+	runs := len(patterns) * len(core.PaperConfigs())
+	if *degraded {
+		runs += len(degradedConfigs) * len(degradedScenarios)
+	}
+	if *ablate {
+		for _, s := range ablations {
+			runs += len(s.variants)
+		}
+	}
+	var finish func(error)
+	g.opts, finish = flags.Open("experiments", runs*len(g.loads))
+	finish(g.run(*quick, *degraded, *ablate))
+}
+
+// run prints the report: the paper's tables, figures and scorecard,
+// then the optional studies.
+func (g *grid) run(quick, degraded, ablate bool) error {
+	if g.csvDir != "" {
+		if err := os.MkdirAll(g.csvDir, 0o755); err != nil {
+			return err
+		}
+	}
 	fmt.Println("SMART reproduction of: Petrini & Vanneschi, \"Network Performance under")
 	fmt.Println("Physical Constraints\", ICPP 1997")
-	fmt.Printf("grid: %d loads (step %.2f), seed %d", len(loads), step, *seed)
-	if *quick {
+	fmt.Printf("grid: %d loads (step %.2f), seed %d", len(g.loads), g.loads[0], g.seed)
+	if quick {
 		fmt.Print(", QUICK preview (warm-up 1000, horizon 8000)")
 	} else {
 		fmt.Print(", paper methodology (warm-up 2000, horizon 20000)")
 	}
 	fmt.Println()
-	if faultsSpec != "" || *burst != "" {
-		fmt.Printf("DEGRADED grid: faults=%q burst=%q (paper columns assume a clean fabric)\n", faultsSpec, *burst)
+	if g.flags.Faults != "" || g.flags.Burst != "" {
+		fmt.Printf("DEGRADED grid: faults=%q burst=%q (paper columns assume a clean fabric)\n", g.flags.Faults, g.flags.Burst)
 	}
 	fmt.Println()
 
@@ -110,133 +140,53 @@ func main() {
 
 	// ---- Figures 5, 6, 7 ----
 	configs := core.PaperConfigs()
-
-	stopProf, err := obsFlags.Start()
-	if err != nil {
-		fatal(err)
-	}
-	ctx, stop := resilience.SignalContext(context.Background())
-	defer stop()
-	opts := core.Options{Logger: obsFlags.Logger(), Context: ctx, SelfCheck: *selfCheck, Shards: *shards}
-	if ckpt, err = resFlags.Open(); err != nil {
-		fatal(err)
-	}
-	if ckpt != nil {
-		if resFlags.Resume && ckpt.Len() > 0 {
-			fmt.Fprintf(os.Stderr, "experiments: resuming past %d checkpointed runs in %s\n", ckpt.Len(), ckpt.Path())
-		}
-		opts.Checkpoint = ckpt
-	}
-	var profiler *obs.StageProfiler
-	var progress *obs.Progress
-	if obsFlags.Verbose {
-		profiler = obs.NewStageProfiler()
-		progress = obs.NewProgress(os.Stderr, len(patterns)*len(configs)*len(loads), 5*time.Second)
-		progress.Start()
-		opts.Profiler = profiler
-		opts.Progress = progress
-	}
-	tel, telAddr, telStop, err := telFlags.Open(resFlags.Resume)
-	if err != nil {
-		fatal(err)
-	}
-	if tel != nil {
-		if tel.Server != nil {
-			// Grid progress is served even without -v: an unstarted
-			// Progress never prints but still snapshots.
-			if progress == nil {
-				progress = obs.NewProgress(os.Stderr, len(patterns)*len(configs)*len(loads), 5*time.Second)
-				opts.Progress = progress
-			}
-			tel.Server.SetProgress(progress)
-			fmt.Fprintf(os.Stderr, "experiments: serving telemetry on http://%s/metrics\n", telAddr)
-		}
-		opts.Telemetry = tel
-	}
-	if *manifestPath != "" {
-		mf, err := os.Create(*manifestPath)
-		if err != nil {
-			fatal(err)
-		}
-		defer mf.Close()
-		opts.Manifest = obs.NewManifestWriter(mf)
-	}
-
 	type sweepKey struct{ pattern, label string }
 	sweeps := map[sweepKey][]core.Result{}
 	labels := make([]string, len(configs))
 	for _, pattern := range patterns {
 		for i, cfg := range configs {
 			cfg.Pattern = pattern
-			cfg.Seed = *seed
-			cfg.Warmup, cfg.Horizon = warmup, horizon
-			cfg.WatchdogCycles = resFlags.Watchdog
-			cfg.Faults, cfg.Burst = faultsSpec, *burst
-			o := opts
-			o.Batch = cfg.Label() + "/" + pattern
-			swept, err := core.SweepWith(cfg, loads, runtime.GOMAXPROCS(0), o)
+			g.flags.Apply(&cfg)
+			swept, err := g.sweep(cfg, cfg.Label()+"/"+pattern)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			labels[i] = swept[0].Config.Label()
 			sweeps[sweepKey{pattern, labels[i]}] = swept
-			fmt.Fprintf(os.Stderr, "swept %-22s %-11s (%s elapsed)\n", labels[i], pattern, elapsed().Round(time.Second))
+			fmt.Fprintf(os.Stderr, "swept %-22s %-11s (%s elapsed)\n", labels[i], pattern, g.elapsed().Round(time.Second))
 		}
-	}
-	progress.Stop()
-
-	figure := func(title, figure string, selected []string, pattern string) {
-		fmt.Printf("== %s (%s, %s traffic) ==\n\n", title, figure, pattern)
-		sel := make([][]core.Result, len(selected))
-		for i, label := range selected {
-			sel[i] = sweeps[sweepKey{pattern, label}]
-		}
-		h, r, err := results.MultiSeries(selected, sel, func(res core.Result) float64 { return res.Sample.Accepted }, "offered")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("accepted bandwidth (fraction of capacity):")
-		fmt.Print(results.FormatTable(h, r))
-		writeCSV(*csvDir, fmt.Sprintf("%s-%s-accepted.csv", figure, pattern), h, r)
-		h, r, err = results.MultiSeries(selected, sel, func(res core.Result) float64 { return res.Sample.AvgLatency }, "offered")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("network latency (cycles):")
-		fmt.Print(results.FormatTable(h, r))
-		writeCSV(*csvDir, fmt.Sprintf("%s-%s-latency.csv", figure, pattern), h, r)
-		fmt.Println()
 	}
 
-	treeLabels := labels[2:]
-	cubeLabels := labels[:2]
-	for _, p := range patterns {
-		figure("4-ary 4-tree with 1, 2 and 4 virtual channels", "fig5", treeLabels, p)
+	cnf := []metric{
+		{acceptedHeading, "accepted", accepted},
+		{"network latency (cycles):", "latency", latency},
 	}
-	for _, p := range patterns {
-		figure("16-ary 2-cube, deterministic vs minimal adaptive", "fig6", cubeLabels, p)
+	absolute := []metric{
+		{"accepted traffic (bits/ns):", "throughput", bitsNS},
+		{"network latency (ns):", "latency", latencyNS},
 	}
-	for _, p := range patterns {
-		fmt.Printf("== Normalized absolute comparison (fig7, %s traffic) ==\n\n", p)
-		sel := make([][]core.Result, len(labels))
-		for i, label := range labels {
-			sel[i] = sweeps[sweepKey{p, label}]
+	for _, f := range []struct {
+		title, figure string
+		labels        []string
+		metrics       []metric
+	}{
+		{"4-ary 4-tree with 1, 2 and 4 virtual channels", "fig5", labels[2:], cnf},
+		{"16-ary 2-cube, deterministic vs minimal adaptive", "fig6", labels[:2], cnf},
+		{"Normalized absolute comparison", "fig7", labels, absolute},
+	} {
+		for _, p := range patterns {
+			fmt.Printf("== %s (%s, %s traffic) ==\n\n", f.title, f.figure, p)
+			sel := make([][]core.Result, len(f.labels))
+			for i, label := range f.labels {
+				sel[i] = sweeps[sweepKey{p, label}]
+			}
+			for _, m := range f.metrics {
+				if err := g.table(m.heading, fmt.Sprintf("%s-%s-%s.csv", f.figure, p, m.csv), f.labels, sel, m.value); err != nil {
+					return err
+				}
+			}
+			fmt.Println()
 		}
-		h, r, err := results.MultiSeries(labels, sel, func(res core.Result) float64 { return res.AcceptedBitsNS }, "offered")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("accepted traffic (bits/ns):")
-		fmt.Print(results.FormatTable(h, r))
-		writeCSV(*csvDir, fmt.Sprintf("fig7-%s-throughput.csv", p), h, r)
-		h, r, err = results.MultiSeries(labels, sel, func(res core.Result) float64 { return res.LatencyNS }, "offered")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("network latency (ns):")
-		fmt.Print(results.FormatTable(h, r))
-		writeCSV(*csvDir, fmt.Sprintf("fig7-%s-latency.csv", p), h, r)
-		fmt.Println()
 	}
 
 	// ---- Scorecard ----
@@ -246,8 +196,7 @@ func main() {
 	var rows [][]string
 	for _, p := range patterns {
 		for _, label := range labels {
-			swept := sweeps[sweepKey{p, label}]
-			row := results.Summarize(label, swept, 0.02)
+			row := results.Summarize(label, sweeps[sweepKey{p, label}], 0.02)
 			measured := fmt.Sprintf("%.2f", row.SaturationFrac)
 			if !row.Saturated {
 				measured = ">" + measured
@@ -261,55 +210,53 @@ func main() {
 		}
 	}
 	fmt.Print(results.FormatTable(headers, rows))
-	writeCSV(*csvDir, "scorecard.csv", headers, rows)
+	if err := g.writeCSV("scorecard.csv", headers, rows); err != nil {
+		return err
+	}
 	fmt.Println()
 
-	if *degraded {
-		runDegraded(loads, warmup, horizon, *seed, *csvDir, opts, elapsed)
-	}
-
-	if *ablate {
-		runAblations(loads, warmup, horizon, *seed, *csvDir)
-	}
-
-	if profiler != nil {
-		fmt.Fprintln(os.Stderr)
-		fmt.Fprintln(os.Stderr, "per-stage engine timing (hottest first):")
-		fmt.Fprint(os.Stderr, obs.FormatStageReport(profiler.Report()))
-	}
-	if ckpt != nil {
-		if err := ckpt.Close(); err != nil {
-			fatal(err)
+	if degraded {
+		if err := g.runDegraded(); err != nil {
+			return err
 		}
 	}
-	if err := telStop(); err != nil {
-		fatal(err)
+	if ablate {
+		if err := g.runAblations(); err != nil {
+			return err
+		}
 	}
-	if err := stopProf(); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("total wall time %s\n", elapsed().Round(time.Second))
+	fmt.Printf("total wall time %s\n", g.elapsed().Round(time.Second))
+	return nil
 }
 
-func writeCSV(dir, name string, headers []string, rows [][]string) {
-	if dir == "" {
-		return
-	}
-	f, err := os.Create(filepath.Join(dir, name))
+// sweep runs cfg over the load axis at the grid's seed and horizon,
+// under the command's options, stamping its manifest records with batch.
+func (g *grid) sweep(cfg core.Config, batch string) ([]core.Result, error) {
+	cfg.Seed = g.seed
+	cfg.Warmup, cfg.Horizon = g.warmup, g.horizon
+	o := g.opts
+	o.Batch = batch
+	return core.SweepWith(cfg, g.loads, runtime.GOMAXPROCS(0), o)
+}
+
+// table prints one metric of a set of sweeps against offered load and
+// writes it to the CSV file csv.
+func (g *grid) table(heading, csv string, labels []string, sweeps [][]core.Result, value func(core.Result) float64) error {
+	h, r, err := results.MultiSeries(labels, sweeps, value, "offered")
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	defer f.Close()
-	if err := results.WriteCSV(f, headers, rows); err != nil {
-		fatal(err)
+	if heading != "" {
+		fmt.Println(heading)
 	}
+	fmt.Print(results.FormatTable(h, r))
+	return g.writeCSV(csv, h, r)
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "experiments:", err)
-	if ckpt != nil {
-		ckpt.Close()
-		fmt.Fprintf(os.Stderr, "experiments: checkpoint %s holds %d completed runs; rerun with -resume to continue\n", ckpt.Path(), ckpt.Len())
+// writeCSV writes a table into -csvdir, when one is set.
+func (g *grid) writeCSV(name string, headers []string, rows [][]string) error {
+	if g.csvDir == "" {
+		return nil
 	}
-	os.Exit(1)
+	return results.WriteCSVFile(filepath.Join(g.csvDir, name), headers, rows)
 }

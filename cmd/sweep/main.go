@@ -11,26 +11,29 @@
 //	sweep -net cube -alg duato -pattern transpose    # one curve of Fig 6e
 //	sweep -net tree -vcs 4 -pattern bitrev -csv out.csv
 //
+// The run options are the grid set of internal/cli, shared with
+// cmd/batch and cmd/experiments.
+//
 // Observability (internal/obs): -v adds structured run logs, a live
 // progress line and a final per-stage engine timing report on stderr;
-// -manifest appends one JSONL record per run (config, seed, sample,
+// -manifest writes one JSONL record per run (config, seed, sample,
 // wall time); -cpuprofile/-memprofile/-trace feed go tool pprof/trace.
 //
 //	sweep -net tree -vcs 2 -quick -v -manifest runs.jsonl -cpuprofile cpu.prof
 //
 // Resilience (internal/resilience): -checkpoint journals completed runs
-// as they finish, Ctrl-C flushes the journal and partial manifest
-// instead of dropping them, and -resume skips the journaled runs on the
-// next invocation; -watchdog bounds how long a run may go without flit
-// progress before it aborts with a stall diagnosis.
+// as they finish, Ctrl-C flushes the journal, partial manifest and
+// store instead of dropping them, and -resume skips the journaled runs
+// on the next invocation; -watchdog bounds how long a run may go
+// without flit progress before it aborts with a stall diagnosis.
 //
 //	sweep -net cube -alg duato -checkpoint sweep.ckpt            # interruptible
 //	sweep -net cube -alg duato -checkpoint sweep.ckpt -resume    # pick up where it left off
 //
 // Caching (internal/store): -store points at a content-addressed
-// result store shared with cmd/batch and cmd/serve. Load points the
-// store already holds are replayed (digest-identically) instead of
-// re-run, and completed runs are written back:
+// result store shared with cmd/batch, cmd/experiments and cmd/serve.
+// Load points the store already holds are replayed (digest-identically)
+// instead of re-run, and completed runs are written back:
 //
 //	sweep -net tree -vcs 2 -store results/    # second invocation is instant
 //
@@ -38,47 +41,34 @@
 // state over HTTP while the sweep runs (/metrics in Prometheus text,
 // /telemetry.json as JSON); -timeseries journals each run's sampled
 // time series and congestion events to a JSONL sidecar next to the
-// manifest; -sample-every sets the cadence.
+// manifest.
 //
 //	sweep -net tree -vcs 2 -metrics-addr :9090 -timeseries series.jsonl
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"os"
 	"runtime"
-	"time"
 
+	"smart/internal/cli"
 	"smart/internal/core"
-	"smart/internal/faults"
-	"smart/internal/obs"
 	"smart/internal/plot"
-	"smart/internal/resilience"
 	"smart/internal/results"
-	"smart/internal/store"
-	"smart/internal/telemetry"
 )
 
 func main() {
 	var cfg core.Config
-	var network, alg, csvPath, manifestPath string
+	var network, alg, csvPath string
 	var step float64
 	var quick bool
-	obsFlags := obs.AddFlags(flag.CommandLine)
-	resFlags := resilience.AddFlags(flag.CommandLine)
-	telFlags := telemetry.AddFlags(flag.CommandLine)
-	flag.StringVar(&manifestPath, "manifest", "", "append one JSONL run record per load point to this file")
-	storeDir := flag.String("store", "", "read-through result store directory: cached load points are replayed instead of re-run, and completed runs are written back")
+	flags := cli.AddFlags(flag.CommandLine)
 	flag.StringVar(&network, "net", "tree", "network family: tree or cube")
 	flag.IntVar(&cfg.K, "k", 0, "radix")
 	flag.IntVar(&cfg.N, "n", 0, "dimension/levels")
 	flag.StringVar(&alg, "alg", "", "routing algorithm")
 	flag.IntVar(&cfg.VCs, "vcs", 0, "virtual channels")
 	flag.StringVar(&cfg.Pattern, "pattern", "uniform", "traffic pattern")
-	faultsFlag := flag.String("faults", "", "fault schedule: spec like link:R:P@C1-C2,router:R@C,rand-links:N@C — or a smart/faults/v1 JSONL file")
-	flag.StringVar(&cfg.Burst, "burst", "", "bursty injection: mmpp:<dwellOn>:<dwellOff>:<peak>")
 	flag.Uint64Var(&cfg.Seed, "seed", 1, "random seed")
 	flag.Int64Var(&cfg.Warmup, "warmup", 0, "warm-up cycles (default 2000)")
 	flag.Int64Var(&cfg.Horizon, "horizon", 0, "horizon cycles (default 20000)")
@@ -86,17 +76,9 @@ func main() {
 	flag.BoolVar(&quick, "quick", false, "coarse grid and short horizon for a fast preview")
 	flag.StringVar(&csvPath, "csv", "", "also write the series as CSV to this file")
 	showPlot := flag.Bool("plot", false, "render the two CNF graphs as ASCII charts")
-	selfCheck := flag.Bool("selfcheck", false, "shadow every run with the reference oracle simulator in lockstep (slow; fails at the first divergent cycle)")
-	shards := flag.Int("shards", 1, "fabric shards per run (0 = auto from network size and GOMAXPROCS; results are bit-identical)")
 	flag.Parse()
 	cfg.Network = core.NetworkKind(network)
 	cfg.Algorithm = alg
-	cfg.WatchdogCycles = resFlags.Watchdog
-	var ferr error
-	if cfg.Faults, ferr = faults.ResolveFlag(*faultsFlag); ferr != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", ferr)
-		os.Exit(1)
-	}
 	if quick {
 		step = 0.1
 		if cfg.Warmup == 0 {
@@ -112,88 +94,16 @@ func main() {
 		loads = append(loads, l)
 	}
 
-	stopProf, err := obsFlags.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(1)
-	}
-	ctx, stop := resilience.SignalContext(context.Background())
-	defer stop()
-	opts := core.Options{Logger: obsFlags.Logger(), Context: ctx, SelfCheck: *selfCheck, Shards: *shards}
-	ckpt, err := resFlags.Open()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(1)
-	}
-	if ckpt != nil {
-		if resFlags.Resume && ckpt.Len() > 0 {
-			fmt.Fprintf(os.Stderr, "sweep: resuming past %d checkpointed runs in %s\n", ckpt.Len(), ckpt.Path())
-		}
-		opts.Checkpoint = ckpt
-	}
-	var profiler *obs.StageProfiler
-	var progress *obs.Progress
-	if obsFlags.Verbose {
-		profiler = obs.NewStageProfiler()
-		progress = obs.NewProgress(os.Stderr, len(loads), 2*time.Second)
-		progress.Start()
-		opts.Profiler = profiler
-		opts.Progress = progress
-	}
-	tel, telAddr, telStop, err := telFlags.Open(resFlags.Resume)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(1)
-	}
-	if tel != nil {
-		if tel.Server != nil {
-			// Grid progress is served even without -v: an unstarted
-			// Progress never prints but still snapshots.
-			if progress == nil {
-				progress = obs.NewProgress(os.Stderr, len(loads), 2*time.Second)
-				opts.Progress = progress
-			}
-			tel.Server.SetProgress(progress)
-			fmt.Fprintf(os.Stderr, "sweep: serving telemetry on http://%s/metrics\n", telAddr)
-		}
-		opts.Telemetry = tel
-	}
-	if manifestPath != "" {
-		mf, err := os.Create(manifestPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-			os.Exit(1)
-		}
-		defer mf.Close()
-		opts.Manifest = obs.NewManifestWriter(mf)
-	}
-	if *storeDir != "" {
-		st, err := store.Open(*storeDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-			os.Exit(1)
-		}
-		defer st.Close()
-		fmt.Fprintf(os.Stderr, "sweep: store %s holds %d results\n", *storeDir, st.Len())
-		opts.Store = st
-	}
+	opts, finish := flags.Open("sweep", len(loads))
+	flags.Apply(&cfg)
+	finish(run(cfg, loads, opts, flags, csvPath, *showPlot))
+}
 
+// run sweeps the grid and prints the CNF report.
+func run(cfg core.Config, loads []float64, opts core.Options, flags *cli.Flags, csvPath string, showPlot bool) error {
 	swept, err := core.SweepWith(cfg, loads, runtime.GOMAXPROCS(0), opts)
-	progress.Stop()
-	if ckpt != nil {
-		if cerr := ckpt.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	if terr := telStop(); terr != nil && err == nil {
-		err = terr
-	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		if ckpt != nil {
-			fmt.Fprintf(os.Stderr, "sweep: checkpoint %s holds %d completed runs; rerun with -resume to continue\n", ckpt.Path(), ckpt.Len())
-		}
-		os.Exit(1)
+		return err
 	}
 
 	full := swept[0].Config
@@ -201,7 +111,7 @@ func main() {
 	headers, rows := results.CNFRows(swept)
 	fmt.Print(results.FormatTable(headers, rows))
 
-	if *showPlot {
+	if showPlot {
 		xs := make([]float64, len(swept))
 		accepted := make([]float64, len(swept))
 		latency := make([]float64, len(swept))
@@ -220,8 +130,7 @@ func main() {
 		} {
 			rendered, err := ch.Render()
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "sweep:", err)
-				os.Exit(1)
+				return err
 			}
 			fmt.Println()
 			fmt.Print(rendered)
@@ -242,32 +151,16 @@ func main() {
 	}
 
 	if csvPath != "" {
-		f, err := os.Create(csvPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := results.WriteCSV(f, headers, rows); err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-			os.Exit(1)
+		if err := results.WriteCSVFile(csvPath, headers, rows); err != nil {
+			return err
 		}
 		fmt.Printf("series written to %s\n", csvPath)
 	}
-	if manifestPath != "" {
-		fmt.Printf("run manifest written to %s\n", manifestPath)
+	if flags.Manifest != "" {
+		fmt.Printf("run manifest written to %s\n", flags.Manifest)
 	}
-	if telFlags.SidecarPath != "" {
-		fmt.Printf("time series written to %s\n", telFlags.SidecarPath)
+	if flags.Telemetry.SidecarPath != "" {
+		fmt.Printf("time series written to %s\n", flags.Telemetry.SidecarPath)
 	}
-
-	if profiler != nil {
-		fmt.Fprintln(os.Stderr)
-		fmt.Fprintln(os.Stderr, "per-stage engine timing (hottest first):")
-		fmt.Fprint(os.Stderr, obs.FormatStageReport(profiler.Report()))
-	}
-	if err := stopProf(); err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(1)
-	}
+	return nil
 }

@@ -15,6 +15,11 @@ import (
 	"runtime/debug"
 )
 
+// DefaultWatchdogCycles is the commands' default no-progress budget: far
+// above any transient congestion stall at the loads the harness sweeps,
+// far below losing hours to a hung grid.
+const DefaultWatchdogCycles = 20000
+
 // PanicError is a panic recovered at a run boundary, carrying the
 // panic value and the goroutine stack at the point of the panic.
 type PanicError struct {

@@ -3,7 +3,6 @@ package resilience
 import (
 	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -192,33 +191,5 @@ func TestCheckpointResumeRejectsCorruptLine(t *testing.T) {
 	}
 	if _, err := Open(path, true); err == nil || !strings.Contains(err.Error(), "unknown schema") {
 		t.Fatalf("resume over unknown schema = %v, want a schema error", err)
-	}
-}
-
-func TestFlagsOpenValidation(t *testing.T) {
-	f := &Flags{Resume: true}
-	if _, err := f.Open(); err == nil || !strings.Contains(err.Error(), "-resume requires -checkpoint") {
-		t.Fatalf("Open with -resume and no -checkpoint = %v", err)
-	}
-	f = &Flags{}
-	if c, err := f.Open(); c != nil || err != nil {
-		t.Fatalf("Open with checkpointing off = %v, %v, want nil, nil", c, err)
-	}
-}
-
-func TestAddFlagsDefaults(t *testing.T) {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	f := AddFlags(fs)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if f.Watchdog != DefaultWatchdogCycles || f.CheckpointPath != "" || f.Resume {
-		t.Fatalf("defaults = %+v", f)
-	}
-	if err := fs.Parse([]string{"-checkpoint", "c.jsonl", "-resume", "-watchdog", "500"}); err != nil {
-		t.Fatal(err)
-	}
-	if f.CheckpointPath != "c.jsonl" || !f.Resume || f.Watchdog != 500 {
-		t.Fatalf("parsed = %+v", f)
 	}
 }

@@ -9,6 +9,7 @@ package results
 import (
 	"fmt"
 	"io"
+	"os"
 	"strings"
 
 	"smart/internal/core"
@@ -78,6 +79,19 @@ func WriteCSV(w io.Writer, headers []string, rows [][]string) error {
 		}
 	}
 	return nil
+}
+
+// WriteCSVFile writes the table as CSV to a new file at path.
+func WriteCSVFile(path string, headers []string, rows [][]string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = WriteCSV(f, headers, rows)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // FormatTimings renders a slice of router timings in the layout of the

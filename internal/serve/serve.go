@@ -449,27 +449,19 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	stats := s.store.Stats()
 
-	var b strings.Builder
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter("smart_serve_requests_total", "HTTP requests handled.", requests)
-	counter("smart_serve_cache_hits_total", "Requests answered from the store.", hits)
-	counter("smart_serve_cache_misses_total", "Requests that executed a run.", misses)
-	counter("smart_serve_cache_coalesced_total", "Requests that joined another request's execution.", coalesced)
-	counter("smart_serve_busy_total", "Requests refused because the worker pool was saturated.", busy)
-	counter("smart_serve_errors_total", "Requests that ended in an error response.", failures)
-	gauge("smart_serve_inflight", "Executions running or queued right now.", int64(pending))
-	gauge("smart_store_records", "Distinct fingerprints in the store.", int64(stats.Records))
-	gauge("smart_store_segments", "Store segment files.", int64(stats.Segments))
-	gauge("smart_store_bytes", "Bytes across store segments.", stats.Bytes)
-	gauge("smart_store_superseded_records", "On-disk entries shadowed by a later write (reclaimable by compaction).", stats.Superseded)
-
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	io.WriteString(w, b.String())
+	var b obs.PromText
+	b.Metric("smart_serve_requests_total", "HTTP requests handled.", "counter", requests)
+	b.Metric("smart_serve_cache_hits_total", "Requests answered from the store.", "counter", hits)
+	b.Metric("smart_serve_cache_misses_total", "Requests that executed a run.", "counter", misses)
+	b.Metric("smart_serve_cache_coalesced_total", "Requests that joined another request's execution.", "counter", coalesced)
+	b.Metric("smart_serve_busy_total", "Requests refused because the worker pool was saturated.", "counter", busy)
+	b.Metric("smart_serve_errors_total", "Requests that ended in an error response.", "counter", failures)
+	b.Metric("smart_serve_inflight", "Executions running or queued right now.", "gauge", pending)
+	b.Metric("smart_store_records", "Distinct fingerprints in the store.", "gauge", stats.Records)
+	b.Metric("smart_store_segments", "Store segment files.", "gauge", stats.Segments)
+	b.Metric("smart_store_bytes", "Bytes across store segments.", "gauge", stats.Bytes)
+	b.Metric("smart_store_superseded_records", "On-disk entries shadowed by a later write (reclaimable by compaction).", "gauge", stats.Superseded)
+	b.Serve(w)
 }
 
 // writeJSON answers with body and a strong ETag over digest, honoring

@@ -8,18 +8,16 @@ import (
 
 // Flags carries the telemetry command-line options shared by the
 // commands: -metrics-addr for the live HTTP endpoint, -timeseries for
-// the JSONL sidecar, -sample-every for the cadence.
+// the JSONL sidecar. Samplers run at the library cadence (Config.Every).
 type Flags struct {
 	MetricsAddr string
-	SampleEvery int64
 	SidecarPath string
 }
 
-// AddFlags registers -metrics-addr, -sample-every and -timeseries on fs.
+// AddFlags registers -metrics-addr and -timeseries on fs.
 func AddFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.MetricsAddr, "metrics-addr", "", "serve live telemetry on this `address` (/metrics Prometheus text, /telemetry.json)")
-	fs.Int64Var(&f.SampleEvery, "sample-every", 100, "telemetry sampling cadence in `cycles`")
 	fs.StringVar(&f.SidecarPath, "timeseries", "", "journal each run's time series to this JSONL `file` (schema "+Schema+")")
 	return f
 }
@@ -49,7 +47,7 @@ func (f *Flags) Open(resume bool) (opts *Options, addr string, stop func() error
 	if !f.Enabled() {
 		return nil, "", func() error { return nil }, nil
 	}
-	opts = &Options{Config: Config{Every: f.SampleEvery}}
+	opts = &Options{}
 	var ln net.Listener
 	if f.MetricsAddr != "" {
 		opts.Server = NewServer()

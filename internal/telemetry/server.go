@@ -138,53 +138,17 @@ func runLabels(run RunInfo) string {
 
 func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	st := s.state()
-	var b strings.Builder
-
-	b.WriteString("# HELP smart_runs_completed_total Runs finished by this process.\n")
-	b.WriteString("# TYPE smart_runs_completed_total counter\n")
-	fmt.Fprintf(&b, "smart_runs_completed_total %d\n", st.done)
-	b.WriteString("# HELP smart_runs_failed_total Runs that finished with a failure.\n")
-	b.WriteString("# TYPE smart_runs_failed_total counter\n")
-	fmt.Fprintf(&b, "smart_runs_failed_total %d\n", st.failed)
-	b.WriteString("# HELP smart_runs_active Runs currently recording telemetry.\n")
-	b.WriteString("# TYPE smart_runs_active gauge\n")
-	fmt.Fprintf(&b, "smart_runs_active %d\n", len(st.samplers))
-
+	var b obs.PromText
+	b.Metric("smart_runs_completed_total", "Runs finished by this process.", "counter", st.done)
+	b.Metric("smart_runs_failed_total", "Runs that finished with a failure.", "counter", st.failed)
+	b.Metric("smart_runs_active", "Runs currently recording telemetry.", "gauge", len(st.samplers))
 	if st.hasProg {
-		b.WriteString("# HELP smart_grid_completed Grid points completed.\n")
-		b.WriteString("# TYPE smart_grid_completed gauge\n")
-		fmt.Fprintf(&b, "smart_grid_completed %d\n", st.progress.Completed)
-		b.WriteString("# HELP smart_grid_total Grid points in the sweep.\n")
-		b.WriteString("# TYPE smart_grid_total gauge\n")
-		fmt.Fprintf(&b, "smart_grid_total %d\n", st.progress.Total)
-		b.WriteString("# HELP smart_grid_cycles_total Simulated cycles across completed runs.\n")
-		b.WriteString("# TYPE smart_grid_cycles_total counter\n")
-		fmt.Fprintf(&b, "smart_grid_cycles_total %d\n", st.progress.Cycles)
-		b.WriteString("# HELP smart_grid_cycles_per_second Aggregate simulation rate.\n")
-		b.WriteString("# TYPE smart_grid_cycles_per_second gauge\n")
-		fmt.Fprintf(&b, "smart_grid_cycles_per_second %g\n", st.progress.CyclesPerSec)
+		b.Metric("smart_grid_completed", "Grid points completed.", "gauge", st.progress.Completed)
+		b.Metric("smart_grid_total", "Grid points in the sweep.", "gauge", st.progress.Total)
+		b.Metric("smart_grid_cycles_total", "Simulated cycles across completed runs.", "counter", st.progress.Cycles)
+		b.Metric("smart_grid_cycles_per_second", "Aggregate simulation rate.", "gauge", st.progress.CyclesPerSec)
 	}
 
-	type metric struct{ name, help, kind string }
-	cum := []metric{
-		{"smart_run_flits_injected_total", "Flits injected since fabric construction.", "counter"},
-		{"smart_run_flits_delivered_total", "Flits delivered since fabric construction.", "counter"},
-		{"smart_run_headers_routed_total", "Routing decisions won.", "counter"},
-		{"smart_run_credit_stalls_total", "Send attempts lost to exhausted credits.", "counter"},
-		{"smart_run_fault_stalls_total", "Transfer opportunities suppressed by fault masks.", "counter"},
-		{"smart_run_rerouted_total", "Routing decisions diverted around fault masks.", "counter"},
-	}
-	gauges := []metric{
-		{"smart_run_cycle", "Cycle of the latest sample.", "gauge"},
-		{"smart_run_in_flight", "Flits inside the network.", "gauge"},
-		{"smart_run_queued", "Packets waiting at sources.", "gauge"},
-		{"smart_run_occupied_lanes", "Lanes holding at least one flit.", "gauge"},
-		{"smart_run_buffered_flits", "Flits buffered in lanes.", "gauge"},
-		{"smart_run_max_nic_queue", "Deepest source queue.", "gauge"},
-		{"smart_run_events", "Congestion events recorded.", "gauge"},
-		{"smart_run_down_links", "Physical links currently fault-masked.", "gauge"},
-		{"smart_run_down_routers", "Routers currently fault-masked.", "gauge"},
-	}
 	// Gather each sampler's latest point once, in attach order.
 	type runView struct {
 		run     RunInfo
@@ -204,56 +168,40 @@ func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		views = append(views, v)
 	}
-	value := func(m string, v runView) (int64, bool) {
-		switch m {
-		case "smart_run_flits_injected_total":
-			return v.last.FlitsInjected, true
-		case "smart_run_flits_delivered_total":
-			return v.last.FlitsDelivered, true
-		case "smart_run_headers_routed_total":
-			return v.last.HeadersRouted, true
-		case "smart_run_credit_stalls_total":
-			return v.last.CreditStalls, true
-		case "smart_run_cycle":
-			return v.last.Cycle, true
-		case "smart_run_in_flight":
-			return v.last.InFlight, true
-		case "smart_run_queued":
-			return v.last.Queued, true
-		case "smart_run_occupied_lanes":
-			return int64(v.last.OccupiedLanes), true
-		case "smart_run_buffered_flits":
-			return int64(v.last.BufferedFlits), true
-		case "smart_run_max_nic_queue":
-			return v.last.MaxNICQueue, true
-		case "smart_run_events":
-			return int64(v.events), true
-		case "smart_run_fault_stalls_total":
-			return v.last.FaultStalls, v.faulted
-		case "smart_run_rerouted_total":
-			return v.last.Rerouted, v.faulted
-		case "smart_run_down_links":
-			return int64(v.last.DownLinks), v.faulted
-		case "smart_run_down_routers":
-			return int64(v.last.DownRouters), v.faulted
-		}
-		return 0, false
+	// Per-run families; a value reporting false omits the run (the
+	// fault families appear only for faulted runs).
+	type metric struct {
+		name, help, kind string
+		value            func(v runView) (int64, bool)
 	}
-	for _, m := range append(cum, gauges...) {
+	for _, m := range []metric{
+		{"smart_run_flits_injected_total", "Flits injected since fabric construction.", "counter", func(v runView) (int64, bool) { return v.last.FlitsInjected, true }},
+		{"smart_run_flits_delivered_total", "Flits delivered since fabric construction.", "counter", func(v runView) (int64, bool) { return v.last.FlitsDelivered, true }},
+		{"smart_run_headers_routed_total", "Routing decisions won.", "counter", func(v runView) (int64, bool) { return v.last.HeadersRouted, true }},
+		{"smart_run_credit_stalls_total", "Send attempts lost to exhausted credits.", "counter", func(v runView) (int64, bool) { return v.last.CreditStalls, true }},
+		{"smart_run_fault_stalls_total", "Transfer opportunities suppressed by fault masks.", "counter", func(v runView) (int64, bool) { return v.last.FaultStalls, v.faulted }},
+		{"smart_run_rerouted_total", "Routing decisions diverted around fault masks.", "counter", func(v runView) (int64, bool) { return v.last.Rerouted, v.faulted }},
+		{"smart_run_cycle", "Cycle of the latest sample.", "gauge", func(v runView) (int64, bool) { return v.last.Cycle, true }},
+		{"smart_run_in_flight", "Flits inside the network.", "gauge", func(v runView) (int64, bool) { return v.last.InFlight, true }},
+		{"smart_run_queued", "Packets waiting at sources.", "gauge", func(v runView) (int64, bool) { return v.last.Queued, true }},
+		{"smart_run_occupied_lanes", "Lanes holding at least one flit.", "gauge", func(v runView) (int64, bool) { return int64(v.last.OccupiedLanes), true }},
+		{"smart_run_buffered_flits", "Flits buffered in lanes.", "gauge", func(v runView) (int64, bool) { return int64(v.last.BufferedFlits), true }},
+		{"smart_run_max_nic_queue", "Deepest source queue.", "gauge", func(v runView) (int64, bool) { return v.last.MaxNICQueue, true }},
+		{"smart_run_events", "Congestion events recorded.", "gauge", func(v runView) (int64, bool) { return int64(v.events), true }},
+		{"smart_run_down_links", "Physical links currently fault-masked.", "gauge", func(v runView) (int64, bool) { return int64(v.last.DownLinks), v.faulted }},
+		{"smart_run_down_routers", "Routers currently fault-masked.", "gauge", func(v runView) (int64, bool) { return int64(v.last.DownRouters), v.faulted }},
+	} {
 		wrote := false
 		for _, v := range views {
-			if !v.ok {
-				continue
-			}
-			val, ok := value(m.name, v)
-			if !ok {
+			val, ok := m.value(v)
+			if !v.ok || !ok {
 				continue
 			}
 			if !wrote {
-				fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", m.name, m.help, m.name, m.kind)
+				b.Family(m.name, m.help, m.kind)
 				wrote = true
 			}
-			fmt.Fprintf(&b, "%s%s %d\n", m.name, runLabels(v.run), val)
+			b.Sample(m.name, runLabels(v.run), val)
 		}
 	}
 	// Per-class interval flits, labeled by class name.
@@ -263,8 +211,7 @@ func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if !wrote {
-			b.WriteString("# HELP smart_run_class_flits Flits moved per channel class in the last sample interval.\n")
-			b.WriteString("# TYPE smart_run_class_flits gauge\n")
+			b.Family("smart_run_class_flits", "Flits moved per channel class in the last sample interval.", "gauge")
 			wrote = true
 		}
 		labels := runLabels(v.run)
@@ -274,12 +221,11 @@ func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 			}
 			// Splice the class label into the shared label set.
 			withClass := strings.TrimSuffix(labels, "}") + fmt.Sprintf(",class=%q}", escapeLabel(n))
-			fmt.Fprintf(&b, "smart_run_class_flits%s %d\n", withClass, v.last.ClassFlits[i])
+			b.Sample("smart_run_class_flits", withClass, v.last.ClassFlits[i])
 		}
 	}
 
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.Write([]byte(b.String()))
+	b.Serve(w)
 }
 
 // jsonState is the /telemetry.json response body.
