@@ -41,6 +41,7 @@ fuzz:
 	$(GO) test ./internal/routing -run '^$$' -fuzz FuzzRouteTree -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/faults -run '^$$' -fuzz FuzzFaultSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeEntry -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME)
 
 # One benchmark per table, figure and ablation of the paper.
 bench:

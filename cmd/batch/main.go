@@ -16,9 +16,9 @@
 //
 // Resilience (internal/resilience): a failing or panicking config no
 // longer aborts the study — every failure is reported at the end;
-// -checkpoint journals completed configs, Ctrl-C flushes the journal,
-// partial manifest and store, -resume skips journaled configs on the
-// next invocation, and -watchdog aborts deadlocked configs with a stall
+// -checkpoint journals completed configs to a directory, Ctrl-C flushes
+// the checkpoint, partial manifest and store, -resume skips checkpointed
+// configs on the next invocation, and -watchdog aborts deadlocked configs with a stall
 // diagnosis. -watchdog, -faults and -burst fill only the configs that
 // leave the field unset.
 //

@@ -15,6 +15,9 @@
 // options are the grid set of internal/cli, shared with cmd/sweep and
 // cmd/batch, and reach every study: Ctrl-C, -checkpoint/-resume,
 // -watchdog, -manifest, -store, -shards and the telemetry sinks.
+// -checkpoint names a directory; a resumed campaign replays each
+// checkpointed run into the manifest under the study that asks for it,
+// so a config two studies share is recorded under both.
 package main
 
 import (

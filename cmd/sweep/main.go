@@ -22,10 +22,11 @@
 //	sweep -net tree -vcs 2 -quick -v -manifest runs.jsonl -cpuprofile cpu.prof
 //
 // Resilience (internal/resilience): -checkpoint journals completed runs
-// as they finish, Ctrl-C flushes the journal, partial manifest and
-// store instead of dropping them, and -resume skips the journaled runs
-// on the next invocation; -watchdog bounds how long a run may go
-// without flit progress before it aborts with a stall diagnosis.
+// to a directory as they finish (a result store scoped to this sweep),
+// Ctrl-C flushes the checkpoint, partial manifest and store instead of
+// dropping them, and -resume skips the checkpointed runs on the next
+// invocation; -watchdog bounds how long a run may go without flit
+// progress before it aborts with a stall diagnosis.
 //
 //	sweep -net cube -alg duato -checkpoint sweep.ckpt            # interruptible
 //	sweep -net cube -alg duato -checkpoint sweep.ckpt -resume    # pick up where it left off

@@ -58,8 +58,8 @@ type Flags struct {
 // -manifest, -store, -shards and -selfcheck.
 func AddFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{obsFlags: obs.AddFlags(fs), Telemetry: telemetry.AddFlags(fs), stderr: os.Stderr, exit: os.Exit}
-	fs.StringVar(&f.Checkpoint, "checkpoint", "", "journal completed runs to this JSONL `file` as they finish")
-	fs.BoolVar(&f.Resume, "resume", false, "skip runs already completed in the -checkpoint journal")
+	fs.StringVar(&f.Checkpoint, "checkpoint", "", "journal completed runs to this `directory` as they finish (a store scoped to this grid)")
+	fs.BoolVar(&f.Resume, "resume", false, "skip runs already completed in the -checkpoint directory")
 	fs.Int64Var(&f.Watchdog, "watchdog", resilience.DefaultWatchdogCycles, "abort a run after this many `cycles` without progress (0 disables), for runs that set none")
 	fs.StringVar(&f.Faults, "faults", "", "fault schedule for runs that set none: spec like link:R:P@C1-C2,router:R@C,rand-links:N@C, or a smart/faults/v1 JSONL file; deterministic cube routing is fault-oblivious and may wedge, which -watchdog catches")
 	fs.StringVar(&f.Burst, "burst", "", "bursty injection for runs that set none: mmpp:<dwellOn>:<dwellOff>:<peak>")
@@ -98,7 +98,7 @@ func (f *Flags) Open(name string, runs int) (core.Options, func(error)) {
 		}
 		fmt.Fprintf(f.stderr, "%s: %v\n", name, err)
 		if s.ckpt != nil {
-			fmt.Fprintf(f.stderr, "%s: checkpoint %s holds %d completed runs; rerun with -resume to continue\n", name, s.ckpt.Path(), s.ckpt.Len())
+			fmt.Fprintf(f.stderr, "%s: checkpoint %s holds %d completed runs; rerun with -resume to continue\n", name, s.ckpt.Dir(), s.ckpt.Len())
 		}
 		f.exit(1)
 	}
@@ -142,7 +142,7 @@ func (f *Flags) open(name string, runs int) (core.Options, *sinks, error) {
 			return opts, s, err
 		}
 		if f.Resume && s.ckpt.Len() > 0 {
-			fmt.Fprintf(f.stderr, "%s: resuming past %d checkpointed runs in %s\n", name, s.ckpt.Len(), s.ckpt.Path())
+			fmt.Fprintf(f.stderr, "%s: resuming past %d checkpointed runs in %s\n", name, s.ckpt.Len(), s.ckpt.Dir())
 		}
 		opts.Checkpoint = s.ckpt
 	}

@@ -49,10 +49,10 @@ func TestAddFlagsDefaults(t *testing.T) {
 	if f.Watchdog != resilience.DefaultWatchdogCycles || f.Checkpoint != "" || f.Resume || f.Shards != 1 || f.SelfCheck {
 		t.Fatalf("defaults = %+v", f)
 	}
-	if err := fs.Parse([]string{"-checkpoint", "c.jsonl", "-resume", "-watchdog", "500", "-shards", "0", "-burst", "mmpp:1:2:3"}); err != nil {
+	if err := fs.Parse([]string{"-checkpoint", "ckpt", "-resume", "-watchdog", "500", "-shards", "0", "-burst", "mmpp:1:2:3"}); err != nil {
 		t.Fatal(err)
 	}
-	if f.Checkpoint != "c.jsonl" || !f.Resume || f.Watchdog != 500 || f.Shards != 0 || f.Burst != "mmpp:1:2:3" {
+	if f.Checkpoint != "ckpt" || !f.Resume || f.Watchdog != 500 || f.Shards != 0 || f.Burst != "mmpp:1:2:3" {
 		t.Fatalf("parsed = %+v", f)
 	}
 }
@@ -91,7 +91,7 @@ func TestOpenSweepFinish(t *testing.T) {
 	dir := t.TempDir()
 	path := func(name string) string { return filepath.Join(dir, name) }
 	f, stderr, exitCode := newFlags(t,
-		"-checkpoint", path("c.jsonl"), "-store", path("store"), "-timeseries", path("ts.jsonl"),
+		"-checkpoint", path("ckpt"), "-store", path("store"), "-timeseries", path("ts.jsonl"),
 		"-manifest", path("m.jsonl"), "-metrics-addr", "127.0.0.1:0", "-cpuprofile", path("cpu.prof"), "-v")
 	cfg, loads := smallSweep()
 	opts, finish := f.Open("sweep", len(loads))
@@ -108,7 +108,7 @@ func TestOpenSweepFinish(t *testing.T) {
 	}
 
 	n := len(loads)
-	ckpt, err := resilience.Open(path("c.jsonl"), true)
+	ckpt, err := resilience.Open(path("ckpt"), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestOpenSweepFinish(t *testing.T) {
 // closes its sinks, reports the error with the resume hint, and exits 1.
 func TestFinishOnFailure(t *testing.T) {
 	dir := t.TempDir()
-	ckptPath, manifestPath := filepath.Join(dir, "c.jsonl"), filepath.Join(dir, "m.jsonl")
+	ckptPath, manifestPath := filepath.Join(dir, "ckpt"), filepath.Join(dir, "m.jsonl")
 	f, stderr, exitCode := newFlags(t, "-checkpoint", ckptPath, "-manifest", manifestPath, "-store", filepath.Join(dir, "store"))
 	cfg, loads := smallSweep()
 	opts, finish := f.Open("sweep", len(loads))
@@ -186,6 +186,27 @@ func TestFinishOnFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Close()
+}
+
+// TestCheckpointRefusesJournalFile checks that a -checkpoint left over
+// from the single-file journal format is refused, fresh or resumed,
+// without being touched: the checkpoint is now a directory.
+func TestCheckpointRefusesJournalFile(t *testing.T) {
+	old := filepath.Join(t.TempDir(), "sweep.ckpt")
+	journal := []byte(`{"schema":"smart/run/v3","fingerprint":"c0d70a90c4c0109b"}` + "\n")
+	if err := os.WriteFile(old, journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"-checkpoint", old}, {"-checkpoint", old, "-resume"}} {
+		f, stderr, exitCode := newFlags(t, args...)
+		f.Open("sweep", 1)
+		if *exitCode != 1 || !strings.HasPrefix(stderr.String(), "sweep: ") || !strings.Contains(stderr.String(), old) {
+			t.Errorf("Open %v over a journal file: exit %d, stderr %q", args, *exitCode, stderr.String())
+		}
+		if got, err := os.ReadFile(old); err != nil || !bytes.Equal(got, journal) {
+			t.Fatalf("Open %v changed the journal file: %q, %v", args, got, err)
+		}
+	}
 }
 
 func TestOpenFailureExits(t *testing.T) {

@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 
 	"smart/internal/cost"
 	"smart/internal/phys"
@@ -334,10 +335,17 @@ func (c Config) Timing() (cost.Timing, error) {
 	c = c.WithDefaults()
 	switch c.Network {
 	case NetworkTree:
+		// The model's F = (2k-1)v and P = 2kv must be positive ints.
+		if c.K < 1 || c.VCs < 1 || c.K > math.MaxInt/2/c.VCs {
+			return cost.Timing{}, fmt.Errorf("core: no timing model for a %d-ary tree with %d VCs", c.K, c.VCs)
+		}
 		return cost.TreeAdaptive(c.K, c.VCs), nil
 	case NetworkCube, NetworkMesh:
 		// The mesh router has the same arity and virtual channels as the
 		// cube's, so the cost model rows apply unchanged.
+		if c.N < 1 || c.N > math.MaxInt/8 {
+			return cost.Timing{}, fmt.Errorf("core: no timing model for a %d-dimensional %s", c.N, c.Network)
+		}
 		switch c.Algorithm {
 		case AlgDeterministic:
 			return cost.CubeDeterministicN(c.N), nil

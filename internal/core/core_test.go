@@ -271,6 +271,18 @@ func TestTimingSelection(t *testing.T) {
 	if tm != cost.CubeDuatoN(2) {
 		t.Fatalf("cube duato timing %+v", tm)
 	}
+	// Shapes outside the cost model are errors, not panics inside it.
+	for _, bad := range []Config{
+		{Network: NetworkTree, N: 1},
+		{Network: NetworkTree, K: 4, N: 2, VCs: -1},
+		{Network: NetworkTree, K: 1 << 40, N: 1, VCs: 1 << 30},
+		{Network: NetworkCube, Algorithm: AlgDuato, K: 4, N: -1},
+		{Network: NetworkMesh, Algorithm: AlgDeterministic, K: 4, N: math.MaxInt},
+	} {
+		if _, err := bad.Timing(); err == nil {
+			t.Errorf("%+v: Timing accepted a shape outside the cost model", bad)
+		}
+	}
 }
 
 func TestResultAbsoluteUnits(t *testing.T) {

@@ -226,7 +226,7 @@ func TestFaultedSweepResumesToIdenticalDigest(t *testing.T) {
 	}
 	refDigest := obs.Digest(refRecs)
 
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	path := filepath.Join(t.TempDir(), "ckpt")
 	ckpt, err := resilience.Open(path, false)
 	if err != nil {
 		t.Fatal(err)
@@ -237,6 +237,7 @@ func TestFaultedSweepResumesToIdenticalDigest(t *testing.T) {
 	if err := ckpt.Close(); err != nil {
 		t.Fatal(err)
 	}
+	tearActiveSegment(t, path)
 
 	resumed, err := resilience.Open(path, true)
 	if err != nil {

@@ -30,18 +30,16 @@ type Options struct {
 	Progress *obs.Progress
 	// Manifest, when set, receives one JSONL record per completed run.
 	Manifest *obs.ManifestWriter
-	// Checkpoint, when set, journals each completed run as it finishes
-	// and replays already-journaled configs instead of re-running them —
-	// the resume half of the kill-and-resume contract.
-	Checkpoint *resilience.Checkpoint
-	// Store, when set, is a persistent read-through result cache keyed
-	// by config fingerprint (internal/store): a config the store holds
-	// is not re-run — its cached record is digest-verified, re-stamped
-	// with this run's Batch/Index position, and replayed into the
-	// manifest exactly like a checkpoint hit — and every completed run
-	// is written back. Unlike a checkpoint (one grid's journal), a store
-	// is shared across invocations, commands, and the sweep service.
-	Store *store.Store
+	// Checkpoint and Store, when set, are read-through result caches
+	// keyed by config fingerprint (internal/store): a config either one
+	// holds is not re-run — its cached record is digest-verified,
+	// re-stamped with this run's Batch/Index position, and replayed into
+	// the manifest — and every completed run is written back to both.
+	// Checkpoint is one grid's store (resilience.Checkpoint), the resume
+	// half of the kill-and-resume contract; Store is shared across
+	// invocations, commands, and the sweep service.
+	Checkpoint *store.Store
+	Store      *store.Store
 	// Context, when set, interrupts a grid: runs not yet started when it
 	// is cancelled are skipped (reported as interrupted, not failed),
 	// while in-flight runs complete and reach the checkpoint.
@@ -75,30 +73,59 @@ func (o Options) observed() bool {
 	return o.Logger != nil || o.Profiler != nil || o.Progress != nil || o.Manifest != nil || o.Checkpoint != nil || o.Store != nil || o.Telemetry != nil
 }
 
-// RunWith executes one experiment with the paper's methodology under the
-// given observers. With zero Options it is exactly Run. A config whose
-// fingerprint the checkpoint records as done is not re-run: its
-// journaled record is replayed into the manifest verbatim. A store hit
-// replays the same way, except the cached record — stored
-// position-free, since the store is addressed by config content — is
-// first re-stamped with this run's Batch and Index, so a read-through
-// grid's manifest digests identically to an uncached one.
-func RunWith(cfg Config, opts Options) (Result, error) {
-	if opts.Checkpoint != nil {
-		full := cfg.WithDefaults()
-		if rec, ok := opts.Checkpoint.Done(full.Fingerprint()); ok {
-			return replayRun(full, rec, "checkpoint", opts)
+// cache is one read-through result store, named for the logs.
+type cache struct {
+	source string
+	st     *store.Store
+}
+
+// caches lists the attached result stores in lookup order: the grid's
+// checkpoint, then the shared store.
+func (o Options) caches() []cache {
+	var cs []cache
+	if o.Checkpoint != nil {
+		cs = append(cs, cache{"checkpoint", o.Checkpoint})
+	}
+	if o.Store != nil {
+		cs = append(cs, cache{"store", o.Store})
+	}
+	return cs
+}
+
+// writeBack records a completed run: into every cache first, then into
+// the manifest, so a kill between the writes cannot leave a manifest
+// record the caches forgot.
+func (o Options) writeBack(rec obs.RunRecord) error {
+	for _, c := range o.caches() {
+		if _, err := c.st.Put(rec); err != nil {
+			return fmt.Errorf("core: %s write-back: %w", c.source, err)
 		}
 	}
-	if opts.Store != nil {
-		full := cfg.WithDefaults()
-		rec, _, ok, err := opts.Store.Get(full.Fingerprint())
+	if o.Manifest != nil {
+		if err := o.Manifest.Write(rec); err != nil {
+			return fmt.Errorf("core: run manifest: %w", err)
+		}
+	}
+	return nil
+}
+
+// RunWith executes one experiment with the paper's methodology under the
+// given observers. With zero Options it is exactly Run. A config the
+// checkpoint or the store holds is not re-run: the cached record —
+// stored position-free, since a store is addressed by config content —
+// is re-stamped with this run's Batch and Index and replayed, so a
+// resumed or read-through grid's manifest digests identically to an
+// uncached one.
+func RunWith(cfg Config, opts Options) (Result, error) {
+	full := cfg.WithDefaults()
+	for _, c := range opts.caches() {
+		rec, _, ok, err := c.st.Get(full.Fingerprint())
 		if err != nil {
-			return Result{}, fmt.Errorf("core: store read for %s: %w", full.Fingerprint(), err)
+			return Result{}, fmt.Errorf("core: %s read for %s: %w", c.source, full.Fingerprint(), err)
 		}
 		if ok {
 			rec.Batch, rec.Index = opts.Batch, opts.Index
-			return replayRun(full, rec, "store", opts)
+			return replayRun(full, rec, c.source, opts)
 		}
 	}
 	s, err := NewSimulationShards(cfg, opts.Shards)
@@ -112,10 +139,11 @@ func RunWith(cfg Config, opts Options) (Result, error) {
 	return s.RunWith(opts)
 }
 
-// replayRun reconstructs a checkpointed run's Result and re-emits its
-// journaled manifest record, so a resumed grid's manifest is
-// indistinguishable (modulo wall time and completion order) from an
-// uninterrupted one.
+// replayRun reconstructs a cached run's Result and writes its record
+// back, so a resumed grid's manifest is indistinguishable (modulo wall
+// time and completion order) from an uninterrupted one. The write-back
+// fills whichever cache missed; the one that hit drops the identical
+// content by digest.
 func replayRun(cfg Config, rec obs.RunRecord, source string, opts Options) (Result, error) {
 	res, err := ResultFromRecord(rec)
 	if err != nil {
@@ -127,19 +155,7 @@ func replayRun(cfg Config, rec obs.RunRecord, source string, opts Options) (Resu
 	if opts.Progress != nil {
 		opts.Progress.RunDone(cfg.Load, rec.Cycles)
 	}
-	if opts.Store != nil {
-		// A checkpoint hit back-fills the store; a store hit re-puts
-		// identical content, which Put drops by digest.
-		if _, err := opts.Store.Put(rec); err != nil {
-			return res, fmt.Errorf("core: store write-back: %w", err)
-		}
-	}
-	if opts.Manifest != nil {
-		if err := opts.Manifest.Write(rec); err != nil {
-			return res, fmt.Errorf("core: run manifest: %w", err)
-		}
-	}
-	return res, nil
+	return res, opts.writeBack(rec)
 }
 
 // RunWith executes the assembled experiment under the given observers.
@@ -202,21 +218,11 @@ func (s *Simulation) RunWith(opts Options) (Result, error) {
 		opts.Progress.RunDone(cfg.Load, cycles)
 	}
 	if opts.Manifest != nil || opts.Checkpoint != nil || opts.Store != nil {
-		rec, rerr := runRecord(res, cycles, wall, s.Shards, opts)
-		if rerr == nil && opts.Checkpoint != nil {
-			// Journal before the manifest: a kill between the two writes
-			// must not leave a manifest record the journal forgot.
-			rerr = opts.Checkpoint.Record(rec)
+		rec, err := runRecord(res, cycles, wall, s.Shards, opts)
+		if err != nil {
+			return res, fmt.Errorf("core: run manifest: %w", err)
 		}
-		if rerr == nil && opts.Store != nil {
-			_, rerr = opts.Store.Put(rec)
-		}
-		if rerr == nil && opts.Manifest != nil {
-			rerr = opts.Manifest.Write(rec)
-		}
-		if rerr != nil {
-			return res, fmt.Errorf("core: run manifest: %w", rerr)
-		}
+		return res, opts.writeBack(rec)
 	}
 	return res, nil
 }

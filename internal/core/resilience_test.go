@@ -98,8 +98,7 @@ func TestSweepSkipsRunsAfterCancellation(t *testing.T) {
 }
 
 func TestRunWithReplaysCheckpointedRun(t *testing.T) {
-	dir := t.TempDir()
-	ckpt, err := resilience.Open(filepath.Join(dir, "ckpt.jsonl"), false)
+	ckpt, err := resilience.Open(filepath.Join(t.TempDir(), "ckpt"), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +113,9 @@ func TestRunWithReplaysCheckpointedRun(t *testing.T) {
 	if ckpt.Len() != 1 {
 		t.Fatalf("checkpoint journaled %d runs", ckpt.Len())
 	}
-	// Second invocation with the same checkpoint must replay, not re-run,
-	// and re-emit the journaled record verbatim (same wall time).
+	// Second invocation with the same checkpoint at the same position
+	// must replay, not re-run, and emit the identical record (same wall
+	// time).
 	var second bytes.Buffer
 	res2, err := RunWith(smallCfg(), Options{
 		Checkpoint: ckpt,
@@ -128,9 +128,58 @@ func TestRunWithReplaysCheckpointedRun(t *testing.T) {
 		t.Fatalf("replayed result diverges:\nran      %+v\nreplayed %+v", res1, res2)
 	}
 	if first.String() != second.String() {
-		t.Fatalf("replayed manifest record is not verbatim:\nran      %s\nreplayed %s", first.String(), second.String())
+		t.Fatalf("replayed manifest record differs:\nran      %s\nreplayed %s", first.String(), second.String())
 	}
 	if err := ckpt.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckpointHitRestampsPosition checks that a checkpoint replays a
+// config under the position of the grid slot asking for it, not the
+// slot that first ran it: a grid that repeats a config (experiments
+// -ablations does) must manifest each repeat under its own batch.
+func TestCheckpointHitRestampsPosition(t *testing.T) {
+	ckpt, err := resilience.Open(filepath.Join(t.TempDir(), "ckpt"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ckpt.Close()
+	if _, err := RunWith(smallCfg(), Options{Checkpoint: ckpt, Batch: "alpha", Index: 0}); err != nil {
+		t.Fatal(err)
+	}
+	var manifest bytes.Buffer
+	if _, err := RunWith(smallCfg(), Options{
+		Checkpoint: ckpt,
+		Batch:      "beta",
+		Index:      3,
+		Manifest:   obs.NewManifestWriter(&manifest),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := obs.DecodeManifest(&manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Batch != "beta" || recs[0].Index != 3 {
+		t.Fatalf("checkpoint replay kept the first run's position: %+v", recs)
+	}
+}
+
+// tearActiveSegment simulates a kill mid-append on the checkpoint in
+// dir: half a line, no newline, at the end of its active segment.
+func tearActiveSegment(t *testing.T, dir string) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.jsonl"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("checkpoint %s has no segments (err %v)", dir, err)
+	}
+	f, err := os.OpenFile(segs[len(segs)-1], os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteString(`{"schema":"smart/store/v1","torn`); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -157,7 +206,7 @@ func TestInterruptedSweepResumesToIdenticalManifest(t *testing.T) {
 
 	// Interrupted: only the first half of the grid reaches the journal,
 	// and the kill tears the final line mid-write.
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	path := filepath.Join(t.TempDir(), "ckpt")
 	ckpt, err := resilience.Open(path, false)
 	if err != nil {
 		t.Fatal(err)
@@ -168,14 +217,7 @@ func TestInterruptedSweepResumesToIdenticalManifest(t *testing.T) {
 	if err := ckpt.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"schema":"smart/run/v2","torn`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	tearActiveSegment(t, path)
 
 	// Resumed: the full grid against the interrupted journal.
 	resumed, err := resilience.Open(path, true)

@@ -124,7 +124,7 @@ func TestCheckpointHitBackfillsStore(t *testing.T) {
 	dir := t.TempDir()
 	cfg := smallCfg()
 
-	cp, err := resilience.Open(filepath.Join(dir, "runs.journal"), true)
+	cp, err := resilience.Open(filepath.Join(dir, "ckpt"), true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,7 +102,7 @@ func TestTelemetryDisabledAddsNoStage(t *testing.T) {
 // the run's series exactly once.
 func TestResumedRunDoesNotDuplicateSidecar(t *testing.T) {
 	dir := t.TempDir()
-	ckptPath := filepath.Join(dir, "runs.ckpt")
+	ckptPath := filepath.Join(dir, "ckpt")
 	scPath := filepath.Join(dir, "series.jsonl")
 	cfg := telemetryTestConfig()
 

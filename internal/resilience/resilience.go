@@ -1,9 +1,8 @@
 // Package resilience keeps long experiment campaigns alive through
 // pathological configurations: it isolates panics at run boundaries,
-// journals completed runs to a checkpoint so an interrupted grid can
-// resume without recomputing, and converts termination signals into
-// context cancellation so interruption flushes state instead of
-// dropping it.
+// opens the checkpoint an interrupted grid resumes from without
+// recomputing, and converts termination signals into context
+// cancellation so interruption flushes state instead of dropping it.
 //
 // This package is the only place in the tree allowed to call recover
 // (enforced by the smartlint nakedrecover rule): panic isolation is a
@@ -13,7 +12,27 @@ package resilience
 import (
 	"fmt"
 	"runtime/debug"
+
+	"smart/internal/store"
 )
+
+// Checkpoint is one grid's journal of completed runs: a result store
+// (internal/store) scoped to that grid. Runs reach it and replay from it
+// exactly as they do a shared -store, so a resumed grid's manifest
+// digests identically to an uninterrupted one.
+type Checkpoint = store.Store
+
+// Open opens the checkpoint directory dir. With resume it keeps the
+// runs already journaled there; without it the checkpoint starts empty
+// (store.Remove drops the old segments, and only them).
+func Open(dir string, resume bool) (*Checkpoint, error) {
+	if !resume {
+		if err := store.Remove(dir); err != nil {
+			return nil, err
+		}
+	}
+	return store.Open(dir)
+}
 
 // DefaultWatchdogCycles is the commands' default no-progress budget: far
 // above any transient congestion stall at the loads the harness sweeps,

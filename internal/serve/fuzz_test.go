@@ -1,0 +1,91 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"smart/internal/core"
+)
+
+// FuzzDecodeRequest feeds arbitrary bodies to the strict decoders behind
+// /v1/run (a config) and /v1/sweep (a SweepSpec). Decoding must never
+// panic, and every config either accepts — the sweep's once per load —
+// must survive the handler's normalization: prepare, Fingerprint and
+// Timing may fail but not panic, and the prepared config must
+// fingerprint identically after a marshal/decode round trip, since the
+// fingerprint is the store key a client addresses results by.
+func FuzzDecodeRequest(f *testing.F) {
+	for _, name := range []string{"run_body.json", "sweep_body.json", "run_invalid.json", "run_rejected.json"} {
+		f.Add(mustRead(f, name))
+	}
+	// The fixtures are response bodies; the requests behind them reach
+	// the accept path.
+	var run RunResponse
+	if err := json.Unmarshal(mustRead(f, "run_body.json"), &run); err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(run.Record.Config))
+	var sweep SweepResponse
+	if err := json.Unmarshal(mustRead(f, "sweep_body.json"), &sweep); err != nil {
+		f.Fatal(err)
+	}
+	loads := make([]float64, len(sweep.Records))
+	for i, rec := range sweep.Records {
+		loads[i] = rec.Load
+	}
+	spec, err := json.Marshal(struct {
+		Config json.RawMessage `json:"config"`
+		Loads  []float64       `json:"loads"`
+	}{sweep.Records[0].Config, loads})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(spec)
+	f.Add([]byte(testConfigJSON))
+
+	svc := New(nil, Options{})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if cfg, err := decodeConfig(bytes.NewReader(body)); err == nil {
+			checkPrepared(t, svc, cfg)
+		}
+		var spec SweepSpec
+		if err := decodeStrict(bytes.NewReader(body), &spec); err == nil {
+			for _, load := range spec.Loads {
+				cfg := spec.Config
+				cfg.Load = load
+				checkPrepared(t, svc, cfg)
+			}
+		}
+	})
+}
+
+func mustRead(f *testing.F, name string) []byte {
+	f.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		f.Fatal(err)
+	}
+	return data
+}
+
+// checkPrepared normalizes an accepted config as the handlers do and
+// checks its fingerprint survives a round trip through the wire format.
+func checkPrepared(t *testing.T, svc *Service, cfg core.Config) {
+	full := svc.prepare(cfg)
+	fp := full.Fingerprint()
+	_, _ = full.Timing() // fails for configs the grid rejects; must not panic
+	raw, err := json.Marshal(full)
+	if err != nil {
+		t.Fatalf("marshalling prepared config %+v: %v", full, err)
+	}
+	back, err := decodeConfig(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("prepared config %s does not decode: %v", raw, err)
+	}
+	if got := svc.prepare(back).Fingerprint(); got != fp {
+		t.Fatalf("fingerprint %s became %s after a round trip of %s", fp, got, raw)
+	}
+}

@@ -6,16 +6,19 @@
 //
 // On disk a store is a directory of JSONL segment files
 // (seg-000001.jsonl, seg-000002.jsonl, ...), each line one Entry in the
-// smart/store/v1 schema. Segments are append-only and inherit the
-// torn-tail tolerance of the checkpoint journal (internal/resilience):
+// smart/store/v1 schema. Segments are append-only journals (ScanJournal):
 // a process killed mid-append leaves a partial final line that the next
 // Open truncates away, and everything before it survives. Writes go to
 // the highest-numbered (active) segment, which rolls over at a size
 // threshold; an in-memory index maps each fingerprint to its latest
 // entry's byte range, so lookups are one ReadAt. Re-putting a
 // fingerprint appends a superseding entry (last write wins, exactly the
-// resilience.DedupJournal discipline); Compact rewrites the live
-// entries into a single fresh segment and deletes the garbage.
+// DedupJournal discipline); Compact rewrites the live entries into a
+// single fresh segment and deletes the garbage.
+//
+// A store scoped to one grid is that grid's checkpoint
+// (resilience.Checkpoint): the same segments, emptied with Remove when
+// a grid starts fresh instead of resuming.
 //
 // Records are stored in canonical position: Batch and Index are
 // cleared, because the store is addressed by config content while a
@@ -28,16 +31,16 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
-
 	"sync"
 
 	"smart/internal/obs"
 	"smart/internal/order"
-	"smart/internal/resilience"
 )
 
 // Schema versions the segment-line layout. Decoders reject entries
@@ -133,12 +136,31 @@ func Open(dir string) (*Store, error) {
 	// Drop the active segment's torn tail; sealed segments were only
 	// ever active in a previous life, so a torn tail there is dead data
 	// past their last complete line — already excluded by the scan.
-	if err := resilience.TruncateTail(f, s.activeSize); err != nil {
+	if err := TruncateTail(f, s.activeSize); err != nil {
 		f.Close()
 		return nil, err
 	}
 	s.active = f
 	return s, nil
+}
+
+// Remove deletes the segment files of the store rooted at dir and
+// leaves every other file there alone, so the next Open starts empty. A
+// missing dir holds no segments and is not an error.
+func Remove(dir string) error {
+	names, err := segmentNames(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	for _, name := range names {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			return fmt.Errorf("store: removing segment: %w", err)
+		}
+	}
+	return nil
 }
 
 // loadSegment scans one segment file into the index. Each complete line
@@ -153,7 +175,7 @@ func (s *Store) loadSegment(seg int, name string) error {
 	}
 	var off int64
 	lines := 0
-	locs, valid, err := resilience.DedupJournal(data, func(n int, line []byte) (string, loc, error) {
+	locs, valid, err := DedupJournal(data, func(n int, line []byte) (string, loc, error) {
 		e, err := decodeEntry(line)
 		if err != nil {
 			return "", loc{}, fmt.Errorf("store: segment %s line %d: %w", name, n, err)
@@ -447,7 +469,7 @@ func (s *Store) readLocked(fp string) ([]byte, error) {
 
 // VerifyAll re-reads and digest-verifies every live entry, returning
 // the first failure. The crash-safety suite calls it after simulated
-// kills; operators can run it via `serve -verify`.
+// kills.
 func (s *Store) VerifyAll() error {
 	for _, fp := range s.Fingerprints() {
 		if _, _, _, err := s.Get(fp); err != nil {

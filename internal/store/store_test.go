@@ -94,6 +94,23 @@ func TestPutRejectsFailures(t *testing.T) {
 	}
 }
 
+func TestCloseIsIdempotentAndFinal(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, s, testRecord("fp-1", 1, 0.5))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("second Close = %v, want idempotent nil", err)
+	}
+	if _, err := s.Put(testRecord("fp-late", 2, 0.5)); err == nil {
+		t.Fatal("Put after Close succeeded")
+	}
+}
+
 func TestSupersedeLastWriteWins(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)

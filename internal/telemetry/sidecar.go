@@ -11,7 +11,7 @@ import (
 	"sort"
 	"sync"
 
-	"smart/internal/resilience"
+	"smart/internal/store"
 )
 
 // Schema versions the time-series sidecar record layout. Decoders
@@ -73,7 +73,7 @@ func RecordOf(s *Sampler) Record {
 // with resume it loads the already-recorded fingerprints, and Write
 // drops duplicates — so a kill-and-resume sweep produces a sidecar with
 // each run's series exactly once. The file tolerates the same torn tail
-// the checkpoint journal does.
+// a store segment does.
 type Sidecar struct {
 	//smartlint:allow concurrency — telemetry sidecar is off the cycle path; the mutex serializes writer access
 	mu     sync.Mutex
@@ -102,7 +102,7 @@ func OpenSidecar(path string, resume bool) (*Sidecar, error) {
 			f.Close()
 			return nil, fmt.Errorf("telemetry: reading sidecar %s: %w", path, err)
 		}
-		seen, valid, err := resilience.DedupJournal(data, func(n int, line []byte) (string, bool, error) {
+		seen, valid, err := store.DedupJournal(data, func(n int, line []byte) (string, bool, error) {
 			var rec struct {
 				Schema      string `json:"schema"`
 				Fingerprint string `json:"fingerprint"`
@@ -120,7 +120,7 @@ func OpenSidecar(path string, resume bool) (*Sidecar, error) {
 			return nil, err
 		}
 		s.seen = seen
-		if err := resilience.TruncateTail(f, valid); err != nil {
+		if err := store.TruncateTail(f, valid); err != nil {
 			f.Close()
 			return nil, err
 		}

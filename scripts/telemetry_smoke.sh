@@ -61,7 +61,7 @@ pid=$!
 sleep 2
 kill -INT "$pid"
 wait "$pid" || true
-echo "journal holds $(wc -l < "$work/sweep.ckpt") completed runs, sidecar $(wc -l < "$work/resumed.jsonl") series"
+echo "journal holds $(cat "$work"/sweep.ckpt/seg-*.jsonl | wc -l) completed runs, sidecar $(wc -l < "$work/resumed.jsonl") series"
 bin/sweep "${net[@]}" -checkpoint "$work/sweep.ckpt" -resume -timeseries "$work/resumed.jsonl" > /dev/null
 bin/telemetry -check "$work/resumed.jsonl"
 bin/telemetry -digest "$work/ref.jsonl" "$work/resumed.jsonl"
