@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-shardsafe test race cover fuzz bench bench-fabric bench-serve shard-smoke telemetry-smoke fault-smoke serve-smoke profile experiments quick clean
+.PHONY: all build vet lint lint-shardsafe test race cover fuzz bench shard-smoke telemetry-smoke fault-smoke serve-smoke profile experiments quick clean
 
 all: build lint test
 
@@ -43,30 +43,24 @@ fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeEntry -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME)
 
-# One benchmark per table, figure and ablation of the paper.
+# One benchmark per table, figure and ablation of the paper, plus the
+# BenchmarkFabric hot-path cells. The end-to-end benchmark, with
+# repetitions, spreads and a before/after comparison, is bench/:
+# bash bench/run.sh (see bench/README.md).
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Fabric hot-path benchmark grid ({tree,cube} x nodes x shards x load);
-# appends a record to the committed perf trajectory and diffs fabric
-# Counters across the shard counts before timing. Set LABEL to name the
-# revision being measured; override NODES/SHARDS/LOADS for other cells.
-LABEL ?= local
-NODES ?= 256
-SHARDS ?= 1,4
-LOADS ?= 0.2,0.6,0.9
-bench-fabric:
-	$(GO) run ./cmd/benchfabric -label $(LABEL) -nodes $(NODES) -shards $(SHARDS) -loads $(LOADS) -o BENCH_fabric.json -append
-
 # Sharded-engine determinism gates: the sharded-vs-sequential
-# differential under the race detector, plus the benchfabric
-# cross-shard Counters diff (no file written). SMOKE_PROCS pins
-# GOMAXPROCS — CI runs both 1 (serialized scheduling) and 4 (true
-# multi-core interleavings); results must be bit-identical.
+# differential under the race detector (Counters and StateHash every
+# cycle at shards {1,2,3,8}), plus bench/'s scale_4096 workload at
+# smoke size (a 256-node torus on two shards), which checks a pinned
+# digest and a 1-shard vs 2-shard digest. SMOKE_PROCS pins GOMAXPROCS
+# — CI runs both 1 (serialized scheduling) and 4 (true multi-core
+# interleavings); results must be bit-identical.
 SMOKE_PROCS ?= 4
 shard-smoke:
 	GOMAXPROCS=$(SMOKE_PROCS) $(GO) test -race -run Shard ./internal/...
-	GOMAXPROCS=$(SMOKE_PROCS) $(GO) run ./cmd/benchfabric -nodes 256 -shards 1,4 -loads 0.6 -o ''
+	GOMAXPROCS=$(SMOKE_PROCS) bash bench/run.sh --workload scale_4096 --size smoke --seconds 2
 
 # The shardsafe leg of the CI lint matrix: the analyzer's own fixture
 # and seeded-violation tests plus the shard engine they protect, under
@@ -91,12 +85,6 @@ fault-smoke:
 # cache persistence across a restart. See DESIGN.md §15.
 serve-smoke:
 	bash scripts/serve_smoke.sh
-
-# Closed-loop HTTP load test against an in-process sweep service;
-# rewrites the committed benchmark record. The warm (all-hits) phase
-# must sustain >= 1000 req/s with verified byte-identical responses.
-bench-serve:
-	$(GO) run ./cmd/loadtest -requests 5000 -clients 8 -json BENCH_serve.json
 
 # A short instrumented sweep: CPU profile in cpu.prof plus the live
 # progress line and per-stage engine timing report on stderr.

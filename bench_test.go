@@ -277,15 +277,28 @@ func BenchmarkExtensionPipelinedWires(b *testing.B) {
 }
 
 // BenchmarkFabric is the tracked hot-path suite: the raw per-cycle cost
-// of the two 256-node fabrics at low, medium and saturation offered
-// loads. ns/op is ns/cycle; the cycles/sec metric is its reciprocal.
-// cmd/benchfabric runs the same grid programmatically and records the
-// results in BENCH_fabric.json, the perf trajectory future PRs defend.
+// of one-shard fabrics at low, medium and saturation offered loads, on
+// the paper's two 256-node networks (4-ary 4-tree, 16-ary 2-cube) and
+// on their 4096-node counterparts (8-ary 4-tree, 16-ary 3-cube). ns/op
+// is ns/cycle; the cycles/sec metric is its reciprocal. The 4096-node
+// cells at loads 0.6 and 0.9 are where saturated work lists cross the
+// stages' half-occupancy switch to the index-order sweep at scale
+// (DESIGN.md §4b). End-to-end timings with repetitions and spreads come
+// from bench/ (bash bench/run.sh).
 func BenchmarkFabric(b *testing.B) {
-	for _, network := range []smart.NetworkKind{smart.NetworkTree, smart.NetworkCube} {
+	nets := []struct {
+		network     smart.NetworkKind
+		k, n, nodes int
+	}{
+		{smart.NetworkTree, 4, 4, 256},
+		{smart.NetworkTree, 8, 4, 4096},
+		{smart.NetworkCube, 16, 2, 256},
+		{smart.NetworkCube, 16, 3, 4096},
+	}
+	for _, net := range nets {
 		for _, load := range []float64{0.2, 0.6, 0.9} {
-			b.Run(fmt.Sprintf("%s/load=%.1f", network, load), func(b *testing.B) {
-				cfg := smart.Config{Network: network, Load: load, Seed: 1}
+			cfg := smart.Config{Network: net.network, K: net.k, N: net.n, Load: load, Seed: 1}
+			b.Run(fmt.Sprintf("%s/nodes=%d/load=%.1f", net.network, net.nodes, load), func(b *testing.B) {
 				s, err := smart.NewSimulation(cfg)
 				if err != nil {
 					b.Fatal(err)
@@ -298,27 +311,5 @@ func BenchmarkFabric(b *testing.B) {
 				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/sec")
 			})
 		}
-	}
-}
-
-// BenchmarkSimulatorSpeed measures the raw simulation rate of the two
-// 256-node fabrics in cycles per second (the engineering metric of the
-// simulator itself, not a paper figure).
-func BenchmarkSimulatorSpeed(b *testing.B) {
-	for _, cfg := range []smart.Config{
-		{Network: smart.NetworkCube, Algorithm: smart.AlgDuato, VCs: 4, Load: 0.5},
-		{Network: smart.NetworkTree, Algorithm: smart.AlgAdaptive, VCs: 4, Load: 0.5},
-	} {
-		b.Run(string(cfg.Network), func(b *testing.B) {
-			s, err := smart.NewSimulation(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s.Engine.Run(500) // warm the fabric into steady state
-			b.ResetTimer()
-			start := s.Engine.Cycle()
-			s.Engine.Run(start + int64(b.N))
-			b.ReportMetric(1, "cycles/op")
-		})
 	}
 }

@@ -29,8 +29,8 @@ const (
 // identify, reproduce and score a single simulation — the declarative
 // config and its fingerprint, the seed, the measured sample, and the
 // wall-time cost. Manifests are append-only machine-readable
-// trajectories of an experiment campaign, suitable for BENCH_*.json
-// style tooling.
+// trajectories of an experiment campaign, suitable for benchmark
+// tooling (bench/ digests and times them).
 //
 // The type is digested: its fields feed Digest, so the digestpure rule
 // bars writes of run-dependent values (wall clock, shard count,

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
 	"net/http"
 	"runtime"
 	"strings"
@@ -291,20 +290,6 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return mux
-}
-
-// Serve listens on addr and serves the Handler until the listener is
-// closed, returning the bound listener so callers can report the
-// ephemeral port of ":0" and close on shutdown.
-func (s *Service) Serve(addr string) (net.Listener, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("serve: listening on %s: %w", addr, err)
-	}
-	srv := &http.Server{Handler: s.Handler()}
-	//smartlint:allow concurrency — the HTTP loop must accept while request handlers execute runs
-	go srv.Serve(ln)
-	return ln, nil
 }
 
 func (s *Service) bump(c *int64) {

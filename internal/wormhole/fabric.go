@@ -226,6 +226,9 @@ type Fabric struct {
 	routerShard []int32
 	nodeShard   []int32
 	pool        *sim.Pool
+	// computeFn and commitFn are parallelCycle's two pool phases, bound
+	// once by SetShards so a sharded cycle allocates nothing.
+	computeFn, commitFn func(worker int)
 
 	cycle int64
 

@@ -1,6 +1,7 @@
 package wormhole
 
 import (
+	"fmt"
 	"testing"
 
 	"smart/internal/sim"
@@ -29,36 +30,26 @@ func hotLoadedFabric(t *testing.T, shards int) (*Fabric, *sim.Engine) {
 	return f, e
 }
 
-// TestCycleAllocFreeSequential is the dynamic guard behind the
-// //smartlint:hotpath annotations: after warm-up, a sequential fabric
-// cycle under load performs zero heap allocations. The static hotalloc
-// rule catches escapes the compiler can prove; this catches the
-// amortization assumptions it cannot.
-func TestCycleAllocFreeSequential(t *testing.T) {
-	f, e := hotLoadedFabric(t, 1)
-	allocs := testing.AllocsPerRun(200, func() { e.Step() })
-	if allocs != 0 {
-		t.Fatalf("sequential cycle allocates %.1f objects per step, want 0", allocs)
-	}
-	if f.Drained() {
-		t.Fatal("fabric drained during measurement; the cycles were idle")
-	}
-}
-
-// TestCycleAllocBoundedSharded bounds the parallel path: the two-phase
-// driver pays a small fixed closure cost per pool.Run, but the per-shard
-// compute and commit bodies themselves must stay allocation-free, so
-// the per-cycle total is a small constant independent of load.
-func TestCycleAllocBoundedSharded(t *testing.T) {
-	f, e := hotLoadedFabric(t, 4)
-	if f.Shards() != 4 {
-		t.Fatalf("fabric has %d shards, want 4", f.Shards())
-	}
-	allocs := testing.AllocsPerRun(200, func() { e.Step() })
-	if allocs > 8 {
-		t.Fatalf("sharded cycle allocates %.1f objects per step, want <= 8 (two pool closures plus slack)", allocs)
-	}
-	if f.Drained() {
-		t.Fatal("fabric drained during measurement; the cycles were idle")
+// TestCycleAllocFree is the dynamic guard behind the //smartlint:hotpath
+// annotations: after warm-up, a fabric cycle under load performs zero
+// heap allocations, on the sequential stages and on the sharded
+// two-phase driver alike. The static hotalloc rule catches escapes the
+// compiler can prove; this catches the amortization assumptions it
+// cannot.
+func TestCycleAllocFree(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			f, e := hotLoadedFabric(t, shards)
+			if f.Shards() != shards {
+				t.Fatalf("fabric has %d shards, want %d", f.Shards(), shards)
+			}
+			allocs := testing.AllocsPerRun(200, func() { e.Step() })
+			if allocs != 0 {
+				t.Fatalf("cycle allocates %.1f objects per step, want 0", allocs)
+			}
+			if f.Drained() {
+				t.Fatal("fabric drained during measurement; the cycles were idle")
+			}
+		})
 	}
 }

@@ -139,6 +139,8 @@ func (f *Fabric) SetShards(s int) error {
 		}
 		f.pool = sim.NewPool(s)
 	}
+	f.computeFn = func(w int) { f.computeShard(&f.shards[w], f.cycle) }
+	f.commitFn = func(w int) { f.commitShard(&f.shards[w], f.cycle) }
 	return nil
 }
 
@@ -226,8 +228,8 @@ func (f *Fabric) parallelCycle(cycle int64) {
 	if f.Tracer != nil {
 		run = f.pool.RunSerial
 	}
-	run(func(w int) { f.computeShard(&f.shards[w], cycle) })
-	run(func(w int) { f.commitShard(&f.shards[w], cycle) })
+	run(f.computeFn)
+	run(f.commitFn)
 }
 
 // computeShard is one shard's compute phase: the canonical stage order
