@@ -281,10 +281,9 @@ func BenchmarkExtensionPipelinedWires(b *testing.B) {
 // the paper's two 256-node networks (4-ary 4-tree, 16-ary 2-cube) and
 // on their 4096-node counterparts (8-ary 4-tree, 16-ary 3-cube). ns/op
 // is ns/cycle; the cycles/sec metric is its reciprocal. The 4096-node
-// cells at loads 0.6 and 0.9 are where saturated work lists cross the
-// stages' half-occupancy switch to the index-order sweep at scale
-// (DESIGN.md §4b). End-to-end timings with repetitions and spreads come
-// from bench/ (bash bench/run.sh).
+// cells at loads 0.6 and 0.9 are where the bitmap work lists run
+// densest at scale (DESIGN.md §4b). End-to-end timings with repetitions
+// and spreads come from bench/ (bash bench/run.sh).
 func BenchmarkFabric(b *testing.B) {
 	nets := []struct {
 		network     smart.NetworkKind

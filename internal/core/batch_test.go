@@ -53,10 +53,15 @@ func TestDecodeBatchRejectsEmpty(t *testing.T) {
 }
 
 func TestDecodeBatchRejectsInvalidConfig(t *testing.T) {
-	input := `{"name": "x", "configs": [{"Network": "tree", "Algorithm": "duato"}]}`
-	_, err := DecodeBatch(strings.NewReader(input))
-	if err == nil || !strings.Contains(err.Error(), "config 0") {
-		t.Fatalf("invalid config not reported: %v", err)
+	for _, cfg := range []string{
+		`{"Network": "tree", "Algorithm": "duato"}`,
+		`{"Network": "tree", "Warmup": 300, "Horizon": 200}`, // a window Run cannot execute
+	} {
+		input := `{"name": "x", "configs": [` + cfg + `]}`
+		_, err := DecodeBatch(strings.NewReader(input))
+		if err == nil || !strings.Contains(err.Error(), "config 0") {
+			t.Fatalf("invalid config %s not reported: %v", cfg, err)
+		}
 	}
 }
 

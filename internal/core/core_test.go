@@ -84,6 +84,13 @@ func TestInvalidConfigs(t *testing.T) {
 		{"cube with 2 vcs", Config{Network: NetworkCube, Algorithm: AlgDuato, VCs: 2}, "4 virtual channels"},
 		{"tornado on tree", Config{Network: NetworkTree, Pattern: PatternTornado}, "defined on the cube"},
 		{"ragged packet", Config{Network: NetworkCube, PacketBytes: 30}, "whole number"},
+		// Windows the engine cannot run, or that overflow the fabric's
+		// int32 flit stamps, are assembly errors rather than Run panics.
+		{"negative warmup", Config{Warmup: -5, Horizon: 1000}, "measurement window"},
+		{"horizon before warmup", Config{Warmup: 300, Horizon: 200}, "measurement window"},
+		{"horizon equals warmup", Config{Warmup: 300, Horizon: 300}, "measurement window"},
+		{"horizon before default warmup", Config{Horizon: DefaultWarmup / 2}, "measurement window"},
+		{"horizon past int32 stamps", Config{Warmup: 300, Horizon: math.MaxInt32 + 1}, "measurement window"},
 	}
 	for _, tc := range cases {
 		_, err := NewSimulation(tc.cfg)

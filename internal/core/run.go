@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 
 	"smart/internal/cost"
@@ -77,8 +78,14 @@ func EffectiveShards(requested, routers int) int {
 // partitioned into the requested number of shards (interpreted by
 // EffectiveShards; the resulting count is in Simulation.Shards). Shard
 // count never changes simulation results — only how cycles execute.
+// The measurement window must satisfy 0 < Warmup < Horizon <=
+// math.MaxInt32 after defaults: the fabric stamps flits with int32
+// cycles.
 func NewSimulationShards(cfg Config, shards int) (*Simulation, error) {
 	cfg = cfg.WithDefaults()
+	if cfg.Warmup <= 0 || cfg.Horizon <= cfg.Warmup || cfg.Horizon > math.MaxInt32 {
+		return nil, fmt.Errorf("core: measurement window needs 0 < Warmup < Horizon <= %d, got Warmup %d, Horizon %d", math.MaxInt32, cfg.Warmup, cfg.Horizon)
+	}
 	top, err := cfg.buildTopology()
 	if err != nil {
 		return nil, err

@@ -38,6 +38,7 @@ type diffSpec struct {
 	rate    float64
 	seed    uint64
 	cycles  int64
+	shards  int // fabric shard count; zero means one
 }
 
 // buildTopAlg constructs the topology and one fresh algorithm instance.

@@ -21,7 +21,8 @@ func fuzzByte(data []byte, i int) int {
 // than rejected, so nearly every input exercises a full run and the
 // fuzzer spends its budget on semantics, not on validation errors. The
 // topologies stay at or below 16 nodes and a few hundred cycles to keep
-// single executions cheap.
+// single executions cheap. Byte 15 picks the fabric's shard count, so
+// inputs shorter than 16 bytes run sequentially.
 func decodeFuzzSpec(data []byte) (sp diffSpec, pattern string, rate float64, seed uint64) {
 	if fuzzByte(data, 0)&1 == 0 {
 		sp.family = "tree"
@@ -51,6 +52,7 @@ func decodeFuzzSpec(data []byte) (sp diffSpec, pattern string, rate float64, see
 	rate = 0.02 + 0.32*float64(fuzzByte(data, 12))/255
 	seed = uint64(fuzzByte(data, 13)) + 1
 	sp.cycles = int64(48 + fuzzByte(data, 14))
+	sp.shards = 1 + fuzzByte(data, 15)%4
 	return sp, pattern, rate, seed
 }
 
@@ -87,14 +89,16 @@ func fuzzPattern(name string, nodes int) traffic.Pattern {
 // timing difference or failure to drain fails the input. This is the
 // differential harness under fuzzed configuration coverage — every
 // pipeline variant (store-and-forward, stretched routing, pipelined
-// wires, injection lanes, packet sizes) in combination.
+// wires, injection lanes, packet sizes, shard counts) in combination.
 func FuzzFabricVsOracle(f *testing.F) {
-	f.Add([]byte{0, 2, 1, 1, 0, 3, 3, 0, 0, 0, 0, 0, 80, 7, 100})  // 4-ary 2-tree, 2 VCs, uniform
-	f.Add([]byte{1, 2, 1, 0, 0, 3, 3, 0, 0, 0, 0, 0, 60, 9, 100})  // 4-ary 2-cube, dor, uniform
-	f.Add([]byte{1, 2, 1, 0, 1, 3, 3, 0, 0, 0, 0, 1, 90, 10, 120}) // 4-ary 2-cube, duato, complement
-	f.Add([]byte{0, 0, 1, 3, 0, 3, 3, 1, 3, 0, 0, 3, 70, 5, 90})   // 2-ary 2-tree, 4 VCs, SAF, bitrev
-	f.Add([]byte{0, 2, 1, 1, 0, 3, 3, 0, 0, 1, 2, 0, 50, 7, 80})   // tree with stretched routing + wires
-	f.Add([]byte{1, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 2, 120, 3, 64})  // 3-ary 2-cube, duato, single-flit
+	f.Add([]byte{0, 2, 1, 1, 0, 3, 3, 0, 0, 0, 0, 0, 80, 7, 100})     // 4-ary 2-tree, 2 VCs, uniform
+	f.Add([]byte{1, 2, 1, 0, 0, 3, 3, 0, 0, 0, 0, 0, 60, 9, 100})     // 4-ary 2-cube, dor, uniform
+	f.Add([]byte{1, 2, 1, 0, 1, 3, 3, 0, 0, 0, 0, 1, 90, 10, 120})    // 4-ary 2-cube, duato, complement
+	f.Add([]byte{0, 0, 1, 3, 0, 3, 3, 1, 3, 0, 0, 3, 70, 5, 90})      // 2-ary 2-tree, 4 VCs, SAF, bitrev
+	f.Add([]byte{0, 2, 1, 1, 0, 3, 3, 0, 0, 1, 2, 0, 50, 7, 80})      // tree with stretched routing + wires
+	f.Add([]byte{1, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 2, 120, 3, 64})     // 3-ary 2-cube, duato, single-flit
+	f.Add([]byte{1, 2, 1, 0, 1, 3, 3, 0, 0, 0, 1, 1, 90, 11, 120, 2}) // 4-ary 2-cube, duato, wires, 3 shards
+	f.Add([]byte{0, 2, 1, 3, 0, 3, 3, 1, 0, 1, 0, 0, 80, 4, 100, 3})  // 4-ary 2-tree, 4 VCs, 2 inj lanes, stretched routing, 4 shards
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sp, pattern, rate, seed := decodeFuzzSpec(data)
 		top, algF := sp.buildTopAlg(t)
@@ -103,6 +107,9 @@ func FuzzFabricVsOracle(f *testing.F) {
 		fab, err := wormhole.NewFabric(top, cfg, algF)
 		if err != nil {
 			t.Skip()
+		}
+		if err := fab.SetShards(sp.shards); err != nil {
+			t.Fatalf("SetShards(%d): %v", sp.shards, err)
 		}
 		ora, err := New(top, cfg, algO)
 		if err != nil {

@@ -339,12 +339,12 @@ func (s *Sim) linkPort(r, p int, cycle int64) {
 			if len(ol.buf) == 0 || ol.credits == 0 {
 				continue
 			}
-			if ol.buf[0].MovedAt >= cycle {
+			if int64(ol.buf[0].MovedAt) >= cycle {
 				continue
 			}
 			var moved wormhole.Flit
 			moved, ol.buf = popFront(ol.buf)
-			moved.MovedAt = cycle
+			moved.MovedAt = int32(cycle)
 			ol.credits--
 			if s.wires != nil {
 				s.wires[r][p] = append(s.wires[r][p], flight{fl: moved, lane: l, at: cycle + int64(s.Cfg.LinkCycles) - 1})
@@ -363,13 +363,13 @@ func (s *Sim) linkPort(r, p int, cycle int64) {
 			if len(ol.buf) == 0 {
 				continue
 			}
-			if ol.buf[0].MovedAt >= cycle {
+			if int64(ol.buf[0].MovedAt) >= cycle {
 				continue
 			}
 			var moved wormhole.Flit
 			moved, ol.buf = popFront(ol.buf)
 			if s.wires != nil {
-				moved.MovedAt = cycle
+				moved.MovedAt = int32(cycle)
 				s.wires[r][p] = append(s.wires[r][p], flight{fl: moved, lane: l, at: cycle + int64(s.Cfg.LinkCycles) - 1})
 			} else {
 				s.deliver(moved, cycle)
@@ -398,7 +398,7 @@ func (s *Sim) commitWireArrivals(cycle int64) {
 				switch tp.Kind {
 				case topology.PortRouter:
 					arrived := fl.fl
-					arrived.MovedAt = fl.at
+					arrived.MovedAt = int32(fl.at)
 					s.pushIn(tp.Peer, tp.PeerPort, fl.lane, arrived)
 				case topology.PortNode:
 					s.deliver(fl.fl, fl.at)
@@ -466,7 +466,7 @@ func (s *Sim) xbarLane(r, p, l int, cycle int64) {
 	if len(il.buf) == 0 || il.boundPort < 0 {
 		return
 	}
-	if il.buf[0].MovedAt >= cycle {
+	if int64(il.buf[0].MovedAt) >= cycle {
 		return
 	}
 	ol := &s.routers[r][il.boundPort].out[il.boundLane]
@@ -475,7 +475,7 @@ func (s *Sim) xbarLane(r, p, l int, cycle int64) {
 	}
 	var moved wormhole.Flit
 	moved, il.buf = popFront(il.buf)
-	moved.MovedAt = cycle
+	moved.MovedAt = int32(cycle)
 	ol.buf = append(ol.buf, moved)
 	if moved.Kind.IsTail() {
 		il.boundPort, il.boundLane = -1, -1
@@ -533,7 +533,7 @@ func (s *Sim) routeRouter(r int, cycle int64) {
 			continue
 		}
 		fl := &il.buf[0]
-		if fl.MovedAt >= cycle {
+		if int64(fl.MovedAt) >= cycle {
 			continue
 		}
 		if !fl.Kind.IsHead() {
@@ -551,7 +551,7 @@ func (s *Sim) routeRouter(r int, cycle int64) {
 			}
 			il.boundPort, il.boundLane = op, olIdx
 			out.boundPort, out.boundLane = p, l
-			fl.MovedAt = cycle // routing itself takes T_routing = 1 cycle
+			fl.MovedAt = int32(cycle) // routing itself takes T_routing = 1 cycle
 			s.packets[fl.Packet].Hops++
 		}
 		break // one routing decision per switch per cycle
@@ -608,7 +608,7 @@ func (s *Sim) injectNIC(n int, cycle int64) {
 			kind |= wormhole.FlitTail
 		}
 		s.pushIn(at.Router, at.Port, l, wormhole.Flit{
-			Packet: st.cur, Seq: st.nextSeq, MovedAt: cycle, Kind: kind,
+			Packet: st.cur, Seq: st.nextSeq, MovedAt: int32(cycle), Kind: kind,
 		})
 		st.credit--
 		s.counters.FlitsInjected++

@@ -234,17 +234,24 @@ func TestRunConformance(t *testing.T) {
 }
 
 // TestRunRejectedConfig exercises the real grid's config validation
-// through the service: a semantically impossible config is refused
-// with 422 and the grid's own error text, and nothing is stored.
+// through the service: a semantically impossible config, or a
+// measurement window the engine cannot run, is refused with 422 and the
+// grid's own error text (not a 500 from a panicking run), and nothing
+// is stored.
 func TestRunRejectedConfig(t *testing.T) {
-	svc, url := newTestService(t, nil)
-	resp, body := post(t, url+"/v1/run", `{"Network":"tree","Algorithm":"duato"}`, nil)
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("rejected-config status %d, want 422: %s", resp.StatusCode, body)
-	}
-	golden(t, "run_rejected.json", body)
-	if svc.store.Len() != 0 {
-		t.Errorf("rejected config left %d store records", svc.store.Len())
+	for _, tc := range []struct{ body, golden string }{
+		{`{"Network":"tree","Algorithm":"duato"}`, "run_rejected.json"},
+		{`{"Warmup":300,"Horizon":200}`, "run_rejected_window.json"},
+	} {
+		svc, url := newTestService(t, nil)
+		resp, body := post(t, url+"/v1/run", tc.body, nil)
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("rejected-config %s status %d, want 422: %s", tc.body, resp.StatusCode, body)
+		}
+		golden(t, tc.golden, body)
+		if svc.store.Len() != 0 {
+			t.Errorf("rejected config %s left %d store records", tc.body, svc.store.Len())
+		}
 	}
 }
 

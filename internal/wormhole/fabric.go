@@ -2,6 +2,7 @@ package wormhole
 
 import (
 	"fmt"
+	"math"
 
 	"smart/internal/sim"
 	"smart/internal/topology"
@@ -152,12 +153,13 @@ func (c *Counters) add(other Counters) {
 // port) offsets, and the topology's port tables are cached in a flat
 // array, so the per-cycle stages never chase jagged slices or call back
 // through the Topology interface. On top of that layout the fabric keeps
-// incremental active-set work lists — which output ports hold flits,
-// which input lanes are bound to an output, which routers present an
-// unrouted header, which NICs have pending traffic — maintained at the
-// points where occupancy, binding and queue state change, so each stage's
-// cost scales with the traffic actually moving rather than with the
-// network size. See DESIGN.md ("Hot path") for the membership invariants.
+// incremental active-set work lists — bitmaps recording which output
+// ports hold flits, which input lanes are bound to an output, which
+// routers present an unrouted header, which NICs have pending traffic —
+// maintained at the points where occupancy, binding and queue state
+// change. Every stage walks its list in ascending index order, so it
+// touches only the entities with work and streams forward through the
+// flat arrays. See DESIGN.md ("Hot path") for the membership invariants.
 //
 // The fabric is always partitioned into one or more shards — contiguous
 // router ranges, each with its own work lists, deferred-credit lists and
@@ -639,10 +641,20 @@ func (f *Fabric) pushWire(sh *shardState, pid int32, fl flight) {
 	w.push(fl)
 }
 
+// begin records the cycle about to execute. Flits stamp MovedAt as an
+// int32, so the fabric refuses to run past math.MaxInt32 rather than
+// wrap a stamp; core rejects horizons beyond it up front.
+func (f *Fabric) begin(cycle int64) {
+	if cycle > math.MaxInt32 {
+		panic(fmt.Sprintf("wormhole: cycle %d exceeds the int32 flit stamp range", cycle))
+	}
+	f.cycle = cycle
+}
+
 // linkStage is the sequential driver for the link stage; linkShard has
 // the semantics.
 func (f *Fabric) linkStage(cycle int64) {
-	f.cycle = cycle
+	f.begin(cycle)
 	for i := range f.shards {
 		f.linkShard(&f.shards[i], cycle)
 	}
@@ -652,28 +664,19 @@ func (f *Fabric) linkStage(cycle int64) {
 // every output port holding buffered flits it fair-arbitrates among the
 // lanes holding a flit that has a credit, and transfers the winner to the
 // same-numbered input lane of the neighbouring switch (or delivers it,
-// for ejection channels). Ports with no buffered flits are never
-// visited: at light load the stage walks the active work list; once the
-// list covers half the shard's ports a sequential index-order sweep is
-// cheaper (better locality), and because per-port decisions are mutually
-// independent the two orders produce identical results.
+// for ejection channels). Only ports on the active list are visited;
+// per-port decisions are mutually independent, so the visiting order
+// cannot change the outcome.
 //
 //smartlint:hotpath
 func (f *Fabric) linkShard(sh *shardState, cycle int64) {
 	if f.wires != nil {
 		f.commitWireArrivals(sh, cycle)
 	}
-	if 2*sh.linkActive.len() >= sh.pHi-sh.pLo {
-		for pid := sh.pLo; pid < sh.pHi; pid++ {
-			if f.portOcc[pid] > 0 {
-				f.linkPort(sh, int32(pid), cycle)
-			}
+	for wi, w := range sh.linkActive.words {
+		for ; w != 0; w &= w - 1 {
+			f.linkPort(sh, sh.linkActive.at(wi, w), cycle)
 		}
-		return
-	}
-	sh.scratch = append(sh.scratch[:0], sh.linkActive.items...)
-	for _, pid := range sh.scratch {
-		f.linkPort(sh, pid, cycle)
 	}
 }
 
@@ -695,8 +698,7 @@ func (f *Fabric) linkPort(sh *shardState, pid int32, cycle int64) {
 	switch port.Kind {
 	case topology.PortRouter:
 		peerBase := f.inOff[port.Peer*f.deg+port.PeerPort]
-		for i := 0; i < n; i++ {
-			l := (start + i) % n
+		for i, l := 0, start; i < n; i, l = i+1, ringNext(l, n) {
 			ol := &lanes[l]
 			if ol.n == 0 {
 				continue
@@ -706,18 +708,18 @@ func (f *Fabric) linkPort(sh *shardState, pid int32, cycle int64) {
 				continue
 			}
 			fl := ol.front()
-			if fl.MovedAt >= cycle {
+			if int64(fl.MovedAt) >= cycle {
 				continue
 			}
 			moved := f.popOut(sh, pid, ol)
-			moved.MovedAt = cycle
+			moved.MovedAt = int32(cycle)
 			ol.credits--
 			if f.wires != nil {
 				f.pushWire(sh, pid, flight{fl: moved, lane: int16(l), at: cycle + int64(f.Cfg.LinkCycles) - 1})
 			} else {
 				f.sendIn(sh, port.Peer, peerBase+int32(l), moved)
 			}
-			f.linkRR[pid] = int32((l + 1) % n)
+			f.linkRR[pid] = int32(ringNext(l, n))
 			f.linkFlits[pid]++
 			sh.progress++
 			break
@@ -725,24 +727,23 @@ func (f *Fabric) linkPort(sh *shardState, pid int32, cycle int64) {
 	case topology.PortNode:
 		// Ejection channel: the node consumes one flit per cycle;
 		// its buffers never back-pressure the router.
-		for i := 0; i < n; i++ {
-			l := (start + i) % n
+		for i, l := 0, start; i < n; i, l = i+1, ringNext(l, n) {
 			ol := &lanes[l]
 			if ol.n == 0 {
 				continue
 			}
 			fl := ol.front()
-			if fl.MovedAt >= cycle {
+			if int64(fl.MovedAt) >= cycle {
 				continue
 			}
 			moved := f.popOut(sh, pid, ol)
 			if f.wires != nil {
-				moved.MovedAt = cycle
+				moved.MovedAt = int32(cycle)
 				f.pushWire(sh, pid, flight{fl: moved, lane: int16(l), at: cycle + int64(f.Cfg.LinkCycles) - 1})
 			} else {
 				f.deliver(sh, moved, cycle)
 			}
-			f.linkRR[pid] = int32((l + 1) % n)
+			f.linkRR[pid] = int32(ringNext(l, n))
 			f.linkFlits[pid]++
 			sh.progress++
 			break
@@ -758,24 +759,26 @@ func (f *Fabric) linkPort(sh *shardState, pid int32, cycle int64) {
 //
 //smartlint:hotpath
 func (f *Fabric) commitWireArrivals(sh *shardState, cycle int64) {
-	sh.scratch = append(sh.scratch[:0], sh.wireActive.items...)
-	for _, pid := range sh.scratch {
-		w := &f.wires[pid]
-		port := &f.ports[pid]
-		for !w.empty() && w.front().at <= cycle {
-			fl := w.pop()
-			switch port.Kind {
-			case topology.PortRouter:
-				arrived := fl.fl
-				arrived.MovedAt = fl.at
-				f.sendIn(sh, port.Peer, f.inOff[port.Peer*f.deg+port.PeerPort]+int32(fl.lane), arrived)
-			case topology.PortNode:
-				f.deliver(sh, fl.fl, fl.at)
+	for wi, word := range sh.wireActive.words {
+		for ; word != 0; word &= word - 1 {
+			pid := sh.wireActive.at(wi, word)
+			w := &f.wires[pid]
+			port := &f.ports[pid]
+			for !w.empty() && w.front().at <= cycle {
+				fl := w.pop()
+				switch port.Kind {
+				case topology.PortRouter:
+					arrived := fl.fl
+					arrived.MovedAt = int32(fl.at)
+					f.sendIn(sh, port.Peer, f.inOff[port.Peer*f.deg+port.PeerPort]+int32(fl.lane), arrived)
+				case topology.PortNode:
+					f.deliver(sh, fl.fl, fl.at)
+				}
+				sh.progress++
 			}
-			sh.progress++
-		}
-		if w.empty() {
-			sh.wireActive.remove(pid)
+			if w.empty() {
+				sh.wireActive.remove(pid)
+			}
 		}
 	}
 }
@@ -824,24 +827,16 @@ func (f *Fabric) crossbarStage(cycle int64) {
 // parallel ("multiple virtual channels can be active at the input and
 // output ports of the crossbar", §4) — and sends the credit back to the
 // upstream switch. The tail flit's passage releases both bindings. Only
-// lanes on the bound-and-occupied work list are visited — by index-order
-// sweep once the list covers half the shard's lanes (better locality);
-// per-lane moves are independent because every output lane has exactly
-// one bound input, so iteration order cannot change the outcome.
+// lanes on the bound-and-occupied work list are visited; per-lane moves
+// are independent because every output lane has exactly one bound input,
+// so the visiting order cannot change the outcome.
 //
 //smartlint:hotpath
 func (f *Fabric) xbarShard(sh *shardState, cycle int64) {
-	if 2*sh.xbarActive.len() >= int(sh.inHi-sh.inLo) {
-		for id := sh.inLo; id < sh.inHi; id++ {
-			if il := &f.in[id]; il.n > 0 && il.bound != noRef {
-				f.xbarLane(sh, id, cycle)
-			}
+	for wi, w := range sh.xbarActive.words {
+		for ; w != 0; w &= w - 1 {
+			f.xbarLane(sh, sh.xbarActive.at(wi, w), cycle)
 		}
-		return
-	}
-	sh.scratch = append(sh.scratch[:0], sh.xbarActive.items...)
-	for _, id := range sh.scratch {
-		f.xbarLane(sh, id, cycle)
 	}
 }
 
@@ -854,7 +849,7 @@ func (f *Fabric) xbarLane(sh *shardState, id int32, cycle int64) {
 		return
 	}
 	fl := il.front()
-	if fl.MovedAt >= cycle {
+	if int64(fl.MovedAt) >= cycle {
 		return
 	}
 	r := int(il.router)
@@ -868,7 +863,7 @@ func (f *Fabric) xbarLane(sh *shardState, id int32, cycle int64) {
 		return
 	}
 	moved := il.pop()
-	moved.MovedAt = cycle
+	moved.MovedAt = int32(cycle)
 	f.pushOut(sh, opid, ol, moved)
 	sh.progress++
 	if moved.Kind.IsTail() {
@@ -912,15 +907,14 @@ func (f *Fabric) routeRouter(sh *shardState, r int, cycle int64) {
 	}
 	base := f.inOff[r*f.deg]
 	n := int(f.inOff[(r+1)*f.deg] - base)
-	for i := 0; i < n; i++ {
-		idx := (int(f.routeRR[r]) + i) % n
+	for i, idx := 0, int(f.routeRR[r]); i < n; i, idx = i+1, ringNext(idx, n) {
 		id := base + int32(idx)
 		il := &f.in[id]
 		if il.n == 0 || il.bound != noRef {
 			continue
 		}
 		fl := il.front()
-		if fl.MovedAt >= cycle {
+		if int64(fl.MovedAt) >= cycle {
 			continue
 		}
 		p, l := int(il.port), int(il.lane)
@@ -930,7 +924,7 @@ func (f *Fabric) routeRouter(sh *shardState, r int, cycle int64) {
 		if f.Cfg.StoreAndForward && !il.holdsWholePacket(&f.Packets[fl.Packet]) {
 			continue
 		}
-		f.routeRR[r] = int32((idx + 1) % n)
+		f.routeRR[r] = int32(ringNext(idx, n))
 		op, ol, ok := f.Alg.Route(f, r, p, l, fl.Packet)
 		if ok {
 			out := f.outLaneAt(r, op, ol)
@@ -939,7 +933,7 @@ func (f *Fabric) routeRouter(sh *shardState, r int, cycle int64) {
 			}
 			il.bound = packRef(op, ol)
 			out.boundIn = packRef(p, l)
-			fl.MovedAt = cycle // routing itself takes T_routing = 1 cycle
+			fl.MovedAt = int32(cycle) // routing itself takes T_routing = 1 cycle
 			f.Packets[fl.Packet].Hops++
 			sh.headersRouted++
 			sh.progress++
@@ -967,26 +961,18 @@ func (f *Fabric) routingStage(cycle int64) {
 // header and asks the routing algorithm for an output lane. On success
 // the lanes are bound; on failure the cycle is spent and the arbiter
 // moves on, so a blocked header cannot starve the others. Only routers
-// with at least one presented header are visited (index-order sweep once
-// half the shard's routers qualify); routing decisions are per-router
-// local, so the visiting order is immaterial.
+// with at least one presented header are visited; routing decisions are
+// per-router local, so the visiting order is immaterial.
 //
 //smartlint:hotpath
 func (f *Fabric) routeShard(sh *shardState, cycle int64) {
 	if f.Cfg.RouteEvery > 1 && cycle%int64(f.Cfg.RouteEvery) != 0 {
 		return
 	}
-	if 2*sh.routeActive.len() >= sh.rHi-sh.rLo {
-		for r := sh.rLo; r < sh.rHi; r++ {
-			if f.unrouted[r] > 0 {
-				f.routeRouter(sh, r, cycle)
-			}
+	for wi, w := range sh.routeActive.words {
+		for ; w != 0; w &= w - 1 {
+			f.routeRouter(sh, int(sh.routeActive.at(wi, w)), cycle)
 		}
-		return
-	}
-	sh.scratch = append(sh.scratch[:0], sh.routeActive.items...)
-	for _, r32 := range sh.scratch {
-		f.routeRouter(sh, int(r32), cycle)
 	}
 }
 
@@ -1003,23 +989,15 @@ func (f *Fabric) injectionStage(cycle int64) {
 // when a credit is available, and picks up the next queued packet after
 // the tail leaves. Network latency is measured from the cycle the header
 // enters the injection lane. Only NICs with pending traffic are visited
-// (index-order sweep once half the shard's NICs qualify; NICs are
-// mutually independent, so order is immaterial); a NIC leaves the active
-// list when its queue and streams empty.
+// (NICs are mutually independent, so order is immaterial); a NIC leaves
+// the active list when its queue and streams empty.
 //
 //smartlint:hotpath
 func (f *Fabric) injectShard(sh *shardState, cycle int64) {
-	if 2*sh.nicActive.len() >= sh.nHi-sh.nLo {
-		for n := sh.nLo; n < sh.nHi; n++ {
-			if sh.nicActive.contains(int32(n)) {
-				f.injectNIC(sh, int32(n), cycle)
-			}
+	for wi, w := range sh.nicActive.words {
+		for ; w != 0; w &= w - 1 {
+			f.injectNIC(sh, sh.nicActive.at(wi, w), cycle)
 		}
-		return
-	}
-	sh.scratch = append(sh.scratch[:0], sh.nicActive.items...)
-	for _, n32 := range sh.scratch {
-		f.injectNIC(sh, n32, cycle)
 	}
 }
 
@@ -1052,7 +1030,7 @@ func (f *Fabric) injectNIC(sh *shardState, n32 int32, cycle int64) {
 			kind |= FlitTail
 		}
 		f.pushIn(sh, nc.base+int32(l), Flit{
-			Packet: st.cur, Seq: st.nextSeq, MovedAt: cycle, Kind: kind,
+			Packet: st.cur, Seq: st.nextSeq, MovedAt: int32(cycle), Kind: kind,
 		})
 		st.credit--
 		sh.counters.FlitsInjected++
@@ -1211,6 +1189,11 @@ func (f *Fabric) checkWorkLists() error {
 	var queued int64
 	for si := range f.shards {
 		sh := &f.shards[si]
+		for _, s := range []*denseSet{&sh.linkActive, &sh.xbarActive, &sh.routeActive, &sh.nicActive, &sh.wireActive} {
+			if s.stray() {
+				return fmt.Errorf("wormhole: shard %d work list over [%d,%d) has a member past its range", si, s.base, s.base+s.n)
+			}
+		}
 		for pid := sh.pLo; pid < sh.pHi; pid++ {
 			var occ int32
 			for _, ol := range f.outLanesOf(pid) {

@@ -18,6 +18,11 @@ type greedyRing struct {
 	// noEject, when set, never routes to the node port — packets orbit
 	// forever (livelock, not deadlock: flits keep moving).
 	noEject bool
+	// dateline, with two VCs, holds a packet to lane 1 while its path
+	// still crosses the wrap-around link and to lane 0 after it: the
+	// Dally-Seitz break of the ring's cyclic dependency, so a loaded
+	// ring keeps delivering.
+	dateline bool
 }
 
 func (g *greedyRing) Name() string { return "greedy-ring" }
@@ -33,7 +38,14 @@ func (g *greedyRing) Route(f Router, r, inPort, inLane int, pkt PacketID) (int, 
 		return 0, 0, false
 	}
 	port := topology.PortOf(0, topology.Plus)
-	for l := 0; l < g.vcs; l++ {
+	lo, hi := 0, g.vcs
+	if g.dateline {
+		if r > f.Dest(pkt) {
+			lo = 1
+		}
+		hi = lo + 1
+	}
+	for l := lo; l < hi; l++ {
 		if f.OutLaneFree(r, port, l) {
 			return port, l, true
 		}

@@ -39,14 +39,16 @@ func (k FlitKind) IsTail() bool { return k&FlitTail != 0 }
 // Flit is the unit of flow control. MovedAt stamps the cycle of the flit's
 // last pipeline advance; a stage only moves flits stamped before the
 // current cycle, which enforces the one-stage-per-cycle discipline
-// independently of stage execution order. A flit is held by exactly one
+// independently of stage execution order. The stamp is an int32 so a
+// flit packs into 16 bytes; the fabric panics on a cycle past
+// math.MaxInt32 instead of wrapping it. A flit is held by exactly one
 // lane, wire or mailbox at a time, so the shard holding it owns it.
 //
 //smartlint:shardowned
 type Flit struct {
 	Packet  PacketID
 	Seq     int32
-	MovedAt int64
+	MovedAt int32
 	Kind    FlitKind
 }
 

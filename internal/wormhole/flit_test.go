@@ -1,9 +1,44 @@
 package wormhole
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestFlitSize pins the flit at 16 bytes: lane buffers are carved from
+// one flit arena, and a wider stamp or a reordered field would grow it
+// by half.
+func TestFlitSize(t *testing.T) {
+	if got := unsafe.Sizeof(Flit{}); got != 16 {
+		t.Fatalf("Flit is %d bytes, want 16", got)
+	}
+}
+
+// TestCyclePastStampRangePanics checks that the fabric refuses to run a
+// cycle its int32 flit stamps cannot hold, on both cycle drivers.
+func TestCyclePastStampRangePanics(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		f := shardTestFabric(t, Config{VCs: 1, BufDepth: 4, PacketFlits: 4, InjLanes: 1})
+		if err := f.SetShards(shards); err != nil {
+			t.Fatal(err)
+		}
+		drive := f.linkStage
+		if shards > 1 {
+			drive = f.parallelCycle
+		}
+		drive(math.MaxInt32) // the last representable cycle runs
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("shards=%d: cycle past math.MaxInt32 did not panic", shards)
+				}
+			}()
+			drive(math.MaxInt32 + 1)
+		}()
+	}
+}
 
 func TestFlitKindBits(t *testing.T) {
 	if FlitBody.IsHead() || FlitBody.IsTail() {

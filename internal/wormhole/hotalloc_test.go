@@ -1,18 +1,21 @@
 package wormhole
 
 import (
-	"fmt"
+	"slices"
 	"testing"
 
 	"smart/internal/sim"
 )
 
 // hotLoadedFabric returns a warmed-up 16-ring with a deep source backlog:
-// every node holds many queued packets, so each measured cycle below
-// does real link, crossbar, routing and injection work.
-func hotLoadedFabric(t *testing.T, shards int) (*Fabric, *sim.Engine) {
+// every node holds many queued packets and dateline routing keeps the
+// ring deadlock-free, so each measured cycle below does real link,
+// crossbar, routing and injection work (and, with linkCycles > 1, wire
+// sends and arrivals).
+func hotLoadedFabric(t *testing.T, shards, linkCycles int) (*Fabric, *sim.Engine) {
 	t.Helper()
-	f := shardTestFabric(t, Config{VCs: 1, BufDepth: 4, PacketFlits: 8, InjLanes: 2})
+	f := shardTestFabric(t, Config{VCs: 2, BufDepth: 4, PacketFlits: 8, InjLanes: 2, LinkCycles: linkCycles})
+	f.Alg.(*greedyRing).dateline = true
 	if err := f.SetShards(shards); err != nil {
 		t.Fatal(err)
 	}
@@ -23,9 +26,9 @@ func hotLoadedFabric(t *testing.T, shards int) (*Fabric, *sim.Engine) {
 			f.EnqueuePacket(n, (n+5)%16, 0)
 		}
 	}
-	// Warm up: work lists, wire queues and mailboxes reach their
-	// steady-state capacity; the amortized denseSet appends against the
-	// bounded lane/router universe complete here.
+	// Warm up: wire queues and mailboxes reach their steady-state
+	// capacity, so their amortized appends complete here. The bitmap
+	// work lists are sized at construction and never allocate.
 	e.Run(100)
 	return f, e
 }
@@ -33,22 +36,36 @@ func hotLoadedFabric(t *testing.T, shards int) (*Fabric, *sim.Engine) {
 // TestCycleAllocFree is the dynamic guard behind the //smartlint:hotpath
 // annotations: after warm-up, a fabric cycle under load performs zero
 // heap allocations, on the sequential stages and on the sharded
-// two-phase driver alike. The static hotalloc rule catches escapes the
-// compiler can prove; this catches the amortization assumptions it
-// cannot.
+// two-phase driver alike, with plain links and with pipelined wires
+// (whose work list every cycle walks). The static hotalloc rule catches
+// escapes the compiler can prove; this catches the amortization
+// assumptions it cannot.
 func TestCycleAllocFree(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			f, e := hotLoadedFabric(t, shards)
-			if f.Shards() != shards {
-				t.Fatalf("fabric has %d shards, want %d", f.Shards(), shards)
+	cases := []struct {
+		name               string
+		shards, linkCycles int
+	}{
+		{"shards=1", 1, 1},
+		{"shards=4", 4, 1},
+		{"linkcycles=3,shards=1", 1, 3},
+		{"linkcycles=3,shards=4", 4, 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f, e := hotLoadedFabric(t, tc.shards, tc.linkCycles)
+			if f.Shards() != tc.shards {
+				t.Fatalf("fabric has %d shards, want %d", f.Shards(), tc.shards)
 			}
+			delivered := f.Counters().FlitsDelivered
 			allocs := testing.AllocsPerRun(200, func() { e.Step() })
 			if allocs != 0 {
 				t.Fatalf("cycle allocates %.1f objects per step, want 0", allocs)
 			}
-			if f.Drained() {
-				t.Fatal("fabric drained during measurement; the cycles were idle")
+			if f.Drained() || f.Counters().FlitsDelivered == delivered {
+				t.Fatal("fabric drained or stalled during measurement; the cycles were idle")
+			}
+			if tc.linkCycles > 1 && !slices.ContainsFunc(f.wires, func(w wireFIFO) bool { return !w.empty() }) {
+				t.Fatal("no flit in flight on a wire after measurement; the wire path was idle")
 			}
 		})
 	}

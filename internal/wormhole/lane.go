@@ -29,7 +29,11 @@ func (f *fifo) push(fl Flit) {
 	if f.full() {
 		panic("wormhole: push into full lane buffer")
 	}
-	f.buf[(f.head+f.n)%len(f.buf)] = fl
+	i := f.head + f.n
+	if i >= len(f.buf) {
+		i -= len(f.buf)
+	}
+	f.buf[i] = fl
 	f.n++
 }
 
@@ -39,9 +43,20 @@ func (f *fifo) pop() Flit {
 		panic("wormhole: pop from empty lane buffer")
 	}
 	fl := f.buf[f.head]
-	f.head = (f.head + 1) % len(f.buf)
+	f.head = ringNext(f.head, len(f.buf))
 	f.n--
 	return fl
+}
+
+// ringNext returns (i+1) mod n for i in [0, n) without a division.
+//
+//smartlint:hotpath
+func ringNext(i, n int) int {
+	i++
+	if i == n {
+		return 0
+	}
+	return i
 }
 
 // inLane is the input buffer of one virtual channel: flits arriving from

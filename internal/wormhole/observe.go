@@ -68,7 +68,7 @@ func (d *Digest) Sum() uint64 { return d.h }
 func (d *Digest) Flit(fl Flit) {
 	d.Int(int64(fl.Packet))
 	d.Int(int64(fl.Seq))
-	d.Int(fl.MovedAt)
+	d.Int(int64(fl.MovedAt))
 	d.Int(int64(fl.Kind))
 }
 

@@ -55,9 +55,6 @@ type shardState struct {
 	routeActive denseSet
 	nicActive   denseSet
 	wireActive  denseSet
-	// scratch snapshots one work list at a stage's entry so membership
-	// updates during the stage cannot disturb the iteration.
-	scratch []int32
 
 	// Deferred credit returns to lanes this shard owns, applied at the
 	// end of the cycle to model the one-cycle ack lines.
@@ -79,8 +76,7 @@ type shardState struct {
 	// Outgoing mailboxes, indexed by destination shard: boundary flits
 	// to push into a neighbour shard's input lanes, and credit acks to
 	// an upstream router across the cut. Drained at commit in ascending
-	// source order, so the destination's work-list history stays
-	// deterministic.
+	// source order.
 	mailFlits   [][]arrival
 	mailCredits [][]laneRefAt
 }
@@ -223,7 +219,7 @@ func (f *Fabric) initShards(cuts []int) error {
 // unlike the single-shard within-cycle order; state evolution is
 // identical either way).
 func (f *Fabric) parallelCycle(cycle int64) {
-	f.cycle = cycle
+	f.begin(cycle)
 	run := f.pool.Run
 	if f.Tracer != nil {
 		run = f.pool.RunSerial
@@ -250,11 +246,11 @@ func (f *Fabric) computeShard(sh *shardState, cycle int64) {
 
 // commitShard is one shard's commit phase: drain every source shard's
 // mailboxes addressed here — flit arrivals first, in ascending source
-// order, so the work-list add history is deterministic — then apply
-// the shard's own deferred credits. Arrivals touch input-lane state,
-// credits touch output-lane and NIC credit counts; the two are
-// disjoint, and credit increments commute, so phase-internal order
-// beyond the arrival order is immaterial.
+// order — then apply the shard's own deferred credits. Arrivals touch
+// input-lane state (at most one flit per lane per cycle), credits touch
+// output-lane and NIC credit counts; the two are disjoint, and credit
+// increments and work-list adds commute, so the order within the phase
+// is immaterial.
 //
 //smartlint:shardentry
 //smartlint:hotpath

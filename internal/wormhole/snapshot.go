@@ -181,7 +181,7 @@ func (f *Fabric) snapshot() *StallSnapshot {
 					Packet: fl.Packet, Src: int(pk.Src), Dst: int(pk.Dst), Hops: int(pk.Hops),
 					Routed:   i == 0 && il.bound != noRef,
 					AtFault:  atFault,
-					FrontAge: f.cycle - il.front().MovedAt,
+					FrontAge: f.cycle - int64(il.front().MovedAt),
 				})
 				break // one header per lane is enough to seed the diagnosis
 			}
@@ -211,7 +211,7 @@ func (f *Fabric) snapshot() *StallSnapshot {
 					Packet: fl.Packet, Src: int(pk.Src), Dst: int(pk.Dst), Hops: int(pk.Hops),
 					Routed:   true,
 					AtFault:  atFault,
-					FrontAge: f.cycle - ol.front().MovedAt,
+					FrontAge: f.cycle - int64(ol.front().MovedAt),
 				})
 				break
 			}
