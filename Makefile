@@ -72,11 +72,12 @@ lint-shardsafe:
 # End-to-end telemetry check: live /metrics scrape mid-sweep, sidecar
 # validation, and the kill-and-resume digest contract. See DESIGN.md §11.
 telemetry-smoke:
-	sh scripts/telemetry_smoke.sh
+	bash scripts/telemetry_smoke.sh
 
-# End-to-end fault-injection check: a faulted bursty run diffed across
-# shard counts and invocations, plus the smart/faults/v1 schedule-file
-# round trip. See DESIGN.md §14.
+# End-to-end fault-injection check: a faulted bursty run (report and
+# packet timelines) diffed across shard counts and invocations, its
+# netsim record digested against sweep's, plus the smart/faults/v1
+# schedule-file round trip. See DESIGN.md §14.
 fault-smoke:
 	bash scripts/fault_smoke.sh
 

@@ -85,14 +85,10 @@ func main() {
 	csvDir := flag.String("csvdir", "", "write every series as CSV files into this directory")
 	flag.Parse()
 
-	g := &grid{flags: flags, seed: *seed, csvDir: *csvDir, elapsed: obs.Stopwatch()}
-	step := 0.05
+	g := &grid{flags: flags, seed: *seed, csvDir: *csvDir, elapsed: obs.Stopwatch(), loads: core.DefaultLoads()}
 	if *quick {
-		step = 0.10
-		g.warmup, g.horizon = 1000, 8000
-	}
-	for l := step; l <= 1.0001; l += step {
-		g.loads = append(g.loads, l)
+		g.loads, _ = core.Loads(core.QuickStep) // a step inside (0, 1] cannot fail
+		g.warmup, g.horizon = core.QuickWarmup, core.QuickHorizon
 	}
 
 	runs := len(patterns) * len(core.PaperConfigs())
@@ -121,9 +117,9 @@ func (g *grid) run(quick, degraded, ablate bool) error {
 	fmt.Println("Physical Constraints\", ICPP 1997")
 	fmt.Printf("grid: %d loads (step %.2f), seed %d", len(g.loads), g.loads[0], g.seed)
 	if quick {
-		fmt.Print(", QUICK preview (warm-up 1000, horizon 8000)")
+		fmt.Printf(", QUICK preview (warm-up %d, horizon %d)", core.QuickWarmup, core.QuickHorizon)
 	} else {
-		fmt.Print(", paper methodology (warm-up 2000, horizon 20000)")
+		fmt.Printf(", paper methodology (warm-up %d, horizon %d)", core.DefaultWarmup, core.DefaultHorizon)
 	}
 	fmt.Println()
 	if g.flags.Faults != "" || g.flags.Burst != "" {

@@ -7,91 +7,115 @@
 //	netsim -net cube -alg duato -pattern uniform -load 0.6
 //	netsim -net tree -vcs 2 -pattern transpose -load 0.4 -horizon 40000
 //	netsim -net cube -k 8 -n 3 -alg deterministic -pattern tornado -load 0.3
+//
+// -packets N appends the hop-by-hop timelines of the first N packets to
+// the report — the microscope view of how the routing disciplines steer
+// individual worms — and -timelines writes the same packets as JSONL,
+// one smart/trace/v1 record per packet, for joining against the
+// telemetry sidecar or ad-hoc analysis:
+//
+//	netsim -net tree -vcs 2 -pattern transpose -load 0.5 -packets 3
+//	netsim -net cube -alg duato -packets 10 -timelines timelines.jsonl
+//
+// The run options are the set of internal/cli, shared with cmd/sweep,
+// cmd/batch and cmd/experiments, and so are the network flags. The
+// report reads the live fabric (utilization, fault counters,
+// timelines), so netsim always simulates: -store and -checkpoint are
+// written back, never read. Its run record has the fingerprint sweep
+// gives the same point, so a later sweep replays it. Ctrl-C lets the
+// run finish and flush its records; a second Ctrl-C stops it at once.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 
 	"smart/internal/chanstats"
+	"smart/internal/cli"
 	"smart/internal/core"
-	"smart/internal/faults"
-	"smart/internal/obs"
-	"smart/internal/telemetry"
 	"smart/internal/topology"
+	"smart/internal/trace"
 )
 
 func main() {
 	var cfg core.Config
-	var network, alg string
-	obsFlags := obs.AddFlags(flag.CommandLine)
-	telFlags := telemetry.AddFlags(flag.CommandLine)
-	flag.StringVar(&network, "net", "tree", "network family: tree or cube")
-	flag.IntVar(&cfg.K, "k", 0, "radix (default: 4 for the tree, 16 for the cube)")
-	flag.IntVar(&cfg.N, "n", 0, "dimension/levels (default: 4 for the tree, 2 for the cube)")
-	flag.StringVar(&alg, "alg", "", "routing algorithm: adaptive (tree), deterministic or duato (cube)")
-	flag.IntVar(&cfg.VCs, "vcs", 0, "virtual channels per link (tree: 1/2/4; cube: 4)")
+	flags := cli.AddFlags(flag.CommandLine)
+	cli.AddConfigFlags(flag.CommandLine, &cfg)
 	flag.IntVar(&cfg.BufDepth, "buf", 0, "lane buffer depth in flits (default 4)")
 	flag.IntVar(&cfg.PacketBytes, "packet", 0, "packet size in bytes (default 64)")
-	flag.StringVar(&cfg.Pattern, "pattern", "uniform", "traffic pattern: uniform, complement, bitrev, transpose, tornado, shuffle, neighbor, hotspot")
 	flag.Float64Var(&cfg.Load, "load", 0.4, "offered bandwidth as a fraction of capacity")
 	flag.Float64Var(&cfg.HotspotFraction, "hotfrac", 0, "hotspot traffic fraction (hotspot pattern)")
 	flag.Int64Var(&cfg.HotspotPeriod, "hotperiod", 0, "rotate the hotspot pattern's hot node every N cycles (0 = fixed)")
-	faultsFlag := flag.String("faults", "", "fault schedule: spec like link:R:P@C1-C2,router:R@C,rand-links:N@C — or a smart/faults/v1 JSONL file")
-	flag.StringVar(&cfg.Burst, "burst", "", "bursty injection: mmpp:<dwellOn>:<dwellOff>:<peak>")
-	flag.Uint64Var(&cfg.Seed, "seed", 1, "random seed")
-	flag.Int64Var(&cfg.Warmup, "warmup", 0, "warm-up cycles before measurement (default 2000)")
-	flag.Int64Var(&cfg.Horizon, "horizon", 0, "total simulated cycles (default 20000)")
 	flag.IntVar(&cfg.InjLanes, "injlanes", 0, "injection lanes per node (default 1: source throttling)")
 	flag.IntVar(&cfg.LinkCycles, "linkcycles", 0, "flit flight time per link in cycles (default 1; >1 = pipelined long wires)")
 	flag.BoolVar(&cfg.StoreAndForward, "saf", false, "store-and-forward switching (needs -buf >= packet flits)")
 	util := flag.Bool("util", false, "also print channel utilization by level (tree) or dimension (cube/mesh)")
-	shards := flag.Int("shards", 1, "fabric shards (0 = auto from network size and GOMAXPROCS; results are bit-identical)")
+	packets := flag.Int("packets", 0, "also print the hop-by-hop timelines of the first `N` packets (0 = none)")
+	timelines := flag.String("timelines", "", "write the -packets timelines to this `file` as smart/trace/v1 JSONL")
 	flag.Parse()
-	cfg.Network = core.NetworkKind(network)
-	cfg.Algorithm = alg
-	var err error
-	if cfg.Faults, err = faults.ResolveFlag(*faultsFlag); err != nil {
-		fmt.Fprintln(os.Stderr, "netsim:", err)
-		os.Exit(1)
-	}
 
-	stopProf, err := obsFlags.Start()
+	opts, finish := flags.Open("netsim", 1)
+	flags.Apply(&cfg)
+	finish(run(cfg, opts, *util, *packets, *timelines))
+}
+
+// run simulates cfg and prints the report, then the -util breakdown and
+// the -packets timelines.
+func run(cfg core.Config, opts core.Options, util bool, packets int, timelines string) error {
+	if packets < 0 {
+		return fmt.Errorf("-packets %d: want a packet count >= 0", packets)
+	}
+	if timelines != "" && packets == 0 {
+		return errors.New("-timelines requires -packets")
+	}
+	sm, err := core.NewSimulationShards(cfg, opts.Shards)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "netsim:", err)
-		os.Exit(1)
+		return err
 	}
-	opts := core.Options{Logger: obsFlags.Logger()}
-	var profiler *obs.StageProfiler
-	if obsFlags.Verbose {
-		profiler = obs.NewStageProfiler()
-		opts.Profiler = profiler
-	}
-	tel, telAddr, telStop, err := telFlags.Open(false)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "netsim:", err)
-		os.Exit(1)
-	}
-	if tel != nil {
-		if tel.Server != nil {
-			fmt.Fprintf(os.Stderr, "netsim: serving telemetry on http://%s/metrics\n", telAddr)
+	var rec *trace.Recorder
+	var namer trace.RouterNamer
+	if packets > 0 {
+		if namer, err = trace.NamerFor(sm.Top); err != nil {
+			return err
 		}
-		opts.Telemetry = tel
-	}
-	sm, err := core.NewSimulationShards(cfg, *shards)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "netsim:", err)
-		os.Exit(1)
+		rec = trace.NewRecorder(packets)
+		sm.Fabric.Tracer = rec
 	}
 	res, err := sm.RunWith(opts)
-	if terr := telStop(); terr != nil && err == nil {
-		err = terr
-	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "netsim:", err)
-		os.Exit(1)
+		return err
 	}
+	report(sm, res)
+	if util {
+		if err := printUtilization(sm); err != nil {
+			return err
+		}
+	}
+	if rec == nil {
+		return nil
+	}
+	fmt.Printf("\nhop-by-hop timelines of the first %d packets:\n\n", packets)
+	for _, pkt := range rec.Packets() {
+		out, err := rec.Timeline(sm.Fabric, namer, pkt)
+		if err != nil {
+			return err
+		}
+		fmt.Println(out)
+	}
+	if timelines == "" {
+		return nil
+	}
+	f, err := os.Create(timelines)
+	if err != nil {
+		return err
+	}
+	return errors.Join(rec.WriteJSON(f, sm.Fabric, namer), f.Close())
+}
+
+// report prints the run's configuration and measurements.
+func report(sm *core.Simulation, res core.Result) {
 	c := res.Config
 	fmt.Printf("configuration    %s (%d-ary %d-%s), pattern %s, seed %d\n", c.Label(), c.K, c.N, c.Network, c.Pattern, c.Seed)
 	fmt.Printf("methodology      warm-up %d cycles, horizon %d cycles, %dB packets, %d-flit buffers\n", c.Warmup, c.Horizon, c.PacketBytes, c.BufDepth)
@@ -116,44 +140,35 @@ func main() {
 		fmt.Println()
 		fmt.Println("the network is saturated at this offered load")
 	}
+}
 
-	if *util {
-		fmt.Println()
-		window := c.Horizon - c.Warmup
-		switch top := sm.Top.(type) {
-		case *topology.Tree:
-			levels, err := chanstats.TreeLevels(sm.Fabric, top, window)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "netsim:", err)
-				os.Exit(1)
-			}
-			fmt.Println("channel utilization by level (fraction of cycles busy):")
-			for _, l := range levels {
-				fmt.Printf("  level %d   up %.3f   down %.3f\n", l.Level, l.Up, l.Down)
-			}
-		case *topology.Cube:
-			dims, err := chanstats.CubeDims(sm.Fabric, top, window)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "netsim:", err)
-				os.Exit(1)
-			}
-			fmt.Println("channel utilization by dimension (fraction of cycles busy):")
-			for _, d := range dims {
-				fmt.Printf("  dim %d     plus %.3f  minus %.3f\n", d.Dim, d.Plus, d.Minus)
-			}
+// printUtilization prints channel utilization by tree level or cube
+// dimension, plus the ejection channels.
+func printUtilization(sm *core.Simulation) error {
+	fmt.Println()
+	window := sm.Config.Horizon - sm.Config.Warmup
+	switch top := sm.Top.(type) {
+	case *topology.Tree:
+		levels, err := chanstats.TreeLevels(sm.Fabric, top, window)
+		if err != nil {
+			return err
 		}
-		if ej, err := chanstats.Ejection(sm.Fabric, window); err == nil {
-			fmt.Printf("  ejection  %.3f\n", ej)
+		fmt.Println("channel utilization by level (fraction of cycles busy):")
+		for _, l := range levels {
+			fmt.Printf("  level %d   up %.3f   down %.3f\n", l.Level, l.Up, l.Down)
+		}
+	case *topology.Cube:
+		dims, err := chanstats.CubeDims(sm.Fabric, top, window)
+		if err != nil {
+			return err
+		}
+		fmt.Println("channel utilization by dimension (fraction of cycles busy):")
+		for _, d := range dims {
+			fmt.Printf("  dim %d     plus %.3f  minus %.3f\n", d.Dim, d.Plus, d.Minus)
 		}
 	}
-
-	if profiler != nil {
-		fmt.Fprintln(os.Stderr)
-		fmt.Fprintln(os.Stderr, "per-stage engine timing (hottest first):")
-		fmt.Fprint(os.Stderr, obs.FormatStageReport(profiler.Report()))
+	if ej, err := chanstats.Ejection(sm.Fabric, window); err == nil {
+		fmt.Printf("  ejection  %.3f\n", ej)
 	}
-	if err := stopProf(); err != nil {
-		fmt.Fprintln(os.Stderr, "netsim:", err)
-		os.Exit(1)
-	}
+	return nil
 }

@@ -11,8 +11,8 @@
 //	sweep -net cube -alg duato -pattern transpose    # one curve of Fig 6e
 //	sweep -net tree -vcs 4 -pattern bitrev -csv out.csv
 //
-// The run options are the grid set of internal/cli, shared with
-// cmd/batch and cmd/experiments.
+// The run options are the set of internal/cli, shared with cmd/batch,
+// cmd/experiments and cmd/netsim, and so are the network flags.
 //
 // Observability (internal/obs): -v adds structured run logs, a live
 // progress line and a final per-stage engine timing report on stderr;
@@ -60,44 +60,33 @@ import (
 
 func main() {
 	var cfg core.Config
-	var network, alg, csvPath string
+	var csvPath string
 	var step float64
 	var quick bool
 	flags := cli.AddFlags(flag.CommandLine)
-	flag.StringVar(&network, "net", "tree", "network family: tree or cube")
-	flag.IntVar(&cfg.K, "k", 0, "radix")
-	flag.IntVar(&cfg.N, "n", 0, "dimension/levels")
-	flag.StringVar(&alg, "alg", "", "routing algorithm")
-	flag.IntVar(&cfg.VCs, "vcs", 0, "virtual channels")
-	flag.StringVar(&cfg.Pattern, "pattern", "uniform", "traffic pattern")
-	flag.Uint64Var(&cfg.Seed, "seed", 1, "random seed")
-	flag.Int64Var(&cfg.Warmup, "warmup", 0, "warm-up cycles (default 2000)")
-	flag.Int64Var(&cfg.Horizon, "horizon", 0, "horizon cycles (default 20000)")
+	cli.AddConfigFlags(flag.CommandLine, &cfg)
 	flag.Float64Var(&step, "step", 0.05, "offered-load step (fractions of capacity)")
 	flag.BoolVar(&quick, "quick", false, "coarse grid and short horizon for a fast preview")
 	flag.StringVar(&csvPath, "csv", "", "also write the series as CSV to this file")
 	showPlot := flag.Bool("plot", false, "render the two CNF graphs as ASCII charts")
 	flag.Parse()
-	cfg.Network = core.NetworkKind(network)
-	cfg.Algorithm = alg
 	if quick {
-		step = 0.1
+		step = core.QuickStep
 		if cfg.Warmup == 0 {
-			cfg.Warmup = 1000
+			cfg.Warmup = core.QuickWarmup
 		}
 		if cfg.Horizon == 0 {
-			cfg.Horizon = 8000
+			cfg.Horizon = core.QuickHorizon
 		}
 	}
 
-	var loads []float64
-	for l := step; l <= 1.0001; l += step {
-		loads = append(loads, l)
-	}
-
+	loads, err := core.Loads(step)
 	opts, finish := flags.Open("sweep", len(loads))
-	flags.Apply(&cfg)
-	finish(run(cfg, loads, opts, flags, csvPath, *showPlot))
+	if err == nil {
+		flags.Apply(&cfg)
+		err = run(cfg, loads, opts, flags, csvPath, *showPlot)
+	}
+	finish(err)
 }
 
 // run sweeps the grid and prints the CNF report.

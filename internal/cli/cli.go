@@ -1,7 +1,10 @@
-// Package cli is the run-options layer of the grid commands (sweep,
-// batch, experiments): one flag set, and the sinks behind it.
+// Package cli is the run-options layer of the simulation commands
+// (sweep, batch, experiments, netsim): one flag set, and the sinks
+// behind it, plus the network flags of the commands that take a
+// configuration on the command line (sweep, netsim).
 //
 //	flags := cli.AddFlags(flag.CommandLine)
+//	cli.AddConfigFlags(flag.CommandLine, &cfg)
 //	flag.Parse()
 //	opts, finish := flags.Open("sweep", len(loads))
 //	flags.Apply(&cfg)
@@ -33,7 +36,7 @@ import (
 	"smart/internal/telemetry"
 )
 
-// Flags is the grid commands' shared option set. After Open, Faults
+// Flags is the simulation commands' shared option set. After Open, Faults
 // holds the resolved schedule (a -faults file is read into its spec).
 type Flags struct {
 	obsFlags  *obs.Flags
@@ -68,6 +71,22 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.Shards, "shards", 1, "fabric shards per run (0 = auto from network size and GOMAXPROCS; results are bit-identical)")
 	fs.BoolVar(&f.SelfCheck, "selfcheck", false, "shadow every run with the reference oracle simulator in lockstep (slow; fails at the first divergent cycle)")
 	return f
+}
+
+// AddConfigFlags registers the network and methodology flags on fs,
+// bound to cfg: -net, -k, -n, -alg, -vcs, -pattern, -seed, -warmup and
+// -horizon. They default to the tree, uniform traffic and seed 1; the
+// zero values of the rest take core's defaults.
+func AddConfigFlags(fs *flag.FlagSet, cfg *core.Config) {
+	fs.StringVar((*string)(&cfg.Network), "net", string(core.NetworkTree), "network family: tree, cube or mesh")
+	fs.IntVar(&cfg.K, "k", 0, "radix (default: 4 for the tree, 16 for the cube)")
+	fs.IntVar(&cfg.N, "n", 0, "dimension/levels (default: 4 for the tree, 2 for the cube)")
+	fs.StringVar(&cfg.Algorithm, "alg", "", "routing algorithm: adaptive (tree), deterministic or duato (cube)")
+	fs.IntVar(&cfg.VCs, "vcs", 0, "virtual channels per link (tree: 1/2/4; cube: 4)")
+	fs.StringVar(&cfg.Pattern, "pattern", core.PatternUniform, "traffic pattern: uniform, complement, bitrev, transpose, tornado, shuffle, neighbor, hotspot")
+	fs.Uint64Var(&cfg.Seed, "seed", 1, "random seed")
+	fs.Int64Var(&cfg.Warmup, "warmup", 0, "warm-up cycles before measurement (default 2000)")
+	fs.Int64Var(&cfg.Horizon, "horizon", 0, "total simulated cycles (default 20000)")
 }
 
 // Apply fills the run-level settings cfg leaves unset: the -watchdog

@@ -57,6 +57,41 @@ func TestAddFlagsDefaults(t *testing.T) {
 	}
 }
 
+// TestConfigFlagsShareTheRunFlagSet registers both layers on one flag
+// set, as sweep and netsim do; a name clash between them (say, a
+// -trace packet count against obs's -trace file) panics here.
+func TestConfigFlagsShareTheRunFlagSet(t *testing.T) {
+	newSet := func() (*flag.FlagSet, *Flags, *core.Config) {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		var cfg core.Config
+		f := AddFlags(fs)
+		AddConfigFlags(fs, &cfg)
+		return fs, f, &cfg
+	}
+	fs, _, cfg := newSet()
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if want := (core.Config{Network: core.NetworkTree, Pattern: core.PatternUniform, Seed: 1}); *cfg != want {
+		t.Fatalf("defaults = %+v, want %+v", *cfg, want)
+	}
+
+	fs, f, cfg := newSet()
+	args := []string{"-net", "cube", "-k", "8", "-n", "3", "-alg", "duato", "-vcs", "4", "-pattern", "transpose",
+		"-seed", "7", "-warmup", "300", "-horizon", "1500", "-shards", "0", "-watchdog", "500"}
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	want := core.Config{Network: core.NetworkCube, K: 8, N: 3, Algorithm: core.AlgDuato, VCs: 4,
+		Pattern: core.PatternTranspose, Seed: 7, Warmup: 300, Horizon: 1500}
+	if *cfg != want {
+		t.Fatalf("parsed config = %+v, want %+v", *cfg, want)
+	}
+	if f.Shards != 0 || f.Watchdog != 500 {
+		t.Fatalf("parsed run options = %+v", f)
+	}
+}
+
 func TestApplyFillsOnlyUnsetFields(t *testing.T) {
 	f, _, _ := newFlags(t, "-watchdog", "700", "-faults", "rand-links:2@100", "-burst", "mmpp:10:20:2")
 	var unset core.Config

@@ -91,6 +91,11 @@ func TestInvalidConfigs(t *testing.T) {
 		{"horizon equals warmup", Config{Warmup: 300, Horizon: 300}, "measurement window"},
 		{"horizon before default warmup", Config{Horizon: DefaultWarmup / 2}, "measurement window"},
 		{"horizon past int32 stamps", Config{Warmup: 300, Horizon: math.MaxInt32 + 1}, "measurement window"},
+		// NaN fails every ordered comparison, so the range checks must
+		// be written to reject it rather than to catch out-of-range values.
+		{"NaN load", Config{Load: math.NaN()}, "packet rate NaN"},
+		{"NaN hotspot fraction", Config{Pattern: PatternHotspot, HotspotFraction: math.NaN()}, "hotspot fraction NaN"},
+		{"NaN rotating hotspot fraction", Config{Pattern: PatternHotspot, HotspotPeriod: 100, HotspotFraction: math.NaN()}, "hotspot fraction NaN"},
 	}
 	for _, tc := range cases {
 		_, err := NewSimulation(tc.cfg)
@@ -320,6 +325,24 @@ func TestSeriesOfAndDefaultLoads(t *testing.T) {
 	s := SeriesOf(results)
 	if len(s) != 2 || s[0].Offered != 0.1 || s[1].Offered != 0.2 {
 		t.Fatalf("SeriesOf = %+v", s)
+	}
+}
+
+func TestLoads(t *testing.T) {
+	for _, step := range []float64{0, -0.1, 2, math.NaN()} {
+		if loads, err := Loads(step); err == nil || !strings.Contains(err.Error(), "outside (0, 1]") {
+			t.Errorf("Loads(%v) = %v, %v; want an out-of-range error", step, loads, err)
+		}
+	}
+	loads, err := Loads(0.05)
+	if err != nil || !reflect.DeepEqual(loads, DefaultLoads()) {
+		t.Fatalf("Loads(0.05) = %v, %v; want DefaultLoads %v", loads, err, DefaultLoads())
+	}
+	// Accumulated, not multiplied: these values are in fingerprints.
+	loads, err = Loads(QuickStep)
+	want := []float64{0.1, 0.2, 0.30000000000000004, 0.4, 0.5, 0.6, 0.7, 0.7999999999999999, 0.8999999999999999, 0.9999999999999999}
+	if err != nil || !reflect.DeepEqual(loads, want) {
+		t.Fatalf("Loads(%v) = %v, %v; want %v", QuickStep, loads, err, want)
 	}
 }
 

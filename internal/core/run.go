@@ -269,9 +269,30 @@ func SeriesOf(results []Result) metrics.Series {
 // DefaultLoads is the offered-bandwidth grid of the paper's figures:
 // 5% to 100% of capacity in 5% steps.
 func DefaultLoads() []float64 {
-	loads := make([]float64, 0, 20)
-	for l := 0.05; l <= 1.0001; l += 0.05 {
+	loads, _ := Loads(0.05) // a step inside (0, 1] cannot fail
+	return loads
+}
+
+// The -quick preview of cmd/sweep and cmd/experiments: a 10% load grid
+// and a short measurement window, for a fast look at a curve's shape.
+const (
+	QuickStep    = 0.1
+	QuickWarmup  = 1000
+	QuickHorizon = 8000
+)
+
+// Loads is the offered-bandwidth grid from step to 100% of capacity in
+// steps of step, which must lie in (0, 1]. Each load is the previous
+// one plus step, not a multiple of it: loads feed config fingerprints,
+// so the accumulated rounding (0.30000000000000004 at step 0.1) is part
+// of the address of every cached and checkpointed run.
+func Loads(step float64) ([]float64, error) {
+	if !(step > 0 && step <= 1) {
+		return nil, fmt.Errorf("core: load step %v outside (0, 1]", step)
+	}
+	var loads []float64
+	for l := step; l <= 1.0001; l += step {
 		loads = append(loads, l)
 	}
-	return loads
+	return loads, nil
 }

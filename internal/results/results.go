@@ -51,22 +51,6 @@ func FormatTable(headers []string, rows [][]string) string {
 	return b.String()
 }
 
-// FormatMarkdownTable renders a GitHub-flavoured markdown table; the
-// EXPERIMENTS.md generator uses it.
-func FormatMarkdownTable(headers []string, rows [][]string) string {
-	var b strings.Builder
-	b.WriteString("| " + strings.Join(headers, " | ") + " |\n")
-	rule := make([]string, len(headers))
-	for i := range rule {
-		rule[i] = "---"
-	}
-	b.WriteString("| " + strings.Join(rule, " | ") + " |\n")
-	for _, row := range rows {
-		b.WriteString("| " + strings.Join(row, " | ") + " |\n")
-	}
-	return b.String()
-}
-
 // WriteCSV emits a simple comma-separated table. Cells are expected not
 // to contain commas (all emitters here produce numeric or label cells).
 func WriteCSV(w io.Writer, headers []string, rows [][]string) error {
@@ -133,23 +117,6 @@ func CNFRows(results []core.Result) ([]string, [][]string) {
 	return headers, rows
 }
 
-// AbsoluteRows renders sweep results in the absolute units of Figure 7:
-// aggregate offered and accepted traffic in bits per nanosecond and mean
-// latency in nanoseconds, after the router-complexity and wire-delay
-// filtering of §10.
-func AbsoluteRows(results []core.Result) ([]string, [][]string) {
-	headers := []string{"offered_bits_ns", "accepted_bits_ns", "latency_ns"}
-	rows := make([][]string, len(results))
-	for i, r := range results {
-		rows[i] = []string{
-			fmt.Sprintf("%.1f", r.OfferedBitsNS),
-			fmt.Sprintf("%.1f", r.AcceptedBitsNS),
-			fmt.Sprintf("%.1f", r.LatencyNS),
-		}
-	}
-	return headers, rows
-}
-
 // MultiSeries renders several configurations' sweeps side by side over a
 // shared offered-load axis — the layout of the comparison graphs. The
 // value function picks which measurement to tabulate.
@@ -181,16 +148,13 @@ func MultiSeries(labels []string, sweeps [][]core.Result, value func(core.Result
 
 // SummaryRow condenses one configuration's sweep into the headline
 // numbers of the paper's §11: the saturation point (fraction of capacity
-// and bits/ns), the sustained post-saturation throughput, and the
-// pre-saturation latency.
+// and bits/ns) and the pre-saturation latency.
 type SummaryRow struct {
 	Label            string
 	SaturationFrac   float64
 	Saturated        bool
 	SaturationBitsNS float64
-	SustainedBitsNS  float64
 	PreSatLatencyNS  float64
-	PostSatStability float64
 }
 
 // Summarize derives a SummaryRow from a sweep ordered by offered load.
@@ -198,7 +162,6 @@ func Summarize(label string, results []core.Result, tolerance float64) SummaryRo
 	row := SummaryRow{Label: label}
 	series := core.SeriesOf(results)
 	row.SaturationFrac, row.Saturated = series.Saturation(tolerance)
-	row.PostSatStability, _ = series.PostSaturationStability(tolerance)
 	if len(results) == 0 {
 		return row
 	}
@@ -207,7 +170,6 @@ func Summarize(label string, results []core.Result, tolerance float64) SummaryRo
 	if last.Sample.Accepted > 0 {
 		row.SaturationBitsNS = row.SaturationFrac * last.AcceptedBitsNS / last.Sample.Accepted
 	}
-	row.SustainedBitsNS = last.AcceptedBitsNS
 	// Pre-saturation latency: the sample nearest to half the saturation
 	// load, where the network is comfortably stable.
 	half := row.SaturationFrac / 2
@@ -226,25 +188,4 @@ func diff(a, b float64) float64 {
 		return a - b
 	}
 	return b - a
-}
-
-// FormatSummary renders summary rows as a table.
-func FormatSummary(rows []SummaryRow) string {
-	headers := []string{"configuration", "saturation", "sat bits/ns", "sustained bits/ns", "pre-sat latency ns", "post-sat stability"}
-	cells := make([][]string, len(rows))
-	for i, r := range rows {
-		sat := fmt.Sprintf("%.0f%%", 100*r.SaturationFrac)
-		if !r.Saturated {
-			sat = ">" + sat
-		}
-		cells[i] = []string{
-			r.Label,
-			sat,
-			fmt.Sprintf("%.0f", r.SaturationBitsNS),
-			fmt.Sprintf("%.0f", r.SustainedBitsNS),
-			fmt.Sprintf("%.0f", r.PreSatLatencyNS),
-			fmt.Sprintf("%.2f", r.PostSatStability),
-		}
-	}
-	return FormatTable(headers, cells)
 }

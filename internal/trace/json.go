@@ -9,7 +9,7 @@ import (
 )
 
 // TraceSchema versions the JSONL packet-timeline record layout emitted
-// by cmd/trace -json.
+// by cmd/netsim -timelines.
 const TraceSchema = "smart/trace/v1"
 
 // HopRecord is one routing decision in machine-readable form, carrying

@@ -96,7 +96,7 @@ func NewHotspot(nodes, hot int, fraction float64) (*Hotspot, error) {
 	if hot < 0 || hot >= nodes {
 		return nil, fmt.Errorf("traffic: hotspot node %d out of range [0,%d)", hot, nodes)
 	}
-	if fraction < 0 || fraction > 1 {
+	if !(fraction >= 0 && fraction <= 1) {
 		return nil, fmt.Errorf("traffic: hotspot fraction %v outside [0,1]", fraction)
 	}
 	u, err := NewUniform(nodes)
@@ -135,7 +135,7 @@ func NewRotatingHotspot(nodes int, period int64, fraction float64) (*RotatingHot
 	if period < 1 {
 		return nil, fmt.Errorf("traffic: rotating hotspot period %d must be >= 1 cycle", period)
 	}
-	if fraction < 0 || fraction > 1 {
+	if !(fraction >= 0 && fraction <= 1) {
 		return nil, fmt.Errorf("traffic: hotspot fraction %v outside [0,1]", fraction)
 	}
 	u, err := NewUniform(nodes)

@@ -53,7 +53,7 @@ type Network interface {
 // independent RNG stream derived from seed, so results are reproducible
 // and insensitive to iteration order.
 func NewInjector(f Network, p Pattern, packetRate float64, seed uint64) (*Injector, error) {
-	if packetRate < 0 || packetRate > 1 {
+	if !(packetRate >= 0 && packetRate <= 1) {
 		return nil, fmt.Errorf("traffic: packet rate %v outside [0,1] packets/cycle", packetRate)
 	}
 	nodes := f.Nodes()
