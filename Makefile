@@ -42,6 +42,7 @@ fuzz:
 	$(GO) test ./internal/faults -run '^$$' -fuzz FuzzFaultSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeEntry -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDecodeBatch -fuzztime $(FUZZTIME)
 
 # One benchmark per table, figure and ablation of the paper, plus the
 # BenchmarkFabric hot-path cells. The end-to-end benchmark, with

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
+
+	"smart/internal/topology"
 )
 
 func TestDecodeBatchValid(t *testing.T) {
@@ -56,6 +60,7 @@ func TestDecodeBatchRejectsInvalidConfig(t *testing.T) {
 	for _, cfg := range []string{
 		`{"Network": "tree", "Algorithm": "duato"}`,
 		`{"Network": "tree", "Warmup": 300, "Horizon": 200}`, // a window Run cannot execute
+		`{"Network": "cube", "PacketBytes": 262144}`,         // 65536 flits: past the uint16 sequence numbers
 	} {
 		input := `{"name": "x", "configs": [` + cfg + `]}`
 		_, err := DecodeBatch(strings.NewReader(input))
@@ -84,4 +89,75 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if got.Name != b.Name || len(got.Configs) != 1 || got.Configs[0] != b.Configs[0] {
 		t.Fatalf("round trip changed the batch: %+v", got)
 	}
+}
+
+// fuzzStudyCaps bound the networks FuzzDecodeBatch assembles, so one
+// input costs milliseconds and megabytes: assembly validates every
+// field the same way at any size, but a study may legitimately ask for
+// a network the fuzzer cannot afford to build thousands of times.
+const (
+	fuzzMaxConfigs  = 4
+	fuzzMaxNodes    = 512
+	fuzzMaxBufDepth = 16
+	fuzzMaxLanes    = 8
+)
+
+// affordableStudy reports whether every configuration of the study in
+// data fits the fuzz caps after defaults. Input the lenient decoder
+// rejects is affordable: DecodeBatch refuses it before assembling
+// anything.
+func affordableStudy(data []byte) bool {
+	var b Batch
+	if json.Unmarshal(data, &b) != nil {
+		return true
+	}
+	if len(b.Configs) > fuzzMaxConfigs {
+		return false
+	}
+	for _, cfg := range b.Configs {
+		c := cfg.WithDefaults()
+		if nodes, err := topology.Pow(c.K, c.N); err == nil && nodes > fuzzMaxNodes {
+			return false
+		}
+		if c.K > fuzzMaxNodes || c.BufDepth > fuzzMaxBufDepth || c.VCs > fuzzMaxLanes || c.InjLanes > fuzzMaxLanes {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzDecodeBatch feeds arbitrary study files (cmd/batch -config) to
+// DecodeBatch, which strict-decodes them and assembles every
+// configuration. It must return an error or a batch, never panic, and an
+// accepted batch must survive EncodeBatch and a second DecodeBatch with
+// every fingerprint intact, since fingerprints key the store and
+// checkpoints. The committed corpus (testdata/fuzz/FuzzDecodeBatch)
+// holds a valid study, typos, bad windows and an oversize-packet study.
+func FuzzDecodeBatch(f *testing.F) {
+	f.Add([]byte(`{"name":"study","configs":[{"Network":"tree","VCs":2,"K":4,"N":2,"Load":0.3,"Warmup":300,"Horizon":1500},{"Network":"cube","Algorithm":"duato","K":4,"N":2,"Pattern":"complement","Load":0.3}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if !affordableStudy(data) {
+			t.Skip("study exceeds the fuzz size caps")
+		}
+		b, err := DecodeBatch(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := EncodeBatch(&buf, b); err != nil {
+			t.Fatalf("encoding an accepted batch: %v", err)
+		}
+		again, err := DecodeBatch(&buf)
+		if err != nil {
+			t.Fatalf("re-decoding an accepted batch: %v\n%s", err, buf.Bytes())
+		}
+		if again.Name != b.Name || len(again.Configs) != len(b.Configs) {
+			t.Fatalf("round trip changed the batch: %q/%d configs, want %q/%d", again.Name, len(again.Configs), b.Name, len(b.Configs))
+		}
+		for i := range b.Configs {
+			if got, want := again.Configs[i].Fingerprint(), b.Configs[i].Fingerprint(); got != want {
+				t.Fatalf("config %d fingerprint %s after the round trip, want %s", i, got, want)
+			}
+		}
+	})
 }

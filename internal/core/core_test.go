@@ -84,6 +84,9 @@ func TestInvalidConfigs(t *testing.T) {
 		{"cube with 2 vcs", Config{Network: NetworkCube, Algorithm: AlgDuato, VCs: 2}, "4 virtual channels"},
 		{"tornado on tree", Config{Network: NetworkTree, Pattern: PatternTornado}, "defined on the cube"},
 		{"ragged packet", Config{Network: NetworkCube, PacketBytes: 30}, "whole number"},
+		// Flit sequence numbers are uint16: a packet of 65536 two-byte
+		// tree flits would wrap them.
+		{"packet past uint16 flits", Config{PacketBytes: 2 * (math.MaxUint16 + 1)}, "PacketFlits must be in [1,65535]"},
 		// Windows the engine cannot run, or that overflow the fabric's
 		// int32 flit stamps, are assembly errors rather than Run panics.
 		{"negative warmup", Config{Warmup: -5, Horizon: 1000}, "measurement window"},

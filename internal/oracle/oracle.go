@@ -13,22 +13,35 @@
 // topology graph view, the routing algorithms (through wormhole.Router),
 // the traffic process (through traffic.Network) and the flit/packet
 // vocabulary types. The simulator core — stages, arbitration, flow
-// control, delivery — is written from the prose, not from fabric.go.
+// control, delivery — is written from the prose, not from fabric.go;
+// in particular the oracle keeps the prose's per-flit pipeline stamps,
+// where the fabric derives the same rule from per-lane arrival stamps.
 package oracle
 
 import (
 	"fmt"
+	"math"
 
 	"smart/internal/sim"
 	"smart/internal/topology"
 	"smart/internal/wormhole"
 )
 
+// flit is a buffered flit with its pipeline stamp: movedAt is the cycle
+// of the flit's last pipeline advance, and a stage only moves flits
+// stamped before the current cycle, which enforces the
+// one-stage-per-cycle discipline independently of stage execution
+// order (DESIGN.md §4).
+type flit struct {
+	wormhole.Flit
+	movedAt int64
+}
+
 // inLane is the input buffer of one virtual channel. The slice holds the
 // buffered flits front first; boundPort/boundLane name the output lane
 // the current packet was allocated, -1 while unbound.
 type inLane struct {
-	buf       []wormhole.Flit
+	buf       []flit
 	boundPort int
 	boundLane int
 }
@@ -37,7 +50,7 @@ type inLane struct {
 // the known free space in the matching input lane across the link;
 // boundPort/boundLane name the input lane switched onto this lane.
 type outLane struct {
-	buf       []wormhole.Flit
+	buf       []flit
 	credits   int
 	boundPort int
 	boundLane int
@@ -65,7 +78,7 @@ type nic struct {
 
 // flight is one flit in transit on a pipelined wire.
 type flight struct {
-	fl   wormhole.Flit
+	fl   flit
 	lane int
 	at   int64
 }
@@ -143,6 +156,9 @@ func laneCounts(kind topology.PortKind, cfg wormhole.Config) (inN, outN int) {
 func New(top topology.Topology, cfg wormhole.Config, alg wormhole.RoutingAlgorithm) (*Sim, error) {
 	if cfg.VCs < 1 || cfg.BufDepth < 1 || cfg.PacketFlits < 1 || cfg.InjLanes < 1 {
 		return nil, fmt.Errorf("oracle: invalid config %+v", cfg)
+	}
+	if cfg.BufDepth > math.MaxUint16 || cfg.PacketFlits > math.MaxUint16 {
+		return nil, fmt.Errorf("oracle: BufDepth and PacketFlits must be at most %d, like the fabric's uint16 lane counts and sequence numbers, in %+v", math.MaxUint16, cfg)
 	}
 	if cfg.StoreAndForward && cfg.BufDepth < cfg.PacketFlits {
 		return nil, fmt.Errorf("oracle: store-and-forward needs BufDepth >= PacketFlits (%d < %d)", cfg.BufDepth, cfg.PacketFlits)
@@ -285,9 +301,9 @@ func (s *Sim) FreeLanes(r, p, lo, hi int) int {
 
 // popFront removes and returns the first flit, reallocating the buffer —
 // the deliberate opposite of the fabric's ring buffers.
-func popFront(buf []wormhole.Flit) (wormhole.Flit, []wormhole.Flit) {
+func popFront(buf []flit) (flit, []flit) {
 	fl := buf[0]
-	rest := make([]wormhole.Flit, len(buf)-1)
+	rest := make([]flit, len(buf)-1)
 	copy(rest, buf[1:])
 	return fl, rest
 }
@@ -339,12 +355,12 @@ func (s *Sim) linkPort(r, p int, cycle int64) {
 			if len(ol.buf) == 0 || ol.credits == 0 {
 				continue
 			}
-			if int64(ol.buf[0].MovedAt) >= cycle {
+			if ol.buf[0].movedAt >= cycle {
 				continue
 			}
-			var moved wormhole.Flit
+			var moved flit
 			moved, ol.buf = popFront(ol.buf)
-			moved.MovedAt = int32(cycle)
+			moved.movedAt = cycle
 			ol.credits--
 			if s.wires != nil {
 				s.wires[r][p] = append(s.wires[r][p], flight{fl: moved, lane: l, at: cycle + int64(s.Cfg.LinkCycles) - 1})
@@ -363,13 +379,13 @@ func (s *Sim) linkPort(r, p int, cycle int64) {
 			if len(ol.buf) == 0 {
 				continue
 			}
-			if int64(ol.buf[0].MovedAt) >= cycle {
+			if ol.buf[0].movedAt >= cycle {
 				continue
 			}
-			var moved wormhole.Flit
+			var moved flit
 			moved, ol.buf = popFront(ol.buf)
 			if s.wires != nil {
-				moved.MovedAt = int32(cycle)
+				moved.movedAt = cycle
 				s.wires[r][p] = append(s.wires[r][p], flight{fl: moved, lane: l, at: cycle + int64(s.Cfg.LinkCycles) - 1})
 			} else {
 				s.deliver(moved, cycle)
@@ -398,7 +414,7 @@ func (s *Sim) commitWireArrivals(cycle int64) {
 				switch tp.Kind {
 				case topology.PortRouter:
 					arrived := fl.fl
-					arrived.MovedAt = int32(fl.at)
+					arrived.movedAt = fl.at
 					s.pushIn(tp.Peer, tp.PeerPort, fl.lane, arrived)
 				case topology.PortNode:
 					s.deliver(fl.fl, fl.at)
@@ -411,7 +427,7 @@ func (s *Sim) commitWireArrivals(cycle int64) {
 
 // pushIn places a flit into input lane (r, p, l), enforcing the buffer
 // capacity the credit discipline guarantees.
-func (s *Sim) pushIn(r, p, l int, fl wormhole.Flit) {
+func (s *Sim) pushIn(r, p, l int, fl flit) {
 	il := &s.routers[r][p].in[l]
 	if len(il.buf) >= s.Cfg.BufDepth {
 		panic("oracle: push into full input lane")
@@ -421,13 +437,13 @@ func (s *Sim) pushIn(r, p, l int, fl wormhole.Flit) {
 
 // deliver records the arrival of a flit at its destination NIC,
 // asserting exactly-once in-order delivery.
-func (s *Sim) deliver(fl wormhole.Flit, cycle int64) {
+func (s *Sim) deliver(fl flit, cycle int64) {
 	pk := &s.packets[fl.Packet]
-	if fl.Seq != s.deliverNext[fl.Packet] {
+	if int32(fl.Seq) != s.deliverNext[fl.Packet] {
 		panic(fmt.Sprintf("oracle: packet %d delivered flit %d out of order (expected %d)", fl.Packet, fl.Seq, s.deliverNext[fl.Packet]))
 	}
 	s.deliverNext[fl.Packet]++
-	if fl.Kind.IsTail() && fl.Seq != pk.Flits-1 {
+	if fl.Kind.IsTail() && int32(fl.Seq) != pk.Flits-1 {
 		panic(fmt.Sprintf("oracle: packet %d tail at sequence %d, want %d", fl.Packet, fl.Seq, pk.Flits-1))
 	}
 	if fl.Kind.IsHead() {
@@ -466,16 +482,16 @@ func (s *Sim) xbarLane(r, p, l int, cycle int64) {
 	if len(il.buf) == 0 || il.boundPort < 0 {
 		return
 	}
-	if int64(il.buf[0].MovedAt) >= cycle {
+	if il.buf[0].movedAt >= cycle {
 		return
 	}
 	ol := &s.routers[r][il.boundPort].out[il.boundLane]
 	if len(ol.buf) >= s.Cfg.BufDepth {
 		return
 	}
-	var moved wormhole.Flit
+	var moved flit
 	moved, il.buf = popFront(il.buf)
-	moved.MovedAt = int32(cycle)
+	moved.movedAt = cycle
 	ol.buf = append(ol.buf, moved)
 	if moved.Kind.IsTail() {
 		il.boundPort, il.boundLane = -1, -1
@@ -533,7 +549,7 @@ func (s *Sim) routeRouter(r int, cycle int64) {
 			continue
 		}
 		fl := &il.buf[0]
-		if int64(fl.MovedAt) >= cycle {
+		if fl.movedAt >= cycle {
 			continue
 		}
 		if !fl.Kind.IsHead() {
@@ -551,7 +567,7 @@ func (s *Sim) routeRouter(r int, cycle int64) {
 			}
 			il.boundPort, il.boundLane = op, olIdx
 			out.boundPort, out.boundLane = p, l
-			fl.MovedAt = int32(cycle) // routing itself takes T_routing = 1 cycle
+			fl.movedAt = cycle // routing itself takes T_routing = 1 cycle
 			s.packets[fl.Packet].Hops++
 		}
 		break // one routing decision per switch per cycle
@@ -607,8 +623,9 @@ func (s *Sim) injectNIC(n int, cycle int64) {
 		if st.nextSeq == pk.Flits-1 {
 			kind |= wormhole.FlitTail
 		}
-		s.pushIn(at.Router, at.Port, l, wormhole.Flit{
-			Packet: st.cur, Seq: st.nextSeq, MovedAt: int32(cycle), Kind: kind,
+		s.pushIn(at.Router, at.Port, l, flit{
+			Flit:    wormhole.Flit{Packet: st.cur, Seq: uint16(st.nextSeq), Kind: kind},
+			movedAt: cycle,
 		})
 		st.credit--
 		s.counters.FlitsInjected++
@@ -664,7 +681,7 @@ func (s *Sim) Observe() wormhole.CycleObs {
 				il := &pt.in[l]
 				bp, bl := il.boundPort, il.boundLane
 				buf := il.buf
-				d.InLane(len(buf), bp, bl, func(i int) wormhole.Flit { return buf[i] })
+				d.InLane(len(buf), bp, bl, func(i int) wormhole.Flit { return buf[i].Flit })
 				if len(buf) > 0 {
 					obs.OccupiedLanes++
 					obs.BufferedFlits += len(buf)
@@ -674,7 +691,7 @@ func (s *Sim) Observe() wormhole.CycleObs {
 				ol := &pt.out[l]
 				bp, bl := ol.boundPort, ol.boundLane
 				buf := ol.buf
-				d.OutLane(len(buf), ol.credits, bp, bl, func(i int) wormhole.Flit { return buf[i] })
+				d.OutLane(len(buf), ol.credits, bp, bl, func(i int) wormhole.Flit { return buf[i].Flit })
 				if len(buf) > 0 {
 					obs.OccupiedLanes++
 					obs.BufferedFlits += len(buf)
@@ -707,7 +724,7 @@ func (s *Sim) Observe() wormhole.CycleObs {
 				w := s.wires[r][p]
 				d.Int(int64(len(w)))
 				for _, fl := range w {
-					d.Flight(fl.fl, fl.lane, fl.at)
+					d.Flight(fl.fl.Flit, fl.lane, fl.at)
 				}
 			}
 		}

@@ -234,14 +234,15 @@ func TestRunConformance(t *testing.T) {
 }
 
 // TestRunRejectedConfig exercises the real grid's config validation
-// through the service: a semantically impossible config, or a
-// measurement window the engine cannot run, is refused with 422 and the
-// grid's own error text (not a 500 from a panicking run), and nothing
-// is stored.
+// through the service: a semantically impossible config, a measurement
+// window the engine cannot run, or a packet too long for the fabric's
+// 16-bit flit sequence numbers is refused with 422 and the grid's own
+// error text (not a 500 from a panicking run), and nothing is stored.
 func TestRunRejectedConfig(t *testing.T) {
 	for _, tc := range []struct{ body, golden string }{
 		{`{"Network":"tree","Algorithm":"duato"}`, "run_rejected.json"},
 		{`{"Warmup":300,"Horizon":200}`, "run_rejected_window.json"},
+		{`{"PacketBytes":1048576,"Warmup":300,"Horizon":1500}`, "run_rejected_packet.json"},
 	} {
 		svc, url := newTestService(t, nil)
 		resp, body := post(t, url+"/v1/run", tc.body, nil)

@@ -54,11 +54,13 @@ func (c Config) validate() error {
 	if c.VCs < 1 || c.VCs >= packRadix {
 		return fmt.Errorf("wormhole: VCs must be in [1,%d), got %d", packRadix, c.VCs)
 	}
-	if c.BufDepth < 1 {
-		return fmt.Errorf("wormhole: BufDepth must be positive, got %d", c.BufDepth)
+	// Lane occupancy and credits are uint16 and a flit's Seq is a
+	// uint16, so both lengths must fit one.
+	if c.BufDepth < 1 || c.BufDepth > math.MaxUint16 {
+		return fmt.Errorf("wormhole: BufDepth must be in [1,%d], got %d", math.MaxUint16, c.BufDepth)
 	}
-	if c.PacketFlits < 1 {
-		return fmt.Errorf("wormhole: PacketFlits must be positive, got %d", c.PacketFlits)
+	if c.PacketFlits < 1 || c.PacketFlits > math.MaxUint16 {
+		return fmt.Errorf("wormhole: PacketFlits must be in [1,%d], got %d", math.MaxUint16, c.PacketFlits)
 	}
 	if c.InjLanes < 1 || c.InjLanes >= packRadix {
 		return fmt.Errorf("wormhole: InjLanes must be in [1,%d), got %d", packRadix, c.InjLanes)
@@ -83,7 +85,7 @@ func (c Config) validate() error {
 type nicLane struct {
 	cur     PacketID
 	nextSeq int32
-	credit  int16
+	credit  uint16
 }
 
 // nic is a processing node's network interface: an unbounded source queue
@@ -148,9 +150,10 @@ func (c *Counters) add(other Counters) {
 // packet table, advanced one cycle at a time by the stages it registers on
 // a sim.Engine.
 //
-// Router state is flattened for locality: all input and output lanes live
-// in two contiguous per-fabric arrays indexed by precomputed (router,
-// port) offsets, and the topology's port tables are cached in a flat
+// Router state is flattened for locality: all input and output lane
+// headers live in two contiguous per-fabric arrays indexed by
+// precomputed (router, port) offsets, their flit buffers in two arenas
+// indexed by lane, and the topology's port tables are cached in a flat
 // array, so the per-cycle stages never chase jagged slices or call back
 // through the Topology interface. On top of that layout the fabric keeps
 // incremental active-set work lists — bitmaps recording which output
@@ -197,6 +200,15 @@ type Fabric struct {
 	out    []outLane
 	inOff  []int32
 	outOff []int32
+	// inBuf and outBuf are the flit arenas behind the lane headers:
+	// input lane id buffers its flits in inSlot(id), BufDepth flits at
+	// inBuf[id*BufDepth:], and likewise for output lanes. A slot belongs
+	// to the shard owning its lane.
+	//
+	//smartlint:shardindexed
+	inBuf []Flit
+	//smartlint:shardindexed
+	outBuf []Flit
 
 	// Round-robin arbitration pointers: routeRR indexes a router's
 	// input-lane scan range, linkRR a port's output lanes. Global arrays
@@ -348,28 +360,19 @@ func NewFabric(top topology.Topology, cfg Config, alg RoutingAlgorithm) (*Fabric
 	f.inOff[nPorts] = inTotal
 	f.outOff[nPorts] = outTotal
 
-	// Second pass: the lanes themselves, their buffers carved out of one
-	// contiguous flit arena.
-	arena := make([]Flit, (int(inTotal)+int(outTotal))*cfg.BufDepth)
-	next := 0
-	takeBuf := func() []Flit {
-		b := arena[next : next+cfg.BufDepth : next+cfg.BufDepth]
-		next += cfg.BufDepth
-		return b
-	}
+	// Second pass: the lane headers and their flit arenas.
 	f.in = make([]inLane, inTotal)
 	f.out = make([]outLane, outTotal)
+	f.inBuf = make([]Flit, int(inTotal)*cfg.BufDepth)
+	f.outBuf = make([]Flit, int(outTotal)*cfg.BufDepth)
 	for r := 0; r < routers; r++ {
 		for p := 0; p < deg; p++ {
 			pid := r*deg + p
 			for l := f.inOff[pid]; l < f.inOff[pid+1]; l++ {
-				f.in[l] = inLane{
-					fifo: fifo{buf: takeBuf()}, bound: noRef,
-					router: int32(r), port: int16(p), lane: int16(l - f.inOff[pid]),
-				}
+				f.in[l] = inLane{router: int32(r), bound: noRef, self: packRef(p, int(l-f.inOff[pid]))}
 			}
 			for l := f.outOff[pid]; l < f.outOff[pid+1]; l++ {
-				f.out[l] = outLane{fifo: fifo{buf: takeBuf()}, credits: int16(cfg.BufDepth), boundIn: noRef}
+				f.out[l] = outLane{credits: uint16(cfg.BufDepth), boundIn: noRef}
 			}
 		}
 	}
@@ -388,7 +391,7 @@ func NewFabric(top topology.Topology, cfg Config, alg RoutingAlgorithm) (*Fabric
 	for n := range f.nics {
 		lanes := make([]nicLane, cfg.InjLanes)
 		for l := range lanes {
-			lanes[l] = nicLane{cur: NoPacket, credit: int16(cfg.BufDepth)}
+			lanes[l] = nicLane{cur: NoPacket, credit: uint16(cfg.BufDepth)}
 		}
 		at := top.NodeAttach(n)
 		f.nics[n] = nic{lanes: lanes, base: f.inOff[at.Router*deg+at.Port]}
@@ -410,6 +413,24 @@ func (f *Fabric) inLanesOf(pid int) []inLane { return f.in[f.inOff[pid]:f.inOff[
 
 // outLanesOf returns the output lanes of port pid.
 func (f *Fabric) outLanesOf(pid int) []outLane { return f.out[f.outOff[pid]:f.outOff[pid+1]] }
+
+// inSlot returns the flit buffer of input lane id.
+//
+//smartlint:hotpath
+func (f *Fabric) inSlot(id int32) []Flit {
+	d := f.Cfg.BufDepth
+	o := int(id) * d
+	return f.inBuf[o : o+d : o+d]
+}
+
+// outSlot returns the flit buffer of output lane id.
+//
+//smartlint:hotpath
+func (f *Fabric) outSlot(id int32) []Flit {
+	d := f.Cfg.BufDepth
+	o := int(id) * d
+	return f.outBuf[o : o+d : o+d]
+}
 
 // Register installs the fabric's pipeline on the engine. With a single
 // shard that is the canonical stage sequence — link transfer, crossbar
@@ -518,7 +539,7 @@ func (f *Fabric) Dest(id PacketID) int { return int(f.Packets[id].Dst) }
 // OutLaneFree reports whether output lane (port, lane) of router r can
 // accept a new packet: neither full nor bound to another input lane (§4).
 func (f *Fabric) OutLaneFree(r, port, lane int) bool {
-	return f.outLaneAt(r, port, lane).free()
+	return f.outLaneAt(r, port, lane).free(f.Cfg.BufDepth)
 }
 
 // OutLaneCredits returns the credit count of output lane (port, lane) of
@@ -534,23 +555,24 @@ func (f *Fabric) FreeLanes(r, port, lo, hi int) int {
 	lanes := f.outLanesOf(r*f.deg + port)
 	free := 0
 	for l := lo; l < hi && l < len(lanes); l++ {
-		if lanes[l].free() {
+		if lanes[l].free(f.Cfg.BufDepth) {
 			free++
 		}
 	}
 	return free
 }
 
-// pushIn places a flit into input lane id, which must belong to sh. A
-// lane transitioning from empty enters the crossbar work list (if it is
-// bound to an output) or becomes a routing candidate (if not).
+// pushIn places a flit into input lane id, which must belong to sh, and
+// stamps the lane with the arrival cycle. A lane transitioning from
+// empty enters the crossbar work list (if it is bound to an output) or
+// becomes a routing candidate (if not).
 //
 //smartlint:hotpath
-func (f *Fabric) pushIn(sh *shardState, id int32, fl Flit) {
+func (f *Fabric) pushIn(sh *shardState, id int32, fl Flit, cycle int64) {
 	il := &f.in[id]
-	wasEmpty := il.n == 0
-	il.push(fl)
-	if !wasEmpty {
+	il.push(f.inSlot(id), fl)
+	il.lastIn = int32(cycle)
+	if il.n != 1 {
 		return
 	}
 	if il.bound != noRef {
@@ -560,23 +582,25 @@ func (f *Fabric) pushIn(sh *shardState, id int32, fl Flit) {
 	}
 }
 
-// sendIn lands a flit in input lane id of router peer: directly when the
-// router belongs to sh, through the destination shard's mailbox
-// otherwise (committed after the phase barrier, in ascending
-// source-shard order). Either way the flit is invisible to this cycle's
-// crossbar and routing stages — its MovedAt stamp equals the current
-// cycle — so deferral does not change the simulation. This is the sole
-// sanctioned cross-shard channel of the compute phase — the shardsafe
-// rule trusts it as a sink and audits everything else.
+// sendIn lands a flit in input lane id of router peer during cycle:
+// directly when the router belongs to sh, through the destination
+// shard's mailbox otherwise (committed after the phase barrier, in
+// ascending source-shard order, stamped with the same cycle). Either way
+// the flit is invisible to this cycle's crossbar and routing stages — a
+// local arrival into an empty lane is held by the arrival stamp, and
+// one behind older flits is not the front — so deferral does not change
+// the simulation. This is the sole sanctioned cross-shard channel of
+// the compute phase — the shardsafe rule trusts it as a sink and audits
+// everything else.
 //
 //smartlint:shardsink
 //smartlint:hotpath
-func (f *Fabric) sendIn(sh *shardState, peer int, id int32, fl Flit) {
+func (f *Fabric) sendIn(sh *shardState, peer int, id int32, fl Flit, cycle int64) {
 	if d := f.routerShard[peer]; int(d) != sh.id {
 		sh.mailFlits[d] = append(sh.mailFlits[d], arrival{lane: id, fl: fl})
 		return
 	}
-	f.pushIn(sh, id, fl)
+	f.pushIn(sh, id, fl, cycle)
 }
 
 // addUnrouted records that one more input lane of router r presents an
@@ -601,26 +625,28 @@ func (f *Fabric) dropUnrouted(sh *shardState, r int) {
 	}
 }
 
-// pushOut places a flit into output lane ol of port pid, activating the
-// port's link arbitration when the lane transitions from empty.
+// pushOut places a flit into output lane oid of port pid, activating
+// the port's link arbitration when the lane transitions from empty.
 //
 //smartlint:hotpath
-func (f *Fabric) pushOut(sh *shardState, pid int32, ol *outLane, fl Flit) {
+func (f *Fabric) pushOut(sh *shardState, pid, oid int32, fl Flit) {
+	ol := &f.out[oid]
 	if ol.n == 0 {
 		f.portOcc[pid]++
 		if f.portOcc[pid] == 1 {
 			sh.linkActive.add(pid)
 		}
 	}
-	ol.push(fl)
+	ol.push(f.outSlot(oid), fl)
 }
 
-// popOut removes the front flit of output lane ol of port pid,
+// popOut removes the front flit of output lane oid of port pid,
 // deactivating the port when its last occupied lane drains.
 //
 //smartlint:hotpath
-func (f *Fabric) popOut(sh *shardState, pid int32, ol *outLane) Flit {
-	fl := ol.pop()
+func (f *Fabric) popOut(sh *shardState, pid, oid int32) Flit {
+	ol := &f.out[oid]
+	fl := ol.pop(f.outSlot(oid))
 	if ol.n == 0 {
 		f.portOcc[pid]--
 		if f.portOcc[pid] == 0 {
@@ -641,12 +667,12 @@ func (f *Fabric) pushWire(sh *shardState, pid int32, fl flight) {
 	w.push(fl)
 }
 
-// begin records the cycle about to execute. Flits stamp MovedAt as an
-// int32, so the fabric refuses to run past math.MaxInt32 rather than
-// wrap a stamp; core rejects horizons beyond it up front.
+// begin records the cycle about to execute. Input lanes stamp arrivals
+// as an int32, so the fabric refuses to run past math.MaxInt32 rather
+// than wrap a stamp; core rejects horizons beyond it up front.
 func (f *Fabric) begin(cycle int64) {
 	if cycle > math.MaxInt32 {
-		panic(fmt.Sprintf("wormhole: cycle %d exceeds the int32 flit stamp range", cycle))
+		panic(fmt.Sprintf("wormhole: cycle %d exceeds the int32 lane stamp range", cycle))
 	}
 	f.cycle = cycle
 }
@@ -664,9 +690,11 @@ func (f *Fabric) linkStage(cycle int64) {
 // every output port holding buffered flits it fair-arbitrates among the
 // lanes holding a flit that has a credit, and transfers the winner to the
 // same-numbered input lane of the neighbouring switch (or delivers it,
-// for ejection channels). Only ports on the active list are visited;
-// per-port decisions are mutually independent, so the visiting order
-// cannot change the outcome.
+// for ejection channels). Every buffered output flit is eligible: the
+// crossbar, the only stage filling output lanes, runs after this one,
+// so no flit entered an output lane this cycle. Only ports on the
+// active list are visited; per-port decisions are mutually independent,
+// so the visiting order cannot change the outcome.
 //
 //smartlint:hotpath
 func (f *Fabric) linkShard(sh *shardState, cycle int64) {
@@ -692,7 +720,8 @@ func (f *Fabric) linkPort(sh *shardState, pid int32, cycle int64) {
 		return
 	}
 	port := &f.ports[pid]
-	lanes := f.outLanesOf(int(pid))
+	base := f.outOff[pid]
+	lanes := f.out[base:f.outOff[pid+1]]
 	n := len(lanes)
 	start := int(f.linkRR[pid])
 	switch port.Kind {
@@ -707,17 +736,12 @@ func (f *Fabric) linkPort(sh *shardState, pid int32, cycle int64) {
 				sh.creditStalls++
 				continue
 			}
-			fl := ol.front()
-			if int64(fl.MovedAt) >= cycle {
-				continue
-			}
-			moved := f.popOut(sh, pid, ol)
-			moved.MovedAt = int32(cycle)
+			moved := f.popOut(sh, pid, base+int32(l))
 			ol.credits--
 			if f.wires != nil {
 				f.pushWire(sh, pid, flight{fl: moved, lane: int16(l), at: cycle + int64(f.Cfg.LinkCycles) - 1})
 			} else {
-				f.sendIn(sh, port.Peer, peerBase+int32(l), moved)
+				f.sendIn(sh, port.Peer, peerBase+int32(l), moved, cycle)
 			}
 			f.linkRR[pid] = int32(ringNext(l, n))
 			f.linkFlits[pid]++
@@ -728,17 +752,11 @@ func (f *Fabric) linkPort(sh *shardState, pid int32, cycle int64) {
 		// Ejection channel: the node consumes one flit per cycle;
 		// its buffers never back-pressure the router.
 		for i, l := 0, start; i < n; i, l = i+1, ringNext(l, n) {
-			ol := &lanes[l]
-			if ol.n == 0 {
+			if lanes[l].n == 0 {
 				continue
 			}
-			fl := ol.front()
-			if int64(fl.MovedAt) >= cycle {
-				continue
-			}
-			moved := f.popOut(sh, pid, ol)
+			moved := f.popOut(sh, pid, base+int32(l))
 			if f.wires != nil {
-				moved.MovedAt = int32(cycle)
 				f.pushWire(sh, pid, flight{fl: moved, lane: int16(l), at: cycle + int64(f.Cfg.LinkCycles) - 1})
 			} else {
 				f.deliver(sh, moved, cycle)
@@ -755,7 +773,9 @@ func (f *Fabric) linkPort(sh *shardState, pid int32, cycle int64) {
 // elapsed: into the neighbour's input lane (the credit consumed at send
 // time reserved the slot; cross-shard lanes go through the mailbox) or,
 // on ejection wires, into the destination NIC, which always shares the
-// sending router's shard. Only wires with flits in flight are visited.
+// sending router's shard. The link stage runs every cycle, so a flight
+// lands in exactly its arrival cycle and the lane stamps it so. Only
+// wires with flits in flight are visited.
 //
 //smartlint:hotpath
 func (f *Fabric) commitWireArrivals(sh *shardState, cycle int64) {
@@ -768,9 +788,7 @@ func (f *Fabric) commitWireArrivals(sh *shardState, cycle int64) {
 				fl := w.pop()
 				switch port.Kind {
 				case topology.PortRouter:
-					arrived := fl.fl
-					arrived.MovedAt = int32(fl.at)
-					f.sendIn(sh, port.Peer, f.inOff[port.Peer*f.deg+port.PeerPort]+int32(fl.lane), arrived)
+					f.sendIn(sh, port.Peer, f.inOff[port.Peer*f.deg+port.PeerPort]+int32(fl.lane), fl.fl, cycle)
 				case topology.PortNode:
 					f.deliver(sh, fl.fl, fl.at)
 				}
@@ -792,11 +810,11 @@ func (f *Fabric) commitWireArrivals(sh *shardState, cycle int64) {
 //smartlint:hotpath
 func (f *Fabric) deliver(sh *shardState, fl Flit, cycle int64) {
 	pk := &f.Packets[fl.Packet]
-	if fl.Seq != pk.deliverNext {
+	if int32(fl.Seq) != pk.deliverNext {
 		panic(fmt.Sprintf("wormhole: packet %d delivered flit %d out of order (expected %d)", fl.Packet, fl.Seq, pk.deliverNext))
 	}
 	pk.deliverNext++
-	if fl.Kind.IsTail() && fl.Seq != pk.Flits-1 {
+	if fl.Kind.IsTail() && int32(fl.Seq) != pk.Flits-1 {
 		panic(fmt.Sprintf("wormhole: packet %d tail at sequence %d, want %d", fl.Packet, fl.Seq, pk.Flits-1))
 	}
 	if fl.Kind.IsHead() {
@@ -826,10 +844,12 @@ func (f *Fabric) crossbarStage(cycle int64) {
 // output lanes — one flit per lane per cycle, any number of lanes in
 // parallel ("multiple virtual channels can be active at the input and
 // output ports of the crossbar", §4) — and sends the credit back to the
-// upstream switch. The tail flit's passage releases both bindings. Only
-// lanes on the bound-and-occupied work list are visited; per-lane moves
-// are independent because every output lane has exactly one bound input,
-// so the visiting order cannot change the outcome.
+// upstream switch. The tail flit's passage releases both bindings. A
+// flit that landed this cycle waits (inLane.arrivedNow), and so does one
+// bound for a full output lane; both are decided from the lane headers
+// alone. Only lanes on the bound-and-occupied work list are visited;
+// per-lane moves are independent because every output lane has exactly
+// one bound input, so the visiting order cannot change the outcome.
 //
 //smartlint:hotpath
 func (f *Fabric) xbarShard(sh *shardState, cycle int64) {
@@ -845,11 +865,7 @@ func (f *Fabric) xbarShard(sh *shardState, cycle int64) {
 //smartlint:hotpath
 func (f *Fabric) xbarLane(sh *shardState, id int32, cycle int64) {
 	il := &f.in[id]
-	if il.n == 0 || il.bound == noRef {
-		return
-	}
-	fl := il.front()
-	if int64(fl.MovedAt) >= cycle {
+	if il.n == 0 || il.bound == noRef || il.arrivedNow(cycle) {
 		return
 	}
 	r := int(il.router)
@@ -858,17 +874,16 @@ func (f *Fabric) xbarLane(sh *shardState, id int32, cycle int64) {
 	}
 	op, olIdx := il.bound.unpack()
 	opid := int32(r*f.deg + op)
-	ol := &f.out[f.outOff[opid]+int32(olIdx)]
-	if ol.full() {
+	oid := f.outOff[opid] + int32(olIdx)
+	if f.out[oid].full(f.Cfg.BufDepth) {
 		return
 	}
-	moved := il.pop()
-	moved.MovedAt = int32(cycle)
-	f.pushOut(sh, opid, ol, moved)
+	moved := il.pop(f.inSlot(id))
+	f.pushOut(sh, opid, oid, moved)
 	sh.progress++
 	if moved.Kind.IsTail() {
 		il.bound = noRef
-		ol.boundIn = noRef
+		f.out[oid].boundIn = noRef
 		sh.xbarActive.remove(id)
 		if il.n > 0 {
 			// The next packet's header is already buffered behind
@@ -882,23 +897,28 @@ func (f *Fabric) xbarLane(sh *shardState, id int32, cycle int64) {
 	// this input lane. A router peer may live in another shard, so the
 	// ack goes to that shard's mailbox; a NIC peer is attached to this
 	// router and is always shard-local.
-	port := &f.ports[r*f.deg+int(il.port)]
+	ip, lane := il.self.unpack()
+	port := &f.ports[r*f.deg+ip]
 	switch port.Kind {
 	case topology.PortRouter:
-		cr := laneRefAt{router: int32(port.Peer), ref: packRef(port.PeerPort, int(il.lane))}
+		cr := laneRefAt{router: int32(port.Peer), ref: packRef(port.PeerPort, lane)}
 		if d := f.routerShard[port.Peer]; int(d) != sh.id {
 			sh.mailCredits[d] = append(sh.mailCredits[d], cr)
 		} else {
 			sh.pendingCredits = append(sh.pendingCredits, cr)
 		}
 	case topology.PortNode:
-		sh.pendingNIC = append(sh.pendingNIC, int32(port.Peer)*packRadix+int32(il.lane))
+		sh.pendingNIC = append(sh.pendingNIC, int32(port.Peer)*packRadix+int32(lane))
 	}
 }
 
 // routeRouter gives router r its one routing decision for the cycle: a
 // round-robin scan over the router's contiguous input-lane range, in the
-// same (port, lane) order a dense per-port scan would use.
+// same (port, lane) order a dense per-port scan would use. The scan
+// reads lane headers only; a flit buffer is touched once a candidate
+// header is found. Routing takes T_routing = 1 cycle without a stamp:
+// the crossbar, which moves the routed header, has already run this
+// cycle.
 //
 //smartlint:hotpath
 func (f *Fabric) routeRouter(sh *shardState, r int, cycle int64) {
@@ -910,30 +930,27 @@ func (f *Fabric) routeRouter(sh *shardState, r int, cycle int64) {
 	for i, idx := 0, int(f.routeRR[r]); i < n; i, idx = i+1, ringNext(idx, n) {
 		id := base + int32(idx)
 		il := &f.in[id]
-		if il.n == 0 || il.bound != noRef {
+		if il.n == 0 || il.bound != noRef || il.arrivedNow(cycle) {
 			continue
 		}
-		fl := il.front()
-		if int64(fl.MovedAt) >= cycle {
-			continue
-		}
-		p, l := int(il.port), int(il.lane)
+		buf := f.inSlot(id)
+		fl := il.front(buf)
+		p, l := il.self.unpack()
 		if !fl.Kind.IsHead() {
 			panic(fmt.Sprintf("wormhole: unbound non-header flit at router %d port %d lane %d", r, p, l))
 		}
-		if f.Cfg.StoreAndForward && !il.holdsWholePacket(&f.Packets[fl.Packet]) {
+		if f.Cfg.StoreAndForward && !il.holdsWholePacket(buf, &f.Packets[fl.Packet]) {
 			continue
 		}
 		f.routeRR[r] = int32(ringNext(idx, n))
 		op, ol, ok := f.Alg.Route(f, r, p, l, fl.Packet)
 		if ok {
 			out := f.outLaneAt(r, op, ol)
-			if !out.free() {
+			if !out.free(f.Cfg.BufDepth) {
 				panic(fmt.Sprintf("wormhole: algorithm %s allocated non-free lane (%d,%d) at router %d", f.Alg.Name(), op, ol, r))
 			}
 			il.bound = packRef(op, ol)
-			out.boundIn = packRef(p, l)
-			fl.MovedAt = int32(cycle) // routing itself takes T_routing = 1 cycle
+			out.boundIn = il.self
 			f.Packets[fl.Packet].Hops++
 			sh.headersRouted++
 			sh.progress++
@@ -1029,9 +1046,7 @@ func (f *Fabric) injectNIC(sh *shardState, n32 int32, cycle int64) {
 		if st.nextSeq == pk.Flits-1 {
 			kind |= FlitTail
 		}
-		f.pushIn(sh, nc.base+int32(l), Flit{
-			Packet: st.cur, Seq: st.nextSeq, MovedAt: int32(cycle), Kind: kind,
-		})
+		f.pushIn(sh, nc.base+int32(l), Flit{Packet: st.cur, Seq: uint16(st.nextSeq), Kind: kind}, cycle)
 		st.credit--
 		sh.counters.FlitsInjected++
 		sh.inFlight++
@@ -1154,7 +1169,7 @@ func (f *Fabric) CheckInvariants() error {
 						}
 					}
 				}
-				got := int(ol.credits) + remote.n + onWire + pending[laneRefAt{router: int32(r), ref: packRef(p, l)}]
+				got := int(ol.credits) + remote.len() + onWire + pending[laneRefAt{router: int32(r), ref: packRef(p, l)}]
 				if got != f.Cfg.BufDepth {
 					return fmt.Errorf("wormhole: credit conservation violated at router %d port %d lane %d: credits %d + remote %d + wire %d + pending = %d, want %d",
 						r, p, l, ol.credits, remote.n, onWire, got, f.Cfg.BufDepth)
@@ -1212,8 +1227,9 @@ func (f *Fabric) checkWorkLists() error {
 			il := &f.in[id]
 			want := il.bound != noRef && il.n > 0
 			if want != sh.xbarActive.contains(id) {
+				p, l := il.self.unpack()
 				return fmt.Errorf("wormhole: input lane %d (router %d port %d lane %d) crossbar work-list membership %v, want %v",
-					id, il.router, il.port, il.lane, !want, want)
+					id, il.router, p, l, !want, want)
 			}
 		}
 		for r := sh.rLo; r < sh.rHi; r++ {

@@ -1,6 +1,7 @@
 package wormhole
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -82,6 +83,9 @@ func TestConfigValidation(t *testing.T) {
 		{VCs: 1, BufDepth: 0, PacketFlits: 4, InjLanes: 1},
 		{VCs: 1, BufDepth: 4, PacketFlits: 0, InjLanes: 1},
 		{VCs: 1, BufDepth: 4, PacketFlits: 4, InjLanes: 0},
+		// Lane occupancy and flit sequence numbers are uint16.
+		{VCs: 1, BufDepth: math.MaxUint16 + 1, PacketFlits: 4, InjLanes: 1},
+		{VCs: 1, BufDepth: 4, PacketFlits: math.MaxUint16 + 1, InjLanes: 1},
 	}
 	if _, err := NewFabric(cube, good, &greedyRing{cube: cube, vcs: 1}); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
@@ -135,8 +139,8 @@ func TestFabricLaneLayout(t *testing.T) {
 			lanes := f.inLanesOf(r*f.deg + p)
 			for l := range lanes {
 				il := &lanes[l]
-				if int(il.router) != r || int(il.port) != p || int(il.lane) != l {
-					t.Fatalf("lane at (%d,%d,%d) carries coordinates (%d,%d,%d)", r, p, l, il.router, il.port, il.lane)
+				if ip, lane := il.self.unpack(); int(il.router) != r || ip != p || lane != l {
+					t.Fatalf("lane at (%d,%d,%d) carries coordinates (%d,%d,%d)", r, p, l, il.router, ip, lane)
 				}
 			}
 		}

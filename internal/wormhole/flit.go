@@ -36,20 +36,19 @@ func (k FlitKind) IsHead() bool { return k&FlitHead != 0 }
 // IsTail reports whether the flit closes a packet.
 func (k FlitKind) IsTail() bool { return k&FlitTail != 0 }
 
-// Flit is the unit of flow control. MovedAt stamps the cycle of the flit's
-// last pipeline advance; a stage only moves flits stamped before the
-// current cycle, which enforces the one-stage-per-cycle discipline
-// independently of stage execution order. The stamp is an int32 so a
-// flit packs into 16 bytes; the fabric panics on a cycle past
-// math.MaxInt32 instead of wrapping it. A flit is held by exactly one
-// lane, wire or mailbox at a time, so the shard holding it owns it.
+// Flit is the unit of flow control: 8 bytes, so one 64-byte cache line
+// holds two lanes' worth of 4-flit buffers. Seq is a uint16, which is
+// why Config.PacketFlits is bounded by math.MaxUint16. A flit carries no
+// timestamp: the one-stage-per-cycle rule is enforced by the arrival
+// stamp of the input lane holding it (inLane.lastIn). A flit is held by
+// exactly one lane, wire or mailbox at a time, so the shard holding it
+// owns it.
 //
 //smartlint:shardowned
 type Flit struct {
-	Packet  PacketID
-	Seq     int32
-	MovedAt int32
-	Kind    FlitKind
+	Packet PacketID
+	Seq    uint16
+	Kind   FlitKind
 }
 
 // PacketInfo is the per-packet record kept for routing state and

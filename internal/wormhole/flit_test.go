@@ -7,12 +7,30 @@ import (
 	"unsafe"
 )
 
-// TestFlitSize pins the flit at 16 bytes: lane buffers are carved from
-// one flit arena, and a wider stamp or a reordered field would grow it
-// by half.
+// TestFlitSize pins the flit at 8 bytes: lane buffers are the flit
+// arenas, and a per-flit stamp or a wider field would double them.
 func TestFlitSize(t *testing.T) {
-	if got := unsafe.Sizeof(Flit{}); got != 16 {
-		t.Fatalf("Flit is %d bytes, want 16", got)
+	if got := unsafe.Sizeof(Flit{}); got != 8 {
+		t.Fatalf("Flit is %d bytes, want 8", got)
+	}
+}
+
+// TestLaneSize pins the lane headers and the mailbox and wire records
+// that carry flits: the stages decide holds and full outputs from the
+// headers alone, so these are the per-cycle working set.
+func TestLaneSize(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"inLane", unsafe.Sizeof(inLane{}), 16},
+		{"outLane", unsafe.Sizeof(outLane{}), 8},
+		{"arrival", unsafe.Sizeof(arrival{}), 12},
+		{"flight", unsafe.Sizeof(flight{}), 24},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s is %d bytes, want %d", tc.name, tc.got, tc.want)
+		}
 	}
 }
 
@@ -82,21 +100,22 @@ func TestPacketInfoAccessors(t *testing.T) {
 }
 
 func TestFifoPushPop(t *testing.T) {
-	f := newFifo(3)
-	if f.cap() != 3 || f.len() != 0 || f.full() {
+	var f fifo
+	buf := make([]Flit, 3)
+	if f.len() != 0 || f.full(len(buf)) {
 		t.Fatal("fresh fifo state wrong")
 	}
-	for i := int32(0); i < 3; i++ {
-		f.push(Flit{Seq: i})
+	for i := uint16(0); i < 3; i++ {
+		f.push(buf, Flit{Seq: i})
 	}
-	if !f.full() {
+	if !f.full(len(buf)) {
 		t.Fatal("fifo not full after cap pushes")
 	}
-	for i := int32(0); i < 3; i++ {
-		if f.front().Seq != i {
-			t.Fatalf("front seq %d, want %d", f.front().Seq, i)
+	for i := uint16(0); i < 3; i++ {
+		if f.front(buf).Seq != i {
+			t.Fatalf("front seq %d, want %d", f.front(buf).Seq, i)
 		}
-		if got := f.pop(); got.Seq != i {
+		if got := f.pop(buf); got.Seq != i {
 			t.Fatalf("pop seq %d, want %d", got.Seq, i)
 		}
 	}
@@ -106,49 +125,52 @@ func TestFifoPushPop(t *testing.T) {
 }
 
 func TestFifoWrapsAround(t *testing.T) {
-	f := newFifo(2)
-	for round := int32(0); round < 10; round++ {
-		f.push(Flit{Seq: round})
-		if got := f.pop(); got.Seq != round {
+	var f fifo
+	buf := make([]Flit, 2)
+	for round := uint16(0); round < 10; round++ {
+		f.push(buf, Flit{Seq: round})
+		if got := f.pop(buf); got.Seq != round {
 			t.Fatalf("round %d: popped %d", round, got.Seq)
 		}
 	}
 }
 
 func TestFifoPushFullPanics(t *testing.T) {
-	f := newFifo(1)
-	f.push(Flit{})
+	var f fifo
+	buf := make([]Flit, 1)
+	f.push(buf, Flit{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("push into full fifo did not panic")
 		}
 	}()
-	f.push(Flit{})
+	f.push(buf, Flit{})
 }
 
 func TestFifoPopEmptyPanics(t *testing.T) {
-	f := newFifo(1)
+	var f fifo
 	defer func() {
 		if recover() == nil {
 			t.Fatal("pop from empty fifo did not panic")
 		}
 	}()
-	f.pop()
+	f.pop(make([]Flit, 1))
 }
 
 func TestOutLaneFree(t *testing.T) {
-	o := outLane{fifo: newFifo(2), credits: 2, boundIn: noRef}
-	if !o.free() {
+	o := outLane{credits: 2, boundIn: noRef}
+	buf := make([]Flit, 2)
+	if !o.free(len(buf)) {
 		t.Fatal("fresh lane not free")
 	}
 	o.boundIn = packRef(1, 0)
-	if o.free() {
+	if o.free(len(buf)) {
 		t.Fatal("bound lane reported free")
 	}
 	o.boundIn = noRef
-	o.push(Flit{})
-	o.push(Flit{})
-	if o.free() {
+	o.push(buf, Flit{})
+	o.push(buf, Flit{})
+	if o.free(len(buf)) {
 		t.Fatal("full lane reported free")
 	}
 }

@@ -1,51 +1,60 @@
 package wormhole
 
-// fifo is a fixed-capacity ring buffer of flits — the buffer space of one
-// virtual-channel lane (4 flits in the paper's experiments). Buffers are
-// carved from the fabric's flit arena at construction; the per-cycle
-// operations below never allocate.
+// fifo is the ring-buffer state of one virtual-channel lane: the index
+// of the oldest flit and the number buffered. The flits themselves live
+// in the fabric's in/out flit arenas, where lane id's ring is the slot
+// [id*BufDepth, (id+1)*BufDepth); every operation takes that slot as
+// buf, whose length is the buffer depth (4 flits in the paper's
+// experiments). Both counters are uint16, which is why Config.BufDepth
+// is bounded by math.MaxUint16. The per-cycle operations never
+// allocate.
 //
 //smartlint:shardowned
 type fifo struct {
-	buf  []Flit
-	head int
-	n    int
+	head, n uint16
 }
 
-func newFifo(depth int) fifo { return fifo{buf: make([]Flit, depth)} }
+func (q *fifo) len() int { return int(q.n) }
 
-func (f *fifo) cap() int   { return len(f.buf) }
-func (f *fifo) len() int   { return f.n }
-func (f *fifo) full() bool { return f.n == len(f.buf) }
+// full reports whether a buffer of the given depth has no free slot.
+func (q *fifo) full(depth int) bool { return int(q.n) == depth }
 
 // front returns a pointer to the oldest flit; it must not be called on an
 // empty fifo.
 //
 //smartlint:hotpath
-func (f *fifo) front() *Flit { return &f.buf[f.head] }
+func (q *fifo) front(buf []Flit) *Flit { return &buf[q.head] }
 
 //smartlint:hotpath
-func (f *fifo) push(fl Flit) {
-	if f.full() {
+func (q *fifo) push(buf []Flit, fl Flit) {
+	if int(q.n) == len(buf) {
 		panic("wormhole: push into full lane buffer")
 	}
-	i := f.head + f.n
-	if i >= len(f.buf) {
-		i -= len(f.buf)
+	i := int(q.head) + int(q.n)
+	if i >= len(buf) {
+		i -= len(buf)
 	}
-	f.buf[i] = fl
-	f.n++
+	buf[i] = fl
+	q.n++
 }
 
 //smartlint:hotpath
-func (f *fifo) pop() Flit {
-	if f.n == 0 {
+func (q *fifo) pop(buf []Flit) Flit {
+	if q.n == 0 {
 		panic("wormhole: pop from empty lane buffer")
 	}
-	fl := f.buf[f.head]
-	f.head = ringNext(f.head, len(f.buf))
-	f.n--
+	fl := buf[q.head]
+	q.head = uint16(ringNext(int(q.head), len(buf)))
+	q.n--
 	return fl
+}
+
+// at returns the i-th buffered flit counted from the front.
+func (q *fifo) at(buf []Flit, i int) *Flit {
+	if i < 0 || i >= int(q.n) {
+		panic("wormhole: fifo index out of range")
+	}
+	return &buf[(int(q.head)+i)%len(buf)]
 }
 
 // ringNext returns (i+1) mod n for i in [0, n) without a division.
@@ -59,56 +68,68 @@ func ringNext(i, n int) int {
 	return i
 }
 
-// inLane is the input buffer of one virtual channel: flits arriving from
-// the upstream link wait here for the crossbar. bound identifies the
-// output lane the current packet was allocated (noRef while the header is
-// still unrouted or the lane is empty). The router/port/lane coordinates
-// are fixed at construction so the crossbar and routing stages, which
-// reach lanes through flat-index work lists, can recover them without a
-// reverse lookup.
+// inLane is the 16-byte header of one virtual channel's input buffer:
+// flits arriving from the upstream link wait here for the crossbar.
+// bound identifies the output lane the current packet was allocated
+// (noRef while the header is still unrouted or the lane is empty). The
+// router and the lane's own (port, lane) pair, self, are fixed at
+// construction so the crossbar and routing stages, which reach lanes
+// through flat-index work lists, can recover them without a reverse
+// lookup.
+//
+// lastIn is the cycle the newest buffered flit entered the lane, the
+// only state the one-stage-per-cycle rule needs: at most one flit
+// enters a lane per cycle, so the flit that landed this cycle is the
+// front exactly when it is the only one buffered (see arrivedNow).
+// Output lanes need no stamp: only the crossbar fills them, and it runs
+// after the link stage that drains them.
 //
 //smartlint:shardowned
 type inLane struct {
-	fifo
-	bound  laneRef
 	router int32
-	port   int16
-	lane   int16
+	lastIn int32
+	bound  laneRef
+	self   laneRef
+	fifo
 }
 
-// at returns the i-th buffered flit counted from the front.
-func (f *fifo) at(i int) *Flit {
-	if i < 0 || i >= f.n {
-		panic("wormhole: fifo index out of range")
-	}
-	return &f.buf[(f.head+i)%len(f.buf)]
+// arrivedNow reports whether the lane's front flit entered it during
+// cycle, so no later stage may advance it before the next cycle. A
+// link or wire arrival lands in the link stage, ahead of the crossbar
+// and routing stages that would move it; an injected flit lands after
+// them, so its stamp never matches a later cycle's check.
+//
+//smartlint:hotpath
+func (l *inLane) arrivedNow(cycle int64) bool {
+	return l.n == 1 && int64(l.lastIn) == cycle
 }
 
 // holdsWholePacket reports whether the lane buffers every flit of the
 // packet whose header sits at the front — the store-and-forward gate.
-func (l *inLane) holdsWholePacket(pk *PacketInfo) bool {
-	if l.n < int(pk.Flits) {
+// buf is the lane's arena slot.
+func (l *inLane) holdsWholePacket(buf []Flit, pk *PacketInfo) bool {
+	if int(l.n) < int(pk.Flits) {
 		return false
 	}
-	tail := l.at(int(pk.Flits) - 1)
-	return tail.Kind.IsTail() && tail.Packet == l.front().Packet
+	tail := l.at(buf, int(pk.Flits)-1)
+	return tail.Kind.IsTail() && tail.Packet == l.front(buf).Packet
 }
 
-// outLane is the output buffer of one virtual channel. credits counts the
-// free positions in the matching input lane across the link, initialized
-// to the buffer depth, decremented when the link transmits a flit and
-// incremented when the ack line reports the remote lane forwarded one.
-// boundIn identifies the input lane currently switched onto this lane
-// through the crossbar.
+// outLane is the 8-byte header of one virtual channel's output buffer.
+// credits counts the free positions in the matching input lane across
+// the link, initialized to the buffer depth, decremented when the link
+// transmits a flit and incremented when the ack line reports the remote
+// lane forwarded one. boundIn identifies the input lane currently
+// switched onto this lane through the crossbar.
 //
 //smartlint:shardowned
 type outLane struct {
 	fifo
-	credits int16
+	credits uint16
 	boundIn laneRef
 }
 
 // free reports whether a header may be allocated to this output lane: the
 // paper requires a lane that is "neither full nor bound to another input
-// lane".
-func (o *outLane) free() bool { return o.boundIn == noRef && !o.full() }
+// lane". depth is the buffer depth.
+func (o *outLane) free(depth int) bool { return o.boundIn == noRef && !o.full(depth) }

@@ -3,11 +3,13 @@ package wormhole
 // This file is the fabric's half of the differential-oracle contract
 // (internal/oracle): a canonical per-cycle observation that two
 // independent implementations of the paper's cycle semantics can compute
-// and compare bit for bit. The observation deliberately digests *all*
-// mutable simulator state — lane buffers with per-flit stamps, credit
-// counters, crossbar bindings, arbitration pointers, NIC streams and
-// wire pipelines — so the first divergent cycle is caught at the cycle
-// it happens, not cycles later when it surfaces in a counter.
+// and compare bit for bit. The observation digests all mutable simulator
+// state that can affect a later cycle — lane buffers, credit counters,
+// crossbar bindings, arbitration pointers, NIC streams and wire
+// pipelines — so the first divergent cycle is caught at the cycle it
+// happens, not cycles later when it surfaces in a counter. Pipeline
+// stamps are left out: after a cycle ends every stamp is at most that
+// cycle, so none can hold a flit in the future.
 
 // CycleObs is a snapshot of a simulator's externally meaningful state at
 // the end of a cycle. Two implementations agree on a cycle exactly when
@@ -64,11 +66,12 @@ func (d *Digest) Int(v int64) {
 // Sum returns the digest value.
 func (d *Digest) Sum() uint64 { return d.h }
 
-// Flit folds one buffered flit into the digest.
+// Flit folds one buffered flit into the digest: its packet, sequence
+// number and kind. Implementations that stamp flits or lanes with
+// pipeline cycles leave the stamps out (see the file comment).
 func (d *Digest) Flit(fl Flit) {
 	d.Int(int64(fl.Packet))
 	d.Int(int64(fl.Seq))
-	d.Int(int64(fl.MovedAt))
 	d.Int(int64(fl.Kind))
 }
 
@@ -154,13 +157,13 @@ type Gauges struct {
 func (f *Fabric) ReadGauges() Gauges {
 	var g Gauges
 	for i := range f.in {
-		if n := f.in[i].n; n > 0 {
+		if n := f.in[i].len(); n > 0 {
 			g.OccupiedLanes++
 			g.BufferedFlits += n
 		}
 	}
 	for i := range f.out {
-		if n := f.out[i].n; n > 0 {
+		if n := f.out[i].len(); n > 0 {
 			g.OccupiedLanes++
 			g.BufferedFlits += n
 		}
@@ -189,30 +192,28 @@ func (f *Fabric) Observe() CycleObs {
 	d := NewDigest()
 	nPorts := len(f.ports)
 	for pid := 0; pid < nPorts; pid++ {
-		inLanes := f.inLanesOf(pid)
-		for l := range inLanes {
-			il := &inLanes[l]
+		for id := f.inOff[pid]; id < f.inOff[pid+1]; id++ {
+			il, buf := &f.in[id], f.inSlot(id)
 			bp, bl := -1, -1
 			if il.bound != noRef {
 				bp, bl = il.bound.unpack()
 			}
-			d.InLane(il.n, bp, bl, func(i int) Flit { return *il.at(i) })
+			d.InLane(il.len(), bp, bl, func(i int) Flit { return *il.at(buf, i) })
 			if il.n > 0 {
 				obs.OccupiedLanes++
-				obs.BufferedFlits += il.n
+				obs.BufferedFlits += il.len()
 			}
 		}
-		outLanes := f.outLanesOf(pid)
-		for l := range outLanes {
-			ol := &outLanes[l]
+		for id := f.outOff[pid]; id < f.outOff[pid+1]; id++ {
+			ol, buf := &f.out[id], f.outSlot(id)
 			bp, bl := -1, -1
 			if ol.boundIn != noRef {
 				bp, bl = ol.boundIn.unpack()
 			}
-			d.OutLane(ol.n, int(ol.credits), bp, bl, func(i int) Flit { return *ol.at(i) })
+			d.OutLane(ol.len(), int(ol.credits), bp, bl, func(i int) Flit { return *ol.at(buf, i) })
 			if ol.n > 0 {
 				obs.OccupiedLanes++
-				obs.BufferedFlits += ol.n
+				obs.BufferedFlits += ol.len()
 			}
 		}
 	}

@@ -15,14 +15,14 @@ package wormhole
 //	  deferred credits.
 //
 // The result is bit-identical to the single-shard schedule: a flit
-// arriving over a link is stamped MovedAt == cycle, so the same-cycle
-// crossbar and routing stages skip it whether it is physically present
-// (local push) or still in a mailbox (deferred push) — the one
-// observable skew, the store-and-forward whole-packet gate, forces a
-// single shard. Credits are commutative integer increments applied at
-// end of cycle in both schedules. Counters are per-shard and summed on
-// read, which is exact for integers. See the determinism argument in
-// DESIGN.md §12.
+// arriving over a link is invisible to the same-cycle crossbar and
+// routing stages whether it is physically present (local push: it is
+// either behind the front or the front its lane's arrival stamp holds)
+// or still in a mailbox (deferred push) — the one observable skew, the
+// store-and-forward whole-packet gate, forces a single shard. Credits
+// are commutative integer increments applied at end of cycle in both
+// schedules. Counters are per-shard and summed on read, which is exact
+// for integers. See the determinism argument in DESIGN.md §12.
 
 import (
 	"fmt"
@@ -258,7 +258,7 @@ func (f *Fabric) commitShard(sh *shardState, cycle int64) {
 	for i := range f.shards {
 		src := &f.shards[i]
 		for _, a := range src.mailFlits[sh.id] {
-			f.pushIn(sh, a.lane, a.fl)
+			f.pushIn(sh, a.lane, a.fl, cycle)
 		}
 		src.mailFlits[sh.id] = src.mailFlits[sh.id][:0]
 		for _, c := range src.mailCredits[sh.id] {

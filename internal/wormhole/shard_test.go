@@ -101,9 +101,9 @@ func TestShardMailboxDrainAscendingSourceOrder(t *testing.T) {
 	}
 	dst := &f.shards[1]
 	lane := dst.inLo
-	stage := func(src int, seq int32) {
+	stage := func(src int, seq uint16) {
 		sh := &f.shards[src]
-		sh.mailFlits[dst.id] = append(sh.mailFlits[dst.id], arrival{lane: lane, fl: Flit{Seq: seq, MovedAt: 7}})
+		sh.mailFlits[dst.id] = append(sh.mailFlits[dst.id], arrival{lane: lane, fl: Flit{Seq: seq}})
 	}
 	// Staged out of source order; source 0 stages two flits so the
 	// per-source FIFO property is observable too.
@@ -113,12 +113,15 @@ func TestShardMailboxDrainAscendingSourceOrder(t *testing.T) {
 	stage(2, 20)
 	f.commitShard(dst, 7)
 	il := &f.in[lane]
-	want := []int32{1, 2, 20, 30}
+	want := []uint16{1, 2, 20, 30}
 	if il.len() != len(want) {
 		t.Fatalf("destination lane holds %d flits after commit, want %d", il.len(), len(want))
 	}
+	if il.lastIn != 7 {
+		t.Fatalf("destination lane stamped cycle %d after the cycle-7 commit", il.lastIn)
+	}
 	for i, seq := range want {
-		if got := il.at(i).Seq; got != seq {
+		if got := il.at(f.inSlot(lane), i).Seq; got != seq {
 			t.Fatalf("lane position %d holds seq %d, want %d: drain is not ascending by source shard", i, got, seq)
 		}
 	}

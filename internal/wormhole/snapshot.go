@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"smart/internal/sim"
+	"smart/internal/topology"
 )
 
 // The fabric is the engine watchdog's canonical target: flit movements
@@ -60,9 +61,8 @@ type BlockedHeader struct {
 	// seeded-fault regression keys on it — a fault-oblivious algorithm
 	// wedges a worm against the cut and the post-mortem must say so.
 	AtFault bool
-	// FrontAge is the number of cycles since the lane's front flit last
-	// advanced a pipeline stage.
-	FrontAge int64
+	// Age is the age of the lane holding the header (LaneState.Age).
+	Age int64
 }
 
 // DownLink names one masked physical link by its canonical (lower
@@ -85,6 +85,13 @@ type LaneState struct {
 	// Bound reports a live crossbar binding (in: allocated an output
 	// lane; out: claimed by an input lane).
 	Bound bool
+	// Age is the number of cycles since a flit last entered the input
+	// lane at the receiving end of this lane's virtual channel: the lane
+	// itself, or for an output lane on a router link the input lane
+	// across it. Ejection lanes, which end in the NIC, report -1. In a
+	// stall every age is at least the no-progress budget, and the
+	// largest mark where the blockage formed.
+	Age int64
 }
 
 // StallSnapshot is the fabric post-mortem attached to a sim.StallError:
@@ -149,20 +156,22 @@ func (f *Fabric) snapshot() *StallSnapshot {
 			s.DownLinks = append(s.DownLinks, DownLink{Router: pid / f.deg, Port: pid % f.deg})
 		}
 	}
+	depth := f.Cfg.BufDepth
 	for pid := range f.ports {
 		r, p := pid/f.deg, pid%f.deg
-		inLanes := f.inLanesOf(pid)
-		for l := range inLanes {
-			il := &inLanes[l]
+		port := f.ports[pid]
+		for l, id := 0, f.inOff[pid]; id < f.inOff[pid+1]; l, id = l+1, id+1 {
+			il, buf := &f.in[id], f.inSlot(id)
 			if il.n == 0 {
 				continue
 			}
+			age := f.cycle - int64(il.lastIn)
 			s.recordLane(LaneState{
 				Router: r, Port: p, Lane: l, Dir: "in",
-				Flits: il.n, Depth: il.cap(), Credits: -1, Bound: il.bound != noRef,
+				Flits: il.len(), Depth: depth, Credits: -1, Bound: il.bound != noRef, Age: age,
 			})
-			for i := 0; i < il.n; i++ {
-				fl := il.at(i)
+			for i := 0; i < il.len(); i++ {
+				fl := il.at(buf, i)
 				if !fl.Kind.IsHead() {
 					continue
 				}
@@ -179,25 +188,28 @@ func (f *Fabric) snapshot() *StallSnapshot {
 				s.recordHeader(BlockedHeader{
 					Router: r, Port: p, Lane: l,
 					Packet: fl.Packet, Src: int(pk.Src), Dst: int(pk.Dst), Hops: int(pk.Hops),
-					Routed:   i == 0 && il.bound != noRef,
-					AtFault:  atFault,
-					FrontAge: f.cycle - int64(il.front().MovedAt),
+					Routed:  i == 0 && il.bound != noRef,
+					AtFault: atFault,
+					Age:     age,
 				})
 				break // one header per lane is enough to seed the diagnosis
 			}
 		}
-		outLanes := f.outLanesOf(pid)
-		for l := range outLanes {
-			ol := &outLanes[l]
-			if ol.n == 0 && int(ol.credits) == f.Cfg.BufDepth && ol.boundIn == noRef {
+		for l, id := 0, f.outOff[pid]; id < f.outOff[pid+1]; l, id = l+1, id+1 {
+			ol, buf := &f.out[id], f.outSlot(id)
+			if ol.n == 0 && int(ol.credits) == depth && ol.boundIn == noRef {
 				continue
+			}
+			age := int64(-1)
+			if port.Kind == topology.PortRouter {
+				age = f.cycle - int64(f.inLaneAt(port.Peer, port.PeerPort, l).lastIn)
 			}
 			s.recordLane(LaneState{
 				Router: r, Port: p, Lane: l, Dir: "out",
-				Flits: ol.n, Depth: ol.cap(), Credits: int(ol.credits), Bound: ol.boundIn != noRef,
+				Flits: ol.len(), Depth: depth, Credits: int(ol.credits), Bound: ol.boundIn != noRef, Age: age,
 			})
-			for i := 0; i < ol.n; i++ {
-				fl := ol.at(i)
+			for i := 0; i < ol.len(); i++ {
+				fl := ol.at(buf, i)
 				if !fl.Kind.IsHead() {
 					continue
 				}
@@ -209,9 +221,9 @@ func (f *Fabric) snapshot() *StallSnapshot {
 				s.recordHeader(BlockedHeader{
 					Router: r, Port: p, Lane: l, Out: true,
 					Packet: fl.Packet, Src: int(pk.Src), Dst: int(pk.Dst), Hops: int(pk.Hops),
-					Routed:   true,
-					AtFault:  atFault,
-					FrontAge: f.cycle - int64(ol.front().MovedAt),
+					Routed:  true,
+					AtFault: atFault,
+					Age:     age,
 				})
 				break
 			}
@@ -249,8 +261,8 @@ func (s *StallSnapshot) String() string {
 		if h.Out {
 			where = "at out lane"
 		}
-		fmt.Fprintf(&b, "\n  header of packet %d (%d->%d, %d hops, %s%s) blocked %s router %d port %d lane %d for %d cycles",
-			h.Packet, h.Src, h.Dst, h.Hops, state, fault, where, h.Router, h.Port, h.Lane, h.FrontAge)
+		fmt.Fprintf(&b, "\n  header of packet %d (%d->%d, %d hops, %s%s) blocked %s router %d port %d lane %d%s",
+			h.Packet, h.Src, h.Dst, h.Hops, state, fault, where, h.Router, h.Port, h.Lane, ageText(h.Age))
 	}
 	if n := s.BlockedTotal - len(s.Blocked); n > 0 {
 		fmt.Fprintf(&b, "\n  ... and %d more blocked headers", n)
@@ -261,15 +273,24 @@ func (s *StallSnapshot) String() string {
 			bound = ", bound"
 		}
 		if l.Dir == "out" {
-			fmt.Fprintf(&b, "\n  out lane router %d port %d lane %d: %d/%d flits, %d credits%s",
-				l.Router, l.Port, l.Lane, l.Flits, l.Depth, l.Credits, bound)
+			fmt.Fprintf(&b, "\n  out lane router %d port %d lane %d: %d/%d flits, %d credits%s%s",
+				l.Router, l.Port, l.Lane, l.Flits, l.Depth, l.Credits, bound, ageText(l.Age))
 		} else {
-			fmt.Fprintf(&b, "\n  in lane router %d port %d lane %d: %d/%d flits%s",
-				l.Router, l.Port, l.Lane, l.Flits, l.Depth, bound)
+			fmt.Fprintf(&b, "\n  in lane router %d port %d lane %d: %d/%d flits%s%s",
+				l.Router, l.Port, l.Lane, l.Flits, l.Depth, bound, ageText(l.Age))
 		}
 	}
 	if n := s.LanesTotal - len(s.Lanes); n > 0 {
 		fmt.Fprintf(&b, "\n  ... and %d more non-idle lanes", n)
 	}
 	return b.String()
+}
+
+// ageText renders a lane age for String; an unknown age (-1) prints
+// nothing.
+func ageText(age int64) string {
+	if age < 0 {
+		return ""
+	}
+	return fmt.Sprintf(", last flit landed %d cycles ago", age)
 }

@@ -93,32 +93,35 @@ func TestRouteEveryValidation(t *testing.T) {
 }
 
 func TestFifoAt(t *testing.T) {
-	f := newFifo(3)
-	f.push(Flit{Seq: 0})
-	f.push(Flit{Seq: 1})
-	f.pop()
-	f.push(Flit{Seq: 2}) // wraps the ring
-	if f.at(0).Seq != 1 || f.at(1).Seq != 2 {
-		t.Fatalf("at() wrong across wrap: %d %d", f.at(0).Seq, f.at(1).Seq)
+	var f fifo
+	buf := make([]Flit, 3)
+	f.push(buf, Flit{Seq: 0})
+	f.push(buf, Flit{Seq: 1})
+	f.pop(buf)
+	f.push(buf, Flit{Seq: 2})
+	f.push(buf, Flit{Seq: 3}) // wraps the ring
+	if f.at(buf, 0).Seq != 1 || f.at(buf, 1).Seq != 2 || f.at(buf, 2).Seq != 3 {
+		t.Fatalf("at() wrong across wrap: %d %d %d", f.at(buf, 0).Seq, f.at(buf, 1).Seq, f.at(buf, 2).Seq)
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-range at() did not panic")
 		}
 	}()
-	f.at(2)
+	f.at(buf, 3)
 }
 
 func TestHoldsWholePacket(t *testing.T) {
-	l := inLane{fifo: newFifo(4), bound: noRef}
+	l := inLane{bound: noRef}
+	buf := make([]Flit, 4)
 	pk := PacketInfo{Flits: 3}
-	l.push(Flit{Packet: 1, Seq: 0, Kind: FlitHead})
-	if l.holdsWholePacket(&pk) {
+	l.push(buf, Flit{Packet: 1, Seq: 0, Kind: FlitHead})
+	if l.holdsWholePacket(buf, &pk) {
 		t.Fatal("partial packet reported whole")
 	}
-	l.push(Flit{Packet: 1, Seq: 1})
-	l.push(Flit{Packet: 1, Seq: 2, Kind: FlitTail})
-	if !l.holdsWholePacket(&pk) {
+	l.push(buf, Flit{Packet: 1, Seq: 1})
+	l.push(buf, Flit{Packet: 1, Seq: 2, Kind: FlitTail})
+	if !l.holdsWholePacket(buf, &pk) {
 		t.Fatal("complete packet not recognized")
 	}
 }
