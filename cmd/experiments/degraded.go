@@ -56,7 +56,7 @@ func (g *grid) runDegraded() error {
 			if err != nil {
 				return err
 			}
-			row := results.Summarize(sc.label, swept, 0.02)
+			row := results.Summarize(sc.label, swept)
 			sat := fmt.Sprintf("%.2f", row.SaturationFrac)
 			if !row.Saturated {
 				sat = ">" + sat

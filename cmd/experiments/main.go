@@ -195,7 +195,7 @@ func (g *grid) run(quick, degraded, ablate bool) error {
 	var rows [][]string
 	for _, p := range patterns {
 		for _, label := range labels {
-			row := results.Summarize(label, sweeps[sweepKey{p, label}], 0.02)
+			row := results.Summarize(label, sweeps[sweepKey{p, label}])
 			measured := fmt.Sprintf("%.2f", row.SaturationFrac)
 			if !row.Saturated {
 				measured = ">" + measured

@@ -35,6 +35,7 @@ import (
 	"smart/internal/chanstats"
 	"smart/internal/cli"
 	"smart/internal/core"
+	"smart/internal/metrics"
 	"smart/internal/topology"
 	"smart/internal/trace"
 )
@@ -136,7 +137,7 @@ func report(sm *core.Simulation, res core.Result) {
 			fmt.Printf("                 %d headers rerouted around fault masks\n", rr.Rerouted())
 		}
 	}
-	if s.CreatedLoad-s.Accepted > 0.02 {
+	if s.Deficit() > metrics.Tolerance {
 		fmt.Println()
 		fmt.Println("the network is saturated at this offered load")
 	}

@@ -54,6 +54,7 @@ import (
 
 	"smart/internal/cli"
 	"smart/internal/core"
+	"smart/internal/metrics"
 	"smart/internal/plot"
 	"smart/internal/results"
 )
@@ -128,11 +129,11 @@ func run(cfg core.Config, loads []float64, opts core.Options, flags *cli.Flags, 
 	}
 
 	series := core.SeriesOf(swept)
-	sat, saturated := series.Saturation(0.02)
+	sat, saturated := series.Saturation(metrics.Tolerance)
 	fmt.Println()
 	if saturated {
 		fmt.Printf("saturation at %.0f%% of capacity", 100*sat)
-		if stability, ok := series.PostSaturationStability(0.02); ok {
+		if stability, ok := series.PostSaturationStability(metrics.Tolerance); ok {
 			fmt.Printf("; post-saturation throughput stability %.2f (1.00 = flat)", stability)
 		}
 		fmt.Println()

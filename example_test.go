@@ -49,7 +49,7 @@ func ExampleSweep() {
 		return
 	}
 	series := smart.SeriesOf(results)
-	if _, saturated := series.Saturation(0.02); saturated {
+	if _, saturated := series.Saturation(smart.Tolerance); saturated {
 		fmt.Println("the network saturates inside the sweep")
 	} else {
 		fmt.Println("stable across the sweep")

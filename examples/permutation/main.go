@@ -8,8 +8,8 @@
 // the network sustains nearly its full capacity — while the same pattern
 // is the worst case for the cube, whose bisection every packet must
 // cross. This example contrasts the two networks in simulation at a high
-// offered load, then verifies the congestion-free property analytically:
-// with the canonical "straight-up" ascent, complement descents are
+// offered load, then verifies the congestion-free property analytically
+// with traffic.CongestionFree: with the canonical "straight-up" ascent, complement descents are
 // link-disjoint while transpose descents collide.
 package main
 
@@ -59,53 +59,13 @@ func main() {
 	}
 	fmt.Println()
 	fmt.Println("analytic check (digit-aligned ascent, forced descent):")
-	fmt.Printf("  max complement flows per descending link: %d  (1 = congestion-free)\n", maxDownLinkLoad(tree, complement))
-	fmt.Printf("  max transpose  flows per descending link: %d  (>1 = contention)\n", maxDownLinkLoad(tree, transpose))
-}
-
-// maxDownLinkLoad routes every flow of the permutation along one
-// particular minimal path — the digit-aligned ascent, which sets the
-// label digit freed at each level l to the source's own digit l, then the
-// forced down ports — and returns the maximum number of flows sharing any
-// descending link. For the complement this assignment realizes Heller's
-// congestion-free routing: two colliding flows would need sources
-// agreeing on the ascent digits below the collision level and on the
-// (complemented) destination digits at and above it, which pins every
-// digit and makes the flows identical.
-func maxDownLinkLoad(t *topology.Tree, p traffic.Pattern) int {
-	type link struct{ sw, port int }
-	load := map[link]int{}
-	worst := 0
-	for src := 0; src < t.Nodes(); src++ {
-		dst := p.Dest(src, nil)
-		if dst == src {
-			continue
+	worst := func(p traffic.Pattern) int {
+		_, w, err := traffic.CongestionFree(tree, p)
+		if err != nil {
+			log.Fatal(err)
 		}
-		m := t.NCALevel(src, dst)
-		// The ascent frees label digits 0..m-1; the digit-aligned choice
-		// sets each to the source's same-index digit, so the NCA reached
-		// has label digits: src[i] for i < m, src[i+1] (== dst[i+1]) for
-		// i >= m.
-		label := 0
-		for i := t.N - 2; i >= 0; i-- {
-			digit := t.Digit(src, i+1)
-			if i < m {
-				digit = t.Digit(src, i)
-			}
-			label = label*t.K + digit
-		}
-		sw := t.SwitchIndex(m, label)
-		for level := m; level >= 0; level-- {
-			port := t.DownPortTo(level, dst)
-			l := link{sw, port}
-			load[l]++
-			if load[l] > worst {
-				worst = load[l]
-			}
-			if level > 0 {
-				sw = t.RouterPorts(sw)[port].Peer
-			}
-		}
+		return w
 	}
-	return worst
+	fmt.Printf("  max complement flows per descending link: %d  (1 = congestion-free)\n", worst(complement))
+	fmt.Printf("  max transpose  flows per descending link: %d  (>1 = contention)\n", worst(transpose))
 }

@@ -40,7 +40,7 @@ func main() {
 	fmt.Printf("packets          %d delivered over %d measured cycles\n",
 		res.Sample.PacketsDelivered, res.Config.Horizon-res.Config.Warmup)
 
-	if res.Sample.Offered-res.Sample.Accepted < 0.02 {
+	if res.Sample.Deficit() <= smart.Tolerance {
 		fmt.Println("\nthe network is below saturation: accepted tracks offered")
 	} else {
 		fmt.Println("\nthe network is saturated at this load")

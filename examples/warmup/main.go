@@ -5,18 +5,19 @@
 // The methodology (§4) collects statistics only after 2000 cycles "to
 // allow the network to reach steady state". This example samples the
 // 16-ary 2-cube's delivered throughput every 250 cycles under uniform
-// traffic at a demanding load, charts the ramp, and reports the first
-// sampled cycle from which throughput stays within 10% of its final
-// value.
+// traffic at a demanding load with the telemetry flight recorder, charts
+// the ramp, and reports the first sampled cycle from which throughput
+// stays within 10% of its final value.
 package main
 
 import (
 	"fmt"
 	"log"
 
+	"smart/internal/analysis"
 	"smart/internal/core"
-	"smart/internal/metrics"
 	"smart/internal/plot"
+	"smart/internal/telemetry"
 )
 
 func main() {
@@ -34,21 +35,22 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ts, err := metrics.NewTimeSeries(sm.Fabric, 250)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ts.Register(sm.Engine)
+	sp := telemetry.NewSampler(sm.Fabric, sm.Engine, telemetry.RunInfo{}, telemetry.Config{Every: 250})
+	sp.Register(sm.Engine)
 	if _, err := sm.Run(); err != nil {
 		log.Fatal(err)
 	}
+	rates, err := analysis.Rates(telemetry.RecordOf(sp))
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	points := ts.Points()
-	xs := make([]float64, len(points))
-	ys := make([]float64, len(points))
-	for i, p := range points {
-		xs[i] = float64(p.Cycle)
-		ys[i] = p.Throughput
+	nodes := float64(sm.Top.Nodes())
+	xs := make([]float64, len(rates))
+	ys := make([]float64, len(rates))
+	for i, r := range rates {
+		xs[i] = float64(r.Cycle)
+		ys[i] = r.DeliveryRate / nodes
 	}
 	chart := plot.Chart{
 		Title:  fmt.Sprintf("throughput ramp, %s at %.0f%% load", sm.Config.Label(), 100*cfg.Load),
@@ -62,7 +64,7 @@ func main() {
 	}
 	fmt.Print(out)
 	fmt.Println()
-	if cycle, ok := ts.SteadyStateBy(0.10); ok {
+	if cycle, ok := analysis.SteadyFrom(rates, 0.10); ok {
 		fmt.Printf("throughput within 10%% of its final value from cycle %d on\n", cycle)
 		if cycle <= cfg.Warmup {
 			fmt.Printf("=> the paper's %d-cycle warm-up is sufficient at this load\n", cfg.Warmup)
@@ -70,6 +72,6 @@ func main() {
 			fmt.Printf("=> the paper's %d-cycle warm-up would still carry transient\n", cfg.Warmup)
 		}
 	} else {
-		fmt.Println("throughput never settled within 10% (expect this above saturation)")
+		fmt.Println("no steady state: the run recorded under two intervals or delivered nothing in its last")
 	}
 }

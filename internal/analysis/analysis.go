@@ -1,112 +1,16 @@
 // Package analysis computes offline statistics over a finished
-// simulation's packet table: latency distributions, per-node throughput
-// fairness, and the latency-versus-distance profile. These go beyond the
-// paper's two headline metrics (accepted bandwidth and mean latency) and
-// support the stability arguments of §6 — a stable network above
-// saturation should degrade fairly and predictably.
+// simulation: the latency-versus-distance profile from its packet table,
+// and per-interval rates and the steady-state onset from a telemetry
+// recording (series.go).
 package analysis
 
 import (
 	"fmt"
-	"math"
 
 	"smart/internal/order"
 	"smart/internal/topology"
 	"smart/internal/wormhole"
 )
-
-// windowPackets invokes fn for every packet delivered inside [start, end).
-func windowPackets(f *wormhole.Fabric, start, end int64, fn func(*wormhole.PacketInfo)) {
-	for i := range f.Packets {
-		pk := &f.Packets[i]
-		if !pk.Delivered() || pk.TailAt < start || pk.TailAt >= end {
-			continue
-		}
-		fn(pk)
-	}
-}
-
-// LatencyBucket is one bin of a power-of-two latency histogram.
-type LatencyBucket struct {
-	// Lo and Hi bound the bin: Lo <= latency < Hi.
-	Lo, Hi int64
-	Count  int64
-}
-
-// LatencyHistogram bins the network latencies of packets delivered in the
-// window into power-of-two buckets starting at [1, 2).
-func LatencyHistogram(f *wormhole.Fabric, start, end int64) ([]LatencyBucket, error) {
-	if end <= start {
-		return nil, fmt.Errorf("analysis: empty window [%d, %d)", start, end)
-	}
-	var buckets []LatencyBucket
-	windowPackets(f, start, end, func(pk *wormhole.PacketInfo) {
-		lat := pk.NetworkLatency()
-		idx := 0
-		for lo := int64(1); lo*2 <= lat; lo *= 2 {
-			idx++
-		}
-		for len(buckets) <= idx {
-			lo := int64(1) << uint(len(buckets))
-			buckets = append(buckets, LatencyBucket{Lo: lo, Hi: lo * 2})
-		}
-		buckets[idx].Count++
-	})
-	return buckets, nil
-}
-
-// Fairness summarizes how evenly the delivered throughput is spread over
-// the participating nodes.
-type Fairness struct {
-	// JainIndex is Jain's fairness index over per-source delivered
-	// packet counts: 1.0 is perfectly fair, 1/n is maximally unfair.
-	JainIndex float64
-	// MinShare and MaxShare are the smallest and largest per-source
-	// counts divided by the mean.
-	MinShare, MaxShare float64
-	// Sources is the number of nodes that delivered at least one packet.
-	Sources int
-}
-
-// SourceFairness computes throughput fairness over packets delivered in
-// the window, grouped by source node. Nodes that sent nothing (e.g. the
-// palindrome fixed points of bit-reversal) are excluded: the paper treats
-// them as non-participants, not starved senders.
-func SourceFairness(f *wormhole.Fabric, start, end int64) (Fairness, error) {
-	if end <= start {
-		return Fairness{}, fmt.Errorf("analysis: empty window [%d, %d)", start, end)
-	}
-	counts := make([]float64, f.Top.Nodes())
-	windowPackets(f, start, end, func(pk *wormhole.PacketInfo) {
-		counts[pk.Src]++
-	})
-	var sum, sumSq float64
-	var active []float64
-	for _, c := range counts {
-		//smartlint:allow floateq — counts are pure integer increments; zero is exact
-		if c == 0 {
-			continue
-		}
-		active = append(active, c)
-		sum += c
-		sumSq += c * c
-	}
-	if len(active) == 0 {
-		return Fairness{}, fmt.Errorf("analysis: no packets delivered in the window")
-	}
-	n := float64(len(active))
-	fair := Fairness{Sources: len(active)}
-	fair.JainIndex = sum * sum / (n * sumSq)
-	mean := sum / n
-	mn, mx := math.Inf(1), math.Inf(-1)
-	for _, c := range active {
-		mn = math.Min(mn, c)
-		mx = math.Max(mx, c)
-	}
-	fair.MinShare = mn / mean
-	fair.MaxShare = mx / mean
-	return fair, nil
-}
 
 // DistancePoint is the latency profile at one topological distance.
 type DistancePoint struct {
@@ -125,7 +29,11 @@ func LatencyByDistance(f *wormhole.Fabric, top topology.Topology, start, end int
 		return nil, fmt.Errorf("analysis: empty window [%d, %d)", start, end)
 	}
 	sums := map[int]*DistancePoint{}
-	windowPackets(f, start, end, func(pk *wormhole.PacketInfo) {
+	for i := range f.Packets {
+		pk := &f.Packets[i]
+		if !pk.Delivered() || pk.TailAt < start || pk.TailAt >= end {
+			continue
+		}
 		d := top.Distance(int(pk.Src), int(pk.Dst))
 		p := sums[d]
 		if p == nil {
@@ -134,54 +42,12 @@ func LatencyByDistance(f *wormhole.Fabric, top topology.Topology, start, end int
 		}
 		p.Packets++
 		p.MeanLatency += float64(pk.NetworkLatency())
-	})
+	}
 	out := make([]DistancePoint, 0, len(sums))
 	for _, d := range order.Keys(sums) {
 		p := sums[d]
 		p.MeanLatency /= float64(p.Packets)
 		out = append(out, *p)
-	}
-	return out, nil
-}
-
-// Percentiles extracts the given latency percentiles (0 < p <= 100) from
-// packets delivered in the window.
-func Percentiles(f *wormhole.Fabric, start, end int64, ps ...float64) ([]float64, error) {
-	if end <= start {
-		return nil, fmt.Errorf("analysis: empty window [%d, %d)", start, end)
-	}
-	var lats []int64
-	windowPackets(f, start, end, func(pk *wormhole.PacketInfo) {
-		lats = append(lats, pk.NetworkLatency())
-	})
-	if len(lats) == 0 {
-		return nil, fmt.Errorf("analysis: no packets delivered in the window")
-	}
-	// Counting sort over the (small-valued) latencies keeps this linear.
-	max := int64(0)
-	for _, l := range lats {
-		if l > max {
-			max = l
-		}
-	}
-	counts := make([]int64, max+1)
-	for _, l := range lats {
-		counts[l]++
-	}
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		if p <= 0 || p > 100 {
-			return nil, fmt.Errorf("analysis: percentile %v outside (0, 100]", p)
-		}
-		rank := int64(math.Ceil(p / 100 * float64(len(lats))))
-		var seen int64
-		for l, c := range counts {
-			seen += c
-			if seen >= rank {
-				out[i] = float64(l)
-				break
-			}
-		}
 	}
 	return out, nil
 }

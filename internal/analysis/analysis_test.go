@@ -1,11 +1,12 @@
 package analysis
 
 import (
-	"math"
 	"testing"
 
+	"smart/internal/core"
 	"smart/internal/routing"
 	"smart/internal/sim"
+	"smart/internal/telemetry"
 	"smart/internal/topology"
 	"smart/internal/traffic"
 	"smart/internal/wormhole"
@@ -40,112 +41,6 @@ func run(t *testing.T, rate float64, storeAndForward bool) (*wormhole.Fabric, *t
 	const horizon = 6000
 	e.Run(horizon)
 	return f, cube, horizon
-}
-
-func TestLatencyHistogramAccountsAllPackets(t *testing.T) {
-	f, _, horizon := run(t, 0.02, false)
-	buckets, err := LatencyHistogram(f, 0, horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total, delivered int64
-	for _, b := range buckets {
-		if b.Hi != b.Lo*2 {
-			t.Fatalf("bucket bounds wrong: %+v", b)
-		}
-		total += b.Count
-	}
-	for i := range f.Packets {
-		if f.Packets[i].Delivered() && f.Packets[i].TailAt < horizon {
-			delivered++
-		}
-	}
-	if total != delivered {
-		t.Fatalf("histogram holds %d packets, delivered %d", total, delivered)
-	}
-	// Sanity: every packet needs at least the worm length (8 flits), so
-	// the first buckets must be empty.
-	for _, b := range buckets {
-		if b.Hi <= 8 && b.Count > 0 {
-			t.Fatalf("impossible latency below the worm length: %+v", b)
-		}
-	}
-}
-
-func TestLatencyHistogramBinning(t *testing.T) {
-	f, _, horizon := run(t, 0.02, false)
-	buckets, err := LatencyHistogram(f, 0, horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Recompute one bucket by hand.
-	var want int64
-	for i := range f.Packets {
-		pk := &f.Packets[i]
-		if pk.Delivered() && pk.TailAt < horizon {
-			if l := pk.NetworkLatency(); l >= 16 && l < 32 {
-				want++
-			}
-		}
-	}
-	var got int64
-	for _, b := range buckets {
-		if b.Lo == 16 {
-			got = b.Count
-		}
-	}
-	if got != want {
-		t.Fatalf("bucket [16,32) holds %d, want %d", got, want)
-	}
-}
-
-func TestSourceFairnessUniform(t *testing.T) {
-	f, _, horizon := run(t, 0.05, false)
-	fair, err := SourceFairness(f, 0, horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fair.Sources != 16 {
-		t.Fatalf("%d active sources, want 16", fair.Sources)
-	}
-	if fair.JainIndex < 0.9 || fair.JainIndex > 1.0 {
-		t.Fatalf("uniform traffic Jain index %v, want near 1", fair.JainIndex)
-	}
-	if fair.MinShare > 1 || fair.MaxShare < 1 {
-		t.Fatalf("shares (%v, %v) must straddle the mean", fair.MinShare, fair.MaxShare)
-	}
-}
-
-func TestSourceFairnessSkewed(t *testing.T) {
-	// Hand-build a fabric where one node delivers far more than another:
-	// fairness must drop below the uniform case.
-	cube, _ := topology.NewCube(4, 2)
-	alg := routing.NewDuato(cube)
-	f, err := wormhole.NewFabric(cube, wormhole.Config{VCs: 4, BufDepth: 4, PacketFlits: 4, InjLanes: 1}, alg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := sim.NewEngine()
-	f.Register(e)
-	for i := 0; i < 9; i++ {
-		f.EnqueuePacket(0, 5, 0)
-	}
-	f.EnqueuePacket(1, 6, 0)
-	e.Run(3000)
-	fair, err := SourceFairness(f, 0, 3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fair.Sources != 2 {
-		t.Fatalf("%d sources, want 2", fair.Sources)
-	}
-	// Counts 9 and 1: Jain = (10)^2 / (2 * 82) = 0.6097...
-	if math.Abs(fair.JainIndex-100.0/164.0) > 1e-9 {
-		t.Fatalf("Jain index %v, want %v", fair.JainIndex, 100.0/164.0)
-	}
-	if fair.MinShare != 0.2 || fair.MaxShare != 1.8 {
-		t.Fatalf("shares (%v, %v), want (0.2, 1.8)", fair.MinShare, fair.MaxShare)
-	}
 }
 
 func TestLatencyByDistanceMonotoneUnderSAF(t *testing.T) {
@@ -189,46 +84,93 @@ func TestLatencyByDistanceShallowUnderWormhole(t *testing.T) {
 	}
 }
 
-func TestPercentiles(t *testing.T) {
-	f, _, horizon := run(t, 0.03, false)
-	ps, err := Percentiles(f, 0, horizon, 50, 95, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(ps[0] <= ps[1] && ps[1] <= ps[2]) {
-		t.Fatalf("percentiles not monotone: %v", ps)
-	}
-	var max int64
-	for i := range f.Packets {
-		if f.Packets[i].Delivered() {
-			if l := f.Packets[i].NetworkLatency(); l > max {
-				max = l
-			}
-		}
-	}
-	if ps[2] != float64(max) {
-		t.Fatalf("p100 %v, want max %d", ps[2], max)
-	}
-	if _, err := Percentiles(f, 0, horizon, 0); err == nil {
-		t.Error("percentile 0 accepted")
-	}
-	if _, err := Percentiles(f, 0, horizon, 101); err == nil {
-		t.Error("percentile 101 accepted")
-	}
-}
-
 func TestEmptyWindowErrors(t *testing.T) {
 	f, cube, _ := run(t, 0.02, false)
-	if _, err := LatencyHistogram(f, 100, 100); err == nil {
-		t.Error("empty histogram window accepted")
-	}
-	if _, err := SourceFairness(f, 100, 100); err == nil {
-		t.Error("empty fairness window accepted")
-	}
 	if _, err := LatencyByDistance(f, cube, 100, 100); err == nil {
 		t.Error("empty distance window accepted")
 	}
-	if _, err := Percentiles(f, 100, 100, 50); err == nil {
-		t.Error("empty percentile window accepted")
+}
+
+// ratePoints builds one 100-cycle interval per delivery rate.
+func ratePoints(rates ...float64) []RatePoint {
+	out := make([]RatePoint, len(rates))
+	for i, r := range rates {
+		out[i] = RatePoint{Cycle: int64(i+1) * 100, Interval: 100, DeliveryRate: r}
+	}
+	return out
+}
+
+// TestSteadyFromOnset pins the steady-state rule on hand-made rates: the
+// onset is the first interval from which every rate stays within the
+// relative tolerance of the final one (inclusive).
+func TestSteadyFromOnset(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		rates []RatePoint
+		tol   float64
+		cycle int64
+	}{
+		{"ramp", ratePoints(1, 4, 7.5, 8, 8.5, 8), 0.1, 300},
+		{"late dip", ratePoints(8, 8, 4, 8, 8), 0.1, 400},
+		{"flat", ratePoints(8, 8, 8), 0.1, 100},
+		{"deviation equal to tolerance", ratePoints(7, 8), 0.125, 100},
+	} {
+		if cycle, steady := SteadyFrom(c.rates, c.tol); cycle != c.cycle || !steady {
+			t.Errorf("%s: SteadyFrom = (%d, %v), want (%d, true)", c.name, cycle, steady, c.cycle)
+		}
+	}
+}
+
+// TestSteadyFromDegenerate checks that series too short to judge, empty,
+// or ending on an idle interval report no steady state.
+func TestSteadyFromDegenerate(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		rates []RatePoint
+	}{
+		{"single interval", ratePoints(8)},
+		{"empty", nil},
+		{"final interval idle", ratePoints(8, 8, 0)},
+	} {
+		if cycle, steady := SteadyFrom(c.rates, 0.1); cycle != 0 || steady {
+			t.Errorf("%s: SteadyFrom = (%d, %v), want (0, false)", c.name, cycle, steady)
+		}
+	}
+}
+
+// TestWarmupSteadyState runs examples/warmup's configuration through the
+// telemetry recorder: the 16-ary 2-cube under Duato at 70% load, sampled
+// every 250 cycles, delivers within 10% of its final rate from cycle 500
+// on — well inside the paper's 2000-cycle warm-up (EXPERIMENTS.md).
+func TestWarmupSteadyState(t *testing.T) {
+	sm, err := core.NewSimulation(core.Config{
+		Network: core.NetworkCube, Algorithm: core.AlgDuato, VCs: 4,
+		Pattern: core.PatternUniform, Load: 0.7, Seed: 6,
+		Warmup: 2000, Horizon: 10000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := telemetry.NewSampler(sm.Fabric, sm.Engine, telemetry.RunInfo{}, telemetry.Config{Every: 250})
+	sp.Register(sm.Engine)
+	if _, err := sm.Run(); err != nil {
+		t.Fatal(err)
+	}
+	rates, err := Rates(telemetry.RecordOf(sp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rates) != 40 {
+		t.Fatalf("%d intervals over 10000 cycles at every 250, want 40", len(rates))
+	}
+	var delivered float64
+	for _, r := range rates {
+		delivered += r.DeliveryRate * float64(r.Interval)
+	}
+	if got := int64(delivered + 0.5); got != sm.Fabric.Counters().FlitsDelivered {
+		t.Fatalf("intervals account for %d delivered flits, counters say %d", got, sm.Fabric.Counters().FlitsDelivered)
+	}
+	if cycle, ok := SteadyFrom(rates, 0.10); !ok || cycle != 500 {
+		t.Fatalf("SteadyFrom = (%d, %v), want (500, true)", cycle, ok)
 	}
 }

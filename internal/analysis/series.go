@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"math"
 
 	"smart/internal/telemetry"
 )
@@ -77,6 +78,26 @@ func Rates(rec telemetry.Record) ([]RatePoint, error) {
 		prev = p
 	}
 	return pts, nil
+}
+
+// SteadyFrom returns the first interval end from which every interval's
+// delivery rate stays within tol (relative) of the final interval's —
+// an empirical check of a warm-up choice (the paper's §4 methodology
+// assumes steady state by cycle 2000). ok is false when there are fewer
+// than two intervals or the final one delivered nothing.
+func SteadyFrom(rates []RatePoint, tol float64) (cycle int64, ok bool) {
+	if len(rates) < 2 {
+		return 0, false
+	}
+	final := rates[len(rates)-1].DeliveryRate
+	if final <= 0 {
+		return 0, false
+	}
+	from := len(rates) - 1
+	for from > 0 && math.Abs(rates[from-1].DeliveryRate-final)/final <= tol {
+		from--
+	}
+	return rates[from].Cycle, true
 }
 
 // SeriesSummary condenses one run's recording for tabular display.

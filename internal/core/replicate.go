@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 )
@@ -18,35 +19,23 @@ type Replication struct {
 }
 
 // Replicate runs the configuration with seeds base.Seed, base.Seed+1, ...
-// (runs of them, in parallel across workers) and aggregates the samples.
+// (runs of them, in parallel across workers, a panicking run contained
+// as its own error) and aggregates the samples in seed order.
 func Replicate(base Config, runs, workers int) (Replication, error) {
 	if runs < 2 {
 		return Replication{}, fmt.Errorf("core: replication needs at least 2 runs, got %d", runs)
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	rep := Replication{Runs: runs, Results: make([]Result, runs)}
-	errs := make([]error, runs)
-	sem := make(chan struct{}, workers)
-	done := make(chan int)
-	for i := 0; i < runs; i++ {
-		go func(i int) {
-			sem <- struct{}{}
-			defer func() { <-sem; done <- i }()
-			cfg := base
-			cfg.Seed = base.Seed + uint64(i)
-			rep.Results[i], errs[i] = Run(cfg)
-		}(i)
-	}
-	for i := 0; i < runs; i++ {
-		<-done
-	}
+	results, errs := runAll(context.TODO(), runs, workers, func(i int) (Result, error) {
+		cfg := base
+		cfg.Seed = base.Seed + uint64(i)
+		return Run(cfg)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return Replication{}, err
 		}
 	}
+	rep := Replication{Runs: runs, Results: results}
 	accepted := make([]float64, runs)
 	latency := make([]float64, runs)
 	for i, r := range rep.Results {

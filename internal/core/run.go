@@ -86,53 +86,96 @@ func NewSimulationShards(cfg Config, shards int) (*Simulation, error) {
 	if cfg.Warmup <= 0 || cfg.Horizon <= cfg.Warmup || cfg.Horizon > math.MaxInt32 {
 		return nil, fmt.Errorf("core: measurement window needs 0 < Warmup < Horizon <= %d, got Warmup %d, Horizon %d", math.MaxInt32, cfg.Warmup, cfg.Horizon)
 	}
+	var fabric *wormhole.Fabric
+	a, err := cfg.assemble(func(top topology.Topology, alg wormhole.RoutingAlgorithm) (network, error) {
+		flitBytes, err := phys.FlitBytes(top)
+		if err != nil {
+			return nil, err
+		}
+		if cfg.PacketBytes%flitBytes != 0 {
+			return nil, fmt.Errorf("core: packet size %dB is not a whole number of %dB flits", cfg.PacketBytes, flitBytes)
+		}
+		fabric, err = wormhole.NewFabric(top, wormhole.Config{
+			VCs:             cfg.VCs,
+			BufDepth:        cfg.BufDepth,
+			PacketFlits:     cfg.PacketBytes / flitBytes,
+			InjLanes:        cfg.InjLanes,
+			WatchdogCycles:  cfg.WatchdogCycles,
+			StoreAndForward: cfg.StoreAndForward,
+			RouteEvery:      cfg.RouteEvery,
+			LinkCycles:      cfg.LinkCycles,
+		}, alg)
+		if err != nil {
+			return nil, err
+		}
+		// Sharding must precede the fabric's stage registration.
+		return fabric, fabric.SetShards(EffectiveShards(shards, top.Routers()))
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Simulation{Config: cfg, Top: a.top, Fabric: fabric, Injector: a.inj, Engine: a.engine, Window: a.window, Faults: a.faults, Shards: fabric.Shards()}, nil
+}
+
+// network is what an experiment's assembly needs from the simulated
+// network. The fabric and the reference oracle (internal/oracle) both
+// satisfy it, so the self-check twin is wired by the same code as the
+// run it shadows.
+type network interface {
+	traffic.Network
+	faults.Target
+	metrics.Source
+	NodeUp(node int) bool
+	Register(e *sim.Engine)
+}
+
+// assembly is an experiment built around one network, every stage
+// registered on its engine.
+type assembly struct {
+	top    topology.Topology
+	inj    *traffic.Injector
+	faults *faults.Controller // nil without Config.Faults
+	window *metrics.Window
+	engine *sim.Engine
+}
+
+// assemble builds the configuration's topology and routing algorithm,
+// hands both to newNet for the network, and wires the traffic process,
+// the fault schedule and the measurement window around it. Every call
+// builds fresh instances: the adaptive algorithms carry mutable
+// tie-break state that must evolve per network.
+func (cfg Config) assemble(newNet func(topology.Topology, wormhole.RoutingAlgorithm) (network, error)) (assembly, error) {
 	top, err := cfg.buildTopology()
 	if err != nil {
-		return nil, err
-	}
-	flitBytes, err := phys.FlitBytes(top)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.PacketBytes%flitBytes != 0 {
-		return nil, fmt.Errorf("core: packet size %dB is not a whole number of %dB flits", cfg.PacketBytes, flitBytes)
+		return assembly{}, err
 	}
 	alg, err := cfg.buildAlgorithm(top)
 	if err != nil {
-		return nil, err
+		return assembly{}, err
 	}
-	fabric, err := wormhole.NewFabric(top, wormhole.Config{
-		VCs:             cfg.VCs,
-		BufDepth:        cfg.BufDepth,
-		PacketFlits:     cfg.PacketBytes / flitBytes,
-		InjLanes:        cfg.InjLanes,
-		WatchdogCycles:  cfg.WatchdogCycles,
-		StoreAndForward: cfg.StoreAndForward,
-		RouteEvery:      cfg.RouteEvery,
-		LinkCycles:      cfg.LinkCycles,
-	}, alg)
+	net, err := newNet(top, alg)
 	if err != nil {
-		return nil, err
+		return assembly{}, err
 	}
 	pattern, err := cfg.buildPattern(top)
 	if err != nil {
-		return nil, err
+		return assembly{}, err
 	}
 	// The configured packet size may differ from the paper's, so the
 	// packet rate follows the actual flit count.
 	capFlits, err := phys.CapacityFlits(top)
 	if err != nil {
-		return nil, err
+		return assembly{}, err
 	}
-	rate := cfg.Load * capFlits / float64(cfg.PacketBytes/flitBytes)
-	inj, err := traffic.NewInjector(fabric, pattern, rate, cfg.Seed)
+	rate := cfg.Load * capFlits / float64(net.PacketFlits())
+	inj, err := traffic.NewInjector(net, pattern, rate, cfg.Seed)
 	if err != nil {
-		return nil, err
+		return assembly{}, err
 	}
 	if cfg.Burst != "" {
 		mod, err := traffic.ParseBurst(cfg.Burst, cfg.Seed)
 		if err != nil {
-			return nil, err
+			return assembly{}, err
 		}
 		inj.SetModulator(mod)
 	}
@@ -142,31 +185,28 @@ func NewSimulationShards(cfg Config, shards int) (*Simulation, error) {
 		// realized schedule is a pure function of the configuration.
 		sched, err := faults.Parse(cfg.Faults, top, faults.SeedFrom(cfg.Fingerprint()))
 		if err != nil {
-			return nil, err
+			return assembly{}, err
 		}
-		ctl = faults.NewController(sched, fabric)
-		inj.SetAvailability(fabric.NodeUp)
+		ctl = faults.NewController(sched, net)
+		inj.SetAvailability(net.NodeUp)
 	}
-	window, err := metrics.NewWindow(fabric, capFlits)
+	window, err := metrics.NewWindow(net, capFlits)
 	if err != nil {
-		return nil, err
-	}
-	if err := fabric.SetShards(EffectiveShards(shards, top.Routers())); err != nil {
-		return nil, err
+		return assembly{}, err
 	}
 	engine := sim.NewEngine()
 	// The fault stage runs first so a cycle's masks are in place before
-	// any traffic or fabric work; the traffic process runs next so a
+	// any traffic or network work; the traffic process runs next so a
 	// packet created in a cycle can begin injecting the same cycle; the
-	// fabric then runs its canonical link / crossbar / routing /
+	// network then runs its canonical link / crossbar / routing /
 	// injection / credits order (fused into the two-phase driver when
-	// sharded).
+	// the fabric is sharded).
 	if ctl != nil {
 		ctl.Register(engine)
 	}
 	inj.Register(engine)
-	fabric.Register(engine)
-	return &Simulation{Config: cfg, Top: top, Fabric: fabric, Injector: inj, Engine: engine, Window: window, Faults: ctl, Shards: fabric.Shards()}, nil
+	net.Register(engine)
+	return assembly{top: top, inj: inj, faults: ctl, window: window, engine: engine}, nil
 }
 
 // Run executes the experiment with the paper's methodology and returns

@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"smart/internal/metrics"
+)
 
 // FindSaturation locates the configuration's saturation point — the
 // paper's §6 definition: the minimum offered bandwidth at which accepted
@@ -21,9 +25,9 @@ func FindSaturation(base Config, lo, hi, tol float64) (sat float64, ok bool, err
 		if err != nil {
 			return false, err
 		}
-		// Judge against the measured creation rate (§6), so patterns
-		// with non-injecting fixed points are not misread as saturated.
-		return res.Sample.CreatedLoad-res.Sample.Accepted > 0.02, nil
+		// The sweep's detector rule (Series.Saturation), applied to one
+		// sample.
+		return res.Sample.Deficit() > metrics.Tolerance, nil
 	}
 	loSat, err := saturatedAt(lo)
 	if err != nil {

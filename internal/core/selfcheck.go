@@ -3,77 +3,10 @@ package core
 import (
 	"fmt"
 
-	"smart/internal/faults"
-	"smart/internal/metrics"
 	"smart/internal/oracle"
-	"smart/internal/phys"
-	"smart/internal/sim"
-	"smart/internal/traffic"
+	"smart/internal/topology"
+	"smart/internal/wormhole"
 )
-
-// selfCheckTwin assembles the reference-oracle shadow of an experiment: a
-// second, independently built stack (topology, algorithm, pattern,
-// injector, engine, window) over internal/oracle's naive simulator,
-// seeded identically to the fabric's. Fresh instances throughout — the
-// adaptive algorithms carry mutable tie-break state that must evolve
-// per side.
-func (s *Simulation) selfCheckTwin() (*oracle.Sim, *sim.Engine, *metrics.Window, error) {
-	cfg := s.Config
-	top, err := cfg.buildTopology()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	alg, err := cfg.buildAlgorithm(top)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	ora, err := oracle.New(top, s.Fabric.Cfg, alg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	pattern, err := cfg.buildPattern(top)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	capFlits, err := phys.CapacityFlits(top)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	rate := cfg.Load * capFlits / float64(s.Fabric.Cfg.PacketFlits)
-	inj, err := traffic.NewInjector(ora, pattern, rate, cfg.Seed)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if cfg.Burst != "" {
-		// An independently constructed chain from the same seed steps in
-		// lockstep with the fabric side's.
-		mod, err := traffic.ParseBurst(cfg.Burst, cfg.Seed)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		inj.SetModulator(mod)
-	}
-	var ctl *faults.Controller
-	if cfg.Faults != "" {
-		sched, err := faults.Parse(cfg.Faults, top, faults.SeedFrom(cfg.Fingerprint()))
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		ctl = faults.NewController(sched, ora)
-		inj.SetAvailability(ora.NodeUp)
-	}
-	window, err := metrics.NewWindow(ora, capFlits)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	engine := sim.NewEngine()
-	if ctl != nil {
-		ctl.Register(engine)
-	}
-	inj.Register(engine)
-	ora.Register(engine)
-	return ora, engine, window, nil
-}
 
 // RunSelfChecked executes the experiment with the paper's methodology
 // while the reference oracle shadows it in lockstep: after every cycle
@@ -91,7 +24,14 @@ func (s *Simulation) selfCheckTwin() (*oracle.Sim, *sim.Engine, *metrics.Window,
 // but saturated result.
 func (s *Simulation) RunSelfChecked() (Result, error) {
 	cfg := s.Config
-	ora, oraEngine, oraWindow, err := s.selfCheckTwin()
+	// The twin is assembled exactly like the fabric's experiment, over
+	// the oracle, so both sides are seeded and staged identically.
+	var ora *oracle.Sim
+	twin, err := cfg.assemble(func(top topology.Topology, alg wormhole.RoutingAlgorithm) (network, error) {
+		var err error
+		ora, err = oracle.New(top, s.Fabric.Cfg, alg)
+		return ora, err
+	})
 	if err != nil {
 		return Result{}, fmt.Errorf("core: self-check twin: %w", err)
 	}
@@ -99,7 +39,7 @@ func (s *Simulation) RunSelfChecked() (Result, error) {
 		for s.Engine.Cycle() < to {
 			cycle := s.Engine.Cycle()
 			s.Engine.Step()
-			oraEngine.Step()
+			twin.engine.Step()
 			fo, oo := s.Fabric.Observe(), ora.Observe()
 			if fo != oo {
 				return fmt.Errorf("core: self-check failed for %s (fingerprint %s): %w",
@@ -112,7 +52,7 @@ func (s *Simulation) RunSelfChecked() (Result, error) {
 		return Result{}, err
 	}
 	s.Window.Start(cfg.Warmup)
-	oraWindow.Start(cfg.Warmup)
+	twin.window.Start(cfg.Warmup)
 	s.Fabric.ResetLinkStats()
 	if err := step(cfg.Horizon); err != nil {
 		return Result{}, err
@@ -121,7 +61,7 @@ func (s *Simulation) RunSelfChecked() (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	oraSample, err := oraWindow.Measure(cfg.Horizon, cfg.Load)
+	oraSample, err := twin.window.Measure(cfg.Horizon, cfg.Load)
 	if err != nil {
 		return Result{}, err
 	}

@@ -146,6 +146,26 @@ func (w *Window) Measure(end int64, offered float64) (Sample, error) {
 	return s, nil
 }
 
+// Tolerance is the saturation detector's slack: a sample is saturated
+// when its Deficit exceeds it. It absorbs Bernoulli injection noise, so
+// a stable network is not misread as saturated.
+const Tolerance = 0.02
+
+// Deficit is the creation rate minus the accepted bandwidth, as a
+// fraction of capacity — the quantity the paper's saturation definition
+// (§6) compares with zero. The creation rate is the measured CreatedLoad
+// when the sample carries one, so patterns with non-injecting fixed
+// points are judged against the traffic they actually generate, else
+// the nominal offered load.
+func (s Sample) Deficit() float64 {
+	created := s.CreatedLoad
+	//smartlint:allow floateq — zero is the "not recorded" sentinel for CreatedLoad
+	if created == 0 {
+		created = s.Offered
+	}
+	return created - s.Accepted
+}
+
 // Series is a load sweep: samples ordered by offered load, the paper's
 // CNF presentation.
 type Series []Sample
@@ -153,23 +173,13 @@ type Series []Sample
 // Saturation returns the saturation point of the series — the minimum
 // offered bandwidth where the accepted bandwidth falls below the packet
 // creation rate (§6) — as a fraction of capacity, linearly interpolated
-// between the last stable and the first saturated sample. The creation
-// rate is the measured CreatedLoad when the sample carries one (so
-// patterns with non-injecting fixed points are judged against the traffic
-// they actually generate), else the nominal offered load. The tolerance
-// absorbs Bernoulli noise. If the series never saturates it returns the
-// last offered load and false.
+// between the last stable and the first saturated sample: the first
+// sample whose Deficit exceeds the tolerance (callers pass Tolerance) is
+// saturated. If the series never saturates it returns the last offered
+// load and false.
 func (s Series) Saturation(tolerance float64) (float64, bool) {
-	deficit := func(smp Sample) float64 {
-		created := smp.CreatedLoad
-		//smartlint:allow floateq — zero is the "not recorded" sentinel for CreatedLoad
-		if created == 0 {
-			created = smp.Offered
-		}
-		return created - smp.Accepted
-	}
 	for i, smp := range s {
-		if deficit(smp) <= tolerance {
+		if smp.Deficit() <= tolerance {
 			continue
 		}
 		if i == 0 {
@@ -177,8 +187,8 @@ func (s Series) Saturation(tolerance float64) (float64, bool) {
 		}
 		prev := s[i-1]
 		// Interpolate on the deficit crossing the tolerance.
-		d0 := deficit(prev)
-		d1 := deficit(smp)
+		d0 := prev.Deficit()
+		d1 := smp.Deficit()
 		t := (tolerance - d0) / (d1 - d0)
 		return prev.Offered + t*(smp.Offered-prev.Offered), true
 	}

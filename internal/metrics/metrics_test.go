@@ -214,6 +214,18 @@ func TestSaturationUsesCreatedLoad(t *testing.T) {
 	}
 }
 
+// TestDeficitFallsBackToOffered: a sample without a measured creation
+// rate (CreatedLoad == 0) is judged against its nominal offered load;
+// one with a measured rate ignores the nominal load.
+func TestDeficitFallsBackToOffered(t *testing.T) {
+	if got := (Sample{Offered: 0.5, Accepted: 0.25}).Deficit(); got != 0.25 {
+		t.Fatalf("deficit without CreatedLoad %v, want 0.25", got)
+	}
+	if got := (Sample{Offered: 0.5, CreatedLoad: 0.375, Accepted: 0.25}).Deficit(); got != 0.125 {
+		t.Fatalf("deficit with CreatedLoad %v, want 0.125", got)
+	}
+}
+
 func TestMeasureReportsCreatedLoad(t *testing.T) {
 	f, e := measured(t)
 	w, _ := NewWindow(f, 1.0)

@@ -14,6 +14,7 @@ import (
 
 	"smart/internal/core"
 	"smart/internal/cost"
+	"smart/internal/metrics"
 )
 
 // FormatTable renders an aligned ASCII table.
@@ -157,11 +158,12 @@ type SummaryRow struct {
 	PreSatLatencyNS  float64
 }
 
-// Summarize derives a SummaryRow from a sweep ordered by offered load.
-func Summarize(label string, results []core.Result, tolerance float64) SummaryRow {
+// Summarize derives a SummaryRow from a sweep ordered by offered load,
+// locating saturation with the detector's metrics.Tolerance.
+func Summarize(label string, results []core.Result) SummaryRow {
 	row := SummaryRow{Label: label}
 	series := core.SeriesOf(results)
-	row.SaturationFrac, row.Saturated = series.Saturation(tolerance)
+	row.SaturationFrac, row.Saturated = series.Saturation(metrics.Tolerance)
 	if len(results) == 0 {
 		return row
 	}

@@ -100,7 +100,7 @@ func TestMultiSeriesErrors(t *testing.T) {
 }
 
 func TestSummarize(t *testing.T) {
-	row := Summarize("cube duato", fakeResults(), 0.02)
+	row := Summarize("cube duato", fakeResults())
 	if !row.Saturated {
 		t.Fatal("saturation not detected")
 	}
@@ -113,7 +113,7 @@ func TestSummarize(t *testing.T) {
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	row := Summarize("empty", nil, 0.02)
+	row := Summarize("empty", nil)
 	if row.Saturated || row.SaturationBitsNS != 0 {
 		t.Fatalf("empty summary %+v", row)
 	}
@@ -121,7 +121,7 @@ func TestSummarizeEmpty(t *testing.T) {
 
 func TestSummarizeZeroAccepted(t *testing.T) {
 	dead := []core.Result{{Sample: metrics.Sample{Offered: 0.5, Accepted: 0}}}
-	row := Summarize("dead", dead, 0.02)
+	row := Summarize("dead", dead)
 	if row.SaturationBitsNS != 0 {
 		t.Fatalf("zero-accepted summary produced %+v", row)
 	}

@@ -9,7 +9,7 @@ import (
 // Event kinds emitted by the congestion detector.
 const (
 	// EventCongestionOnset fires when a channel class sustains
-	// utilization at or above the onset threshold for Sustain
+	// utilization at or above the onset threshold for sustainSamples
 	// consecutive samples; EventCongestionClear when a hot class falls
 	// back to or below the clear threshold. The gap between the two
 	// thresholds is the hysteresis band that keeps a class hovering at
@@ -17,7 +17,7 @@ const (
 	EventCongestionOnset = "congestion-onset"
 	EventCongestionClear = "congestion-clear"
 	// EventQueueGrowth fires when the total source-queue backlog grows
-	// strictly for QueueGrowth consecutive samples — the paper's
+	// strictly for queueGrowthSamples consecutive samples — the paper's
 	// saturation signature: offered traffic outrunning acceptance.
 	EventQueueGrowth = "queue-growth"
 	// EventNearStall fires when flits are in flight but the fabric's
@@ -54,57 +54,33 @@ type Event struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// Thresholds tunes the congestion-event detector. The zero value takes
-// the defaults via withDefaults.
-type Thresholds struct {
-	// Onset and Clear bound the per-class utilization hysteresis band:
-	// a class becomes hot after Sustain consecutive samples at >= Onset
-	// and cools at <= Clear. Defaults 0.90 / 0.75.
-	Onset, Clear float64
-	// Sustain is the consecutive-sample requirement for onset (default
-	// 3: one interval above threshold is a burst, three are congestion).
-	Sustain int
-	// QueueGrowth is the consecutive strictly-growing backlog samples
-	// before a queue-growth event (default 5).
-	QueueGrowth int
-	// NearStallFraction is the fraction of the watchdog budget the
-	// progress counter may stay flat before a near-stall event (default
-	// 0.5). Without a watchdog, near-stall falls back to
-	// NearStallSamples flat samples with traffic in flight.
-	NearStallFraction float64
-	// NearStallSamples is the watchdog-less fallback (default 10).
-	NearStallSamples int
-}
-
-func (t Thresholds) withDefaults() Thresholds {
-	if t.Onset <= 0 {
-		t.Onset = 0.90
-	}
-	if t.Clear <= 0 {
-		t.Clear = 0.75
-	}
-	if t.Sustain <= 0 {
-		t.Sustain = 3
-	}
-	if t.QueueGrowth <= 0 {
-		t.QueueGrowth = 5
-	}
-	if t.NearStallFraction <= 0 {
-		t.NearStallFraction = 0.5
-	}
-	if t.NearStallSamples <= 0 {
-		t.NearStallSamples = 10
-	}
-	return t
-}
+// The congestion detector's thresholds.
+const (
+	// onsetUtil and clearUtil bound the per-class utilization hysteresis
+	// band: a class becomes hot after sustainSamples consecutive samples
+	// at >= onsetUtil and cools at <= clearUtil.
+	onsetUtil = 0.90
+	clearUtil = 0.75
+	// sustainSamples is the consecutive-sample requirement for onset:
+	// one interval above threshold is a burst, three are congestion.
+	sustainSamples = 3
+	// queueGrowthSamples is the consecutive strictly-growing backlog
+	// samples before a queue-growth event.
+	queueGrowthSamples = 5
+	// nearStallFraction is the fraction of the watchdog budget the
+	// progress counter may stay flat before a near-stall event. Without
+	// a watchdog, near-stall falls back to nearStallSamples flat samples
+	// with traffic in flight.
+	nearStallFraction = 0.5
+	nearStallSamples  = 10
+)
 
 // detector turns a stream of per-sample observations into events. It is
 // purely sequential state — no wall clock, no randomness — so identical
 // runs produce identical event streams.
 type detector struct {
-	thr Thresholds
 	// per-class hysteresis state
-	hotStreak []int  // consecutive samples at >= Onset
+	hotStreak []int  // consecutive samples at >= onsetUtil
 	hot       []bool // class is in the congested state
 	// queue-growth state
 	prevQueued  int64
@@ -118,9 +94,8 @@ type detector struct {
 	prevDown int
 }
 
-func newDetector(classes int, thr Thresholds) *detector {
+func newDetector(classes int) *detector {
 	return &detector{
-		thr:         thr.withDefaults(),
 		hotStreak:   make([]int, classes),
 		hot:         make([]bool, classes),
 		growArmed:   true,
@@ -147,23 +122,23 @@ type observation struct {
 // observe consumes one sample and appends any events to the emit sink.
 func (d *detector) observe(o observation, classNames []string, emit func(Event)) {
 	for c, util := range o.classUtil {
-		if util >= d.thr.Onset {
+		if util >= onsetUtil {
 			d.hotStreak[c]++
-			if !d.hot[c] && d.hotStreak[c] >= d.thr.Sustain {
+			if !d.hot[c] && d.hotStreak[c] >= sustainSamples {
 				d.hot[c] = true
 				emit(Event{
 					Cycle: o.cycle, Kind: EventCongestionOnset, Class: classNames[c],
-					Value: util, Threshold: d.thr.Onset,
-					Detail: fmt.Sprintf("utilization >= %.2f for %d consecutive samples", d.thr.Onset, d.hotStreak[c]),
+					Value: util, Threshold: onsetUtil,
+					Detail: fmt.Sprintf("utilization >= %.2f for %d consecutive samples", onsetUtil, d.hotStreak[c]),
 				})
 			}
 		} else {
 			d.hotStreak[c] = 0
-			if d.hot[c] && util <= d.thr.Clear {
+			if d.hot[c] && util <= clearUtil {
 				d.hot[c] = false
 				emit(Event{
 					Cycle: o.cycle, Kind: EventCongestionClear, Class: classNames[c],
-					Value: util, Threshold: d.thr.Clear,
+					Value: util, Threshold: clearUtil,
 				})
 			}
 		}
@@ -172,11 +147,11 @@ func (d *detector) observe(o observation, classNames []string, emit func(Event))
 	if !d.firstSample {
 		if o.queued > d.prevQueued {
 			d.growStreak++
-			if d.growArmed && d.growStreak >= d.thr.QueueGrowth {
+			if d.growArmed && d.growStreak >= queueGrowthSamples {
 				d.growArmed = false
 				emit(Event{
 					Cycle: o.cycle, Kind: EventQueueGrowth,
-					Value: float64(o.queued), Threshold: float64(d.thr.QueueGrowth),
+					Value: float64(o.queued), Threshold: float64(queueGrowthSamples),
 					Detail: fmt.Sprintf("source backlog grew for %d consecutive samples", d.growStreak),
 				})
 			}
@@ -218,7 +193,7 @@ func (d *detector) observe(o observation, classNames []string, emit func(Event))
 				Detail: fmt.Sprintf("%d flits in flight with no progress", o.inFlight),
 			}
 			if o.watched {
-				ev.Threshold = d.thr.NearStallFraction * float64(o.watchBudget)
+				ev.Threshold = nearStallFraction * float64(o.watchBudget)
 			}
 			emit(ev)
 		}
@@ -230,9 +205,9 @@ func (d *detector) observe(o observation, classNames []string, emit func(Event))
 // against the sample-count fallback otherwise.
 func (d *detector) nearStalled(o observation) bool {
 	if o.watched {
-		return float64(o.cycle-o.watchSince) >= d.thr.NearStallFraction*float64(o.watchBudget)
+		return float64(o.cycle-o.watchSince) >= nearStallFraction*float64(o.watchBudget)
 	}
-	return d.flatSamples >= d.thr.NearStallSamples
+	return d.flatSamples >= nearStallSamples
 }
 
 // stallEvent renders a terminal watchdog stall as an event, summarizing

@@ -10,7 +10,7 @@ func feed(d *detector, o observation) []Event {
 }
 
 func TestCongestionHysteresis(t *testing.T) {
-	d := newDetector(1, Thresholds{Onset: 0.9, Clear: 0.75, Sustain: 3})
+	d := newDetector(1)
 	cycle := int64(0)
 	util := func(u float64) []Event {
 		cycle += 100
@@ -56,56 +56,59 @@ func TestCongestionHysteresis(t *testing.T) {
 }
 
 func TestQueueGrowthRearm(t *testing.T) {
-	d := newDetector(0, Thresholds{QueueGrowth: 3})
+	d := newDetector(0)
 	cycle := int64(0)
 	q := func(queued int64) []Event {
 		cycle += 100
 		return feed(d, observation{cycle: cycle, queued: queued, progressed: true})
 	}
 
-	// First sample establishes the baseline; then three consecutive
+	// First sample establishes the baseline; then five consecutive
 	// strictly-growing samples fire once.
 	var got []Event
-	for _, queued := range []int64{1, 2, 3} {
+	for _, queued := range []int64{1, 2, 3, 4, 5} {
 		if evs := q(queued); len(evs) != 0 {
 			t.Fatalf("queued=%d fired early: %v", queued, evs)
 		}
 	}
-	got = q(4)
+	got = q(6)
 	if len(got) != 1 || got[0].Kind != EventQueueGrowth {
-		t.Fatalf("after 3 growing samples: %v", got)
+		t.Fatalf("after 5 growing samples: %v", got)
 	}
 	// Continued growth does not re-fire until the streak breaks.
-	if evs := q(5); len(evs) != 0 {
+	if evs := q(7); len(evs) != 0 {
 		t.Fatalf("continued growth re-fired: %v", evs)
 	}
-	if evs := q(5); len(evs) != 0 { // flat: re-arms
+	if evs := q(7); len(evs) != 0 { // flat: re-arms
 		t.Fatalf("flat sample fired: %v", evs)
 	}
-	q(6)
-	q(7)
-	got = q(8)
+	for _, queued := range []int64{8, 9, 10, 11} {
+		if evs := q(queued); len(evs) != 0 {
+			t.Fatalf("queued=%d fired before the re-armed streak reached 5: %v", queued, evs)
+		}
+	}
+	got = q(12)
 	if len(got) != 1 || got[0].Kind != EventQueueGrowth {
-		t.Fatalf("after re-arm and 3 growing samples: %v", got)
+		t.Fatalf("after re-arm and 5 growing samples: %v", got)
 	}
 }
 
 func TestNearStallFallback(t *testing.T) {
-	d := newDetector(0, Thresholds{NearStallSamples: 4})
+	d := newDetector(0)
 	cycle := int64(0)
 	flat := func(inFlight int64, progressed bool) []Event {
 		cycle += 100
 		return feed(d, observation{cycle: cycle, inFlight: inFlight, progressed: progressed})
 	}
 
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 9; i++ {
 		if evs := flat(10, false); len(evs) != 0 {
 			t.Fatalf("flat sample %d fired early: %v", i+1, evs)
 		}
 	}
 	evs := flat(10, false)
 	if len(evs) != 1 || evs[0].Kind != EventNearStall {
-		t.Fatalf("after 4 flat samples: %v", evs)
+		t.Fatalf("after 10 flat samples: %v", evs)
 	}
 	// Stays quiet until progress resets the streak...
 	if evs := flat(10, false); len(evs) != 0 {
@@ -121,7 +124,7 @@ func TestNearStallFallback(t *testing.T) {
 }
 
 func TestNearStallAgainstWatchdogBudget(t *testing.T) {
-	d := newDetector(0, Thresholds{NearStallFraction: 0.5})
+	d := newDetector(0)
 	// Stalled since cycle 100 with a 200-cycle budget: the halfway point
 	// is cycle 200.
 	evs := feed(d, observation{cycle: 150, inFlight: 5, watched: true, watchSince: 100, watchBudget: 200})
@@ -142,7 +145,7 @@ func TestStallEventSummarizesSnapshot(t *testing.T) {
 }
 
 func TestFaultOnsetAndClear(t *testing.T) {
-	d := newDetector(0, Thresholds{})
+	d := newDetector(0)
 	cycle := int64(0)
 	down := func(links, routers int) []Event {
 		cycle += 100

@@ -73,28 +73,22 @@ type RunInfo struct {
 type Config struct {
 	// Every is the sampling cadence in cycles (default 100).
 	Every int64
-	// RingCap bounds the retained time series (default 512 points; older
-	// points scroll off and are counted as dropped).
-	RingCap int
-	// EventCap bounds the retained event log (default 256).
-	EventCap int
-	// Thresholds tunes the congestion detector.
-	Thresholds Thresholds
 }
 
 func (c Config) withDefaults() Config {
 	if c.Every <= 0 {
 		c.Every = 100
 	}
-	if c.RingCap <= 0 {
-		c.RingCap = 512
-	}
-	if c.EventCap <= 0 {
-		c.EventCap = 256
-	}
-	c.Thresholds = c.Thresholds.withDefaults()
 	return c
 }
+
+const (
+	// ringCap bounds the retained time series; older points scroll off
+	// and are counted as dropped.
+	ringCap = 512
+	// eventCap bounds the retained event log.
+	eventCap = 256
+)
 
 // Sampler snapshots one fabric's counters on a fixed cycle cadence. It
 // registers as the last engine stage, so each sample sees the complete
@@ -123,7 +117,7 @@ type Sampler struct {
 	emit   func(Event)
 	events []Event
 	// eventsTotal counts events ever emitted; events keeps the first
-	// EventCap (onset events matter more than late repeats, so the log
+	// eventCap (onset events matter more than late repeats, so the log
 	// keeps the head, unlike the ring which keeps the tail).
 	eventsTotal int
 
@@ -151,9 +145,9 @@ func NewSampler(f *wormhole.Fabric, e *sim.Engine, run RunInfo, cfg Config) *Sam
 	if classes != nil {
 		n = classes.Len()
 	}
-	ring, err := NewRing(cfg.RingCap, n)
+	ring, err := NewRing(ringCap, n)
 	if err != nil {
-		panic(err) // unreachable: withDefaults guarantees a positive capacity
+		panic(err) // unreachable: ringCap is positive
 	}
 	s := &Sampler{
 		fabric:     f,
@@ -162,7 +156,7 @@ func NewSampler(f *wormhole.Fabric, e *sim.Engine, run RunInfo, cfg Config) *Sam
 		cfg:        cfg,
 		classes:    classes,
 		ring:       ring,
-		det:        newDetector(n, cfg.Thresholds),
+		det:        newDetector(n),
 		prevClass:  make([]int64, n),
 		curClass:   make([]int64, n),
 		deltaClass: make([]int64, n),
@@ -208,8 +202,8 @@ func (s *Sampler) ClassLinks() []int64 {
 
 // tick runs once per cycle as an engine stage and samples every
 // cfg.Every cycles. The engine passes the pre-increment cycle index, so
-// the (cycle+1)%every == 0 gate matches the metrics.TimeSeries
-// convention: at cadence 100 the first sample is labeled cycle 100.
+// with the (cycle+1)%every == 0 gate the first sample at cadence 100 is
+// labeled cycle 100.
 //
 //smartlint:hotpath
 func (s *Sampler) tick(cycle int64) {
@@ -299,7 +293,7 @@ func (s *Sampler) sample(cycle int64) {
 // synchronously from observe).
 func (s *Sampler) emitLocked(ev Event) {
 	s.eventsTotal++
-	if len(s.events) < s.cfg.EventCap {
+	if len(s.events) < eventCap {
 		s.events = append(s.events, ev)
 	}
 }

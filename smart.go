@@ -47,6 +47,10 @@ type Sample = metrics.Sample
 // Series is an offered-load sweep of samples.
 type Series = metrics.Series
 
+// Tolerance is the saturation detector's slack: a sample whose
+// Sample.Deficit exceeds it is saturated (pass it to Series.Saturation).
+const Tolerance = metrics.Tolerance
+
 // Simulation exposes the assembled experiment for callers that need
 // stepping control or fabric access.
 type Simulation = core.Simulation
