@@ -56,8 +56,10 @@ bench:
 # cycle at shards {1,2,3,8}), plus bench/'s scale_4096 workload at
 # smoke size (a 256-node torus on two shards), which checks a pinned
 # digest and a 1-shard vs 2-shard digest. SMOKE_PROCS pins GOMAXPROCS
-# — CI runs both 1 (serialized scheduling) and 4 (true multi-core
-# interleavings); results must be bit-identical.
+# — CI runs both 1 (serialized scheduling; every pool parks between
+# phases) and 4 (true multi-core interleavings; a pool polls first
+# while the busy workers of every pool in the process fit both
+# GOMAXPROCS and the CPU count); results must be bit-identical.
 SMOKE_PROCS ?= 4
 shard-smoke:
 	GOMAXPROCS=$(SMOKE_PROCS) $(GO) test -race -run Shard ./internal/...
@@ -65,10 +67,11 @@ shard-smoke:
 
 # The shardsafe leg of the CI lint matrix: the analyzer's own fixture
 # and seeded-violation tests plus the shard engine they protect, under
-# the race detector.
+# the race detector, and the pool's phase hand-off ten times over.
 lint-shardsafe:
 	$(GO) test -race -run 'ShardSafe|ShardViolation' ./internal/lint/
 	$(GO) test -race -run 'TestShard' ./internal/sim/ ./internal/wormhole/
+	$(GO) test -race -count=10 -run TestShardPool ./internal/sim/
 
 # End-to-end telemetry check: live /metrics scrape mid-sweep, sidecar
 # validation, and the kill-and-resume digest contract. See DESIGN.md §11.

@@ -40,14 +40,33 @@ func EvenCuts(routers, shards int) []int {
 	return cuts
 }
 
-// alignedCuts spreads routers over shards with every cut snapped to a
-// multiple of grain, keeping cuts ascending and covering [0, routers].
-// grain must divide routers.
-func alignedCuts(routers, shards, grain int) []int {
+// weightedCuts spreads routers over shards so that each shard carries
+// about an equal share of the total weight, with every cut on a
+// multiple of grain. Cut i sits at the last grain boundary where the
+// running weight has not passed i/shards of the total, moved only as
+// far as it takes to leave no shard empty. Unless that clamp moves a
+// cut, each shard's weight is within one block's weight of an equal
+// share. With equal weights this is the even split of grain blocks.
+// grain must divide routers, and shards must not exceed routers/grain.
+func weightedCuts(routers, shards, grain int, weight func(router int) int) []int {
 	blocks := routers / grain
+	// sum[b] is the weight of routers [0, b*grain).
+	sum := make([]int, blocks+1)
+	for b := 0; b < blocks; b++ {
+		sum[b+1] = sum[b]
+		for r := b * grain; r < (b+1)*grain; r++ {
+			sum[b+1] += weight(r)
+		}
+	}
 	cuts := make([]int, shards+1)
-	for i := 0; i <= shards; i++ {
-		cuts[i] = (i * blocks / shards) * grain
+	b := 0
+	for i := 1; i < shards; i++ {
+		share := i * sum[blocks] / shards
+		for b < blocks && sum[b+1] <= share {
+			b++
+		}
+		b = min(max(b, cuts[i-1]/grain+1), blocks-(shards-i))
+		cuts[i] = b * grain
 	}
 	cuts[shards] = routers
 	return cuts
@@ -69,23 +88,34 @@ func partitionGrain(routers, shards, blockMax, k int) int {
 // (the router layout is digit-major, so a plane is a contiguous index
 // range and only the two slab faces carry cross-shard links). When
 // there are more shards than planes the slabs subdivide along the next
-// dimension down.
+// dimension down. Routers weigh alike, so the slabs hold near-equal
+// plane counts.
 func (c *Cube) PartitionRouters(shards int) []int {
 	shards = clampShards(c.nodes, shards)
 	grain := partitionGrain(c.nodes, shards, c.nodes/c.K, c.K)
-	return alignedCuts(c.nodes, shards, grain)
+	return weightedCuts(c.nodes, shards, grain, func(int) int { return 1 })
 }
 
 // PartitionRouters implements Partitioner for the tree. Switch indices
 // are level-major (level l occupies [l*spl, (l+1)*spl)), so contiguous
-// shards cannot hold whole subtrees; instead the cuts snap to label
-// blocks of size k^floor(log_k(spl/shards)) within each level — sibling
-// groups that share parents — which keeps most up/down links inside a
-// shard when the shard count is small relative to the arity.
+// shards cannot hold whole subtrees; instead the cuts snap to sibling
+// groups — blocks of k switches that share their parents — whenever the
+// shard count leaves at least one group per shard. Cuts balance
+// connected ports, not switches: a top-level switch leaves its k up
+// ports unused, so it has half the lanes of a lower switch, and an even
+// switch split would overload the shards holding the low levels.
 func (t *Tree) PartitionRouters(shards int) []int {
 	shards = clampShards(t.Routers(), shards)
-	grain := partitionGrain(t.Routers(), shards, t.spl, t.K)
-	return alignedCuts(t.Routers(), shards, grain)
+	grain := partitionGrain(t.Routers(), shards, t.K, t.K)
+	return weightedCuts(t.Routers(), shards, grain, func(r int) int {
+		n := 0
+		for _, p := range t.ports[r] {
+			if p.Kind != PortUnused {
+				n++
+			}
+		}
+		return n
+	})
 }
 
 // ValidateCuts checks that cuts is a well-formed shard plan over

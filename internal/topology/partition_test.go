@@ -1,6 +1,9 @@
 package topology
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestShardEvenCuts(t *testing.T) {
 	for _, tc := range []struct{ routers, shards, want int }{
@@ -81,6 +84,87 @@ func TestShardTreePartitionLabelBlocks(t *testing.T) {
 					t.Fatalf("shards=%d: cut %d at %d not aligned to sibling groups of %d", shards, i, cuts[i], tr.K)
 				}
 			}
+		}
+	}
+}
+
+// TestShardTreePartitionBalancesPorts pins the port-weighted tree plan
+// at the scale the sharded engine runs: every cut lands on a sibling
+// group (a multiple of k), and every shard's connected-port count is
+// within one group's ports (k switches of 2k ports) of an equal share.
+// The top level, whose up ports stay unused, weighs half, so the cuts
+// sit below the level boundaries an even switch split would pick.
+func TestShardTreePartitionBalancesPorts(t *testing.T) {
+	for _, tc := range []struct {
+		k, n  int
+		two   []int // the 2-shard plan
+		total int   // connected ports
+	}{
+		{8, 4, []int{0, 896, 2048}, 28672},
+		{4, 4, []int{0, 112, 256}, 1792},
+	} {
+		tr, err := NewTree(tc.k, tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ports := func(lo, hi int) int {
+			n := 0
+			for r := lo; r < hi; r++ {
+				for _, p := range tr.RouterPorts(r) {
+					if p.Kind != PortUnused {
+						n++
+					}
+				}
+			}
+			return n
+		}
+		if got := ports(0, tr.Routers()); got != tc.total {
+			t.Fatalf("%s has %d connected ports, want %d", tr.Name(), got, tc.total)
+		}
+		if got := tr.PartitionRouters(2); !slices.Equal(got, tc.two) {
+			t.Fatalf("%s: 2-shard plan %v, want %v", tr.Name(), got, tc.two)
+		}
+		block := tr.K * tr.Degree()
+		for _, shards := range []int{2, 3, 4} {
+			cuts := tr.PartitionRouters(shards)
+			if err := ValidateCuts(cuts, tr.Routers(), shards); err != nil {
+				t.Fatalf("%s, shards=%d: %v", tr.Name(), shards, err)
+			}
+			for i := 0; i < shards; i++ {
+				if cuts[i]%tr.K != 0 {
+					t.Fatalf("%s, shards=%d: cut %d at %d is not a multiple of %d", tr.Name(), shards, i, cuts[i], tr.K)
+				}
+				// |ports - total/shards| < block, kept in integers.
+				if off := ports(cuts[i], cuts[i+1])*shards - tc.total; off <= -block*shards || off >= block*shards {
+					t.Fatalf("%s, shards=%d: plan %v gives shard %d %d ports, share %d/%d (block %d)",
+						tr.Name(), shards, cuts, i, ports(cuts[i], cuts[i+1]), tc.total, shards, block)
+				}
+			}
+		}
+	}
+}
+
+// TestShardCubePlansPinned pins the torus plans: every router has the
+// same degree, so the cut rule reduces to the even split of whole
+// planes (or of sub-plane blocks once shards outnumber planes).
+func TestShardCubePlansPinned(t *testing.T) {
+	for _, tc := range []struct {
+		k, n, shards int
+		want         []int
+	}{
+		{16, 3, 2, []int{0, 2048, 4096}},
+		{16, 3, 3, []int{0, 1280, 2560, 4096}},
+		{16, 3, 4, []int{0, 1024, 2048, 3072, 4096}},
+		{16, 2, 3, []int{0, 80, 160, 256}},
+		{8, 3, 3, []int{0, 128, 320, 512}},
+		{4, 2, 8, []int{0, 2, 4, 6, 8, 10, 12, 14, 16}},
+	} {
+		c, err := NewCube(tc.k, tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.PartitionRouters(tc.shards); !slices.Equal(got, tc.want) {
+			t.Fatalf("%s at %d shards: plan %v, want %v", c.Name(), tc.shards, got, tc.want)
 		}
 	}
 }

@@ -37,7 +37,9 @@ func hotLoadedFabric(t *testing.T, shards, linkCycles int) (*Fabric, *sim.Engine
 // annotations: after warm-up, a fabric cycle under load performs zero
 // heap allocations, on the sequential stages and on the sharded
 // two-phase driver alike, with plain links and with pipelined wires
-// (whose work list every cycle walks). The static hotalloc rule catches
+// (whose work list every cycle walks). Two shards fit a 2-vCPU host, so
+// there the pool's polling hand-off is measured; four oversubscribe it,
+// so there its parking hand-off is. The static hotalloc rule catches
 // escapes the compiler can prove; this catches the amortization
 // assumptions it cannot.
 func TestCycleAllocFree(t *testing.T) {
@@ -46,6 +48,7 @@ func TestCycleAllocFree(t *testing.T) {
 		shards, linkCycles int
 	}{
 		{"shards=1", 1, 1},
+		{"shards=2", 2, 1},
 		{"shards=4", 4, 1},
 		{"linkcycles=3,shards=1", 1, 3},
 		{"linkcycles=3,shards=4", 4, 3},

@@ -129,10 +129,14 @@ func (f *Fabric) SetShards(s int) error {
 	if err := f.initShards(cuts); err != nil {
 		return err
 	}
-	if s > 1 && (f.pool == nil || f.pool.Workers() != s) {
-		if f.pool != nil {
-			f.pool.Close()
-		}
+	// A pool of the wrong size — including any pool once the fabric is
+	// back to one shard — is closed now rather than left to its
+	// finalizer with idle goroutines.
+	if f.pool != nil && f.pool.Workers() != s {
+		f.pool.Close()
+		f.pool = nil
+	}
+	if s > 1 && f.pool == nil {
 		f.pool = sim.NewPool(s)
 	}
 	f.computeFn = func(w int) { f.computeShard(&f.shards[w], f.cycle) }

@@ -1,8 +1,10 @@
 package wormhole
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"smart/internal/sim"
 	"smart/internal/topology"
@@ -63,6 +65,33 @@ func TestShardSetShardsPartitions(t *testing.T) {
 	}
 	if f2.Shards() != f2.Top.Routers() {
 		t.Fatalf("SetShards(1000) on %d routers gave %d shards", f2.Top.Routers(), f2.Shards())
+	}
+}
+
+// TestShardSetShardsReleasesPool checks that a pristine fabric taken
+// back to one shard closes the worker pool it no longer needs, rather
+// than leaving its goroutines running until a GC finalizes the pool.
+func TestShardSetShardsReleasesPool(t *testing.T) {
+	f := shardTestFabric(t, Config{VCs: 1, BufDepth: 4, PacketFlits: 4, InjLanes: 1})
+	base := runtime.NumGoroutine()
+	if err := f.SetShards(4); err != nil {
+		t.Fatal(err)
+	}
+	if f.pool == nil || f.pool.Workers() != 4 {
+		t.Fatal("SetShards(4) built no 4-worker pool")
+	}
+	if err := f.SetShards(1); err != nil {
+		t.Fatal(err)
+	}
+	if f.pool != nil {
+		t.Fatal("SetShards(1) kept the 4-worker pool")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after SetShards(1), want %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
