@@ -99,6 +99,7 @@ func TestInvalidConfigs(t *testing.T) {
 		{"NaN load", Config{Load: math.NaN()}, "packet rate NaN"},
 		{"NaN hotspot fraction", Config{Pattern: PatternHotspot, HotspotFraction: math.NaN()}, "hotspot fraction NaN"},
 		{"NaN rotating hotspot fraction", Config{Pattern: PatternHotspot, HotspotPeriod: 100, HotspotFraction: math.NaN()}, "hotspot fraction NaN"},
+		{"NaN burst dwell", Config{Burst: "mmpp:NaN:300:2"}, "mmpp dwell times must be finite"},
 	}
 	for _, tc := range cases {
 		_, err := NewSimulation(tc.cfg)

@@ -50,20 +50,28 @@ func TestRunWithMatchesRun(t *testing.T) {
 	}
 }
 
+// TestRunWithProfilerSeesEveryStage checks that the profiler reports
+// the traffic stage and the fabric's five stages once per cycle, on one
+// shard and on two: every shard count runs the same stages.
 func TestRunWithProfilerSeesEveryStage(t *testing.T) {
 	cfg := smallCfg()
-	p := obs.NewStageProfiler()
-	if _, err := RunWith(cfg, Options{Profiler: p}); err != nil {
-		t.Fatal(err)
-	}
-	report := p.Report()
-	names := make(map[string]int64, len(report))
-	for _, st := range report {
-		names[st.Name] = st.Ticks
-	}
-	for _, want := range []string{"traffic", "link", "crossbar", "routing", "injection", "credits"} {
-		if names[want] != cfg.Horizon {
-			t.Fatalf("stage %q ticked %d times, want %d (report %v)", want, names[want], cfg.Horizon, names)
+	for _, shards := range []int{1, 2} {
+		if s, err := NewSimulationShards(cfg, shards); err != nil || s.Shards != shards {
+			t.Fatalf("shards=%d: assembled %v shards, err %v", shards, s, err)
+		}
+		p := obs.NewStageProfiler()
+		if _, err := RunWith(cfg, Options{Profiler: p, Shards: shards}); err != nil {
+			t.Fatal(err)
+		}
+		report := p.Report()
+		names := make(map[string]int64, len(report))
+		for _, st := range report {
+			names[st.Name] = st.Ticks
+		}
+		for _, want := range []string{"traffic", "link", "crossbar", "routing", "injection", "credits"} {
+			if names[want] != cfg.Horizon {
+				t.Fatalf("shards=%d: stage %q ticked %d times, want %d (report %v)", shards, want, names[want], cfg.Horizon, names)
+			}
 		}
 	}
 }

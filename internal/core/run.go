@@ -47,7 +47,7 @@ type Result struct {
 }
 
 // NewSimulation assembles an experiment from the configuration, on the
-// sequential single-shard engine.
+// single-shard engine.
 func NewSimulation(cfg Config) (*Simulation, error) {
 	return NewSimulationShards(cfg, 1)
 }
@@ -199,8 +199,7 @@ func (cfg Config) assemble(newNet func(topology.Topology, wormhole.RoutingAlgori
 	// any traffic or network work; the traffic process runs next so a
 	// packet created in a cycle can begin injecting the same cycle; the
 	// network then runs its canonical link / crossbar / routing /
-	// injection / credits order (fused into the two-phase driver when
-	// the fabric is sharded).
+	// injection / credits order, each stage over every shard.
 	if ctl != nil {
 		ctl.Register(engine)
 	}

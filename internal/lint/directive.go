@@ -8,8 +8,8 @@ package lint
 // zero-heap-allocation check, marking a type //smartlint:shardowned
 // feeds the ownership model of the shardsafe rule.
 //
-//	//smartlint:shardentry    func: root of the per-shard compute/commit
-//	                          phase call graph (shardsafe rule)
+//	//smartlint:shardentry    func: root of a per-shard pool phase's
+//	                          call graph (shardsafe rule)
 //	//smartlint:shardsink     func: trusted cross-shard boundary (the
 //	                          mailbox API); shardsafe does not descend
 //	//smartlint:shardowned    type: instances are owned by one shard;

@@ -1,11 +1,12 @@
 package lint
 
 // The shardsafe rule is the static half of the sharded engine's
-// bit-identical guarantee (DESIGN.md §12–§13). The parallel cycle runs
-// every shard's compute phase concurrently with no locks; correctness
-// rests on an ownership discipline — a shard writes only its own state,
-// and cross-shard effects travel through the mailbox API committed
-// after the barrier. That discipline used to be audited by humans; this
+// bit-identical guarantee (DESIGN.md §12–§13). Each stage of a cycle
+// runs on every shard concurrently with no locks (the rule's messages
+// call that region the compute phase); correctness rests on an
+// ownership discipline — a shard writes only its own state, and
+// cross-shard effects travel through the mailbox API committed in the
+// cycle's last phase. That discipline used to be audited by humans; this
 // rule machine-checks it on the call graph reachable from the
 // //smartlint:shardentry roots:
 //

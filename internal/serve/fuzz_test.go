@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -60,6 +61,13 @@ func FuzzDecodeRequest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// decodeConfig is /v1/run's decoding of a request body.
+func decodeConfig(r io.Reader) (core.Config, error) {
+	var cfg core.Config
+	err := decodeStrict(r, &cfg)
+	return cfg, err
 }
 
 func mustRead(f *testing.F, name string) []byte {

@@ -20,6 +20,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -298,17 +299,29 @@ func (s *Service) bump(c *int64) {
 	s.mu.Unlock()
 }
 
-// decodeConfig strictly decodes one config object: unknown fields and
-// trailing data are errors, so a typoed field name cannot silently
-// fingerprint as a different experiment.
-func decodeConfig(r io.Reader) (core.Config, error) {
-	var cfg core.Config
-	if err := decodeStrict(r, &cfg); err != nil {
-		return core.Config{}, fmt.Errorf("decoding config: %w", err)
+// maxBody caps a POSTed request body: 1 MiB holds a sweep spec of
+// about 50k loads.
+const maxBody = 1 << 20
+
+// decodeBody strictly decodes a request body of at most maxBody bytes
+// into v. It returns the status a failure answers with: 413 for a body
+// past the cap, which is refused before any of it is decoded, and 400
+// for one that does not decode.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", maxBody)
 	}
-	return cfg, nil
+	if err == nil {
+		err = decodeStrict(bytes.NewReader(body), v)
+	}
+	return http.StatusBadRequest, err
 }
 
+// decodeStrict decodes one JSON value: unknown fields and trailing data
+// are errors, so a typoed field name cannot silently fingerprint as a
+// different experiment.
 func decodeStrict(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -323,9 +336,9 @@ func decodeStrict(r io.Reader, v any) error {
 
 func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.bump(&s.requests)
-	cfg, err := decodeConfig(r.Body)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	var cfg core.Config
+	if status, err := decodeBody(w, r, &cfg); err != nil {
+		s.writeError(w, status, fmt.Errorf("decoding config: %w", err))
 		return
 	}
 	rec, digest, status, err := s.result(cfg)
@@ -345,8 +358,8 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.bump(&s.requests)
 	var spec SweepSpec
-	if err := decodeStrict(r.Body, &spec); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding sweep spec: %w", err))
+	if status, err := decodeBody(w, r, &spec); err != nil {
+		s.writeError(w, status, fmt.Errorf("decoding sweep spec: %w", err))
 		return
 	}
 	if len(spec.Loads) == 0 {

@@ -256,6 +256,28 @@ func TestRunRejectedConfig(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRefused checks the body cap: a run config or sweep
+// spec padded past maxBody with trailing whitespace, which would decode,
+// is refused with 413 and the usual error body, and nothing runs.
+func TestOversizedBodyRefused(t *testing.T) {
+	execs := &atomic.Int64{}
+	svc, url := newTestService(t, fakeRun(execs))
+	pad := strings.Repeat(" ", maxBody)
+	for _, tc := range []struct{ path, body, golden string }{
+		{"/v1/run", testConfigJSON + pad, "run_too_large.json"},
+		{"/v1/sweep", fmt.Sprintf(`{"config":%s,"loads":[0.1,0.2]}`, testConfigJSON) + pad, "sweep_too_large.json"},
+	} {
+		resp, body := post(t, url+tc.path, tc.body, nil)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s with a %d-byte body: status %d, want 413: %s", tc.path, len(tc.body), resp.StatusCode, body)
+		}
+		golden(t, tc.golden, body)
+	}
+	if n := execs.Load(); n != 0 || svc.store.Len() != 0 {
+		t.Errorf("oversized bodies ran %d configs and stored %d records", n, svc.store.Len())
+	}
+}
+
 func TestSweepConformance(t *testing.T) {
 	execs := &atomic.Int64{}
 	_, url := newTestService(t, fakeRun(execs))

@@ -6,27 +6,27 @@ import (
 	"sync/atomic"
 )
 
-// Pool is the reusable barrier/worker pool behind the sharded fabric
-// engine: a fixed set of workers that execute one function per worker
-// and rendezvous at a barrier before Run returns. The calling goroutine
-// is worker 0, so a 1-worker pool spawns nothing and Run degenerates to
-// a plain call — the sequential path pays no synchronization.
+// Pool is the reusable barrier/worker pool behind the fabric engine: a
+// fixed set of workers that execute one function per worker and
+// rendezvous at a barrier before Run returns. The calling goroutine is
+// worker 0, so a 1-worker pool spawns nothing and Run degenerates to a
+// plain call — a one-shard fabric pays no synchronization.
 //
 // Run is a full barrier: every effect of fn(w) on any worker
 // happens-before Run returns (the workers' completion signals
-// synchronize with the caller), so a two-phase cycle — compute on all
-// workers, Run returns, commit on all workers — needs no further
-// synchronization as long as each phase partitions its writes by
-// worker.
+// synchronize with the caller), so a cycle of phases — one fabric stage
+// on all workers, Run returns, the next stage on all workers — needs no
+// further synchronization as long as each phase partitions its writes
+// by worker.
 //
 // A phase is handed off through two atomics rather than channels: Run
 // publishes fn by bumping a phase counter and waits for a count of
 // unfinished workers to reach zero. Each waiting side polls for a
 // fixed budget (pollBudget) before it parks on a channel, so back-to-
-// back phases — a fabric cycle's compute and commit, and the short
-// serial gap before the next cycle — never pay a goroutine park and
-// wake. A poller holds a processor a working peer may need, so a phase
-// polls only if the workers of every busy pool in the process fit
+// back phases — a fabric cycle's five stages, and the short serial gap
+// before the next cycle — never pay a goroutine park and wake. A
+// poller holds a processor a working peer may need, so a phase polls
+// only if the workers of every busy pool in the process fit
 // min(GOMAXPROCS, NumCPU), as they did for the settle phases before,
 // and parks at once otherwise; a polling pool counts as busy until its
 // workers run out of poll budget without a phase (it went idle) or it

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -45,12 +46,15 @@ const mmppSeedTweak = 0x9e3779b97f4a7c15
 // dwell cycles of the two states; peak is the ON-state load multiplier.
 // The OFF multiplier is derived so the stationary mean factor is 1, which
 // requires peak*piOn <= 1 where piOn = dwellOn/(dwellOn+dwellOff).
+// Every argument must be finite: NaN fails every ordered comparison, so
+// the checks are written to reject it, and an infinite dwell would pin
+// the chain in one state (flip probability 1/Inf = 0).
 func NewMMPP(dwellOn, dwellOff, peak float64, seed uint64) (*MMPP, error) {
-	if dwellOn < 1 || dwellOff < 1 {
-		return nil, fmt.Errorf("traffic: mmpp dwell times must be >= 1 cycle, got on=%v off=%v", dwellOn, dwellOff)
+	if !(dwellOn >= 1 && dwellOff >= 1) || math.IsInf(dwellOn, 0) || math.IsInf(dwellOff, 0) {
+		return nil, fmt.Errorf("traffic: mmpp dwell times must be finite and >= 1 cycle, got on=%v off=%v", dwellOn, dwellOff)
 	}
-	if peak < 1 {
-		return nil, fmt.Errorf("traffic: mmpp peak factor must be >= 1, got %v", peak)
+	if !(peak >= 1) || math.IsInf(peak, 0) {
+		return nil, fmt.Errorf("traffic: mmpp peak factor must be finite and >= 1, got %v", peak)
 	}
 	piOn := dwellOn / (dwellOn + dwellOff)
 	if peak*piOn > 1 {

@@ -99,6 +99,11 @@ func TestParseBurstRejectsBadSpecs(t *testing.T) {
 		"mmpp:100:0:2",     // dwellOff < 1
 		"mmpp:100:300:0.5", // peak < 1
 		"mmpp:300:100:2",   // peak*piOn > 1: no load left for OFF
+		"mmpp:NaN:300:2",   // NaN dwellOn: ON would never exit
+		"mmpp:100:NaN:2",   // NaN dwellOff
+		"mmpp:100:300:NaN", // NaN peak
+		"mmpp:Inf:300:1",   // infinite dwellOn
+		"mmpp:100:Inf:1",   // infinite dwellOff
 	}
 	for _, spec := range bad {
 		if err := CheckBurst(spec); err == nil {

@@ -166,10 +166,10 @@ func (c *Counters) add(other Counters) {
 //
 // The fabric is always partitioned into one or more shards — contiguous
 // router ranges, each with its own work lists, deferred-credit lists and
-// counters (shard.go). The default single shard covers everything and
-// runs the classic sequential stages; SetShards(s > 1) arms the two-phase
-// parallel driver, which is bit-identical to the sequential schedule
-// (DESIGN.md §12).
+// counters (shard.go) — and every stage runs as one worker-pool phase,
+// worker w on shard w. The default single shard covers everything on a
+// 1-worker pool, whose phases are plain calls; SetShards(s > 1) spreads
+// the same stages over s workers, bit-identically (DESIGN.md §12).
 type Fabric struct {
 	Top topology.Topology
 	Cfg Config
@@ -239,10 +239,10 @@ type Fabric struct {
 	shards      []shardState
 	routerShard []int32
 	nodeShard   []int32
-	pool        *sim.Pool
-	// computeFn and commitFn are parallelCycle's two pool phases, bound
-	// once by SetShards so a sharded cycle allocates nothing.
-	computeFn, commitFn func(worker int)
+	// pool has one worker per shard; the five stage phases are bound
+	// once by SetShards so a cycle allocates nothing.
+	pool                                        *sim.Pool
+	linkFn, xbarFn, routeFn, injectFn, commitFn func(worker int)
 
 	cycle int64
 
@@ -331,8 +331,7 @@ func laneCounts(kind topology.PortKind, cfg Config) (inN, outN int) {
 
 // NewFabric assembles a fabric over the given topology. The routing
 // algorithm's virtual-channel requirement must match cfg.VCs. The fabric
-// starts with a single shard — the sequential path; SetShards enables
-// parallel execution.
+// starts with a single shard; SetShards enables parallel execution.
 func NewFabric(top topology.Topology, cfg Config, alg RoutingAlgorithm) (*Fabric, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -396,7 +395,7 @@ func NewFabric(top topology.Topology, cfg Config, alg RoutingAlgorithm) (*Fabric
 		at := top.NodeAttach(n)
 		f.nics[n] = nic{lanes: lanes, base: f.inOff[at.Router*deg+at.Port]}
 	}
-	if err := f.initShards([]int{0, routers}); err != nil {
+	if err := f.SetShards(1); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -432,25 +431,20 @@ func (f *Fabric) outSlot(id int32) []Flit {
 	return f.outBuf[o : o+d : o+d]
 }
 
-// Register installs the fabric's pipeline on the engine. With a single
-// shard that is the canonical stage sequence — link transfer, crossbar
-// transfer, routing, injection, credit commit; with more it is the fused
-// two-phase parallel driver, which advances the same stages per shard
-// and lands cross-shard traffic after a barrier (bit-identical either
-// way). A traffic generator should be registered before the fabric so
-// packets created in a cycle can start injecting the same cycle. When
+// Register installs the fabric's pipeline on the engine: link transfer,
+// crossbar transfer, routing, injection and credit commit, each stage
+// one pool phase that runs its per-shard body on every shard (the last
+// also lands cross-shard traffic), at every shard count. A traffic
+// generator should be registered before the fabric so packets created
+// in a cycle can start injecting the same cycle. When
 // Cfg.WatchdogCycles is positive the fabric is also installed as the
 // engine's no-progress watchdog target.
 func (f *Fabric) Register(e *sim.Engine) {
-	if len(f.shards) > 1 {
-		e.RegisterFunc("fabric", f.parallelCycle)
-	} else {
-		e.RegisterFunc("link", f.linkStage)
-		e.RegisterFunc("crossbar", f.crossbarStage)
-		e.RegisterFunc("routing", f.routingStage)
-		e.RegisterFunc("injection", f.injectionStage)
-		e.RegisterFunc("credits", f.creditStage)
-	}
+	e.RegisterFunc("link", f.linkStage)
+	e.RegisterFunc("crossbar", f.crossbarStage)
+	e.RegisterFunc("routing", f.routingStage)
+	e.RegisterFunc("injection", f.injectionStage)
+	e.RegisterFunc("credits", f.creditStage)
 	if f.Cfg.WatchdogCycles > 0 {
 		e.Watch(f.Cfg.WatchdogCycles, f)
 	}
@@ -584,13 +578,13 @@ func (f *Fabric) pushIn(sh *shardState, id int32, fl Flit, cycle int64) {
 
 // sendIn lands a flit in input lane id of router peer during cycle:
 // directly when the router belongs to sh, through the destination
-// shard's mailbox otherwise (committed after the phase barrier, in
+// shard's mailbox otherwise (committed in the credits phase, in
 // ascending source-shard order, stamped with the same cycle). Either way
 // the flit is invisible to this cycle's crossbar and routing stages — a
 // local arrival into an empty lane is held by the arrival stamp, and
 // one behind older flits is not the front — so deferral does not change
 // the simulation. This is the sole sanctioned cross-shard channel of
-// the compute phase — the shardsafe rule trusts it as a sink and audits
+// the stage phases — the shardsafe rule trusts it as a sink and audits
 // everything else.
 //
 //smartlint:shardsink
@@ -677,14 +671,28 @@ func (f *Fabric) begin(cycle int64) {
 	f.cycle = cycle
 }
 
-// linkStage is the sequential driver for the link stage; linkShard has
-// the semantics.
+// phase runs one stage: fn(w) for every shard w, in parallel on the
+// pool, or in shard order on the calling goroutine when a Tracer is
+// attached, so callbacks never fire concurrently.
+func (f *Fabric) phase(fn func(worker int)) {
+	if f.Tracer != nil {
+		f.pool.RunSerial(fn)
+		return
+	}
+	f.pool.Run(fn)
+}
+
+// The stage drivers run their per-shard bodies as pool phases (bound by
+// SetShards); the bodies have the semantics. The link stage opens the
+// cycle.
 func (f *Fabric) linkStage(cycle int64) {
 	f.begin(cycle)
-	for i := range f.shards {
-		f.linkShard(&f.shards[i], cycle)
-	}
+	f.phase(f.linkFn)
 }
+func (f *Fabric) crossbarStage(int64)  { f.phase(f.xbarFn) }
+func (f *Fabric) routingStage(int64)   { f.phase(f.routeFn) }
+func (f *Fabric) injectionStage(int64) { f.phase(f.injectFn) }
+func (f *Fabric) creditStage(int64)    { f.phase(f.commitFn) }
 
 // linkShard moves at most one flit per physical channel direction: for
 // every output port holding buffered flits it fair-arbitrates among the
@@ -696,6 +704,7 @@ func (f *Fabric) linkStage(cycle int64) {
 // active list are visited; per-port decisions are mutually independent,
 // so the visiting order cannot change the outcome.
 //
+//smartlint:shardentry
 //smartlint:hotpath
 func (f *Fabric) linkShard(sh *shardState, cycle int64) {
 	if f.wires != nil {
@@ -824,20 +833,12 @@ func (f *Fabric) deliver(sh *shardState, fl Flit, cycle int64) {
 		pk.TailAt = cycle
 		sh.counters.PacketsDelivered++
 		if f.Tracer != nil {
-			//smartlint:allow shardsafe — a Tracer forces the serial schedule (parallelCycle uses RunSerial), so callbacks never run concurrently
+			//smartlint:allow shardsafe — a Tracer forces the serial schedule (Fabric.phase uses RunSerial), so callbacks never run concurrently
 			f.Tracer.PacketDelivered(cycle, fl.Packet)
 		}
 	}
 	sh.counters.FlitsDelivered++
 	sh.inFlight--
-}
-
-// crossbarStage is the sequential driver for the crossbar stage;
-// xbarShard has the semantics.
-func (f *Fabric) crossbarStage(cycle int64) {
-	for i := range f.shards {
-		f.xbarShard(&f.shards[i], cycle)
-	}
 }
 
 // xbarShard moves flits from bound input lanes into their allocated
@@ -851,6 +852,7 @@ func (f *Fabric) crossbarStage(cycle int64) {
 // per-lane moves are independent because every output lane has exactly
 // one bound input, so the visiting order cannot change the outcome.
 //
+//smartlint:shardentry
 //smartlint:hotpath
 func (f *Fabric) xbarShard(sh *shardState, cycle int64) {
 	for wi, w := range sh.xbarActive.words {
@@ -957,19 +959,11 @@ func (f *Fabric) routeRouter(sh *shardState, r int, cycle int64) {
 			f.dropUnrouted(sh, r)
 			sh.xbarActive.add(id)
 			if f.Tracer != nil {
-				//smartlint:allow shardsafe — a Tracer forces the serial schedule (parallelCycle uses RunSerial), so callbacks never run concurrently
+				//smartlint:allow shardsafe — a Tracer forces the serial schedule (Fabric.phase uses RunSerial), so callbacks never run concurrently
 				f.Tracer.HeaderRouted(cycle, fl.Packet, r, p, l, op, ol)
 			}
 		}
 		break // one routing decision per switch per cycle
-	}
-}
-
-// routingStage is the sequential driver for the routing stage;
-// routeShard has the semantics.
-func (f *Fabric) routingStage(cycle int64) {
-	for i := range f.shards {
-		f.routeShard(&f.shards[i], cycle)
 	}
 }
 
@@ -981,6 +975,7 @@ func (f *Fabric) routingStage(cycle int64) {
 // with at least one presented header are visited; routing decisions are
 // per-router local, so the visiting order is immaterial.
 //
+//smartlint:shardentry
 //smartlint:hotpath
 func (f *Fabric) routeShard(sh *shardState, cycle int64) {
 	if f.Cfg.RouteEvery > 1 && cycle%int64(f.Cfg.RouteEvery) != 0 {
@@ -993,14 +988,6 @@ func (f *Fabric) routeShard(sh *shardState, cycle int64) {
 	}
 }
 
-// injectionStage is the sequential driver for the injection stage;
-// injectShard has the semantics.
-func (f *Fabric) injectionStage(cycle int64) {
-	for i := range f.shards {
-		f.injectShard(&f.shards[i], cycle)
-	}
-}
-
 // injectShard advances the NIC injection streams: each stream pushes
 // the next flit of its current packet into the router's injection lane
 // when a credit is available, and picks up the next queued packet after
@@ -1009,6 +996,7 @@ func (f *Fabric) injectionStage(cycle int64) {
 // (NICs are mutually independent, so order is immaterial); a NIC leaves
 // the active list when its queue and streams empty.
 //
+//smartlint:shardentry
 //smartlint:hotpath
 func (f *Fabric) injectShard(sh *shardState, cycle int64) {
 	for wi, w := range sh.nicActive.words {
@@ -1072,14 +1060,6 @@ func (f *Fabric) injectNIC(sh *shardState, n32 int32, cycle int64) {
 		if idle {
 			sh.nicActive.remove(n32)
 		}
-	}
-}
-
-// creditStage is the sequential driver for the credit commit; creditShard
-// has the semantics.
-func (f *Fabric) creditStage(cycle int64) {
-	for i := range f.shards {
-		f.creditShard(&f.shards[i])
 	}
 }
 

@@ -35,13 +35,13 @@ func hotLoadedFabric(t *testing.T, shards, linkCycles int) (*Fabric, *sim.Engine
 
 // TestCycleAllocFree is the dynamic guard behind the //smartlint:hotpath
 // annotations: after warm-up, a fabric cycle under load performs zero
-// heap allocations, on the sequential stages and on the sharded
-// two-phase driver alike, with plain links and with pipelined wires
-// (whose work list every cycle walks). Two shards fit a 2-vCPU host, so
-// there the pool's polling hand-off is measured; four oversubscribe it,
-// so there its parking hand-off is. The static hotalloc rule catches
-// escapes the compiler can prove; this catches the amortization
-// assumptions it cannot.
+// heap allocations, its five stage phases run on a 1-worker pool (plain
+// calls) and on two or four workers alike, with plain links and with
+// pipelined wires (whose work list every cycle walks). Two shards fit a
+// 2-vCPU host, so there the pool's polling hand-off is measured; four
+// oversubscribe it, so there its parking hand-off is. The static
+// hotalloc rule catches escapes the compiler can prove; this catches
+// the amortization assumptions it cannot.
 func TestCycleAllocFree(t *testing.T) {
 	cases := []struct {
 		name               string

@@ -3,26 +3,27 @@ package wormhole
 // Sharded execution (DESIGN.md §12): the fabric is partitioned into
 // contiguous router ranges, each owning its routers' ports, lanes,
 // wires and attached NICs, plus private work lists, deferred-credit
-// lists and counters. A cycle runs in two phases on a sim.Pool:
+// lists and counters. Each of a cycle's five stages is one sim.Pool
+// phase in which worker w runs the stage over shard w's slices:
 //
-//	compute — every shard runs its link, crossbar, routing and
-//	  injection stages over its own slices. Effects that would land in
+//	link, crossbar, routing, injection — effects that would land in
 //	  another shard (a flit crossing a boundary link, a credit ack to
 //	  an upstream router across the cut) are staged in per-(src, dst)
 //	  mailboxes instead of applied.
-//	commit — after a barrier, every shard drains the mailboxes
-//	  addressed to it in ascending source-shard order and applies its
-//	  deferred credits.
+//	credits — every shard drains the mailboxes addressed to it in
+//	  ascending source-shard order and applies its deferred credits.
 //
-// The result is bit-identical to the single-shard schedule: a flit
-// arriving over a link is invisible to the same-cycle crossbar and
-// routing stages whether it is physically present (local push: it is
-// either behind the front or the front its lane's arrival stamp holds)
-// or still in a mailbox (deferred push) — the one observable skew, the
-// store-and-forward whole-packet gate, forces a single shard. Credits
-// are commutative integer increments applied at end of cycle in both
-// schedules. Counters are per-shard and summed on read, which is exact
-// for integers. See the determinism argument in DESIGN.md §12.
+// One shard is the same code on a 1-worker pool, whose phases are
+// plain calls and whose mailboxes stay empty. The result is
+// bit-identical for every shard count: a flit arriving over a link is
+// invisible to the same-cycle crossbar and routing stages whether it is
+// physically present (local push: it is either behind the front or the
+// front its lane's arrival stamp holds) or still in a mailbox (deferred
+// push) — the one observable skew, the store-and-forward whole-packet
+// gate, forces a single shard. Credits are commutative integer
+// increments applied at end of cycle either way. Counters are per-shard
+// and summed on read, which is exact for integers. See the determinism
+// argument in DESIGN.md §12.
 
 import (
 	"fmt"
@@ -34,7 +35,7 @@ import (
 // shardState is one shard's private slice of the fabric: the index
 // ranges it owns, the work lists and deferred lists scoped to them, its
 // counter deltas, and the outgoing mailboxes. A single-shard fabric has
-// exactly one, covering everything — the sequential path.
+// exactly one, covering everything.
 //
 //smartlint:shardowned
 type shardState struct {
@@ -87,10 +88,10 @@ type arrival struct {
 	fl   Flit
 }
 
-// SetShards repartitions the fabric into s contiguous router shards and
-// arms the two-phase parallel cycle driver (Register installs it when
-// more than one shard exists). It must be called on a pristine fabric —
-// before the first cycle, the first packet and Register.
+// SetShards repartitions the fabric into s contiguous router shards,
+// each stage's work split over a pool of one worker per shard. It must
+// be called on a pristine fabric — before the first cycle, the first
+// packet and Register.
 //
 // s is clamped to [1, Routers()], and a structural partitioner may
 // clamp further when the topology's grain admits fewer shards; Shards()
@@ -129,17 +130,19 @@ func (f *Fabric) SetShards(s int) error {
 	if err := f.initShards(cuts); err != nil {
 		return err
 	}
-	// A pool of the wrong size — including any pool once the fabric is
-	// back to one shard — is closed now rather than left to its
+	// A pool of the wrong size is closed now rather than left to its
 	// finalizer with idle goroutines.
 	if f.pool != nil && f.pool.Workers() != s {
 		f.pool.Close()
 		f.pool = nil
 	}
-	if s > 1 && f.pool == nil {
+	if f.pool == nil {
 		f.pool = sim.NewPool(s)
 	}
-	f.computeFn = func(w int) { f.computeShard(&f.shards[w], f.cycle) }
+	f.linkFn = func(w int) { f.linkShard(&f.shards[w], f.cycle) }
+	f.xbarFn = func(w int) { f.xbarShard(&f.shards[w], f.cycle) }
+	f.routeFn = func(w int) { f.routeShard(&f.shards[w], f.cycle) }
+	f.injectFn = func(w int) { f.injectShard(&f.shards[w], f.cycle) }
 	f.commitFn = func(w int) { f.commitShard(&f.shards[w], f.cycle) }
 	return nil
 }
@@ -214,47 +217,19 @@ func (f *Fabric) initShards(cuts []int) error {
 	return nil
 }
 
-// parallelCycle advances one sharded cycle: the compute phase runs
-// every shard's link/crossbar/routing/injection stages concurrently
-// with cross-shard effects staged in mailboxes, then, after the pool
-// barrier, the commit phase lands boundary flits and applies credits.
-// With a Tracer attached the same two phases run on the serial
-// schedule, so callback order stays deterministic (grouped by shard,
-// unlike the single-shard within-cycle order; state evolution is
-// identical either way).
-func (f *Fabric) parallelCycle(cycle int64) {
-	f.begin(cycle)
-	run := f.pool.Run
-	if f.Tracer != nil {
-		run = f.pool.RunSerial
-	}
-	run(f.computeFn)
-	run(f.commitFn)
-}
-
-// computeShard is one shard's compute phase: the canonical stage order
-// over the shard's own slices. Writes stay inside the shard except for
-// mailbox appends, which only the owning worker touches. It is a
-// shardsafe root: everything reachable from here runs concurrently
-// across shards with no locks, so every write it can reach must be
-// shard-owned (the lint rule walks the call graph from this point).
+// commitShard is one shard's credits stage, the cycle's last: drain
+// every source shard's mailboxes addressed here — flit arrivals first,
+// in ascending source order — then apply the shard's own deferred
+// credits. Arrivals touch input-lane state (at most one flit per lane
+// per cycle), credits touch output-lane and NIC credit counts; the two
+// are disjoint, and credit increments and work-list adds commute, so
+// the order within the phase is immaterial.
 //
-//smartlint:shardentry
-//smartlint:hotpath
-func (f *Fabric) computeShard(sh *shardState, cycle int64) {
-	f.linkShard(sh, cycle)
-	f.xbarShard(sh, cycle)
-	f.routeShard(sh, cycle)
-	f.injectShard(sh, cycle)
-}
-
-// commitShard is one shard's commit phase: drain every source shard's
-// mailboxes addressed here — flit arrivals first, in ascending source
-// order — then apply the shard's own deferred credits. Arrivals touch
-// input-lane state (at most one flit per lane per cycle), credits touch
-// output-lane and NIC credit counts; the two are disjoint, and credit
-// increments and work-list adds commute, so the order within the phase
-// is immaterial.
+// It and the four other per-shard stage bodies (linkShard, xbarShard,
+// routeShard, injectShard) are the shardsafe roots: they run
+// concurrently across shards with no locks, so every write they can
+// reach must be shard-owned (the lint rule walks the call graph from
+// each of them).
 //
 //smartlint:shardentry
 //smartlint:hotpath

@@ -69,8 +69,9 @@ func TestShardSetShardsPartitions(t *testing.T) {
 }
 
 // TestShardSetShardsReleasesPool checks that a pristine fabric taken
-// back to one shard closes the worker pool it no longer needs, rather
-// than leaving its goroutines running until a GC finalizes the pool.
+// back to one shard closes the worker pool it no longer needs, for a
+// 1-worker pool that starts no goroutine, rather than leaving its
+// goroutines running until a GC finalizes the pool.
 func TestShardSetShardsReleasesPool(t *testing.T) {
 	f := shardTestFabric(t, Config{VCs: 1, BufDepth: 4, PacketFlits: 4, InjLanes: 1})
 	base := runtime.NumGoroutine()
@@ -83,7 +84,7 @@ func TestShardSetShardsReleasesPool(t *testing.T) {
 	if err := f.SetShards(1); err != nil {
 		t.Fatal(err)
 	}
-	if f.pool != nil {
+	if f.pool.Workers() != 1 {
 		t.Fatal("SetShards(1) kept the 4-worker pool")
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -226,6 +227,61 @@ func TestShardOneVsManyDelivery(t *testing.T) {
 		}
 		if seq.Counters() != shd.Counters() {
 			t.Fatalf("shards=%d: counters diverged:\nseq %+v\nshd %+v", shards, seq.Counters(), shd.Counters())
+		}
+	}
+}
+
+// eventTracer records every Tracer callback in the order it fires.
+type eventTracer struct{ events [][8]int64 }
+
+func (t *eventTracer) HeaderRouted(cycle int64, pkt PacketID, r, ip, il, op, ol int) {
+	t.events = append(t.events, [8]int64{0, cycle, int64(pkt), int64(r), int64(ip), int64(il), int64(op), int64(ol)})
+}
+
+func (t *eventTracer) PacketDelivered(cycle int64, pkt PacketID) {
+	t.events = append(t.events, [8]int64{1, cycle, int64(pkt)})
+}
+
+// TestShardTracerStreamMatchesOneShard checks that a traced fabric
+// reports the one-shard callback stream, event for event and in order,
+// at every shard count, with plain links and pipelined wires: each
+// stage is its own phase, run shard by shard in ascending router order
+// while a Tracer is attached.
+func TestShardTracerStreamMatchesOneShard(t *testing.T) {
+	run := func(shards, linkCycles int) [][8]int64 {
+		f := shardTestFabric(t, Config{VCs: 1, BufDepth: 4, PacketFlits: 4, InjLanes: 1, LinkCycles: linkCycles})
+		if err := f.SetShards(shards); err != nil {
+			t.Fatal(err)
+		}
+		tr := &eventTracer{}
+		f.Tracer = tr
+		e := sim.NewEngine()
+		f.Register(e)
+		rng := sim.NewRNG(11)
+		for cycle := int64(0); cycle < 400; cycle++ {
+			if cycle < 250 && rng.Bernoulli(0.3) {
+				src := rng.Intn(16)
+				f.EnqueuePacket(src, (src+1+rng.Intn(15))%16, cycle)
+			}
+			e.Step()
+		}
+		return tr.events
+	}
+	for _, linkCycles := range []int{1, 3} {
+		want := run(1, linkCycles)
+		if len(want) == 0 {
+			t.Fatal("one-shard run traced nothing; the comparison is vacuous")
+		}
+		for _, shards := range []int{2, 4} {
+			got := run(shards, linkCycles)
+			if len(got) != len(want) {
+				t.Fatalf("linkcycles=%d shards=%d: %d events, one shard %d", linkCycles, shards, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("linkcycles=%d shards=%d: event %d is %v, one shard %v", linkCycles, shards, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }
