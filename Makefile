@@ -60,9 +60,11 @@ bench:
 # phases) and 4 (true multi-core interleavings; a pool polls first
 # while the busy workers of every pool in the process fit both
 # GOMAXPROCS and the CPU count); results must be bit-identical.
+# -count=1 because go test's cache key leaves GOMAXPROCS out: a cached
+# run at one SMOKE_PROCS would otherwise answer for the other.
 SMOKE_PROCS ?= 4
 shard-smoke:
-	GOMAXPROCS=$(SMOKE_PROCS) $(GO) test -race -run Shard ./internal/...
+	GOMAXPROCS=$(SMOKE_PROCS) $(GO) test -race -count=1 -run Shard ./internal/...
 	GOMAXPROCS=$(SMOKE_PROCS) bash bench/run.sh --workload scale_4096 --size smoke --seconds 2
 
 # The shardsafe leg of the CI lint matrix: the analyzer's own fixture

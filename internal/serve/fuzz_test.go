@@ -46,6 +46,9 @@ func FuzzDecodeRequest(f *testing.F) {
 	}
 	f.Add(spec)
 	f.Add([]byte(testConfigJSON))
+	// Trailing closers after a whole value, which decodeStrict refuses.
+	f.Add([]byte(testConfigJSON + "}"))
+	f.Add(append(spec, "]]]]"...))
 
 	svc := New(nil, Options{})
 	f.Fuzz(func(t *testing.T, body []byte) {

@@ -321,14 +321,15 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
 
 // decodeStrict decodes one JSON value: unknown fields and trailing data
 // are errors, so a typoed field name cannot silently fingerprint as a
-// different experiment.
+// different experiment. Only whitespace may follow the value: anything
+// else, a stray closing '}' or ']' included, fails the read to EOF.
 func decodeStrict(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return errors.New("trailing data after the JSON body")
 	}
 	return nil
@@ -459,6 +460,8 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	b.Metric("smart_store_segments", "Store segment files.", "gauge", stats.Segments)
 	b.Metric("smart_store_bytes", "Bytes across store segments.", "gauge", stats.Bytes)
 	b.Metric("smart_store_superseded_records", "On-disk entries shadowed by a later write (reclaimable by compaction).", "gauge", stats.Superseded)
+	b.Metric("smart_store_decodes_total", "Store reads that decoded and digest-checked an entry.", "counter", stats.Decodes)
+	b.Metric("smart_store_memo_hits_total", "Store reads answered from verified decodes because the entry's bytes were unchanged.", "counter", stats.MemoHits)
 	b.Serve(w)
 }
 

@@ -278,6 +278,35 @@ func TestOversizedBodyRefused(t *testing.T) {
 	}
 }
 
+// TestTrailingDataRefused checks that a body holding anything but
+// whitespace after its JSON value is refused with 400 and the usual
+// error body, including a stray '}' or ']' that a decoder stopping at
+// the value's end would not see, and nothing runs.
+func TestTrailingDataRefused(t *testing.T) {
+	execs := &atomic.Int64{}
+	svc, url := newTestService(t, fakeRun(execs))
+	spec := fmt.Sprintf(`{"config":%s,"loads":[0.1,0.2]}`, testConfigJSON)
+	for _, path := range []string{"/v1/run", "/v1/sweep"} {
+		body := testConfigJSON
+		if path == "/v1/sweep" {
+			body = spec
+		}
+		for _, trailer := range []string{"}", "]]]]", " x", " {}"} {
+			resp, got := post(t, url+path, body+trailer, nil)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s with trailer %q: status %d, want 400: %s", path, trailer, resp.StatusCode, got)
+			}
+			var er ErrorResponse
+			if err := json.Unmarshal(got, &er); err != nil || er.Schema != Schema || !strings.Contains(er.Error, "trailing data") {
+				t.Errorf("%s with trailer %q: body %s (%v), want an error naming the trailing data", path, trailer, got, err)
+			}
+		}
+	}
+	if n := execs.Load(); n != 0 || svc.store.Len() != 0 {
+		t.Errorf("bodies with trailing data ran %d configs and stored %d records", n, svc.store.Len())
+	}
+}
+
 func TestSweepConformance(t *testing.T) {
 	execs := &atomic.Int64{}
 	_, url := newTestService(t, fakeRun(execs))
@@ -431,6 +460,8 @@ func TestMetricsAndHealth(t *testing.T) {
 		"smart_serve_inflight 0",
 		"smart_store_records 1",
 		"smart_store_segments 1",
+		"smart_store_decodes_total 1",   // the miss's read-back
+		"smart_store_memo_hits_total 1", // the hit
 	} {
 		if !strings.Contains(string(body), want+"\n") {
 			t.Errorf("metrics missing %q:\n%s", want, body)

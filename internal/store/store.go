@@ -4,6 +4,15 @@
 // obs.Digest stored alongside so every read re-verifies the bytes it
 // hands out.
 //
+// Get re-reads an entry's bytes from its segment on every call and
+// matches them against the bytes it last verified for that fingerprint.
+// The strict decode and digest check run once per distinct line: equal
+// bytes are answered from a bounded memo of verified decodes (memoCap
+// entries, first in first out), and any other bytes — a superseding
+// write, tampering — are decoded and verified in full. The memo is
+// filled only by verified reads, never by Put, so nothing invalidates
+// it.
+//
 // On disk a store is a directory of JSONL segment files
 // (seg-000001.jsonl, seg-000002.jsonl, ...), each line one Entry in the
 // smart/store/v1 schema. Segments are append-only journals (ScanJournal):
@@ -30,6 +39,7 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -59,7 +69,8 @@ type Entry struct {
 	Schema      string `json:"schema"`
 	Fingerprint string `json:"fingerprint"`
 	// Digest is obs.Digest of the single record — the ETag the sweep
-	// service serves, pinned at write time and recomputed on every read.
+	// service serves, pinned at write time and recomputed whenever Get
+	// reads a line it has not verified.
 	Digest string        `json:"digest"`
 	Record obs.RunRecord `json:"record"`
 }
@@ -83,6 +94,30 @@ type Stats struct {
 	// Superseded counts on-disk entries shadowed by a later write for
 	// the same fingerprint — the garbage Compact reclaims.
 	Superseded int64 `json:"superseded"`
+	// Decodes counts the strict decodes and digest checks Get has run;
+	// MemoHits the Gets answered from the memo of verified decodes
+	// because the bytes read matched the ones last verified.
+	Decodes  int64 `json:"decodes"`
+	MemoHits int64 `json:"memo_hits"`
+}
+
+// memoCap bounds Get's memo of verified decodes. An entry holds a
+// decoded record without its Config, about 0.5 KiB for a 16-node
+// config, so a full memo holds about 0.25 MiB: a small heap grows by
+// about twice what it keeps live (DESIGN.md §15).
+const memoCap = 512
+
+// verified is one memo entry: the SHA-256 of a segment line Get decoded
+// and digest-checked, and what that line decoded to. The record's
+// Config, a json.RawMessage, is the verbatim text of
+// line[configStart:configEnd], so the memo does not hold it: a hit
+// hands out that span of the fresh bytes it has just read and matched.
+// configEnd 0 means the record has no Config.
+type verified struct {
+	sum                    [sha256.Size]byte
+	rec                    obs.RunRecord
+	digest                 string
+	configStart, configEnd int
 }
 
 // Store is the persistent result cache. Safe for concurrent use: the
@@ -98,6 +133,16 @@ type Store struct {
 	index      map[string]loc
 	superseded int64
 	closed     bool
+	// readers holds each sealed segment's read handle, by segment
+	// index, opened on its first read and kept until Compact or Close.
+	readers []*os.File
+	// memo maps a fingerprint to its last verified decode; memoOrder
+	// lists the memo's keys oldest first, and memoNext is the slot the
+	// next insertion overwrites once memoCap keys are held.
+	memo              map[string]verified
+	memoOrder         []string
+	memoNext          int
+	decodes, memoHits int64
 }
 
 // Open opens (creating if necessary) the store rooted at dir, scanning
@@ -120,9 +165,9 @@ func Open(dir string) (*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: creating first segment: %w", err)
 		}
-		return &Store{dir: dir, segs: names, active: f, segBytes: DefaultSegmentBytes, index: map[string]loc{}}, nil
+		return &Store{dir: dir, segs: names, active: f, segBytes: DefaultSegmentBytes, index: map[string]loc{}, memo: map[string]verified{}}, nil
 	}
-	s := &Store{dir: dir, segs: names, segBytes: DefaultSegmentBytes, index: map[string]loc{}}
+	s := &Store{dir: dir, segs: names, segBytes: DefaultSegmentBytes, index: map[string]loc{}, memo: map[string]verified{}}
 	for i, name := range names {
 		if err := s.loadSegment(i, name); err != nil {
 			return nil, err
@@ -241,7 +286,7 @@ func (s *Store) Len() int {
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := Stats{Records: len(s.index), Segments: len(s.segs), Superseded: s.superseded}
+	st := Stats{Records: len(s.index), Segments: len(s.segs), Superseded: s.superseded, Decodes: s.decodes, MemoHits: s.memoHits}
 	for i, name := range s.segs {
 		if i == len(s.segs)-1 {
 			st.Bytes += s.activeSize
@@ -332,9 +377,12 @@ func (s *Store) rollSegment() error {
 
 // Get returns the stored record and content digest for a fingerprint.
 // The read is digest-verifying: the entry's bytes are re-read from the
-// segment file, strictly decoded, and the digest recomputed — a store
-// never serves content it cannot re-derive. Absent fingerprints return
-// ok == false with no error.
+// segment file on every call, and bytes other than the ones last
+// verified for the fingerprint are strictly decoded and their digest
+// recomputed — a store never serves content it cannot re-derive. Equal
+// bytes are answered from the memo. Either way the record's Config is
+// the caller's own. Absent fingerprints return ok == false with no
+// error.
 func (s *Store) Get(fingerprint string) (rec obs.RunRecord, digest string, ok bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -345,20 +393,20 @@ func (s *Store) Get(fingerprint string) (rec obs.RunRecord, digest string, ok bo
 	if !found {
 		return rec, "", false, nil
 	}
-	line := make([]byte, l.length)
-	if l.seg == len(s.segs)-1 {
-		_, err = s.active.ReadAt(line, l.off)
-	} else {
-		var f *os.File
-		f, err = os.Open(filepath.Join(s.dir, s.segs[l.seg]))
-		if err == nil {
-			_, err = f.ReadAt(line, l.off)
-			f.Close()
-		}
-	}
+	line, err := s.readLocked(l)
 	if err != nil {
 		return rec, "", false, fmt.Errorf("store: reading entry %s: %w", fingerprint, err)
 	}
+	sum := sha256.Sum256(line)
+	if v, ok := s.memo[fingerprint]; ok && v.sum == sum {
+		s.memoHits++
+		rec = v.rec
+		if v.configEnd > 0 {
+			rec.Config = line[v.configStart:v.configEnd]
+		}
+		return rec, v.digest, true, nil
+	}
+	s.decodes++
 	e, err := decodeEntry(line)
 	if err != nil {
 		return rec, "", false, fmt.Errorf("store: entry %s: %w", fingerprint, err)
@@ -366,7 +414,33 @@ func (s *Store) Get(fingerprint string) (rec obs.RunRecord, digest string, ok bo
 	if e.Fingerprint != fingerprint {
 		return rec, "", false, fmt.Errorf("store: index for %s points at entry %s", fingerprint, e.Fingerprint)
 	}
+	s.remember(line, sum, e)
 	return e.Record, e.Digest, true, nil
+}
+
+// remember memoizes the verified decode e of line, evicting the oldest
+// fingerprint once memoCap are held; a fingerprint already held keeps
+// its place. Called with the lock held.
+func (s *Store) remember(line []byte, sum [sha256.Size]byte, e Entry) {
+	v := verified{sum: sum, rec: e.Record, digest: e.Digest}
+	v.rec.Config = nil
+	if c := e.Record.Config; c != nil {
+		if v.configStart = bytes.Index(line, c); v.configStart < 0 {
+			return // unreachable: a RawMessage decodes to its input bytes
+		}
+		v.configEnd = v.configStart + len(c)
+	}
+	fp := v.rec.Fingerprint
+	if _, ok := s.memo[fp]; !ok {
+		if len(s.memoOrder) < memoCap {
+			s.memoOrder = append(s.memoOrder, fp)
+		} else {
+			delete(s.memo, s.memoOrder[s.memoNext])
+			s.memoOrder[s.memoNext] = fp
+			s.memoNext = (s.memoNext + 1) % memoCap
+		}
+	}
+	s.memo[fp] = v
 }
 
 // Fingerprints returns the live fingerprints in sorted order.
@@ -398,7 +472,7 @@ func (s *Store) Compact() error {
 	newIndex := make(map[string]loc, len(fps))
 	var off int64
 	for _, fp := range fps {
-		line, err := s.readLocked(fp)
+		line, err := s.readLocked(s.index[fp])
 		if err == nil {
 			if _, werr := tmp.Write(append(line, '\n')); werr != nil {
 				err = werr
@@ -423,8 +497,8 @@ func (s *Store) Compact() error {
 		return fmt.Errorf("store: publishing compaction segment: %w", err)
 	}
 	old := s.segs
-	if err := s.active.Close(); err != nil {
-		return fmt.Errorf("store: closing pre-compaction segment: %w", err)
+	if err := errors.Join(s.active.Close(), s.closeReaders()); err != nil {
+		return fmt.Errorf("store: closing pre-compaction segments: %w", err)
 	}
 	s.segs = []string{name}
 	s.active = tmp
@@ -442,34 +516,55 @@ func (s *Store) Compact() error {
 	return nil
 }
 
-// readLocked returns the raw line bytes of a fingerprint's entry.
-// Called with the lock held.
-func (s *Store) readLocked(fp string) ([]byte, error) {
-	l, ok := s.index[fp]
-	if !ok {
-		return nil, fmt.Errorf("not indexed")
-	}
-	line := make([]byte, l.length)
-	if l.seg == len(s.segs)-1 {
-		if _, err := s.active.ReadAt(line, l.off); err != nil {
+// readLocked reads the line bytes of an indexed entry into a fresh
+// buffer. Called with the lock held.
+func (s *Store) readLocked(l loc) ([]byte, error) {
+	f := s.active
+	if l.seg < len(s.segs)-1 {
+		var err error
+		if f, err = s.reader(l.seg); err != nil {
 			return nil, err
 		}
-		return line, nil
 	}
-	f, err := os.Open(filepath.Join(s.dir, s.segs[l.seg]))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
+	line := make([]byte, l.length)
 	if _, err := f.ReadAt(line, l.off); err != nil {
 		return nil, err
 	}
 	return line, nil
 }
 
-// VerifyAll re-reads and digest-verifies every live entry, returning
-// the first failure. The crash-safety suite calls it after simulated
-// kills.
+// reader returns sealed segment seg's read handle, opening it on first
+// use. Called with the lock held.
+func (s *Store) reader(seg int) (*os.File, error) {
+	if seg >= len(s.readers) {
+		s.readers = append(s.readers, make([]*os.File, seg+1-len(s.readers))...)
+	}
+	if s.readers[seg] == nil {
+		f, err := os.Open(filepath.Join(s.dir, s.segs[seg]))
+		if err != nil {
+			return nil, err
+		}
+		s.readers[seg] = f
+	}
+	return s.readers[seg], nil
+}
+
+// closeReaders closes the sealed segments' read handles. Called with
+// the lock held.
+func (s *Store) closeReaders() error {
+	var errs []error
+	for _, f := range s.readers {
+		if f != nil {
+			errs = append(errs, f.Close())
+		}
+	}
+	s.readers = nil
+	return errors.Join(errs...)
+}
+
+// VerifyAll re-reads every live entry through Get, which digest-verifies
+// any bytes it has not verified before, returning the first failure.
+// The crash-safety suite calls it after simulated kills.
 func (s *Store) VerifyAll() error {
 	for _, fp := range s.Fingerprints() {
 		if _, _, _, err := s.Get(fp); err != nil {
@@ -479,7 +574,8 @@ func (s *Store) VerifyAll() error {
 	return nil
 }
 
-// Close syncs and closes the active segment. Idempotent.
+// Close syncs and closes the active segment and closes the sealed
+// segments' read handles. Idempotent.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -488,8 +584,8 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	syncErr := s.active.Sync()
-	if err := s.active.Close(); err != nil {
-		return fmt.Errorf("store: closing active segment: %w", err)
+	if err := errors.Join(s.active.Close(), s.closeReaders()); err != nil {
+		return fmt.Errorf("store: closing segments: %w", err)
 	}
 	if syncErr != nil {
 		return fmt.Errorf("store: syncing active segment: %w", syncErr)

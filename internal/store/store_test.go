@@ -2,10 +2,13 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"smart/internal/metrics"
@@ -134,7 +137,11 @@ func TestSupersedeLastWriteWins(t *testing.T) {
 	if d := mustPut(t, s, rerun); d != d1 {
 		t.Errorf("wall-time-only change altered digest %s -> %s", d1, d)
 	}
-	// Different measured content supersedes.
+	// Different measured content supersedes, also for a fingerprint
+	// whose old entry Get has already verified and memoized.
+	if _, d, _, _ := s.Get("fp-1"); d != d1 {
+		t.Fatalf("Get before supersede returned digest %s, want %s", d, d1)
+	}
 	changed := first
 	changed.Sample.Accepted = 0.123
 	d2 := mustPut(t, s, changed)
@@ -143,6 +150,9 @@ func TestSupersedeLastWriteWins(t *testing.T) {
 	}
 	if got, d, _, _ := s.Get("fp-1"); d != d2 || got.Sample.Accepted != 0.123 {
 		t.Errorf("Get after supersede returned digest %s (want %s), accepted %g", d, d2, got.Sample.Accepted)
+	}
+	if st := s.Stats(); st.Decodes != 2 || st.MemoHits != 0 {
+		t.Errorf("Get before and after supersede: %d decodes, %d memo hits; want 2 and 0 (new bytes are decoded)", st.Decodes, st.MemoHits)
 	}
 	if s.Len() != 1 {
 		t.Errorf("Len = %d, want 1 (supersede, not insert)", s.Len())
@@ -189,9 +199,28 @@ func TestSegmentRollAndCompact(t *testing.T) {
 	if st := s.Stats(); st.Segments < 3 {
 		t.Fatalf("segBytes=%d produced only %d segments; the roll path is untested", s.segBytes, st.Segments)
 	}
+	// Reads of sealed entries keep one handle open per sealed segment.
+	for fp, want := range digests {
+		if _, d, ok, err := s.Get(fp); err != nil || !ok || d != want {
+			t.Fatalf("before Compact Get(%s) = (%s, %v, %v), want %s", fp, d, ok, err, want)
+		}
+	}
+	if n := openReaders(s); n == 0 || n > len(s.segs)-1 {
+		t.Errorf("%d sealed read handles open over %d segments, want 1 to %d", n, len(s.segs), len(s.segs)-1)
+	}
+	held := append([]*os.File(nil), s.readers...)
+	for fp := range digests {
+		s.Get(fp)
+	}
+	if !slices.Equal(held, s.readers) {
+		t.Error("re-reading sealed entries reopened their segments")
+	}
 	before := s.Stats()
 	if err := s.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
+	}
+	if s.readers != nil {
+		t.Errorf("Compact kept %d read handles on deleted segments", len(s.readers))
 	}
 	after := s.Stats()
 	if after.Segments != 1 {
@@ -207,6 +236,12 @@ func TestSegmentRollAndCompact(t *testing.T) {
 		if _, d, ok, err := s.Get(fp); err != nil || !ok || d != want {
 			t.Fatalf("after Compact Get(%s) = (%s, %v, %v), want %s", fp, d, ok, err, want)
 		}
+	}
+	// Compaction copies each live line byte for byte, so the reads after
+	// it match the verified bytes and decode nothing.
+	if st := s.Stats(); st.Decodes != before.Decodes || st.MemoHits != before.MemoHits+40 {
+		t.Errorf("Gets after Compact: decodes %d -> %d, memo hits %d -> %d; want no decode and 40 hits",
+			before.Decodes, st.Decodes, before.MemoHits, st.MemoHits)
 	}
 	// The compacted store appends and reopens like any other.
 	mustPut(t, s, testRecord("fp-new", 99, 0.75))
@@ -224,6 +259,53 @@ func TestSegmentRollAndCompact(t *testing.T) {
 	if err := s2.VerifyAll(); err != nil {
 		t.Errorf("VerifyAll after Compact: %v", err)
 	}
+	// Remove and Close work on a store whose sealed handles are open:
+	// Remove deletes the segment files, Close releases the handles.
+	s2.segBytes = 2048
+	for i := 0; i < 10; i++ {
+		mustPut(t, s2, testRecord(fmt.Sprintf("fp-late-%d", i), uint64(i), 0.5))
+	}
+	for _, fp := range s2.Fingerprints() {
+		if _, _, _, err := s2.Get(fp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	handles := append([]*os.File(nil), s2.readers...)
+	if openReaders(s2) == 0 {
+		t.Fatal("no sealed read handle open; the Remove-while-open path is untested")
+	}
+	if err := Remove(dir); err != nil {
+		t.Fatalf("Remove with sealed handles open: %v", err)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatalf("Close after Remove: %v", err)
+	}
+	for _, f := range handles {
+		if f != nil {
+			if _, err := f.Stat(); !errors.Is(err, os.ErrClosed) {
+				t.Errorf("Close left sealed handle %s open (Stat: %v)", f.Name(), err)
+			}
+		}
+	}
+	s3, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if s3.Len() != 0 {
+		t.Errorf("Len after Remove = %d, want 0", s3.Len())
+	}
+}
+
+// openReaders counts the store's open sealed-segment read handles.
+func openReaders(s *Store) int {
+	n := 0
+	for _, f := range s.readers {
+		if f != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // TestTornTailTruncatedOnReopen is the kill-mid-append contract: a
@@ -393,9 +475,13 @@ func TestGetVerifiesOnRead(t *testing.T) {
 	}
 	defer s.Close()
 	mustPut(t, s, testRecord("fp-0", 0, 0.5))
+	// A verified read memoizes the entry first.
+	if _, _, ok, err := s.Get("fp-0"); !ok || err != nil {
+		t.Fatalf("Get before tampering: ok=%v err=%v", ok, err)
+	}
 	// Tamper with the file behind the open store's back: the in-memory
-	// index still points at the entry, but the read-side digest check
-	// must catch the changed bytes.
+	// index and the memo still hold the entry, but the changed bytes
+	// miss the memo and the read-side digest check must catch them.
 	seg := filepath.Join(dir, segmentName(1))
 	data, _ := os.ReadFile(seg)
 	tampered := strings.Replace(string(data), `"accepted":0.45`, `"accepted":0.46`, 1)
@@ -407,6 +493,85 @@ func TestGetVerifiesOnRead(t *testing.T) {
 	}
 	if _, _, _, err := s.Get("fp-0"); err == nil || !strings.Contains(err.Error(), "digest verification") {
 		t.Fatalf("tampered read served: err = %v", err)
+	}
+	if st := s.Stats(); st.Decodes != 2 || st.MemoHits != 0 {
+		t.Errorf("%d decodes and %d memo hits, want 2 and 0", st.Decodes, st.MemoHits)
+	}
+}
+
+// TestGetHandsOutConfigCopies checks that every record Get returns,
+// from a decode or from the memo, owns its Config: neither a later read
+// nor the caller's own writes to it change what another Get returns.
+// Every Get returns the decoded form, whose Config the segment line
+// holds compacted, never the record Put was given.
+func TestGetHandsOutConfigCopies(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rec := testRecord("fp-0", 0, 0.5)
+	want := string(rec.Config)
+	rec.Config = json.RawMessage(`{"Network": "tree", "VCs": 2}`)
+	mustPut(t, s, rec)
+	other := testRecord("fp-1", 1, 0.5)
+	other.Config = json.RawMessage(`{"Network":"cube","VCs":4}`)
+	mustPut(t, s, other)
+	for i := 0; i < 3; i++ {
+		got, _, ok, err := s.Get("fp-0")
+		if !ok || err != nil {
+			t.Fatalf("Get %d: ok=%v err=%v", i, ok, err)
+		}
+		if string(got.Config) != want {
+			t.Fatalf("Get %d: Config %s, want %s", i, got.Config, want)
+		}
+		if _, _, _, err := s.Get("fp-1"); err != nil {
+			t.Fatal(err)
+		}
+		if string(got.Config) != want {
+			t.Fatalf("Get %d: reading another entry changed the returned Config to %s", i, got.Config)
+		}
+		for j := range got.Config {
+			got.Config[j] = 'x'
+		}
+	}
+	if st := s.Stats(); st.Decodes != 2 || st.MemoHits != 4 {
+		t.Errorf("%d decodes and %d memo hits, want 2 and 4", st.Decodes, st.MemoHits)
+	}
+}
+
+// TestMemoBounded checks that the memo holds at most memoCap verified
+// decodes, evicting the oldest first: reading more fingerprints than
+// that keeps the newest memoized and decodes the evicted ones again.
+func TestMemoBounded(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	n := memoCap + 10
+	fp := func(i int) string { return fmt.Sprintf("fp-%04d", i) }
+	for i := 0; i < n; i++ {
+		mustPut(t, s, testRecord(fp(i), uint64(i), 0.5))
+		if _, _, ok, err := s.Get(fp(i)); !ok || err != nil {
+			t.Fatalf("Get(%s): ok=%v err=%v", fp(i), ok, err)
+		}
+		if len(s.memo) > memoCap || len(s.memoOrder) > memoCap {
+			t.Fatalf("after %d reads the memo holds %d records and %d keys, cap %d", i+1, len(s.memo), len(s.memoOrder), memoCap)
+		}
+	}
+	if len(s.memo) != memoCap {
+		t.Fatalf("memo holds %d records after %d distinct reads, want %d", len(s.memo), n, memoCap)
+	}
+	before := s.Stats()
+	s.Get(fp(n - 1)) // newest: still memoized
+	s.Get(fp(0))     // oldest: evicted, decoded again
+	if st := s.Stats(); st.MemoHits != before.MemoHits+1 || st.Decodes != before.Decodes+1 {
+		t.Errorf("newest then oldest read: memo hits %d -> %d, decodes %d -> %d; want one each",
+			before.MemoHits, st.MemoHits, before.Decodes, st.Decodes)
+	}
+	if len(s.memo) != memoCap {
+		t.Errorf("memo holds %d records after re-reading an evicted one, want %d", len(s.memo), memoCap)
 	}
 }
 
@@ -422,5 +587,65 @@ func TestFingerprintsSorted(t *testing.T) {
 	got := s.Fingerprints()
 	if len(got) != 3 || got[0] != "aa" || got[1] != "mm" || got[2] != "zz" {
 		t.Errorf("Fingerprints() = %v, want sorted [aa mm zz]", got)
+	}
+}
+
+// TestConcurrentReadsAndWrites drives Get from several goroutines while
+// another supersedes entries and compacts, across sealed and active
+// segments; CI runs it under the race detector. Every read must return
+// a record whose digest recomputes to the digest returned with it.
+func TestConcurrentReadsAndWrites(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.segBytes = 2048
+	const n, readers = 20, 4
+	fp := func(i int) string { return fmt.Sprintf("fp-%02d", i%n) }
+	for i := 0; i < n; i++ {
+		mustPut(t, s, testRecord(fp(i), uint64(i), 0.25))
+	}
+	errs := make(chan error, readers+1) // one send at most per goroutine
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 200; k++ {
+				rec, d, ok, err := s.Get(fp(g*7 + k))
+				if err == nil && !ok {
+					err = fmt.Errorf("store lost %s", fp(g*7+k))
+				}
+				if err == nil && obs.Digest([]obs.RunRecord{rec}) != d {
+					err = fmt.Errorf("Get(%s) returned a record that does not digest to %s", fp(g*7+k), d)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for k := 0; k < 40; k++ {
+			rec := testRecord(fp(k), uint64(k%n), 0.25)
+			rec.Sample.AvgLatency += float64(k)
+			_, err := s.Put(rec)
+			if err == nil && k%10 == 9 {
+				err = s.Compact()
+			}
+			if err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
