@@ -19,11 +19,14 @@
 // The bound address is printed to stderr as "serve: serving on
 // http://HOST:PORT" so scripts can discover an ephemeral port. SIGINT
 // shuts down gracefully: in-flight requests finish (a second SIGINT
-// kills the process) and the store is synced.
+// kills the process) and the store is synced. A connection whose
+// request headers have not arrived within readHeaderTimeout is closed,
+// and a listener that fails ends the process with exit status 1.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -36,6 +39,14 @@ import (
 	"smart/internal/serve"
 	"smart/internal/store"
 )
+
+// readHeaderTimeout bounds how long a client may take to send a
+// request's headers, counted from the connection's opening for its
+// first request and from the first byte for a later one, before the
+// server closes the connection: a client that never finishes its
+// headers would otherwise hold a connection and its goroutine until
+// shutdown.
+const readHeaderTimeout = 10 * time.Second
 
 func main() {
 	var opts serve.Options
@@ -80,21 +91,36 @@ func main() {
 		st.Close()
 		os.Exit(1)
 	}
-	srv := &http.Server{Handler: svc.Handler()}
-	go srv.Serve(ln)
+	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "serve: store %s holds %d results\n", *dir, st.Len())
 	fmt.Fprintf(os.Stderr, "serve: serving on http://%s\n", ln.Addr())
 
-	<-ctx.Done()
-	stop() // restore default handling: a second SIGINT kills the process
-	fmt.Fprintln(os.Stderr, "serve: shutting down")
-	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(sctx); err != nil {
+	failed := false
+	select {
+	case <-ctx.Done():
+		stop() // restore default handling: a second SIGINT kills the process
+		fmt.Fprintln(os.Stderr, "serve: shutting down")
+		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(sctx); err != nil {
+			fmt.Fprintln(os.Stderr, "serve:", err)
+		}
+		if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+			fmt.Fprintln(os.Stderr, "serve:", err)
+			failed = true
+		}
+	case err := <-served:
+		// Serve returns before Shutdown only when the listener fails.
 		fmt.Fprintln(os.Stderr, "serve:", err)
+		failed = true
 	}
 	if err := st.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
+		failed = true
+	}
+	if failed {
 		os.Exit(1)
 	}
 }

@@ -60,7 +60,7 @@ func (b Batch) Run(workers int) ([]Result, error) {
 // the results that did complete (failed slots hold zero Results).
 func (b Batch) RunWith(workers int, opts Options) ([]Result, error) {
 	opts.Batch = b.Name
-	results, errs := runAll(opts.Context, len(b.Configs), workers, func(i int) (Result, error) {
+	results, errs := runAll(opts.Context, indices(len(b.Configs)), workers, func(i int) (Result, error) {
 		o := opts
 		o.Index = i
 		return RunWith(b.Configs[i], o)

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
+	"sync"
 	"time"
 
 	"smart/internal/obs"
@@ -290,14 +293,19 @@ func wallMS(d time.Duration) float64 {
 // aborts the grid: the remaining points still run, the failures land in
 // the manifest as failure records, and the joined error is returned
 // alongside the results that did complete (failed slots hold zero
-// Results).
+// Results). Runs start in descending load, heaviest first.
 func SweepWith(base Config, loads []float64, workers int, opts Options) ([]Result, error) {
 	if opts.Logger != nil {
 		opts.Logger.Info("sweep starting",
 			"cfg", base.Fingerprint(), "label", base.WithDefaults().Label(),
 			"runs", len(loads), "workers", workers)
 	}
-	results, errs := runAll(opts.Context, len(loads), workers, func(i int) (Result, error) {
+	// The runs share one network and horizon, so offered load orders
+	// them by cost; starting the heaviest first leaves the light ones to
+	// fill in behind them instead of one heavy run finishing alone.
+	heaviest := indices(len(loads))
+	slices.SortStableFunc(heaviest, func(a, b int) int { return cmp.Compare(loads[b], loads[a]) })
+	results, errs := runAll(opts.Context, heaviest, workers, func(i int) (Result, error) {
 		cfg := base
 		cfg.Load = loads[i]
 		o := opts
@@ -312,41 +320,54 @@ func SweepWith(base Config, loads []float64, workers int, opts Options) ([]Resul
 	return results, err
 }
 
-// runAll executes n indexed runs across at most workers goroutines and
-// returns results and errors in index order. A panicking run is
-// contained: it fails its own slot (with the stack attached) and the
-// rest of the grid proceeds. Once ctx is cancelled, runs that have not
-// started are skipped with a context error; in-flight runs complete.
-func runAll(ctx context.Context, n, workers int, run func(i int) (Result, error)) ([]Result, []error) {
-	if workers < 1 {
-		workers = 1
-	}
+// runAll executes the indexed runs named by order, a permutation of
+// 0..len(order)-1, on min(workers, len(order)) goroutines that take them
+// from one queue in that order, and returns results and errors in index
+// order. A panicking run is contained: it fails its own slot (with the
+// stack attached) and the rest of the grid proceeds. Once ctx is
+// cancelled, runs that have not started are skipped with a context
+// error; in-flight runs complete.
+func runAll(ctx context.Context, order []int, workers int, run func(i int) (Result, error)) ([]Result, []error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	n := len(order)
 	results := make([]Result, n)
 	errs := make([]error, n)
-	sem := make(chan struct{}, workers)
-	done := make(chan struct{})
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			sem <- struct{}{}
-			defer func() { <-sem; done <- struct{}{} }()
-			if err := ctx.Err(); err != nil {
-				errs[i] = fmt.Errorf("not started: %w", err)
-				return
+	queue := make(chan int, n) // the whole grid, so filling it never blocks
+	for _, i := range order {
+		queue <- i
+	}
+	close(queue)
+	var wg sync.WaitGroup
+	for range min(max(workers, 1), n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range queue {
+				if err := ctx.Err(); err != nil {
+					errs[i] = fmt.Errorf("not started: %w", err)
+					continue
+				}
+				errs[i] = resilience.Run(func() error {
+					var err error
+					results[i], err = run(i)
+					return err
+				})
 			}
-			errs[i] = resilience.Run(func() error {
-				var err error
-				results[i], err = run(i)
-				return err
-			})
-		}(i)
+		}()
 	}
-	for i := 0; i < n; i++ {
-		<-done
-	}
+	wg.Wait()
 	return results, errs
+}
+
+// indices returns 0..n-1, the index order of an n-run grid.
+func indices(n int) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	return order
 }
 
 // finishGrid settles a grid's per-run errors after runAll: each failure

@@ -25,7 +25,7 @@ func Replicate(base Config, runs, workers int) (Replication, error) {
 	if runs < 2 {
 		return Replication{}, fmt.Errorf("core: replication needs at least 2 runs, got %d", runs)
 	}
-	results, errs := runAll(context.TODO(), runs, workers, func(i int) (Result, error) {
+	results, errs := runAll(context.TODO(), indices(runs), workers, func(i int) (Result, error) {
 		cfg := base
 		cfg.Seed = base.Seed + uint64(i)
 		return Run(cfg)

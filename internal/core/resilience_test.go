@@ -15,7 +15,7 @@ import (
 )
 
 func TestRunAllIsolatesPanics(t *testing.T) {
-	results, errs := runAll(nil, 3, 2, func(i int) (Result, error) {
+	results, errs := runAll(nil, indices(3), 2, func(i int) (Result, error) {
 		if i == 1 {
 			panic(fmt.Sprintf("config %d is pathological", i))
 		}

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"smart/internal/core"
+	"smart/internal/store"
 )
 
 // FuzzDecodeRequest feeds arbitrary bodies to the strict decoders behind
@@ -17,7 +20,10 @@ import (
 // must survive the handler's normalization: prepare, Fingerprint and
 // Timing may fail but not panic, and the prepared config must
 // fingerprint identically after a marshal/decode round trip, since the
-// fingerprint is the store key a client addresses results by.
+// fingerprint is the store key a client addresses results by. A run
+// body that decodes, posted twice to a service with the fake runner,
+// gets the same status, ETag and bytes both times, whether the second
+// answer comes through the request memo or not.
 func FuzzDecodeRequest(f *testing.F) {
 	for _, name := range []string{"run_body.json", "sweep_body.json", "run_invalid.json", "run_rejected.json"} {
 		f.Add(mustRead(f, name))
@@ -51,9 +57,18 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add(append(spec, "]]]]"...))
 
 	svc := New(nil, Options{})
+	st, err := store.Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { st.Close() })
+	served := New(st, Options{})
+	served.run = fakeRun(nil)
+	h := served.Handler()
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if cfg, err := decodeConfig(bytes.NewReader(body)); err == nil {
 			checkPrepared(t, svc, cfg)
+			checkRepeatable(t, h, body)
 		}
 		var spec SweepSpec
 		if err := decodeStrict(bytes.NewReader(body), &spec); err == nil {
@@ -80,6 +95,24 @@ func mustRead(f *testing.F, name string) []byte {
 		f.Fatal(err)
 	}
 	return data
+}
+
+// checkRepeatable posts body to /v1/run twice and requires the same
+// status, ETag and bytes both times.
+func checkRepeatable(t *testing.T, h http.Handler, body []byte) {
+	var first *httptest.ResponseRecorder
+	for k := 0; k < 2; k++ {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
+		if first == nil {
+			first = w
+			continue
+		}
+		if w.Code != first.Code || w.Header().Get("ETag") != first.Header().Get("ETag") || !bytes.Equal(w.Body.Bytes(), first.Body.Bytes()) {
+			t.Fatalf("%s answered %d %s %s, then %d %s %s", body,
+				first.Code, first.Header().Get("ETag"), first.Body.Bytes(), w.Code, w.Header().Get("ETag"), w.Body.Bytes())
+		}
+	}
 }
 
 // checkPrepared normalizes an accepted config as the handlers do and

@@ -17,10 +17,21 @@
 // reported only in the X-Smart-Cache header (hit, miss or coalesced) —
 // never in the body — so hit and miss bodies for the same config are
 // byte-identical.
+//
+// A repeated /v1/run is answered as bytes in, bytes out. The service
+// remembers the SHA-256 of each body it has answered and the
+// fingerprint that body decoded to, in a bounded first-in-first-out
+// request memo (requestMemoCap bodies), so a body seen before goes
+// straight to the store without being decoded, normalized or
+// fingerprinted. Every /v1/run and /v1/result answer frames the
+// record's canonical JSON, which the store hands out verified
+// (store.GetJSON), into the RunResponse envelope instead of encoding
+// the response.
 package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -82,19 +93,32 @@ type Service struct {
 	pending int
 	sem     chan struct{}
 
+	// memo maps the SHA-256 of each /v1/run body answered to the
+	// fingerprint it decoded to (under mu); memoOrder lists its keys
+	// oldest first, and memoNext is the slot the next insertion
+	// overwrites once requestMemoCap keys are held.
+	memo      map[[sha256.Size]byte]string
+	memoOrder [][sha256.Size]byte
+	memoNext  int
+
 	// Counters (under mu). Requests counts every handled request;
 	// hits/misses/coalesced classify run and sweep cache outcomes;
-	// busy counts 503 refusals; failures counts error responses.
-	requests, hits, misses, coalesced, busy, failures int64
+	// memoHits counts the hits answered through the request memo; busy
+	// counts 503 refusals; failures counts error responses.
+	requests, hits, misses, coalesced, memoHits, busy, failures int64
 }
 
+// requestMemoCap bounds the request memo. An entry is a 32-byte body
+// hash and a 16-hex-digit fingerprint, about 0.1 KiB with the map's
+// overhead, so a full memo holds about 0.05 MiB.
+const requestMemoCap = 512
+
 // flight is one in-progress execution that concurrent requests for the
-// same fingerprint share.
+// same fingerprint share; its requests read the record from the store
+// once done is closed and err is nil.
 type flight struct {
-	done   chan struct{}
-	rec    obs.RunRecord
-	digest string
-	err    error
+	done chan struct{}
+	err  error
 }
 
 // New returns a Service over st.
@@ -114,6 +138,7 @@ func New(st *store.Store, opts Options) *Service {
 		run:     core.RunWith,
 		flights: map[string]*flight{},
 		sem:     make(chan struct{}, opts.Workers),
+		memo:    map[[sha256.Size]byte]string{},
 	}
 }
 
@@ -186,94 +211,89 @@ func (s *Service) prepare(cfg core.Config) core.Config {
 	return cfg.WithDefaults()
 }
 
-// result returns the canonical (position-free) record for cfg, served
-// from the store when possible and otherwise executed at most once per
+// result returns fp's canonical (position-free) record as read, which
+// is the store's Get or GetJSON: served from the store when possible and
+// otherwise executed from the prepared config full at most once per
 // fingerprint across concurrent requests. The returned status is the
 // X-Smart-Cache classification.
-func (s *Service) result(cfg core.Config) (obs.RunRecord, string, string, error) {
-	full := s.prepare(cfg)
-	fp := full.Fingerprint()
-	rec, digest, ok, err := s.store.Get(fp)
+func result[T any](s *Service, full core.Config, fp string, read func(string) (T, string, bool, error)) (T, string, string, error) {
+	var none T
+	rec, digest, ok, err := read(fp)
 	if err != nil {
-		return obs.RunRecord{}, "", "", internalError{fmt.Errorf("store read: %w", err)}
+		return none, "", "", internalError{fmt.Errorf("store read: %w", err)}
 	}
 	if ok {
 		s.bump(&s.hits)
 		return rec, digest, CacheHit, nil
 	}
 
+	status, counter := CacheCoalesced, &s.coalesced
 	s.mu.Lock()
-	if f, ok := s.flights[fp]; ok {
+	f, ok := s.flights[fp]
+	if ok {
 		s.mu.Unlock()
 		<-f.done
-		if f.err != nil {
-			return obs.RunRecord{}, "", "", f.err
+	} else {
+		// No flight — but the record may have landed between the
+		// unlocked store check above and here. Re-check under the lock,
+		// which serializes with flight teardown (the winner deletes its
+		// flight only after the write-back), so a fingerprint executes
+		// exactly once no matter how requests interleave.
+		rec, digest, ok, err = read(fp)
+		if err != nil {
+			s.mu.Unlock()
+			return none, "", "", internalError{fmt.Errorf("store read: %w", err)}
 		}
-		s.bump(&s.coalesced)
-		return f.rec, f.digest, CacheCoalesced, nil
-	}
-	// No flight — but the record may have landed between the unlocked
-	// store check above and here. Re-check under the lock, which
-	// serializes with flight teardown (the winner deletes its flight
-	// only after the write-back), so a fingerprint executes exactly
-	// once no matter how requests interleave.
-	rec, digest, ok, err = s.store.Get(fp)
-	if err != nil {
+		if ok {
+			s.hits++
+			s.mu.Unlock()
+			return rec, digest, CacheHit, nil
+		}
+		if s.pending >= cap(s.sem)+s.opts.Queue {
+			s.busy++
+			s.mu.Unlock()
+			return none, "", "", errBusy
+		}
+		s.pending++
+		f = &flight{done: make(chan struct{})}
+		s.flights[fp] = f
 		s.mu.Unlock()
-		return obs.RunRecord{}, "", "", internalError{fmt.Errorf("store read: %w", err)}
-	}
-	if ok {
-		s.hits++
-		s.mu.Unlock()
-		return rec, digest, CacheHit, nil
-	}
-	if s.pending >= cap(s.sem)+s.opts.Queue {
-		s.busy++
-		s.mu.Unlock()
-		return obs.RunRecord{}, "", "", errBusy
-	}
-	s.pending++
-	f := &flight{done: make(chan struct{})}
-	s.flights[fp] = f
-	s.mu.Unlock()
 
-	f.rec, f.digest, f.err = s.execute(full, fp)
-	s.mu.Lock()
-	delete(s.flights, fp)
-	s.pending--
-	s.mu.Unlock()
-	close(f.done)
-	if f.err != nil {
-		return obs.RunRecord{}, "", "", f.err
+		f.err = s.execute(full)
+		s.mu.Lock()
+		delete(s.flights, fp)
+		s.pending--
+		s.mu.Unlock()
+		close(f.done)
+		status, counter = CacheMiss, &s.misses
 	}
-	s.bump(&s.misses)
-	return f.rec, f.digest, CacheMiss, nil
+	if f.err != nil {
+		return none, "", "", f.err
+	}
+	rec, digest, ok, err = read(fp)
+	if err != nil {
+		return none, "", "", internalError{fmt.Errorf("store read after run: %w", err)}
+	}
+	if !ok {
+		return none, "", "", internalError{fmt.Errorf("run %s completed without a store record", fp)}
+	}
+	s.bump(counter)
+	return rec, digest, status, nil
 }
 
 // execute runs one prepared config on the worker pool, isolating
-// panics, and reads the written-back record out of the store.
-func (s *Service) execute(full core.Config, fp string) (obs.RunRecord, string, error) {
+// panics; the run writes its record back through the store.
+func (s *Service) execute(full core.Config) error {
 	s.sem <- struct{}{}
 	defer func() { <-s.sem }()
-	err := resilience.Run(func() error {
-		_, rerr := s.run(full, core.Options{
+	return resilience.Run(func() error {
+		_, err := s.run(full, core.Options{
 			Store:  s.store,
 			Shards: s.opts.Shards,
 			Logger: s.opts.Logger,
 		})
-		return rerr
+		return err
 	})
-	if err != nil {
-		return obs.RunRecord{}, "", err
-	}
-	rec, digest, ok, gerr := s.store.Get(fp)
-	if gerr != nil {
-		return obs.RunRecord{}, "", internalError{fmt.Errorf("store read after run: %w", gerr)}
-	}
-	if !ok {
-		return obs.RunRecord{}, "", internalError{fmt.Errorf("run %s completed without a store record", fp)}
-	}
-	return rec, digest, nil
 }
 
 // Handler returns the service mux:
@@ -293,9 +313,11 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
-func (s *Service) bump(c *int64) {
+func (s *Service) bump(counters ...*int64) {
 	s.mu.Lock()
-	*c++
+	for _, c := range counters {
+		*c++
+	}
 	s.mu.Unlock()
 }
 
@@ -303,20 +325,15 @@ func (s *Service) bump(c *int64) {
 // about 50k loads.
 const maxBody = 1 << 20
 
-// decodeBody strictly decodes a request body of at most maxBody bytes
-// into v. It returns the status a failure answers with: 413 for a body
-// past the cap, which is refused before any of it is decoded, and 400
-// for one that does not decode.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+// readBody reads a request body of at most maxBody bytes. A body past
+// the cap is refused with 413 before any of it is decoded.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, int, error) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", maxBody)
+		return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", maxBody)
 	}
-	if err == nil {
-		err = decodeStrict(bytes.NewReader(body), v)
-	}
-	return http.StatusBadRequest, err
+	return body, http.StatusBadRequest, err
 }
 
 // decodeStrict decodes one JSON value: unknown fields and trailing data
@@ -335,31 +352,78 @@ func decodeStrict(r io.Reader, v any) error {
 	return nil
 }
 
+// handleRun answers a body it has answered before through the request
+// memo and the store's verified record bytes. Any other body, or a
+// memoized one whose fingerprint the store does not answer (absent, or
+// a failed read), is decoded, normalized and fingerprinted, and enters
+// the memo once answered.
 func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.bump(&s.requests)
-	var cfg core.Config
-	if status, err := decodeBody(w, r, &cfg); err != nil {
+	body, status, err := readBody(w, r)
+	if err != nil {
 		s.writeError(w, status, fmt.Errorf("decoding config: %w", err))
 		return
 	}
-	rec, digest, status, err := s.result(cfg)
+	sum := sha256.Sum256(body)
+	if fp, ok := s.recall(sum); ok {
+		if record, digest, found, err := s.store.GetJSON(fp); err == nil && found {
+			s.bump(&s.hits, &s.memoHits)
+			s.writeRun(w, r, CacheHit, fp, digest, record)
+			return
+		}
+	}
+	var cfg core.Config
+	if err := decodeStrict(bytes.NewReader(body), &cfg); err != nil {
+		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding config: %w", err))
+		return
+	}
+	full := s.prepare(cfg)
+	fp := full.Fingerprint()
+	record, digest, cache, err := result(s, full, fp, s.store.GetJSON)
 	if err != nil {
 		s.writeError(w, statusOf(err), err)
 		return
 	}
-	w.Header().Set("X-Smart-Cache", status)
-	s.writeJSON(w, r, digest, RunResponse{
-		Schema:      Schema,
-		Fingerprint: rec.Fingerprint,
-		Digest:      digest,
-		Record:      rec,
-	})
+	s.writeRun(w, r, cache, fp, digest, record)
+	s.memorize(sum, fp)
+}
+
+// recall returns the fingerprint of the answered /v1/run body whose
+// SHA-256 is sum.
+func (s *Service) recall(sum [sha256.Size]byte) (string, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	fp, ok := s.memo[sum]
+	return fp, ok
+}
+
+// memorize enters an answered /v1/run body's SHA-256 and fingerprint
+// into the request memo, evicting the oldest body once requestMemoCap
+// are held; a body already held keeps its place.
+func (s *Service) memorize(sum [sha256.Size]byte, fp string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.memo[sum]; ok {
+		return
+	}
+	if len(s.memoOrder) < requestMemoCap {
+		s.memoOrder = append(s.memoOrder, sum)
+	} else {
+		delete(s.memo, s.memoOrder[s.memoNext])
+		s.memoOrder[s.memoNext] = sum
+		s.memoNext = (s.memoNext + 1) % requestMemoCap
+	}
+	s.memo[sum] = fp
 }
 
 func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.bump(&s.requests)
+	body, status, err := readBody(w, r)
 	var spec SweepSpec
-	if status, err := decodeBody(w, r, &spec); err != nil {
+	if err == nil {
+		err = decodeStrict(bytes.NewReader(body), &spec)
+	}
+	if err != nil {
 		s.writeError(w, status, fmt.Errorf("decoding sweep spec: %w", err))
 		return
 	}
@@ -371,24 +435,26 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// as /v1/run, so concurrent sweeps over overlapping grids still
 	// execute each point once. Records are stamped with their grid
 	// index, making the response digest equal a cmd/sweep manifest's.
-	status := CacheHit
+	cache := CacheHit
 	records := make([]obs.RunRecord, len(spec.Loads))
 	for i, load := range spec.Loads {
 		cfg := spec.Config
 		cfg.Load = load
-		rec, _, st, err := s.result(cfg)
+		full := s.prepare(cfg)
+		rec, _, st, err := result(s, full, full.Fingerprint(), s.store.Get)
 		if err != nil {
 			s.writeError(w, statusOf(err), fmt.Errorf("sweep point %d (load %g): %w", i, load, err))
 			return
 		}
-		status = worseCache(status, st)
+		cache = worseCache(cache, st)
 		rec.Index = i
 		records[i] = rec
 	}
-	w.Header().Set("X-Smart-Cache", status)
-	s.writeJSON(w, r, obs.Digest(records), SweepResponse{
+	w.Header().Set("X-Smart-Cache", cache)
+	digest := obs.Digest(records)
+	s.writeJSON(w, r, digest, SweepResponse{
 		Schema:  Schema,
-		Digest:  obs.Digest(records),
+		Digest:  digest,
 		Records: records,
 	})
 }
@@ -415,7 +481,7 @@ func worseCache(a, b string) string {
 func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 	s.bump(&s.requests)
 	fp := r.PathValue("fp")
-	rec, digest, ok, err := s.store.Get(fp)
+	record, digest, ok, err := s.store.GetJSON(fp)
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, fmt.Errorf("store read: %w", err))
 		return
@@ -425,13 +491,7 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.bump(&s.hits)
-	w.Header().Set("X-Smart-Cache", CacheHit)
-	s.writeJSON(w, r, digest, RunResponse{
-		Schema:      Schema,
-		Fingerprint: rec.Fingerprint,
-		Digest:      digest,
-		Record:      rec,
-	})
+	s.writeRun(w, r, CacheHit, fp, digest, record)
 }
 
 func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -443,7 +503,7 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	requests, hits, misses := s.requests, s.hits, s.misses
-	coalesced, busy, failures := s.coalesced, s.busy, s.failures
+	coalesced, memoHits, busy, failures := s.coalesced, s.memoHits, s.busy, s.failures
 	pending := s.pending
 	s.mu.Unlock()
 	stats := s.store.Stats()
@@ -453,6 +513,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	b.Metric("smart_serve_cache_hits_total", "Requests answered from the store.", "counter", hits)
 	b.Metric("smart_serve_cache_misses_total", "Requests that executed a run.", "counter", misses)
 	b.Metric("smart_serve_cache_coalesced_total", "Requests that joined another request's execution.", "counter", coalesced)
+	b.Metric("smart_serve_request_memo_hits_total", "Hits answered through the request memo, without decoding their body.", "counter", memoHits)
 	b.Metric("smart_serve_busy_total", "Requests refused because the worker pool was saturated.", "counter", busy)
 	b.Metric("smart_serve_errors_total", "Requests that ended in an error response.", "counter", failures)
 	b.Metric("smart_serve_inflight", "Executions running or queued right now.", "gauge", pending)
@@ -468,11 +529,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // writeJSON answers with body and a strong ETag over digest, honoring
 // If-None-Match revalidation with 304.
 func (s *Service) writeJSON(w http.ResponseWriter, r *http.Request, digest string, body any) {
-	etag := `"` + digest + `"`
-	w.Header().Set("ETag", etag)
-	w.Header().Set("Content-Type", "application/json")
-	if etagMatch(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
+	if notModified(w, r, digest) {
 		return
 	}
 	data, err := json.Marshal(body)
@@ -481,6 +538,60 @@ func (s *Service) writeJSON(w http.ResponseWriter, r *http.Request, digest strin
 		return
 	}
 	w.Write(append(data, '\n'))
+}
+
+// writeRun answers with fp's RunResponse as writeJSON would, framing
+// record, the record's canonical JSON, instead of encoding it.
+func (s *Service) writeRun(w http.ResponseWriter, r *http.Request, cache, fp, digest string, record []byte) {
+	w.Header().Set("X-Smart-Cache", cache)
+	if notModified(w, r, digest) {
+		return
+	}
+	w.Write(frameRun(fp, digest, record))
+}
+
+// notModified sets the ETag over digest and the JSON content type, and
+// answers 304 when If-None-Match holds the ETag.
+func notModified(w http.ResponseWriter, r *http.Request, digest string) bool {
+	etag := `"` + digest + `"`
+	w.Header().Set("ETag", etag)
+	w.Header().Set("Content-Type", "application/json")
+	if etagMatch(r.Header.Get("If-None-Match"), etag) {
+		w.WriteHeader(http.StatusNotModified)
+		return true
+	}
+	return false
+}
+
+// frameRun returns the body writeJSON makes of a RunResponse, the
+// encoded response and a newline, from the record's canonical JSON: the
+// envelope's fields are written around the record bytes, which are not
+// encoded again.
+func frameRun(fp, digest string, record []byte) []byte {
+	const head = `{"schema":"` + Schema + `","fingerprint":`
+	b := make([]byte, 0, len(head)+len(fp)+len(digest)+len(record)+len(`"","digest":"","record":}`)+1)
+	b = append(b, head...)
+	b = appendString(b, fp)
+	b = append(b, `,"digest":`...)
+	b = appendString(b, digest)
+	b = append(b, `,"record":`...)
+	b = append(b, record...)
+	return append(b, "}\n"...)
+}
+
+// appendString appends s as json.Marshal encodes a string. Fingerprints
+// and digests are hex, which needs no escaping; anything else goes
+// through json.Marshal.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always encodes
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // etagMatch implements strong If-None-Match comparison: an exact match

@@ -456,6 +456,7 @@ func TestMetricsAndHealth(t *testing.T) {
 		"smart_serve_cache_hits_total 1",
 		"smart_serve_cache_misses_total 1",
 		"smart_serve_cache_coalesced_total 0",
+		"smart_serve_request_memo_hits_total 1", // the hit: its body was answered before
 		"smart_serve_errors_total 1",
 		"smart_serve_inflight 0",
 		"smart_store_records 1",

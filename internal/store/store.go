@@ -11,7 +11,10 @@
 // entries, first in first out), and any other bytes — a superseding
 // write, tampering — are decoded and verified in full. The memo is
 // filled only by verified reads, never by Put, so nothing invalidates
-// it.
+// it. GetJSON is the same verifying read answering with the record's
+// canonical JSON: a line Put wrote holds that JSON verbatim, so a
+// repeat read hands out a span of the bytes it has just matched instead
+// of encoding the record again.
 //
 // On disk a store is a directory of JSONL segment files
 // (seg-000001.jsonl, seg-000002.jsonl, ...), each line one Entry in the
@@ -40,6 +43,7 @@ package store
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -75,12 +79,24 @@ type Entry struct {
 	Record obs.RunRecord `json:"record"`
 }
 
-// loc is an index entry: where a fingerprint's latest record lives.
+// loc is an index entry: where a fingerprint's latest record lives and
+// its content digest, held as bytes rather than the entry's hex text.
 type loc struct {
 	seg    int   // index into Store.segs
 	off    int64 // byte offset of the line
 	length int64 // line length, newline excluded
-	digest string
+	digest [sha256.Size]byte
+}
+
+// decodeDigest returns the bytes of a hex content digest as obs.Digest
+// renders it.
+func decodeDigest(digest string) ([sha256.Size]byte, error) {
+	var d [sha256.Size]byte
+	if len(digest) != hex.EncodedLen(len(d)) {
+		return d, fmt.Errorf("digest %q is not %d hex digits", digest, hex.EncodedLen(len(d)))
+	}
+	_, err := hex.Decode(d[:], []byte(digest))
+	return d, err
 }
 
 // Stats is a point-in-time summary of a store, served by the sweep
@@ -113,11 +129,31 @@ const memoCap = 512
 // line[configStart:configEnd], so the memo does not hold it: a hit
 // hands out that span of the fresh bytes it has just read and matched.
 // configEnd 0 means the record has no Config.
+//
+// The first GetJSON of the line encodes the record and looks for the
+// result in the line (recordChecked). A line Put wrote holds it, at
+// line[recordStart:recordEnd], and later GetJSONs hand out that span;
+// recordEnd 0 means the line does not hold it byte for byte (an older
+// writer's layout, a Config with spaces), and GetJSON encodes the
+// record on every read. The check waits for GetJSON so that Get, whose
+// callers never need the JSON, pays nothing for it.
 type verified struct {
 	sum                    [sha256.Size]byte
 	rec                    obs.RunRecord
 	digest                 string
 	configStart, configEnd int
+	recordChecked          bool
+	recordStart, recordEnd int
+}
+
+// record returns the memoized record with its Config taken from line,
+// the bytes this verified entry matched.
+func (v *verified) record(line []byte) obs.RunRecord {
+	rec := v.rec
+	if v.configEnd > 0 {
+		rec.Config = line[v.configStart:v.configEnd]
+	}
+	return rec
 }
 
 // Store is the persistent result cache. Safe for concurrent use: the
@@ -139,7 +175,7 @@ type Store struct {
 	// memo maps a fingerprint to its last verified decode; memoOrder
 	// lists the memo's keys oldest first, and memoNext is the slot the
 	// next insertion overwrites once memoCap keys are held.
-	memo              map[string]verified
+	memo              map[string]*verified
 	memoOrder         []string
 	memoNext          int
 	decodes, memoHits int64
@@ -165,9 +201,9 @@ func Open(dir string) (*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: creating first segment: %w", err)
 		}
-		return &Store{dir: dir, segs: names, active: f, segBytes: DefaultSegmentBytes, index: map[string]loc{}, memo: map[string]verified{}}, nil
+		return &Store{dir: dir, segs: names, active: f, segBytes: DefaultSegmentBytes, index: map[string]loc{}, memo: map[string]*verified{}}, nil
 	}
-	s := &Store{dir: dir, segs: names, segBytes: DefaultSegmentBytes, index: map[string]loc{}, memo: map[string]verified{}}
+	s := &Store{dir: dir, segs: names, segBytes: DefaultSegmentBytes, index: map[string]loc{}, memo: map[string]*verified{}}
 	for i, name := range names {
 		if err := s.loadSegment(i, name); err != nil {
 			return nil, err
@@ -225,7 +261,11 @@ func (s *Store) loadSegment(seg int, name string) error {
 		if err != nil {
 			return "", loc{}, fmt.Errorf("store: segment %s line %d: %w", name, n, err)
 		}
-		l := loc{seg: seg, off: off, length: int64(len(line)), digest: e.Digest}
+		digest, err := decodeDigest(e.Digest)
+		if err != nil {
+			return "", loc{}, fmt.Errorf("store: segment %s line %d: %w", name, n, err)
+		}
+		l := loc{seg: seg, off: off, length: int64(len(line)), digest: digest}
 		off += int64(len(line)) + 1
 		lines++
 		return e.Fingerprint, l, nil
@@ -327,6 +367,10 @@ func (s *Store) Put(rec obs.RunRecord) (string, error) {
 	}
 	rec = Canonical(rec)
 	digest := obs.Digest([]obs.RunRecord{rec})
+	sum, err := decodeDigest(digest)
+	if err != nil {
+		return "", fmt.Errorf("store: entry %s: %w", rec.Fingerprint, err)
+	}
 	line, err := json.Marshal(Entry{Schema: Schema, Fingerprint: rec.Fingerprint, Digest: digest, Record: rec})
 	if err != nil {
 		return "", fmt.Errorf("store: encoding entry %s: %w", rec.Fingerprint, err)
@@ -337,7 +381,7 @@ func (s *Store) Put(rec obs.RunRecord) (string, error) {
 		return "", fmt.Errorf("store: %s is closed", s.dir)
 	}
 	if have, ok := s.index[rec.Fingerprint]; ok {
-		if have.digest == digest {
+		if have.digest == sum {
 			return digest, nil
 		}
 		s.superseded++
@@ -350,7 +394,7 @@ func (s *Store) Put(rec obs.RunRecord) (string, error) {
 	if _, err := s.active.Write(append(line, '\n')); err != nil {
 		return "", fmt.Errorf("store: appending entry %s: %w", rec.Fingerprint, err)
 	}
-	s.index[rec.Fingerprint] = loc{seg: len(s.segs) - 1, off: s.activeSize, length: int64(len(line)), digest: digest}
+	s.index[rec.Fingerprint] = loc{seg: len(s.segs) - 1, off: s.activeSize, length: int64(len(line)), digest: sum}
 	s.activeSize += int64(len(line)) + 1
 	return digest, nil
 }
@@ -386,49 +430,85 @@ func (s *Store) rollSegment() error {
 func (s *Store) Get(fingerprint string) (rec obs.RunRecord, digest string, ok bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	line, v, ok, err := s.verifyLocked(fingerprint)
+	if !ok || err != nil {
+		return rec, "", ok, err
+	}
+	return v.record(line), v.digest, true, nil
+}
+
+// GetJSON is Get answering with the record's canonical JSON — exactly
+// the bytes json.Marshal encodes Get's record as — in place of the
+// record. It reads and verifies the entry as Get does; for a line Put
+// wrote, every read after the first hands out the record's span of the
+// bytes just read and matched, so nothing is decoded or encoded. The
+// returned bytes are the caller's own.
+func (s *Store) GetJSON(fingerprint string) (data []byte, digest string, ok bool, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	line, v, ok, err := s.verifyLocked(fingerprint)
+	if !ok || err != nil {
+		return nil, "", ok, err
+	}
+	if v.recordEnd > 0 {
+		return line[v.recordStart:v.recordEnd:v.recordEnd], v.digest, true, nil
+	}
+	if data, err = json.Marshal(v.record(line)); err != nil {
+		return nil, "", false, fmt.Errorf("store: encoding entry %s: %w", fingerprint, err)
+	}
+	if !v.recordChecked {
+		v.recordChecked = true
+		if start := bytes.Index(line, data); start >= 0 {
+			v.recordStart, v.recordEnd = start, start+len(data)
+		}
+	}
+	return data, v.digest, true, nil
+}
+
+// verifyLocked reads fingerprint's entry and returns its bytes with
+// their verified decode: from the memo when the bytes match the ones
+// last verified, and otherwise from a strict decode and digest check,
+// which it memoizes. Called with the lock held.
+func (s *Store) verifyLocked(fingerprint string) ([]byte, *verified, bool, error) {
 	if s.closed {
-		return rec, "", false, fmt.Errorf("store: %s is closed", s.dir)
+		return nil, nil, false, fmt.Errorf("store: %s is closed", s.dir)
 	}
 	l, found := s.index[fingerprint]
 	if !found {
-		return rec, "", false, nil
+		return nil, nil, false, nil
 	}
 	line, err := s.readLocked(l)
 	if err != nil {
-		return rec, "", false, fmt.Errorf("store: reading entry %s: %w", fingerprint, err)
+		return nil, nil, false, fmt.Errorf("store: reading entry %s: %w", fingerprint, err)
 	}
 	sum := sha256.Sum256(line)
 	if v, ok := s.memo[fingerprint]; ok && v.sum == sum {
 		s.memoHits++
-		rec = v.rec
-		if v.configEnd > 0 {
-			rec.Config = line[v.configStart:v.configEnd]
-		}
-		return rec, v.digest, true, nil
+		return line, v, true, nil
 	}
 	s.decodes++
 	e, err := decodeEntry(line)
 	if err != nil {
-		return rec, "", false, fmt.Errorf("store: entry %s: %w", fingerprint, err)
+		return nil, nil, false, fmt.Errorf("store: entry %s: %w", fingerprint, err)
 	}
 	if e.Fingerprint != fingerprint {
-		return rec, "", false, fmt.Errorf("store: index for %s points at entry %s", fingerprint, e.Fingerprint)
+		return nil, nil, false, fmt.Errorf("store: index for %s points at entry %s", fingerprint, e.Fingerprint)
 	}
-	s.remember(line, sum, e)
-	return e.Record, e.Digest, true, nil
+	return line, s.remember(line, sum, e), true, nil
 }
 
 // remember memoizes the verified decode e of line, evicting the oldest
 // fingerprint once memoCap are held; a fingerprint already held keeps
 // its place. Called with the lock held.
-func (s *Store) remember(line []byte, sum [sha256.Size]byte, e Entry) {
-	v := verified{sum: sum, rec: e.Record, digest: e.Digest}
-	v.rec.Config = nil
+func (s *Store) remember(line []byte, sum [sha256.Size]byte, e Entry) *verified {
+	v := &verified{sum: sum, rec: e.Record, digest: e.Digest}
 	if c := e.Record.Config; c != nil {
-		if v.configStart = bytes.Index(line, c); v.configStart < 0 {
-			return // unreachable: a RawMessage decodes to its input bytes
+		start := bytes.Index(line, c)
+		if start < 0 {
+			return v // unreachable: a RawMessage decodes to its input bytes; v keeps its own Config and stays out of the memo
 		}
-		v.configEnd = v.configStart + len(c)
+		v.rec.Config = nil
+		v.configStart, v.configEnd = start, start+len(c)
 	}
 	fp := v.rec.Fingerprint
 	if _, ok := s.memo[fp]; !ok {
@@ -441,6 +521,7 @@ func (s *Store) remember(line []byte, sum [sha256.Size]byte, e Entry) {
 		}
 	}
 	s.memo[fp] = v
+	return v
 }
 
 // Fingerprints returns the live fingerprints in sorted order.

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -648,4 +649,81 @@ func TestConcurrentReadsAndWrites(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+}
+
+// TestGetJSONMatchesMarshal checks that GetJSON answers with exactly the
+// bytes json.Marshal makes of Get's record, read after read: for lines
+// Put wrote, whose record span it records on the first read and hands
+// out after, and for a hand-written line that strict decoding accepts
+// but whose record is not its canonical JSON, which it never takes a
+// span of. The bytes are the caller's own, and a superseding Put is
+// read afresh.
+func TestGetJSONMatchesMarshal(t *testing.T) {
+	dir := t.TempDir()
+	hand := testRecord("fp-hand", 9, 0.5)
+	data, err := json.Marshal(hand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := fmt.Sprintf(`{"record": %s, "digest": %q, "fingerprint": %q, "schema": %q}`+"\n",
+		strings.ReplaceAll(string(data), `,"`, `, "`), obs.Digest([]obs.RunRecord{hand}), hand.Fingerprint, Schema)
+	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	spaced := testRecord("fp-spaced", 1, 0.5)
+	spaced.Config = json.RawMessage("{\"Network\": \"tree\",\n \"VCs\": 2}")
+	sharded := testRecord("fp-sharded", 2, 0.5)
+	sharded.Shards = 4
+	faulted := testRecord("fp-faulted", 3, 0.5)
+	faulted.Faults = "rand-links:2@300-1100"
+	for _, rec := range []obs.RunRecord{testRecord("fp-plain", 0, 0.5), spaced, sharded, faulted} {
+		mustPut(t, s, rec)
+	}
+	check := func(fp string, canonical bool) {
+		t.Helper()
+		rec, digest, _, err := s.Get(fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 3; k++ {
+			got, d, ok, err := s.GetJSON(fp)
+			if err != nil || !ok || d != digest {
+				t.Fatalf("GetJSON(%s) read %d: digest %s ok=%v err=%v, want digest %s", fp, k, d, ok, err, digest)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("GetJSON(%s) read %d:\n got %s\nwant %s", fp, k, got, want)
+			}
+			for j := range got {
+				got[j] = 'x'
+			}
+		}
+		if v := s.memo[fp]; !v.recordChecked || (v.recordEnd > 0) != canonical {
+			t.Errorf("%s: span recorded = %v, want %v", fp, v.recordEnd > 0, canonical)
+		}
+	}
+	before := s.Stats()
+	for _, fp := range []string{"fp-plain", "fp-spaced", "fp-sharded", "fp-faulted"} {
+		check(fp, true)
+	}
+	check("fp-hand", false)
+	if st := s.Stats(); st.Decodes != before.Decodes+5 || st.MemoHits != before.MemoHits+15 {
+		t.Errorf("five entries read once by Get and three times by GetJSON: decodes %d -> %d, memo hits %d -> %d; want +5 and +15",
+			before.Decodes, st.Decodes, before.MemoHits, st.MemoHits)
+	}
+	changed := testRecord("fp-plain", 0, 0.5)
+	changed.Sample.Accepted = 0.123
+	mustPut(t, s, changed)
+	if got, _, _, _ := s.GetJSON("fp-plain"); !bytes.Contains(got, []byte(`"accepted":0.123`)) {
+		t.Errorf("GetJSON after supersede: %s", got)
+	}
+	check("fp-plain", true)
 }

@@ -3,12 +3,15 @@
 #
 # 1. Starts cmd/serve over an empty store: a POSTed config is a cold
 #    miss that executes, and the same POST again is a warm hit whose
-#    body is byte-identical; If-None-Match with the returned ETag gets
-#    304 Not Modified.
-# 2. POSTs a sweep grid and requires the response digest to equal the
+#    body is byte-identical; the same config with its keys reordered
+#    and spaced out is a hit with the same bytes too; If-None-Match with
+#    the returned ETag gets 304 Not Modified.
+# 2. Opens a connection, sends half a request line and nothing more: the
+#    server must close it once its header timeout (10 s) has passed.
+# 3. POSTs a sweep grid and requires the response digest to equal the
 #    manifest digest of a direct cmd/sweep over the same grid — the
 #    served cache and the command line are the same experiment.
-# 3. Restarts the server on the same store: the cache must survive the
+# 4. Restarts the server on the same store: the cache must survive the
 #    process, answering with the same ETag without re-running.
 #
 # Usage: scripts/serve_smoke.sh [workdir]
@@ -26,6 +29,8 @@ go build -o bin/manifest ./cmd/manifest
 # step grid and the JSON loads below parse to bit-identical float64s
 # (and therefore identical fingerprints).
 config='{"Network":"tree","VCs":2,"K":4,"N":2,"Seed":1,"Warmup":200,"Horizon":1000,"Load":0.5}'
+reordered='{ "Load": 0.5, "Horizon": 1000, "Warmup": 200, "Seed": 1,
+  "N": 2, "K": 4, "VCs": 2, "Network": "tree" }'
 sweep_spec='{"config":{"Network":"tree","VCs":2,"K":4,"N":2,"Seed":1,"Warmup":200,"Horizon":1000},"loads":[0.25,0.5,0.75,1.0]}'
 
 start_serve() {
@@ -40,6 +45,9 @@ start_serve() {
     [ -n "$addr" ] || { echo "serve never came up"; cat "$1"; kill "$pid" 2>/dev/null; exit 1; }
 }
 
+# A failing step exits at once; stop the server it leaves behind.
+trap 'kill "${pid:-}" 2>/dev/null || true' EXIT
+
 echo "== cold miss, warm hit, byte-identical bodies =="
 start_serve "$work/serve1.err"
 curl -fsS -D "$work/h1" -o "$work/b1" -d "$config" "http://$addr/v1/run"
@@ -51,10 +59,30 @@ etag=$(sed -n 's/^[Ee][Tt]ag: \(.*\)/\1/p' "$work/h1" | tr -d '\r' | head -1)
 [ -n "$etag" ] || { echo "no ETag on the run response"; cat "$work/h1"; exit 1; }
 echo "cache hit is byte-identical (etag $etag)"
 
+echo "== reordered keys and spacing: a hit with the same bytes =="
+# The first POST of these bytes is decoded; the second is answered from
+# the request memo without a decode. Both must match the miss.
+for n in 1 2; do
+    curl -fsS -D "$work/h4" -o "$work/b4" -d "$reordered" "http://$addr/v1/run"
+    grep -qi '^x-smart-cache: hit' "$work/h4" || { echo "reordered config post $n was not a hit"; cat "$work/h4"; exit 1; }
+    cmp "$work/b1" "$work/b4" || { echo "reordered config post $n: body differs from the miss"; exit 1; }
+done
+echo "reordered config hits are byte-identical"
+
 echo "== ETag revalidation returns 304 =="
 code=$(curl -s -o /dev/null -w '%{http_code}' -H "If-None-Match: $etag" -d "$config" "http://$addr/v1/run")
 [ "$code" = "304" ] || { echo "If-None-Match returned $code, want 304"; exit 1; }
 echo "revalidation 304 ok"
+
+echo "== a client that never finishes its request line is disconnected =="
+# cmd/serve's header timeout is 10 s; allow 5 s more. cat returns once
+# the server closes the connection and is killed by timeout otherwise.
+exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"
+printf 'POST /v1/ru' >&3
+started=$(date +%s)
+timeout 15 cat <&3 >/dev/null || { echo "server kept a half-sent request open past 15 s"; exit 1; }
+exec 3<&-
+echo "connection closed after $(( $(date +%s) - started )) s"
 
 echo "== served sweep digest equals a direct cmd/sweep manifest digest =="
 curl -fsS -d "$sweep_spec" "http://$addr/v1/sweep" >"$work/sweep_resp.json"
