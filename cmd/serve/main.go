@@ -20,8 +20,10 @@
 // http://HOST:PORT" so scripts can discover an ephemeral port. SIGINT
 // shuts down gracefully: in-flight requests finish (a second SIGINT
 // kills the process) and the store is synced. A connection whose
-// request headers have not arrived within readHeaderTimeout is closed,
-// and a listener that fails ends the process with exit status 1.
+// request headers have not arrived within readHeaderTimeout, whose
+// request body has not arrived within readTimeout, or that sits idle
+// between requests for idleTimeout is closed, and a listener that fails
+// ends the process with exit status 1.
 package main
 
 import (
@@ -47,6 +49,18 @@ import (
 // headers would otherwise hold a connection and its goroutine until
 // shutdown.
 const readHeaderTimeout = 10 * time.Second
+
+// readTimeout bounds how long a client may take to send a whole
+// request, body included, counted from the same start: a client that
+// sends less body than its Content-Length would otherwise hold its
+// handler until shutdown. A 1 MiB body, the service's cap, fits in it
+// at 35 KiB/s. It bounds reading only: a miss whose run takes longer
+// still answers.
+const readTimeout = 30 * time.Second
+
+// idleTimeout bounds how long a keep-alive connection may wait for its
+// next request before the server closes it.
+const idleTimeout = readHeaderTimeout
 
 func main() {
 	var opts serve.Options
@@ -91,7 +105,7 @@ func main() {
 		st.Close()
 		os.Exit(1)
 	}
-	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout, IdleTimeout: idleTimeout}
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "serve: store %s holds %d results\n", *dir, st.Len())

@@ -15,7 +15,7 @@
 // them as core.Options. finish is the only exit path: on success, on a
 // failed run and on SIGINT it closes the sinks in one order — progress,
 // checkpoint, telemetry, store, manifest, profiles — so every journal
-// and segment is synced before the process ends; on an error it then
+// is synced before the process ends; on an error it then
 // reports it, prints the "rerun with -resume" hint when a checkpoint is
 // open, and exits 1.
 package cli

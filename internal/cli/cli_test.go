@@ -210,7 +210,7 @@ func TestFinishOnFailure(t *testing.T) {
 		t.Fatalf("stderr lacks the error or resume hint:\n%s", out)
 	}
 	// Closed sinks reopen cleanly: the checkpoint resumes, the store's
-	// active segment was released.
+	// journal was released.
 	ckpt, err := resilience.Open(ckptPath, true)
 	if err != nil {
 		t.Fatal(err)

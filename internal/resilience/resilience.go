@@ -24,7 +24,7 @@ type Checkpoint = store.Store
 
 // Open opens the checkpoint directory dir. With resume it keeps the
 // runs already journaled there; without it the checkpoint starts empty
-// (store.Remove drops the old segments, and only them).
+// (store.Remove drops the store's journal, and only it).
 func Open(dir string, resume bool) (*Checkpoint, error) {
 	if !resume {
 		if err := store.Remove(dir); err != nil {

@@ -98,7 +98,7 @@ func TestFramedBodiesMatchMarshal(t *testing.T) {
 	}
 }
 
-// TestFramedNonCanonicalLine serves a hand-written segment line that
+// TestFramedNonCanonicalLine serves a hand-written journal line that
 // strict decoding accepts but whose record is not its canonical JSON
 // (fields reordered, spaces after commas): /v1/run, through the full
 // path and the request memo, and /v1/result answer with exactly the

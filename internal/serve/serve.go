@@ -518,8 +518,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	b.Metric("smart_serve_errors_total", "Requests that ended in an error response.", "counter", failures)
 	b.Metric("smart_serve_inflight", "Executions running or queued right now.", "gauge", pending)
 	b.Metric("smart_store_records", "Distinct fingerprints in the store.", "gauge", stats.Records)
-	b.Metric("smart_store_segments", "Store segment files.", "gauge", stats.Segments)
-	b.Metric("smart_store_bytes", "Bytes across store segments.", "gauge", stats.Bytes)
+	b.Metric("smart_store_bytes", "Size of the store's journal in bytes.", "gauge", stats.Bytes)
 	b.Metric("smart_store_superseded_records", "On-disk entries shadowed by a later write (reclaimable by compaction).", "gauge", stats.Superseded)
 	b.Metric("smart_store_decodes_total", "Store reads that decoded and digest-checked an entry.", "counter", stats.Decodes)
 	b.Metric("smart_store_memo_hits_total", "Store reads answered from verified decodes because the entry's bytes were unchanged.", "counter", stats.MemoHits)
@@ -594,15 +593,17 @@ func appendString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// etagMatch implements strong If-None-Match comparison: an exact match
-// in the comma-separated candidate list, or "*".
+// etagMatch implements If-None-Match's weak comparison (RFC 9110
+// §13.1.2): a candidate in the comma-separated list whose opaque tag
+// equals the strong etag's, with any W/ prefix ignored, or "*". A proxy
+// that weakened the ETag it passed on still revalidates.
 func etagMatch(header, etag string) bool {
 	if header == "" {
 		return false
 	}
 	for _, candidate := range strings.Split(header, ",") {
 		candidate = strings.TrimSpace(candidate)
-		if candidate == "*" || candidate == etag {
+		if candidate == "*" || strings.TrimPrefix(candidate, "W/") == etag {
 			return true
 		}
 	}

@@ -10,7 +10,7 @@ import (
 	"smart/internal/obs"
 )
 
-// FuzzDecodeEntry feeds arbitrary segment lines to the strict decoder.
+// FuzzDecodeEntry feeds arbitrary journal lines to the strict decoder.
 // It must never panic, and any line it accepts must carry a record
 // whose recomputed digest matches the stored one, keyed by the record's
 // own fingerprint — and must survive a re-encode unchanged in content.

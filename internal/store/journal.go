@@ -1,75 +1,88 @@
 package store
 
 import (
-	"bytes"
+	"bufio"
 	"fmt"
 	"io"
 	"os"
 )
 
-// ScanJournal walks the bytes of an append-only JSONL journal, calling
-// fn once per complete line (1-based line number, newline excluded), and
-// returns the byte offset just past the last complete line. A torn final
-// line — no trailing newline, the signature of a killed process — is not
-// visited: the writer truncates to the returned offset and re-appends,
-// which is the crash-tolerance contract both the store's segments and
-// the telemetry time-series sidecar rely on. An error from fn aborts the
-// scan: mid-file corruption means the file is not the journal it claims
-// to be.
-func ScanJournal(data []byte, fn func(n int, line []byte) error) (int64, error) {
+// OpenJournal opens the append-only JSONL journal at path, creating it
+// if it is missing and emptying it when fresh, and scans it: decode
+// turns each complete line (newline excluded) and its byte offset into
+// a key and a value, and the last value per key wins, because a journal
+// may legitimately carry several lines for one key (a superseding store
+// write, a resumed append). It returns the file, open for appends, the
+// last value per key and the journal's size. A torn final line — no
+// trailing newline, the signature of a killed process — is not decoded
+// but truncated away, so the next append starts on a line boundary;
+// this is the crash-tolerance contract of the store and the telemetry
+// sidecar. A decode error closes the file and fails the open: mid-file
+// corruption means the file is not the journal it claims to be.
+func OpenJournal[V any](path string, fresh bool, decode func(off int64, line []byte) (string, V, error)) (*os.File, map[string]V, int64, error) {
+	flags := os.O_RDWR | os.O_CREATE
+	if fresh {
+		flags |= os.O_TRUNC
+	}
+	f, err := os.OpenFile(path, flags, 0o644)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	// Reading a line at a time holds one line, not the whole journal.
+	last := map[string]V{}
+	r := bufio.NewReader(f)
 	var off int64
-	n := 0
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		if nl < 0 {
+	for n := 1; ; n++ {
+		var line []byte
+		if line, err = r.ReadBytes('\n'); err != nil {
 			break
 		}
-		n++
-		if err := fn(n, data[:nl]); err != nil {
-			return off, err
+		key, val, derr := decode(off, line[:len(line)-1])
+		if derr != nil {
+			err = fmt.Errorf("%s line %d: %w", path, n, derr)
+			break
 		}
-		off += int64(nl) + 1
-		data = data[nl+1:]
+		last[key] = val
+		off += int64(len(line))
 	}
-	return off, nil
-}
-
-// DedupJournal scans a JSONL journal with ScanJournal, decoding each
-// complete line into a (key, value) pair and keeping the last value per
-// key. This is the fingerprint-dedup discipline every journal consumer
-// shares — the telemetry sidecar's recorded-run set and the store's
-// fingerprint index: a journal may legitimately carry several lines for
-// one key (a resumed append, a superseding store write) and the latest
-// one wins. It returns the dedup map alongside ScanJournal's
-// end-of-last-complete-line offset; a decode error aborts the scan with
-// the map built so far discarded.
-func DedupJournal[V any](data []byte, decode func(n int, line []byte) (string, V, error)) (map[string]V, int64, error) {
-	out := map[string]V{}
-	valid, err := ScanJournal(data, func(n int, line []byte) error {
-		key, val, err := decode(n, line)
-		if err != nil {
-			return err
-		}
-		out[key] = val
-		return nil
-	})
+	if err == io.EOF { // the end, or a torn final line without its newline
+		err = f.Truncate(off)
+	}
+	if err == nil {
+		_, err = f.Seek(off, io.SeekStart)
+	}
 	if err != nil {
-		return nil, valid, err
+		f.Close()
+		return nil, nil, 0, err
 	}
-	return out, valid, nil
+	return f, last, off, nil
 }
 
-// TruncateTail drops a torn trailing line from an append-only journal
-// file: it truncates f at valid (the offset ScanJournal returned) and
-// seeks there, so the next append starts on a line boundary. Shared by
-// every journal writer that reopens a file a killed process may have
-// left mid-line.
-func TruncateTail(f *os.File, valid int64) error {
-	if err := f.Truncate(valid); err != nil {
-		return fmt.Errorf("store: truncating torn journal tail: %w", err)
+// publish writes a journal to a temporary file beside path through
+// write, syncs it and renames it to path, so path holds the whole
+// journal or none of it. A temporary file that a killed publish left
+// behind is overwritten. The returned file is open at its end for
+// appends.
+func publish(path string, write func(w io.Writer) error) (*os.File, error) {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, err
 	}
-	if _, err := f.Seek(valid, io.SeekStart); err != nil {
-		return fmt.Errorf("store: seeking journal: %w", err)
+	w := bufio.NewWriter(f)
+	if err = write(w); err == nil {
+		err = w.Flush()
 	}
-	return nil
+	if err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return nil, err
+	}
+	return f, nil
 }

@@ -2,105 +2,117 @@ package store
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// DedupJournal is the one fingerprint-dedup implementation shared by
-// the telemetry sidecar and the store index; this is its contract test.
+// decodeFP decodes a test journal line {"fp":…,"v":…} into its key and
+// value.
+func decodeFP(_ int64, line []byte) (string, int, error) {
+	var rec struct {
+		FP string `json:"fp"`
+		V  int    `json:"v"`
+	}
+	err := json.Unmarshal(line, &rec)
+	return rec.FP, rec.V, err
+}
+
+// TestDedupJournalLastWriteWins is the contract of OpenJournal's scan,
+// the one fingerprint-dedup implementation shared by the store index
+// and the telemetry sidecar: the last line per key wins, each line is
+// decoded at its byte offset, and a torn tail is never decoded.
 func TestDedupJournalLastWriteWins(t *testing.T) {
 	lines := []string{
 		`{"fp":"a","v":1}`,
 		`{"fp":"b","v":2}`,
 		`{"fp":"a","v":3}`, // supersedes the first a
 	}
-	data := []byte(strings.Join(lines, "\n") + "\n")
-	decode := func(n int, line []byte) (string, int, error) {
-		var rec struct {
-			FP string `json:"fp"`
-			V  int    `json:"v"`
-		}
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return "", 0, fmt.Errorf("line %d: %w", n, err)
-		}
-		return rec.FP, rec.V, nil
+	data := strings.Join(lines, "\n") + "\n"
+	// A torn tail: the partial repetition of b must not clobber its
+	// complete value, and the size must exclude it.
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	if err := os.WriteFile(path, []byte(data+`{"fp":"b","v":9`), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	got, valid, err := DedupJournal(data, decode)
+	var offs []int64
+	f, got, size, err := OpenJournal(path, false, func(off int64, line []byte) (string, int, error) {
+		offs = append(offs, off)
+		return decodeFP(off, line)
+	})
 	if err != nil {
-		t.Fatalf("DedupJournal: %v", err)
+		t.Fatalf("OpenJournal: %v", err)
 	}
-	if valid != int64(len(data)) {
-		t.Errorf("valid offset = %d, want %d", valid, len(data))
+	defer f.Close()
+	if size != int64(len(data)) {
+		t.Errorf("size = %d, want %d", size, len(data))
 	}
 	if len(got) != 2 || got["a"] != 3 || got["b"] != 2 {
-		t.Errorf("dedup map = %v, want a=3 (last write wins), b=2", got)
+		t.Errorf("last values = %v, want a=3 (last write wins), b=2", got)
 	}
-
-	// A torn tail is not visited: the partial repetition of b must not
-	// clobber its complete value, and the offset must exclude it.
-	torn := append(append([]byte{}, data...), []byte(`{"fp":"b","v":9`)...)
-	got, valid, err = DedupJournal(torn, decode)
-	if err != nil {
-		t.Fatalf("DedupJournal with torn tail: %v", err)
-	}
-	if valid != int64(len(data)) {
-		t.Errorf("torn-tail valid offset = %d, want %d", valid, len(data))
-	}
-	if got["b"] != 2 {
-		t.Errorf("torn tail visited: b = %d, want 2", got["b"])
+	if want := []int64{0, 17, 34}; !slices.Equal(offs, want) {
+		t.Errorf("lines decoded at offsets %v, want %v", offs, want)
 	}
 }
 
 func TestDedupJournalDecodeErrorAborts(t *testing.T) {
-	data := []byte("{\"fp\":\"a\"}\nnot json\n{\"fp\":\"c\"}\n")
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	data := "{\"fp\":\"a\"}\nnot json\n{\"fp\":\"c\"}\n"
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	calls := 0
-	_, valid, err := DedupJournal(data, func(n int, line []byte) (string, struct{}, error) {
+	_, _, _, err := OpenJournal(path, false, func(off int64, line []byte) (string, int, error) {
 		calls++
-		var rec struct {
-			FP string `json:"fp"`
-		}
-		if jerr := json.Unmarshal(line, &rec); jerr != nil {
-			return "", struct{}{}, fmt.Errorf("line %d corrupt: %w", n, jerr)
-		}
-		return rec.FP, struct{}{}, nil
+		return decodeFP(off, line)
 	})
-	if err == nil {
-		t.Fatal("mid-file corruption must abort the scan")
+	if err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("mid-file corruption must fail the open at line 2, got %v", err)
 	}
 	if calls != 2 {
 		t.Errorf("decode called %d times, want 2 (abort at the corrupt line)", calls)
 	}
-	if want := int64(len("{\"fp\":\"a\"}\n")); valid != want {
-		t.Errorf("valid offset = %d, want %d (end of the last good line)", valid, want)
+	// A failed open truncates nothing: the file is not the journal it
+	// claims to be, and it is left for inspection.
+	if got, _ := os.ReadFile(path); string(got) != data {
+		t.Errorf("failed open changed the file to %q", got)
 	}
 }
 
+// TestTruncateTail checks that OpenJournal drops a torn trailing line
+// and leaves the file at the end of the last complete one, so the next
+// append starts on a line boundary; and that a fresh open empties the
+// journal.
 func TestTruncateTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	whole := "{\"a\":1}\n{\"b\":2}\n"
+	whole := "{\"fp\":\"a\",\"v\":1}\n{\"fp\":\"b\",\"v\":2}\n"
 	if err := os.WriteFile(path, []byte(whole+`{"torn`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	f, _, _, err := OpenJournal(path, false, decodeFP)
 	if err != nil {
+		t.Fatalf("OpenJournal: %v", err)
+	}
+	if _, err := f.WriteString("{\"fp\":\"c\",\"v\":3}\n"); err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	if err := TruncateTail(f, int64(len(whole))); err != nil {
-		t.Fatalf("TruncateTail: %v", err)
-	}
-	// The next append must start on a line boundary.
-	if _, err := f.WriteString("{\"c\":3}\n"); err != nil {
-		t.Fatal(err)
-	}
+	f.Close()
 	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := whole + "{\"c\":3}\n"; string(got) != want {
-		t.Errorf("after TruncateTail+append:\n%q\nwant:\n%q", got, want)
+	if want := whole + "{\"fp\":\"c\",\"v\":3}\n"; string(got) != want {
+		t.Errorf("after OpenJournal+append:\n%q\nwant:\n%q", got, want)
+	}
+
+	f, last, size, err := OpenJournal(path, true, decodeFP)
+	if err != nil {
+		t.Fatalf("fresh OpenJournal: %v", err)
+	}
+	f.Close()
+	if fi, _ := os.Stat(path); len(last) != 0 || size != 0 || fi.Size() != 0 {
+		t.Errorf("fresh open kept %d keys, size %d, %d bytes on disk; want an empty journal", len(last), size, fi.Size())
 	}
 }

@@ -4,7 +4,7 @@
 // obs.Digest stored alongside so every read re-verifies the bytes it
 // hands out.
 //
-// Get re-reads an entry's bytes from its segment on every call and
+// Get re-reads an entry's bytes from the journal on every call and
 // matches them against the bytes it last verified for that fingerprint.
 // The strict decode and digest check run once per distinct line: equal
 // bytes are answered from a bounded memo of verified decodes (memoCap
@@ -16,21 +16,22 @@
 // repeat read hands out a span of the bytes it has just matched instead
 // of encoding the record again.
 //
-// On disk a store is a directory of JSONL segment files
-// (seg-000001.jsonl, seg-000002.jsonl, ...), each line one Entry in the
-// smart/store/v1 schema. Segments are append-only journals (ScanJournal):
-// a process killed mid-append leaves a partial final line that the next
-// Open truncates away, and everything before it survives. Writes go to
-// the highest-numbered (active) segment, which rolls over at a size
-// threshold; an in-memory index maps each fingerprint to its latest
-// entry's byte range, so lookups are one ReadAt. Re-putting a
-// fingerprint appends a superseding entry (last write wins, exactly the
-// DedupJournal discipline); Compact rewrites the live entries into a
-// single fresh segment and deletes the garbage.
+// On disk a store is a directory holding one append-only JSONL journal,
+// seg-NNNNNN.jsonl, each line one Entry in the smart/store/v1 schema.
+// Open scans it through OpenJournal: a process killed mid-append leaves
+// a partial final line that the next Open truncates away, and
+// everything before it survives. An in-memory index maps each
+// fingerprint to its latest entry's byte range, so a lookup is one
+// ReadAt on the journal's one handle. Re-putting a fingerprint appends
+// a superseding entry (last write wins); Compact publishes the live
+// entries as the next-numbered journal and deletes the old one. A
+// directory holding several segments — an earlier version's layout, or
+// a compaction killed between its rename and its delete — is folded
+// into one journal by Open.
 //
 // A store scoped to one grid is that grid's checkpoint
-// (resilience.Checkpoint): the same segments, emptied with Remove when
-// a grid starts fresh instead of resuming.
+// (resilience.Checkpoint): the same journal, emptied with Remove when a
+// grid starts fresh instead of resuming.
 //
 // Records are stored in canonical position: Batch and Index are
 // cleared, because the store is addressed by config content while a
@@ -47,6 +48,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -57,17 +59,11 @@ import (
 	"smart/internal/order"
 )
 
-// Schema versions the segment-line layout. Decoders reject entries
+// Schema versions the journal-line layout. Decoders reject entries
 // whose schema they do not understand.
 const Schema = "smart/store/v1"
 
-// DefaultSegmentBytes is the roll-over threshold for the active
-// segment: large enough that a paper-sized sweep fits in one file,
-// small enough that compaction reclaims superseded entries in bounded
-// chunks.
-const DefaultSegmentBytes = 4 << 20
-
-// Entry is one line of a segment file: a completed run record, its
+// Entry is one line of the journal: a completed run record, its
 // fingerprint key, and the content digest a reader re-verifies.
 type Entry struct {
 	Schema      string `json:"schema"`
@@ -82,7 +78,6 @@ type Entry struct {
 // loc is an index entry: where a fingerprint's latest record lives and
 // its content digest, held as bytes rather than the entry's hex text.
 type loc struct {
-	seg    int   // index into Store.segs
 	off    int64 // byte offset of the line
 	length int64 // line length, newline excluded
 	digest [sha256.Size]byte
@@ -99,14 +94,13 @@ func decodeDigest(digest string) ([sha256.Size]byte, error) {
 	return d, err
 }
 
-// Stats is a point-in-time summary of a store, served by the sweep
-// service's status endpoint.
+// Stats is a point-in-time summary of a store, served on the sweep
+// service's /metrics.
 type Stats struct {
-	// Records is the number of live fingerprints; Segments the on-disk
-	// segment-file count; Bytes their total size.
-	Records  int   `json:"records"`
-	Segments int   `json:"segments"`
-	Bytes    int64 `json:"bytes"`
+	// Records is the number of live fingerprints; Bytes the journal's
+	// size.
+	Records int   `json:"records"`
+	Bytes   int64 `json:"bytes"`
 	// Superseded counts on-disk entries shadowed by a later write for
 	// the same fingerprint — the garbage Compact reclaims.
 	Superseded int64 `json:"superseded"`
@@ -123,7 +117,7 @@ type Stats struct {
 // about twice what it keeps live (DESIGN.md §15).
 const memoCap = 512
 
-// verified is one memo entry: the SHA-256 of a segment line Get decoded
+// verified is one memo entry: the SHA-256 of a journal line Get decoded
 // and digest-checked, and what that line decoded to. The record's
 // Config, a json.RawMessage, is the verbatim text of
 // line[configStart:configEnd], so the memo does not hold it: a hit
@@ -162,16 +156,12 @@ type Store struct {
 	//smartlint:allow concurrency — the store serializes HTTP-driven readers and writers; nothing here is on the simulation cycle path
 	mu         sync.Mutex
 	dir        string
-	segs       []string // segment file names, ascending
-	active     *os.File // highest-numbered segment, open for append
-	activeSize int64
-	segBytes   int64
+	name       string   // the journal's file name
+	f          *os.File // the journal, open for appends and reads
+	size       int64
 	index      map[string]loc
 	superseded int64
 	closed     bool
-	// readers holds each sealed segment's read handle, by segment
-	// index, opened on its first read and kept until Compact or Close.
-	readers []*os.File
 	// memo maps a fingerprint to its last verified decode; memoOrder
 	// lists the memo's keys oldest first, and memoNext is the slot the
 	// next insertion overwrites once memoCap keys are held.
@@ -182,10 +172,11 @@ type Store struct {
 }
 
 // Open opens (creating if necessary) the store rooted at dir, scanning
-// every segment into the in-memory index. Each scanned entry is decoded
-// strictly and its digest re-verified, so a store that was tampered
-// with — as opposed to torn by a crash — fails to open. The active
-// segment's torn tail, if any, is truncated so appends start on a line
+// its journal into the in-memory index; a directory holding several
+// segments is folded into one journal first. Each scanned entry is
+// decoded strictly and its digest re-verified, so a store that was
+// tampered with — as opposed to torn by a crash — fails to open. The
+// journal's torn tail, if any, is truncated so appends start on a line
 // boundary.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -195,39 +186,68 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(names) == 0 {
-		names = []string{segmentName(1)}
-		f, err := os.OpenFile(filepath.Join(dir, names[0]), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("store: creating first segment: %w", err)
-		}
-		return &Store{dir: dir, segs: names, active: f, segBytes: DefaultSegmentBytes, index: map[string]loc{}, memo: map[string]*verified{}}, nil
-	}
-	s := &Store{dir: dir, segs: names, segBytes: DefaultSegmentBytes, index: map[string]loc{}, memo: map[string]*verified{}}
-	for i, name := range names {
-		if err := s.loadSegment(i, name); err != nil {
+	name := segmentName(1)
+	switch {
+	case len(names) == 1:
+		name = names[0]
+	case len(names) > 1:
+		if name, err = fold(dir, names); err != nil {
 			return nil, err
 		}
 	}
-	last := filepath.Join(dir, names[len(names)-1])
-	f, err := os.OpenFile(last, os.O_RDWR, 0o644)
+	lines := 0
+	f, index, size, err := OpenJournal(filepath.Join(dir, name), false, func(off int64, line []byte) (string, loc, error) {
+		lines++
+		e, err := decodeEntry(line)
+		if err != nil {
+			return "", loc{}, err
+		}
+		digest, err := decodeDigest(e.Digest)
+		return e.Fingerprint, loc{off: off, length: int64(len(line)), digest: digest}, err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("store: reopening active segment: %w", err)
+		return nil, fmt.Errorf("store: opening journal: %w", err)
 	}
-	// Drop the active segment's torn tail; sealed segments were only
-	// ever active in a previous life, so a torn tail there is dead data
-	// past their last complete line — already excluded by the scan.
-	if err := TruncateTail(f, s.activeSize); err != nil {
-		f.Close()
-		return nil, err
-	}
-	s.active = f
-	return s, nil
+	// Lines the scan collapsed are superseded entries: garbage Compact
+	// will reclaim.
+	return &Store{dir: dir, name: name, f: f, size: size, index: index, superseded: int64(lines - len(index)), memo: map[string]*verified{}}, nil
 }
 
-// Remove deletes the segment files of the store rooted at dir and
-// leaves every other file there alone, so the next Open starts empty. A
-// missing dir holds no segments and is not an error.
+// fold joins the complete lines of the segments names, oldest first,
+// into one journal numbered past them and deletes them, returning the
+// journal's name. Last write still wins across the joined lines, so the
+// fold keeps every record the segments held. A fold killed before its
+// deletes leaves the joined journal beside the segments, and the next
+// Open folds them all again to the same records.
+func fold(dir string, names []string) (string, error) {
+	name := segmentName(segmentNumber(names[len(names)-1]) + 1)
+	f, err := publish(filepath.Join(dir, name), func(w io.Writer) error {
+		for _, n := range names {
+			data, err := os.ReadFile(filepath.Join(dir, n))
+			if err != nil {
+				return err
+			}
+			if _, err := w.Write(data[:bytes.LastIndexByte(data, '\n')+1]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err == nil {
+		err = f.Close()
+	}
+	if err == nil {
+		err = removeSegments(dir, names)
+	}
+	if err != nil {
+		return "", fmt.Errorf("store: folding %d segments: %w", len(names), err)
+	}
+	return name, nil
+}
+
+// Remove deletes the journal of the store rooted at dir and leaves every
+// other file there alone, so the next Open starts empty. A missing dir
+// holds no journal and is not an error.
 func Remove(dir string) error {
 	names, err := segmentNames(dir)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -236,61 +256,23 @@ func Remove(dir string) error {
 	if err != nil {
 		return err
 	}
+	if err := removeSegments(dir, names); err != nil {
+		return fmt.Errorf("store: removing journal: %w", err)
+	}
+	return nil
+}
+
+// removeSegments deletes the named segment files in dir.
+func removeSegments(dir string, names []string) error {
 	for _, name := range names {
 		if err := os.Remove(filepath.Join(dir, name)); err != nil {
-			return fmt.Errorf("store: removing segment: %w", err)
+			return err
 		}
 	}
 	return nil
 }
 
-// loadSegment scans one segment file into the index. Each complete line
-// must decode as a schema-valid Entry whose digest matches its record —
-// mid-file corruption or tampering is an open error, a torn tail is
-// silently excluded (and, on the active segment, truncated by Open).
-func (s *Store) loadSegment(seg int, name string) error {
-	path := filepath.Join(s.dir, name)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("store: reading segment %s: %w", name, err)
-	}
-	var off int64
-	lines := 0
-	locs, valid, err := DedupJournal(data, func(n int, line []byte) (string, loc, error) {
-		e, err := decodeEntry(line)
-		if err != nil {
-			return "", loc{}, fmt.Errorf("store: segment %s line %d: %w", name, n, err)
-		}
-		digest, err := decodeDigest(e.Digest)
-		if err != nil {
-			return "", loc{}, fmt.Errorf("store: segment %s line %d: %w", name, n, err)
-		}
-		l := loc{seg: seg, off: off, length: int64(len(line)), digest: digest}
-		off += int64(len(line)) + 1
-		lines++
-		return e.Fingerprint, l, nil
-	})
-	if err != nil {
-		return err
-	}
-	// Lines DedupJournal collapsed within this segment are superseded
-	// entries too — garbage Compact will reclaim.
-	s.superseded += int64(lines - len(locs))
-	// Later segments supersede earlier ones; within one segment
-	// DedupJournal already kept the last line per fingerprint.
-	for _, fp := range order.Keys(locs) {
-		if _, ok := s.index[fp]; ok {
-			s.superseded++
-		}
-		s.index[fp] = locs[fp]
-	}
-	if seg == len(s.segs)-1 {
-		s.activeSize = valid
-	}
-	return nil
-}
-
-// decodeEntry strictly decodes one segment line and re-verifies its
+// decodeEntry strictly decodes one journal line and re-verifies its
 // content digest — the read-side half of the content-addressing
 // contract.
 func decodeEntry(line []byte) (Entry, error) {
@@ -326,17 +308,7 @@ func (s *Store) Len() int {
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := Stats{Records: len(s.index), Segments: len(s.segs), Superseded: s.superseded, Decodes: s.decodes, MemoHits: s.memoHits}
-	for i, name := range s.segs {
-		if i == len(s.segs)-1 {
-			st.Bytes += s.activeSize
-			continue
-		}
-		if fi, err := os.Stat(filepath.Join(s.dir, name)); err == nil {
-			st.Bytes += fi.Size()
-		}
-	}
-	return st
+	return Stats{Records: len(s.index), Bytes: s.size, Superseded: s.superseded, Decodes: s.decodes, MemoHits: s.memoHits}
 }
 
 // Canonical returns rec in the position-free form the store persists:
@@ -353,7 +325,7 @@ func Canonical(rec obs.RunRecord) obs.RunRecord {
 }
 
 // Put journals one completed run, canonicalized and flushed to the
-// active segment before returning, and indexes it. Failure records are
+// journal before returning, and indexes it. Failure records are
 // rejected — failures are cheap to re-attempt and must not be served
 // from cache. Re-putting a fingerprint whose stored content digest is
 // unchanged is a no-op; changed content appends a superseding entry.
@@ -386,42 +358,17 @@ func (s *Store) Put(rec obs.RunRecord) (string, error) {
 		}
 		s.superseded++
 	}
-	if s.activeSize > 0 && s.activeSize+int64(len(line))+1 > s.segBytes {
-		if err := s.rollSegment(); err != nil {
-			return "", err
-		}
-	}
-	if _, err := s.active.Write(append(line, '\n')); err != nil {
+	if _, err := s.f.Write(append(line, '\n')); err != nil {
 		return "", fmt.Errorf("store: appending entry %s: %w", rec.Fingerprint, err)
 	}
-	s.index[rec.Fingerprint] = loc{seg: len(s.segs) - 1, off: s.activeSize, length: int64(len(line)), digest: sum}
-	s.activeSize += int64(len(line)) + 1
+	s.index[rec.Fingerprint] = loc{off: s.size, length: int64(len(line)), digest: sum}
+	s.size += int64(len(line)) + 1
 	return digest, nil
-}
-
-// rollSegment seals the active segment and opens the next one. Called
-// with the lock held.
-func (s *Store) rollSegment() error {
-	if err := s.active.Sync(); err != nil {
-		return fmt.Errorf("store: syncing sealed segment: %w", err)
-	}
-	if err := s.active.Close(); err != nil {
-		return fmt.Errorf("store: sealing segment: %w", err)
-	}
-	name := segmentName(segmentNumber(s.segs[len(s.segs)-1]) + 1)
-	f, err := os.OpenFile(filepath.Join(s.dir, name), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: opening segment %s: %w", name, err)
-	}
-	s.segs = append(s.segs, name)
-	s.active = f
-	s.activeSize = 0
-	return nil
 }
 
 // Get returns the stored record and content digest for a fingerprint.
 // The read is digest-verifying: the entry's bytes are re-read from the
-// segment file on every call, and bytes other than the ones last
+// journal on every call, and bytes other than the ones last
 // verified for the fingerprint are strictly decoded and their digest
 // recomputed — a store never serves content it cannot re-derive. Equal
 // bytes are answered from the memo. Either way the record's Config is
@@ -531,68 +478,44 @@ func (s *Store) Fingerprints() []string {
 	return order.Keys(s.index)
 }
 
-// Compact rewrites the live entries — latest per fingerprint, in sorted
-// fingerprint order — into a single fresh segment and deletes the old
-// ones, reclaiming superseded entries. The new segment is written to a
-// temporary file and renamed into place before the old segments go, so
-// a crash mid-compaction leaves either the old store or the new one,
-// never neither.
+// Compact publishes the live entries — latest per fingerprint, in sorted
+// fingerprint order — as the next-numbered journal and deletes the old
+// one, reclaiming superseded entries. The new journal is renamed into
+// place before the old one goes, so a crash mid-compaction leaves the
+// old journal alone or beside the new one, and the next Open folds the
+// two to the same records.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("store: %s is closed", s.dir)
 	}
-	name := segmentName(segmentNumber(s.segs[len(s.segs)-1]) + 1)
-	tmpPath := filepath.Join(s.dir, name+".tmp")
-	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: creating compaction segment: %w", err)
-	}
+	name := segmentName(segmentNumber(s.name) + 1)
 	fps := order.Keys(s.index)
-	newIndex := make(map[string]loc, len(fps))
+	index := make(map[string]loc, len(fps))
 	var off int64
-	for _, fp := range fps {
-		line, err := s.readLocked(s.index[fp])
-		if err == nil {
-			if _, werr := tmp.Write(append(line, '\n')); werr != nil {
-				err = werr
+	f, err := publish(filepath.Join(s.dir, name), func(w io.Writer) error {
+		for _, fp := range fps {
+			l := s.index[fp]
+			line, err := s.readLocked(l)
+			if err == nil {
+				_, err = w.Write(append(line, '\n'))
 			}
+			if err != nil {
+				return fmt.Errorf("entry %s: %w", fp, err)
+			}
+			index[fp] = loc{off: off, length: l.length, digest: l.digest}
+			off += l.length + 1
 		}
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmpPath)
-			return fmt.Errorf("store: compacting entry %s: %w", fp, err)
-		}
-		newIndex[fp] = loc{seg: 0, off: off, length: int64(len(line)), digest: s.index[fp].digest}
-		off += int64(len(line)) + 1
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("store: compacting: %w", err)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return fmt.Errorf("store: syncing compaction segment: %w", err)
-	}
-	if err := os.Rename(tmpPath, filepath.Join(s.dir, name)); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return fmt.Errorf("store: publishing compaction segment: %w", err)
-	}
-	old := s.segs
-	if err := errors.Join(s.active.Close(), s.closeReaders()); err != nil {
-		return fmt.Errorf("store: closing pre-compaction segments: %w", err)
-	}
-	s.segs = []string{name}
-	s.active = tmp
-	s.activeSize = off
-	s.index = newIndex
-	s.superseded = 0
-	if _, err := tmp.Seek(off, 0); err != nil {
-		return fmt.Errorf("store: seeking compacted segment: %w", err)
-	}
-	for _, n := range old {
-		if err := os.Remove(filepath.Join(s.dir, n)); err != nil {
-			return fmt.Errorf("store: removing compacted segment %s: %w", n, err)
-		}
+	retire := errors.Join(s.f.Close(), os.Remove(filepath.Join(s.dir, s.name)))
+	s.name, s.f, s.size, s.index, s.superseded = name, f, off, index, 0
+	if retire != nil {
+		return fmt.Errorf("store: removing the old journal: %w", retire)
 	}
 	return nil
 }
@@ -600,47 +523,11 @@ func (s *Store) Compact() error {
 // readLocked reads the line bytes of an indexed entry into a fresh
 // buffer. Called with the lock held.
 func (s *Store) readLocked(l loc) ([]byte, error) {
-	f := s.active
-	if l.seg < len(s.segs)-1 {
-		var err error
-		if f, err = s.reader(l.seg); err != nil {
-			return nil, err
-		}
-	}
 	line := make([]byte, l.length)
-	if _, err := f.ReadAt(line, l.off); err != nil {
+	if _, err := s.f.ReadAt(line, l.off); err != nil {
 		return nil, err
 	}
 	return line, nil
-}
-
-// reader returns sealed segment seg's read handle, opening it on first
-// use. Called with the lock held.
-func (s *Store) reader(seg int) (*os.File, error) {
-	if seg >= len(s.readers) {
-		s.readers = append(s.readers, make([]*os.File, seg+1-len(s.readers))...)
-	}
-	if s.readers[seg] == nil {
-		f, err := os.Open(filepath.Join(s.dir, s.segs[seg]))
-		if err != nil {
-			return nil, err
-		}
-		s.readers[seg] = f
-	}
-	return s.readers[seg], nil
-}
-
-// closeReaders closes the sealed segments' read handles. Called with
-// the lock held.
-func (s *Store) closeReaders() error {
-	var errs []error
-	for _, f := range s.readers {
-		if f != nil {
-			errs = append(errs, f.Close())
-		}
-	}
-	s.readers = nil
-	return errors.Join(errs...)
 }
 
 // VerifyAll re-reads every live entry through Get, which digest-verifies
@@ -655,8 +542,7 @@ func (s *Store) VerifyAll() error {
 	return nil
 }
 
-// Close syncs and closes the active segment and closes the sealed
-// segments' read handles. Idempotent.
+// Close syncs and closes the journal. Idempotent.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -664,12 +550,12 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	syncErr := s.active.Sync()
-	if err := errors.Join(s.active.Close(), s.closeReaders()); err != nil {
-		return fmt.Errorf("store: closing segments: %w", err)
+	syncErr := s.f.Sync()
+	if err := s.f.Close(); err != nil {
+		return fmt.Errorf("store: closing journal: %w", err)
 	}
 	if syncErr != nil {
-		return fmt.Errorf("store: syncing active segment: %w", syncErr)
+		return fmt.Errorf("store: syncing journal: %w", syncErr)
 	}
 	return nil
 }

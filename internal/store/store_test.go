@@ -5,9 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -178,13 +178,29 @@ func TestSupersedeLastWriteWins(t *testing.T) {
 	}
 }
 
+// journals returns the segment files in dir, failing the test unless
+// there is exactly one: a store directory holds one journal.
+func journals(t *testing.T, dir string) string {
+	t.Helper()
+	names, err := segmentNames(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 1 {
+		t.Fatalf("store directory holds segments %v, want one journal", names)
+	}
+	return names[0]
+}
+
+// TestSegmentRollAndCompact checks that a store directory holds one
+// journal through Put, Compact and Remove, and that Compact reclaims
+// superseded entries without costing a decode.
 func TestSegmentRollAndCompact(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.segBytes = 2048 // force frequent rolls
 	digests := map[string]string{}
 	for i := 0; i < 40; i++ {
 		fp := fmt.Sprintf("fp-%02d", i)
@@ -197,41 +213,27 @@ func TestSegmentRollAndCompact(t *testing.T) {
 		rec.Sample.AvgLatency += 1
 		digests[fp] = mustPut(t, s, rec)
 	}
-	if st := s.Stats(); st.Segments < 3 {
-		t.Fatalf("segBytes=%d produced only %d segments; the roll path is untested", s.segBytes, st.Segments)
+	if name := journals(t, dir); name != segmentName(1) {
+		t.Errorf("journal %s after Puts, want %s", name, segmentName(1))
 	}
-	// Reads of sealed entries keep one handle open per sealed segment.
 	for fp, want := range digests {
 		if _, d, ok, err := s.Get(fp); err != nil || !ok || d != want {
 			t.Fatalf("before Compact Get(%s) = (%s, %v, %v), want %s", fp, d, ok, err, want)
 		}
 	}
-	if n := openReaders(s); n == 0 || n > len(s.segs)-1 {
-		t.Errorf("%d sealed read handles open over %d segments, want 1 to %d", n, len(s.segs), len(s.segs)-1)
-	}
-	held := append([]*os.File(nil), s.readers...)
-	for fp := range digests {
-		s.Get(fp)
-	}
-	if !slices.Equal(held, s.readers) {
-		t.Error("re-reading sealed entries reopened their segments")
-	}
 	before := s.Stats()
 	if err := s.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
-	if s.readers != nil {
-		t.Errorf("Compact kept %d read handles on deleted segments", len(s.readers))
+	if name := journals(t, dir); name != segmentName(2) {
+		t.Errorf("journal %s after Compact, want %s", name, segmentName(2))
 	}
 	after := s.Stats()
-	if after.Segments != 1 {
-		t.Errorf("Compact left %d segments, want 1", after.Segments)
-	}
 	if after.Records != 40 || s.Len() != 40 {
 		t.Errorf("Compact changed record count %d -> %d", before.Records, after.Records)
 	}
-	if after.Bytes >= before.Bytes {
-		t.Errorf("Compact did not reclaim space: %d -> %d bytes", before.Bytes, after.Bytes)
+	if after.Bytes >= before.Bytes || after.Superseded != 0 {
+		t.Errorf("Compact did not reclaim space: %d -> %d bytes, %d superseded left", before.Bytes, after.Bytes, after.Superseded)
 	}
 	for fp, want := range digests {
 		if _, d, ok, err := s.Get(fp); err != nil || !ok || d != want {
@@ -254,39 +256,20 @@ func TestSegmentRollAndCompact(t *testing.T) {
 		t.Fatalf("reopen after Compact: %v", err)
 	}
 	defer s2.Close()
+	journals(t, dir)
 	if s2.Len() != 41 {
 		t.Errorf("reopened Len = %d, want 41", s2.Len())
 	}
 	if err := s2.VerifyAll(); err != nil {
 		t.Errorf("VerifyAll after Compact: %v", err)
 	}
-	// Remove and Close work on a store whose sealed handles are open:
-	// Remove deletes the segment files, Close releases the handles.
-	s2.segBytes = 2048
-	for i := 0; i < 10; i++ {
-		mustPut(t, s2, testRecord(fmt.Sprintf("fp-late-%d", i), uint64(i), 0.5))
-	}
-	for _, fp := range s2.Fingerprints() {
-		if _, _, _, err := s2.Get(fp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	handles := append([]*os.File(nil), s2.readers...)
-	if openReaders(s2) == 0 {
-		t.Fatal("no sealed read handle open; the Remove-while-open path is untested")
-	}
+	// Remove and Close work on an open store: Remove deletes the journal
+	// under the open handle, and the next Open starts an empty one.
 	if err := Remove(dir); err != nil {
-		t.Fatalf("Remove with sealed handles open: %v", err)
+		t.Fatalf("Remove with the store open: %v", err)
 	}
 	if err := s2.Close(); err != nil {
 		t.Fatalf("Close after Remove: %v", err)
-	}
-	for _, f := range handles {
-		if f != nil {
-			if _, err := f.Stat(); !errors.Is(err, os.ErrClosed) {
-				t.Errorf("Close left sealed handle %s open (Stat: %v)", f.Name(), err)
-			}
-		}
 	}
 	s3, err := Open(dir)
 	if err != nil {
@@ -296,17 +279,155 @@ func TestSegmentRollAndCompact(t *testing.T) {
 	if s3.Len() != 0 {
 		t.Errorf("Len after Remove = %d, want 0", s3.Len())
 	}
+	if name := journals(t, dir); name != segmentName(1) {
+		t.Errorf("journal %s after Remove+Open, want %s", name, segmentName(1))
+	}
 }
 
-// openReaders counts the store's open sealed-segment read handles.
-func openReaders(s *Store) int {
-	n := 0
-	for _, f := range s.readers {
-		if f != nil {
-			n++
+// TestCompactOverStaleTemp is a compaction killed before its rename: it
+// leaves the next journal's temporary file behind, and a later Compact
+// must overwrite it rather than fail.
+func TestCompactOverStaleTemp(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	want := mustPut(t, s, testRecord("fp-0", 0, 0.5))
+	stale := filepath.Join(dir, segmentName(2)+".tmp")
+	if err := os.WriteFile(stale, []byte(`{"schema":"smart/store/v1","fing`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatalf("Compact over a stale temporary file: %v", err)
+	}
+	if name := journals(t, dir); name != segmentName(2) {
+		t.Errorf("journal %s after Compact, want %s", name, segmentName(2))
+	}
+	if _, err := os.Stat(stale); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("temporary file left behind (Stat: %v)", err)
+	}
+	if _, d, ok, err := s.Get("fp-0"); err != nil || !ok || d != want {
+		t.Errorf("Get after Compact = (%s, %v, %v), want %s", d, ok, err, want)
+	}
+}
+
+// journalLines returns the journal lines, newline included, that Put
+// writes for recs.
+func journalLines(t *testing.T, recs ...obs.RunRecord) []string {
+	t.Helper()
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		mustPut(t, s, rec)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, segmentName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	return lines[:len(lines)-1]
+}
+
+// TestOpenFoldsSegments opens a store in an earlier version's layout,
+// three segments whose first ends in a torn line: Open folds them into
+// one journal holding every record, the last write per fingerprint
+// winning across segments.
+func TestOpenFoldsSegments(t *testing.T) {
+	superseding := testRecord("fp-0", 0, 0.5)
+	superseding.Sample.Accepted = 0.123
+	lines := journalLines(t, testRecord("fp-0", 0, 0.5), testRecord("fp-1", 1, 0.5),
+		testRecord("fp-2", 2, 0.5), testRecord("fp-3", 3, 0.5))
+	lines = append(lines, journalLines(t, superseding)...)
+	dir := t.TempDir()
+	for i, seg := range []string{
+		lines[0] + lines[1] + lines[2][:len(lines[2])/2], // killed mid-append
+		lines[2] + lines[4],
+		lines[3],
+	} {
+		if err := os.WriteFile(filepath.Join(dir, segmentName(i+1)), []byte(seg), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	return n
+	want := map[string]string{}
+	for _, rec := range []obs.RunRecord{superseding, testRecord("fp-1", 1, 0.5), testRecord("fp-2", 2, 0.5), testRecord("fp-3", 3, 0.5)} {
+		want[rec.Fingerprint] = obs.Digest([]obs.RunRecord{Canonical(rec)})
+	}
+	for reopen := 0; reopen < 2; reopen++ {
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatalf("Open %d: %v", reopen, err)
+		}
+		if name := journals(t, dir); name != segmentName(4) {
+			t.Errorf("Open %d: journal %s, want the fold %s", reopen, name, segmentName(4))
+		}
+		if s.Len() != len(want) {
+			t.Errorf("Open %d: Len = %d, want %d", reopen, s.Len(), len(want))
+		}
+		for fp, d := range want {
+			if _, got, ok, err := s.Get(fp); err != nil || !ok || got != d {
+				t.Errorf("Open %d: Get(%s) = (%s, %v, %v), want %s", reopen, fp, got, ok, err, d)
+			}
+		}
+		if sup := s.Stats().Superseded; sup != 1 {
+			t.Errorf("Open %d: Superseded = %d, want 1 (fp-0's first line)", reopen, sup)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestOpenAfterKilledCompaction is a compaction killed between its
+// rename and its delete: the published journal sits beside the old one,
+// and Open folds the two to the same records.
+func TestOpenAfterKilledCompaction(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for i := 0; i < 6; i++ {
+		rec := testRecord(fmt.Sprintf("fp-%d", i), uint64(i), 0.5)
+		mustPut(t, s, rec)
+		rec.Sample.Accepted = 0.1 * float64(i)
+		want[rec.Fingerprint] = mustPut(t, s, rec)
+	}
+	old, err := os.ReadFile(filepath.Join(dir, segmentName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open beside a published compaction: %v", err)
+	}
+	defer s2.Close()
+	journals(t, dir)
+	if s2.Len() != len(want) {
+		t.Errorf("Len = %d, want %d", s2.Len(), len(want))
+	}
+	for fp, d := range want {
+		if _, got, ok, err := s2.Get(fp); err != nil || !ok || got != d {
+			t.Errorf("Get(%s) = (%s, %v, %v), want %s", fp, got, ok, err, d)
+		}
+	}
 }
 
 // TestTornTailTruncatedOnReopen is the kill-mid-append contract: a
@@ -592,8 +713,8 @@ func TestFingerprintsSorted(t *testing.T) {
 }
 
 // TestConcurrentReadsAndWrites drives Get from several goroutines while
-// another supersedes entries and compacts, across sealed and active
-// segments; CI runs it under the race detector. Every read must return
+// another supersedes entries and compacts; CI runs it under the race
+// detector. Every read must return
 // a record whose digest recomputes to the digest returned with it.
 func TestConcurrentReadsAndWrites(t *testing.T) {
 	s, err := Open(t.TempDir())
@@ -601,7 +722,6 @@ func TestConcurrentReadsAndWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.segBytes = 2048
 	const n, readers = 20, 4
 	fp := func(i int) string { return fmt.Sprintf("fp-%02d", i%n) }
 	for i := 0; i < n; i++ {

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"sync"
@@ -69,11 +68,11 @@ func RecordOf(s *Sampler) Record {
 }
 
 // Sidecar journals time-series records to a JSONL file next to the run
-// manifest, one record per run, flushed as each run finishes. Opened
-// with resume it loads the already-recorded fingerprints, and Write
-// drops duplicates — so a kill-and-resume sweep produces a sidecar with
-// each run's series exactly once. The file tolerates the same torn tail
-// a store segment does.
+// manifest, one record per run, flushed as each run finishes. It opens
+// through store.OpenJournal, as a result store does: with resume it
+// loads the already-recorded fingerprints and truncates a torn tail,
+// and Write drops duplicates — so a kill-and-resume sweep produces a
+// sidecar with each run's series exactly once.
 type Sidecar struct {
 	//smartlint:allow concurrency — telemetry sidecar is off the cycle path; the mutex serializes writer access
 	mu     sync.Mutex
@@ -87,46 +86,23 @@ type Sidecar struct {
 // OpenSidecar creates (or, with resume, reopens and scans) the sidecar
 // at path. Without resume an existing file is truncated.
 func OpenSidecar(path string, resume bool) (*Sidecar, error) {
-	flags := os.O_RDWR | os.O_CREATE
-	if !resume {
-		flags |= os.O_TRUNC
-	}
-	f, err := os.OpenFile(path, flags, 0o644)
+	f, seen, _, err := store.OpenJournal(path, !resume, func(_ int64, line []byte) (string, bool, error) {
+		var rec struct {
+			Schema      string `json:"schema"`
+			Fingerprint string `json:"fingerprint"`
+		}
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return "", false, fmt.Errorf("corrupt record: %w", err)
+		}
+		if rec.Schema != Schema {
+			return "", false, fmt.Errorf("unknown schema %q (want %q)", rec.Schema, Schema)
+		}
+		return rec.Fingerprint, true, nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: opening sidecar: %w", err)
 	}
-	s := &Sidecar{f: f, path: path, seen: map[string]bool{}}
-	if resume {
-		data, err := io.ReadAll(f)
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("telemetry: reading sidecar %s: %w", path, err)
-		}
-		seen, valid, err := store.DedupJournal(data, func(n int, line []byte) (string, bool, error) {
-			var rec struct {
-				Schema      string `json:"schema"`
-				Fingerprint string `json:"fingerprint"`
-			}
-			if err := json.Unmarshal(line, &rec); err != nil {
-				return "", false, fmt.Errorf("telemetry: sidecar %s line %d is corrupt: %w", path, n, err)
-			}
-			if rec.Schema != Schema {
-				return "", false, fmt.Errorf("telemetry: sidecar %s line %d has unknown schema %q (want %q)", path, n, rec.Schema, Schema)
-			}
-			return rec.Fingerprint, true, nil
-		})
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		s.seen = seen
-		if err := store.TruncateTail(f, valid); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	s.enc = json.NewEncoder(f)
-	return s, nil
+	return &Sidecar{f: f, enc: json.NewEncoder(f), path: path, seen: seen}, nil
 }
 
 // Path returns the sidecar's file path.

@@ -7,7 +7,10 @@
 #    and spaced out is a hit with the same bytes too; If-None-Match with
 #    the returned ETag gets 304 Not Modified.
 # 2. Opens a connection, sends half a request line and nothing more: the
-#    server must close it once its header timeout (10 s) has passed.
+#    server must close it once its header timeout (10 s) has passed. A
+#    request that sends 5 of its 100 body bytes must be cut off at the
+#    read timeout (30 s), and a connection left idle after a 200 at the
+#    idle timeout (10 s).
 # 3. POSTs a sweep grid and requires the response digest to equal the
 #    manifest digest of a direct cmd/sweep over the same grid — the
 #    served cache and the command line are the same experiment.
@@ -82,6 +85,26 @@ printf 'POST /v1/ru' >&3
 started=$(date +%s)
 timeout 15 cat <&3 >/dev/null || { echo "server kept a half-sent request open past 15 s"; exit 1; }
 exec 3<&-
+echo "connection closed after $(( $(date +%s) - started )) s"
+
+echo "== a client that never finishes its request body is disconnected =="
+# cmd/serve's read timeout is 30 s, counted from the request's first
+# byte; allow 5 s more.
+exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"
+started=$(date +%s)
+printf 'POST /v1/run HTTP/1.1\r\nHost: smoke\r\nContent-Length: 100\r\n\r\n{"Net' >&3
+timeout 35 cat <&3 >/dev/null || { echo "server kept a half-sent body open past 35 s"; exit 1; }
+exec 3<&-
+echo "connection closed after $(( $(date +%s) - started )) s"
+
+echo "== an idle keep-alive connection is closed =="
+# cmd/serve's idle timeout is 10 s; allow 5 s more.
+exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"
+printf 'GET /healthz HTTP/1.1\r\nHost: smoke\r\n\r\n' >&3
+started=$(date +%s)
+timeout 15 cat <&3 >"$work/idle.out" || { echo "server kept an idle connection open past 15 s"; exit 1; }
+exec 3<&-
+grep -q '^HTTP/1.1 200' "$work/idle.out" || { echo "no 200 before the idle wait"; cat "$work/idle.out"; exit 1; }
 echo "connection closed after $(( $(date +%s) - started )) s"
 
 echo "== served sweep digest equals a direct cmd/sweep manifest digest =="

@@ -37,16 +37,16 @@ done
 metrics=""
 for _ in $(seq 1 50); do
     metrics=$(curl -fsS "http://$addr/metrics" || true)
-    if echo "$metrics" | grep -q '^smart_run_flits_injected_total'; then
+    if grep -q '^smart_run_flits_injected_total' <<<"$metrics"; then
         break
     fi
     sleep 0.2
 done
-echo "$metrics" | grep -q '^smart_runs_active' || { echo "no smart_runs_active in /metrics"; kill "$pid"; exit 1; }
-echo "$metrics" | grep -q '^smart_run_flits_injected_total' || { echo "no live run counters in /metrics"; kill "$pid"; exit 1; }
-echo "$metrics" | grep -q '^smart_grid_total' || { echo "no grid progress in /metrics"; kill "$pid"; exit 1; }
+grep -q '^smart_runs_active' <<<"$metrics" || { echo "no smart_runs_active in /metrics"; kill "$pid"; exit 1; }
+grep -q '^smart_run_flits_injected_total' <<<"$metrics" || { echo "no live run counters in /metrics"; kill "$pid"; exit 1; }
+grep -q '^smart_grid_total' <<<"$metrics" || { echo "no grid progress in /metrics"; kill "$pid"; exit 1; }
 snapshot=$(curl -fsS "http://$addr/telemetry.json")
-echo "$snapshot" | grep -q '"runs_active"' || { echo "/telemetry.json malformed"; kill "$pid"; exit 1; }
+grep -q '"runs_active"' <<<"$snapshot" || { echo "/telemetry.json malformed"; kill "$pid"; exit 1; }
 echo "scraped live metrics from $addr mid-run"
 wait "$pid"
 bin/telemetry -check "$work/live.jsonl"
