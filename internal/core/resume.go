@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"smart/internal/obs"
-	"smart/internal/phys"
 )
 
 // ResultFromRecord rebuilds a Result from a completed manifest record:
@@ -26,23 +25,9 @@ func ResultFromRecord(rec obs.RunRecord) (Result, error) {
 	if fp := cfg.Fingerprint(); fp != rec.Fingerprint {
 		return Result{}, fmt.Errorf("core: record fingerprint %s does not match its embedded config (%s)", rec.Fingerprint, fp)
 	}
-	timing, err := cfg.Timing()
-	if err != nil {
-		return Result{}, err
-	}
 	top, err := cfg.buildTopology()
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{Config: cfg, Sample: rec.Sample, Timing: timing}
-	res.OfferedBitsNS, err = phys.ThroughputBitsPerNS(top, rec.Sample.Offered, timing.Clock)
-	if err != nil {
-		return Result{}, err
-	}
-	res.AcceptedBitsNS, err = phys.ThroughputBitsPerNS(top, rec.Sample.Accepted, timing.Clock)
-	if err != nil {
-		return Result{}, err
-	}
-	res.LatencyNS = phys.LatencyNS(rec.Sample.AvgLatency, timing.Clock)
-	return res, nil
+	return newResult(cfg, top, rec.Sample)
 }

@@ -240,23 +240,24 @@ func (s *Simulation) Run() (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return s.finishResult(sample)
+	return newResult(cfg, s.Top, sample)
 }
 
-// finishResult converts a measured sample into the full Result with the
-// cost-model conversions to absolute units.
-func (s *Simulation) finishResult(sample metrics.Sample) (Result, error) {
-	cfg := s.Config
+// newResult converts a sample of cfg's network top into the full Result
+// with the cost-model conversions to absolute units. A live run and a
+// run rebuilt from its record (ResultFromRecord) both convert through
+// it.
+func newResult(cfg Config, top topology.Topology, sample metrics.Sample) (Result, error) {
 	timing, err := cfg.Timing()
 	if err != nil {
 		return Result{}, err
 	}
 	res := Result{Config: cfg, Sample: sample, Timing: timing}
-	res.OfferedBitsNS, err = phys.ThroughputBitsPerNS(s.Top, sample.Offered, timing.Clock)
+	res.OfferedBitsNS, err = phys.ThroughputBitsPerNS(top, sample.Offered, timing.Clock)
 	if err != nil {
 		return Result{}, err
 	}
-	res.AcceptedBitsNS, err = phys.ThroughputBitsPerNS(s.Top, sample.Accepted, timing.Clock)
+	res.AcceptedBitsNS, err = phys.ThroughputBitsPerNS(top, sample.Accepted, timing.Clock)
 	if err != nil {
 		return Result{}, err
 	}

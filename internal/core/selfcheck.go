@@ -72,5 +72,5 @@ func (s *Simulation) RunSelfChecked() (Result, error) {
 		return Result{}, fmt.Errorf("core: self-check failed for %s (fingerprint %s): fabric sample %+v differs from oracle sample %+v",
 			cfg.Label(), cfg.Fingerprint(), sample, oraSample)
 	}
-	return s.finishResult(sample)
+	return newResult(cfg, s.Top, sample)
 }

@@ -520,8 +520,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	b.Metric("smart_store_records", "Distinct fingerprints in the store.", "gauge", stats.Records)
 	b.Metric("smart_store_bytes", "Size of the store's journal in bytes.", "gauge", stats.Bytes)
 	b.Metric("smart_store_superseded_records", "On-disk entries shadowed by a later write (reclaimable by compaction).", "gauge", stats.Superseded)
-	b.Metric("smart_store_decodes_total", "Store reads that decoded and digest-checked an entry.", "counter", stats.Decodes)
-	b.Metric("smart_store_memo_hits_total", "Store reads answered from verified decodes because the entry's bytes were unchanged.", "counter", stats.MemoHits)
+	b.Metric("smart_store_decodes_total", "Store reads that found bytes other than the verified line's and decoded and digest-checked them.", "counter", stats.Decodes)
 	b.Serve(w)
 }
 

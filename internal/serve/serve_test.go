@@ -465,8 +465,7 @@ func TestMetricsAndHealth(t *testing.T) {
 		"smart_serve_errors_total 1",
 		"smart_serve_inflight 0",
 		"smart_store_records 1",
-		"smart_store_decodes_total 1",   // the miss's read-back
-		"smart_store_memo_hits_total 1", // the hit
+		"smart_store_decodes_total 0", // Put verified the miss's line, so no read decodes
 	} {
 		if !strings.Contains(string(body), want+"\n") {
 			t.Errorf("metrics missing %q:\n%s", want, body)

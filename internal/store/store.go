@@ -4,17 +4,14 @@
 // obs.Digest stored alongside so every read re-verifies the bytes it
 // hands out.
 //
-// Get re-reads an entry's bytes from the journal on every call and
-// matches them against the bytes it last verified for that fingerprint.
-// The strict decode and digest check run once per distinct line: equal
-// bytes are answered from a bounded memo of verified decodes (memoCap
-// entries, first in first out), and any other bytes — a superseding
-// write, tampering — are decoded and verified in full. The memo is
-// filled only by verified reads, never by Put, so nothing invalidates
-// it. GetJSON is the same verifying read answering with the record's
-// canonical JSON: a line Put wrote holds that JSON verbatim, so a
-// repeat read hands out a span of the bytes it has just matched instead
-// of encoding the record again.
+// A line is verified once, when it enters the index: Open's scan and
+// Put both run the strict decode and digest check on it, and the index
+// keeps the line's SHA-256 and the offset of the record's canonical
+// JSON in it. Get and GetJSON re-read the line on every call and match
+// its bytes against that hash. Equal bytes answer GetJSON with that
+// span of the line, and Get decodes the span into a record; any other
+// bytes — a line that does not hold the canonical JSON, tampering
+// behind the open store's back — are decoded and verified in full.
 //
 // On disk a store is a directory holding one append-only JSONL journal,
 // seg-NNNNNN.jsonl, each line one Entry in the smart/store/v1 schema.
@@ -50,6 +47,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -69,18 +67,50 @@ type Entry struct {
 	Schema      string `json:"schema"`
 	Fingerprint string `json:"fingerprint"`
 	// Digest is obs.Digest of the single record — the ETag the sweep
-	// service serves, pinned at write time and recomputed whenever Get
-	// reads a line it has not verified.
+	// service serves, pinned at write time and recomputed when the line
+	// enters the index and whenever a read finds other bytes there.
 	Digest string        `json:"digest"`
 	Record obs.RunRecord `json:"record"`
 }
 
-// loc is an index entry: where a fingerprint's latest record lives and
-// its content digest, held as bytes rather than the entry's hex text.
+// loc is an index entry: where a fingerprint's latest line lives, and
+// what verifying that line found. The record's canonical JSON, exactly
+// json.Marshal of the record, is line[record:length-1], ending at the
+// line's closing brace; record 0 means the line does not hold it byte
+// for byte (an older writer's layout, a Config with spaces).
 type loc struct {
-	off    int64 // byte offset of the line
-	length int64 // line length, newline excluded
-	digest [sha256.Size]byte
+	off    int64             // byte offset of the line
+	length int32             // line length, newline excluded
+	record int32             // offset of the record's canonical JSON, or 0
+	sum    [sha256.Size]byte // SHA-256 of the line as verified
+	digest [sha256.Size]byte // content digest, as bytes rather than the entry's hex text
+}
+
+// indexLine strictly decodes a journal line and returns its entry and
+// its index entry, with the line's offset in the journal left for the
+// caller to set. Open and Put index lines only through it, so every
+// indexed line has passed the same decode and digest check.
+func indexLine(line []byte) (Entry, loc, error) {
+	e, err := decodeEntry(line)
+	if err != nil {
+		return e, loc{}, err
+	}
+	if len(line) > math.MaxInt32 {
+		return e, loc{}, fmt.Errorf("a %d-byte line is past the index's limit", len(line))
+	}
+	digest, err := decodeDigest(e.Digest)
+	if err != nil {
+		return e, loc{}, err
+	}
+	record, err := json.Marshal(e.Record)
+	if err != nil {
+		return e, loc{}, err
+	}
+	l := loc{length: int32(len(line)), sum: sha256.Sum256(line), digest: digest}
+	if start := len(line) - 1 - len(record); start > 0 && bytes.Equal(line[start:len(line)-1], record) {
+		l.record = int32(start)
+	}
+	return e, l, nil
 }
 
 // decodeDigest returns the bytes of a hex content digest as obs.Digest
@@ -104,50 +134,10 @@ type Stats struct {
 	// Superseded counts on-disk entries shadowed by a later write for
 	// the same fingerprint — the garbage Compact reclaims.
 	Superseded int64 `json:"superseded"`
-	// Decodes counts the strict decodes and digest checks Get has run;
-	// MemoHits the Gets answered from the memo of verified decodes
-	// because the bytes read matched the ones last verified.
-	Decodes  int64 `json:"decodes"`
-	MemoHits int64 `json:"memo_hits"`
-}
-
-// memoCap bounds Get's memo of verified decodes. An entry holds a
-// decoded record without its Config, about 0.5 KiB for a 16-node
-// config, so a full memo holds about 0.25 MiB: a small heap grows by
-// about twice what it keeps live (DESIGN.md §15).
-const memoCap = 512
-
-// verified is one memo entry: the SHA-256 of a journal line Get decoded
-// and digest-checked, and what that line decoded to. The record's
-// Config, a json.RawMessage, is the verbatim text of
-// line[configStart:configEnd], so the memo does not hold it: a hit
-// hands out that span of the fresh bytes it has just read and matched.
-// configEnd 0 means the record has no Config.
-//
-// The first GetJSON of the line encodes the record and looks for the
-// result in the line (recordChecked). A line Put wrote holds it, at
-// line[recordStart:recordEnd], and later GetJSONs hand out that span;
-// recordEnd 0 means the line does not hold it byte for byte (an older
-// writer's layout, a Config with spaces), and GetJSON encodes the
-// record on every read. The check waits for GetJSON so that Get, whose
-// callers never need the JSON, pays nothing for it.
-type verified struct {
-	sum                    [sha256.Size]byte
-	rec                    obs.RunRecord
-	digest                 string
-	configStart, configEnd int
-	recordChecked          bool
-	recordStart, recordEnd int
-}
-
-// record returns the memoized record with its Config taken from line,
-// the bytes this verified entry matched.
-func (v *verified) record(line []byte) obs.RunRecord {
-	rec := v.rec
-	if v.configEnd > 0 {
-		rec.Config = line[v.configStart:v.configEnd]
-	}
-	return rec
+	// Decodes counts the reads that found bytes other than the
+	// indexed line's canonical JSON and so ran the strict decode and
+	// digest check.
+	Decodes int64 `json:"decodes"`
 }
 
 // Store is the persistent result cache. Safe for concurrent use: the
@@ -161,23 +151,17 @@ type Store struct {
 	size       int64
 	index      map[string]loc
 	superseded int64
+	decodes    int64
 	closed     bool
-	// memo maps a fingerprint to its last verified decode; memoOrder
-	// lists the memo's keys oldest first, and memoNext is the slot the
-	// next insertion overwrites once memoCap keys are held.
-	memo              map[string]*verified
-	memoOrder         []string
-	memoNext          int
-	decodes, memoHits int64
 }
 
 // Open opens (creating if necessary) the store rooted at dir, scanning
 // its journal into the in-memory index; a directory holding several
 // segments is folded into one journal first. Each scanned entry is
-// decoded strictly and its digest re-verified, so a store that was
-// tampered with — as opposed to torn by a crash — fails to open. The
-// journal's torn tail, if any, is truncated so appends start on a line
-// boundary.
+// decoded strictly and its digest re-verified before it is indexed, so
+// a store that was tampered with — as opposed to torn by a crash —
+// fails to open. The journal's torn tail, if any, is truncated so
+// appends start on a line boundary.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
@@ -198,19 +182,16 @@ func Open(dir string) (*Store, error) {
 	lines := 0
 	f, index, size, err := OpenJournal(filepath.Join(dir, name), false, func(off int64, line []byte) (string, loc, error) {
 		lines++
-		e, err := decodeEntry(line)
-		if err != nil {
-			return "", loc{}, err
-		}
-		digest, err := decodeDigest(e.Digest)
-		return e.Fingerprint, loc{off: off, length: int64(len(line)), digest: digest}, err
+		e, l, err := indexLine(line)
+		l.off = off
+		return e.Fingerprint, l, err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("store: opening journal: %w", err)
 	}
 	// Lines the scan collapsed are superseded entries: garbage Compact
 	// will reclaim.
-	return &Store{dir: dir, name: name, f: f, size: size, index: index, superseded: int64(lines - len(index)), memo: map[string]*verified{}}, nil
+	return &Store{dir: dir, name: name, f: f, size: size, index: index, superseded: int64(lines - len(index))}, nil
 }
 
 // fold joins the complete lines of the segments names, oldest first,
@@ -308,7 +289,7 @@ func (s *Store) Len() int {
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return Stats{Records: len(s.index), Bytes: s.size, Superseded: s.superseded, Decodes: s.decodes, MemoHits: s.memoHits}
+	return Stats{Records: len(s.index), Bytes: s.size, Superseded: s.superseded, Decodes: s.decodes}
 }
 
 // Canonical returns rec in the position-free form the store persists:
@@ -327,9 +308,12 @@ func Canonical(rec obs.RunRecord) obs.RunRecord {
 // Put journals one completed run, canonicalized and flushed to the
 // journal before returning, and indexes it. Failure records are
 // rejected — failures are cheap to re-attempt and must not be served
-// from cache. Re-putting a fingerprint whose stored content digest is
-// unchanged is a no-op; changed content appends a superseding entry.
-// Put returns the entry's content digest (the service's ETag).
+// from cache — and so is a record whose line does not pass the strict
+// decode and digest check Open runs, for example one with invalid UTF-8
+// in a string, which its encoding does not preserve. Re-putting a
+// fingerprint whose stored content digest is unchanged is a no-op;
+// changed content appends a superseding entry. Put returns the entry's
+// content digest (the service's ETag).
 func (s *Store) Put(rec obs.RunRecord) (string, error) {
 	if rec.Failure != "" {
 		return "", fmt.Errorf("store: refusing to cache failure record %s (%s)", rec.Fingerprint, rec.Failure)
@@ -338,14 +322,13 @@ func (s *Store) Put(rec obs.RunRecord) (string, error) {
 		return "", fmt.Errorf("store: record has no fingerprint")
 	}
 	rec = Canonical(rec)
-	digest := obs.Digest([]obs.RunRecord{rec})
-	sum, err := decodeDigest(digest)
-	if err != nil {
-		return "", fmt.Errorf("store: entry %s: %w", rec.Fingerprint, err)
-	}
-	line, err := json.Marshal(Entry{Schema: Schema, Fingerprint: rec.Fingerprint, Digest: digest, Record: rec})
+	line, err := json.Marshal(Entry{Schema: Schema, Fingerprint: rec.Fingerprint, Digest: obs.Digest([]obs.RunRecord{rec}), Record: rec})
 	if err != nil {
 		return "", fmt.Errorf("store: encoding entry %s: %w", rec.Fingerprint, err)
+	}
+	e, l, err := indexLine(line)
+	if err != nil {
+		return "", fmt.Errorf("store: entry %s: %w", rec.Fingerprint, err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -353,122 +336,74 @@ func (s *Store) Put(rec obs.RunRecord) (string, error) {
 		return "", fmt.Errorf("store: %s is closed", s.dir)
 	}
 	if have, ok := s.index[rec.Fingerprint]; ok {
-		if have.digest == sum {
-			return digest, nil
+		if have.digest == l.digest {
+			return e.Digest, nil
 		}
 		s.superseded++
 	}
 	if _, err := s.f.Write(append(line, '\n')); err != nil {
 		return "", fmt.Errorf("store: appending entry %s: %w", rec.Fingerprint, err)
 	}
-	s.index[rec.Fingerprint] = loc{off: s.size, length: int64(len(line)), digest: sum}
+	l.off = s.size
+	s.index[rec.Fingerprint] = l
 	s.size += int64(len(line)) + 1
-	return digest, nil
+	return e.Digest, nil
 }
 
-// Get returns the stored record and content digest for a fingerprint.
-// The read is digest-verifying: the entry's bytes are re-read from the
-// journal on every call, and bytes other than the ones last
-// verified for the fingerprint are strictly decoded and their digest
-// recomputed — a store never serves content it cannot re-derive. Equal
-// bytes are answered from the memo. Either way the record's Config is
-// the caller's own. Absent fingerprints return ok == false with no
-// error.
+// Get returns the stored record and content digest for a fingerprint:
+// GetJSON's bytes, decoded. The read is digest-verifying, as GetJSON's
+// is, and the record's Config is the caller's own. Absent fingerprints
+// return ok == false with no error.
 func (s *Store) Get(fingerprint string) (rec obs.RunRecord, digest string, ok bool, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	line, v, ok, err := s.verifyLocked(fingerprint)
+	data, digest, ok, err := s.GetJSON(fingerprint)
 	if !ok || err != nil {
 		return rec, "", ok, err
 	}
-	return v.record(line), v.digest, true, nil
+	if err := json.Unmarshal(data, &rec); err != nil {
+		return rec, "", false, fmt.Errorf("store: decoding entry %s: %w", fingerprint, err)
+	}
+	return rec, digest, true, nil
 }
 
-// GetJSON is Get answering with the record's canonical JSON — exactly
-// the bytes json.Marshal encodes Get's record as — in place of the
-// record. It reads and verifies the entry as Get does; for a line Put
-// wrote, every read after the first hands out the record's span of the
-// bytes just read and matched, so nothing is decoded or encoded. The
-// returned bytes are the caller's own.
+// GetJSON returns the stored record's canonical JSON — exactly the
+// bytes json.Marshal encodes the record as — and its content digest.
+// The entry's bytes are re-read from the journal on every call. Bytes
+// whose SHA-256 matches the line the index verified, and which hold
+// the record's canonical JSON, are answered with that span of them;
+// any other bytes are strictly decoded, their digest recomputed and the
+// record encoded — a store never serves content it cannot re-derive.
+// The returned bytes are the caller's own. Absent fingerprints return
+// ok == false with no error.
 func (s *Store) GetJSON(fingerprint string) (data []byte, digest string, ok bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	line, v, ok, err := s.verifyLocked(fingerprint)
-	if !ok || err != nil {
-		return nil, "", ok, err
-	}
-	if v.recordEnd > 0 {
-		return line[v.recordStart:v.recordEnd:v.recordEnd], v.digest, true, nil
-	}
-	if data, err = json.Marshal(v.record(line)); err != nil {
-		return nil, "", false, fmt.Errorf("store: encoding entry %s: %w", fingerprint, err)
-	}
-	if !v.recordChecked {
-		v.recordChecked = true
-		if start := bytes.Index(line, data); start >= 0 {
-			v.recordStart, v.recordEnd = start, start+len(data)
-		}
-	}
-	return data, v.digest, true, nil
-}
-
-// verifyLocked reads fingerprint's entry and returns its bytes with
-// their verified decode: from the memo when the bytes match the ones
-// last verified, and otherwise from a strict decode and digest check,
-// which it memoizes. Called with the lock held.
-func (s *Store) verifyLocked(fingerprint string) ([]byte, *verified, bool, error) {
 	if s.closed {
-		return nil, nil, false, fmt.Errorf("store: %s is closed", s.dir)
+		return nil, "", false, fmt.Errorf("store: %s is closed", s.dir)
 	}
 	l, found := s.index[fingerprint]
 	if !found {
-		return nil, nil, false, nil
+		return nil, "", false, nil
 	}
 	line, err := s.readLocked(l)
 	if err != nil {
-		return nil, nil, false, fmt.Errorf("store: reading entry %s: %w", fingerprint, err)
+		return nil, "", false, fmt.Errorf("store: reading entry %s: %w", fingerprint, err)
 	}
-	sum := sha256.Sum256(line)
-	if v, ok := s.memo[fingerprint]; ok && v.sum == sum {
-		s.memoHits++
-		return line, v, true, nil
+	if l.record > 0 && sha256.Sum256(line) == l.sum {
+		end := len(line) - 1
+		return line[l.record:end:end], hex.EncodeToString(l.digest[:]), true, nil
 	}
 	s.decodes++
 	e, err := decodeEntry(line)
 	if err != nil {
-		return nil, nil, false, fmt.Errorf("store: entry %s: %w", fingerprint, err)
+		return nil, "", false, fmt.Errorf("store: entry %s: %w", fingerprint, err)
 	}
 	if e.Fingerprint != fingerprint {
-		return nil, nil, false, fmt.Errorf("store: index for %s points at entry %s", fingerprint, e.Fingerprint)
+		return nil, "", false, fmt.Errorf("store: index for %s points at entry %s", fingerprint, e.Fingerprint)
 	}
-	return line, s.remember(line, sum, e), true, nil
-}
-
-// remember memoizes the verified decode e of line, evicting the oldest
-// fingerprint once memoCap are held; a fingerprint already held keeps
-// its place. Called with the lock held.
-func (s *Store) remember(line []byte, sum [sha256.Size]byte, e Entry) *verified {
-	v := &verified{sum: sum, rec: e.Record, digest: e.Digest}
-	if c := e.Record.Config; c != nil {
-		start := bytes.Index(line, c)
-		if start < 0 {
-			return v // unreachable: a RawMessage decodes to its input bytes; v keeps its own Config and stays out of the memo
-		}
-		v.rec.Config = nil
-		v.configStart, v.configEnd = start, start+len(c)
+	if data, err = json.Marshal(e.Record); err != nil {
+		return nil, "", false, fmt.Errorf("store: encoding entry %s: %w", fingerprint, err)
 	}
-	fp := v.rec.Fingerprint
-	if _, ok := s.memo[fp]; !ok {
-		if len(s.memoOrder) < memoCap {
-			s.memoOrder = append(s.memoOrder, fp)
-		} else {
-			delete(s.memo, s.memoOrder[s.memoNext])
-			s.memoOrder[s.memoNext] = fp
-			s.memoNext = (s.memoNext + 1) % memoCap
-		}
-	}
-	s.memo[fp] = v
-	return v
+	return data, e.Digest, true, nil
 }
 
 // Fingerprints returns the live fingerprints in sorted order.
@@ -504,8 +439,9 @@ func (s *Store) Compact() error {
 			if err != nil {
 				return fmt.Errorf("entry %s: %w", fp, err)
 			}
-			index[fp] = loc{off: off, length: l.length, digest: l.digest}
-			off += l.length + 1
+			l.off = off
+			index[fp] = l
+			off += int64(l.length) + 1
 		}
 		return nil
 	})
@@ -531,7 +467,8 @@ func (s *Store) readLocked(l loc) ([]byte, error) {
 }
 
 // VerifyAll re-reads every live entry through Get, which digest-verifies
-// any bytes it has not verified before, returning the first failure.
+// any bytes other than the ones the index verified, returning the first
+// failure.
 // The crash-safety suite calls it after simulated kills.
 func (s *Store) VerifyAll() error {
 	for _, fp := range s.Fingerprints() {

@@ -139,7 +139,7 @@ func TestSupersedeLastWriteWins(t *testing.T) {
 		t.Errorf("wall-time-only change altered digest %s -> %s", d1, d)
 	}
 	// Different measured content supersedes, also for a fingerprint
-	// whose old entry Get has already verified and memoized.
+	// whose old entry Get has already read.
 	if _, d, _, _ := s.Get("fp-1"); d != d1 {
 		t.Fatalf("Get before supersede returned digest %s, want %s", d, d1)
 	}
@@ -152,8 +152,8 @@ func TestSupersedeLastWriteWins(t *testing.T) {
 	if got, d, _, _ := s.Get("fp-1"); d != d2 || got.Sample.Accepted != 0.123 {
 		t.Errorf("Get after supersede returned digest %s (want %s), accepted %g", d, d2, got.Sample.Accepted)
 	}
-	if st := s.Stats(); st.Decodes != 2 || st.MemoHits != 0 {
-		t.Errorf("Get before and after supersede: %d decodes, %d memo hits; want 2 and 0 (new bytes are decoded)", st.Decodes, st.MemoHits)
+	if st := s.Stats(); st.Decodes != 0 {
+		t.Errorf("Get before and after supersede: %d decodes, want 0 (Put verified both lines)", st.Decodes)
 	}
 	if s.Len() != 1 {
 		t.Errorf("Len = %d, want 1 (supersede, not insert)", s.Len())
@@ -240,11 +240,11 @@ func TestSegmentRollAndCompact(t *testing.T) {
 			t.Fatalf("after Compact Get(%s) = (%s, %v, %v), want %s", fp, d, ok, err, want)
 		}
 	}
-	// Compaction copies each live line byte for byte, so the reads after
-	// it match the verified bytes and decode nothing.
-	if st := s.Stats(); st.Decodes != before.Decodes || st.MemoHits != before.MemoHits+40 {
-		t.Errorf("Gets after Compact: decodes %d -> %d, memo hits %d -> %d; want no decode and 40 hits",
-			before.Decodes, st.Decodes, before.MemoHits, st.MemoHits)
+	// Compaction copies each live line byte for byte, with its index
+	// entry, so the reads after it match the verified bytes and decode
+	// nothing.
+	if st := s.Stats(); st.Decodes != 0 {
+		t.Errorf("Gets before and after Compact ran %d decodes, want 0", st.Decodes)
 	}
 	// The compacted store appends and reopens like any other.
 	mustPut(t, s, testRecord("fp-new", 99, 0.75))
@@ -597,13 +597,13 @@ func TestGetVerifiesOnRead(t *testing.T) {
 	}
 	defer s.Close()
 	mustPut(t, s, testRecord("fp-0", 0, 0.5))
-	// A verified read memoizes the entry first.
 	if _, _, ok, err := s.Get("fp-0"); !ok || err != nil {
 		t.Fatalf("Get before tampering: ok=%v err=%v", ok, err)
 	}
-	// Tamper with the file behind the open store's back: the in-memory
-	// index and the memo still hold the entry, but the changed bytes
-	// miss the memo and the read-side digest check must catch them.
+	// Tamper with the file behind the open store's back, keeping the
+	// line's length: the in-memory index still points at the entry, but
+	// the changed bytes miss its hash and the read-side digest check must
+	// catch them, on both reads.
 	seg := filepath.Join(dir, segmentName(1))
 	data, _ := os.ReadFile(seg)
 	tampered := strings.Replace(string(data), `"accepted":0.45`, `"accepted":0.46`, 1)
@@ -616,14 +616,130 @@ func TestGetVerifiesOnRead(t *testing.T) {
 	if _, _, _, err := s.Get("fp-0"); err == nil || !strings.Contains(err.Error(), "digest verification") {
 		t.Fatalf("tampered read served: err = %v", err)
 	}
-	if st := s.Stats(); st.Decodes != 2 || st.MemoHits != 0 {
-		t.Errorf("%d decodes and %d memo hits, want 2 and 0", st.Decodes, st.MemoHits)
+	if _, _, _, err := s.GetJSON("fp-0"); err == nil || !strings.Contains(err.Error(), "digest verification") {
+		t.Fatalf("tampered GetJSON served: err = %v", err)
+	}
+	if st := s.Stats(); st.Decodes != 2 {
+		t.Errorf("%d decodes, want 2 (the two tampered reads)", st.Decodes)
 	}
 }
 
-// TestGetHandsOutConfigCopies checks that every record Get returns,
-// from a decode or from the memo, owns its Config: neither a later read
-// nor the caller's own writes to it change what another Get returns.
+// TestReadsDecodeNothing checks that a line Put wrote is read without a
+// decode, however many lines the store holds and however often each is
+// read: Put verified the line when it indexed it, and every read
+// matches the bytes against the index.
+func TestReadsDecodeNothing(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const n = 600
+	fp := func(i int) string { return fmt.Sprintf("fp-%04d", i) }
+	for i := 0; i < n; i++ {
+		mustPut(t, s, testRecord(fp(i), uint64(i), 0.5))
+	}
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < n; i++ {
+			if _, _, ok, err := s.GetJSON(fp(i)); !ok || err != nil {
+				t.Fatalf("pass %d: GetJSON(%s): ok=%v err=%v", pass, fp(i), ok, err)
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		if _, _, ok, err := s.Get(fp(i)); !ok || err != nil {
+			t.Fatalf("Get(%s): ok=%v err=%v", fp(i), ok, err)
+		}
+	}
+	if st := s.Stats(); st.Decodes != 0 {
+		t.Errorf("%d records read twice by GetJSON and once by Get: %d decodes, want 0", n, st.Decodes)
+	}
+}
+
+// TestReopenedReadsDecodeNothing checks that Open verifies and indexes
+// each line as Put does: the first reads after a reopen decode nothing
+// and answer the bytes and digests Put's store answered.
+func TestReopenedReadsDecodeNothing(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spaced := testRecord("fp-spaced", 1, 0.5)
+	spaced.Config = json.RawMessage("{\"Network\": \"tree\",\n \"VCs\": 2}")
+	want := map[string]string{}
+	wantJSON := map[string][]byte{}
+	for _, rec := range []obs.RunRecord{testRecord("fp-plain", 0, 0.5), spaced} {
+		want[rec.Fingerprint] = mustPut(t, s, rec)
+		data, _, _, err := s.GetJSON(rec.Fingerprint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON[rec.Fingerprint] = data
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	for fp, digest := range want {
+		rec, d, ok, err := s2.Get(fp)
+		if err != nil || !ok || d != digest || obs.Digest([]obs.RunRecord{rec}) != digest {
+			t.Fatalf("reopened Get(%s) = (%s, %v, %v), want digest %s", fp, d, ok, err, digest)
+		}
+		data, d, ok, err := s2.GetJSON(fp)
+		if err != nil || !ok || d != digest || !bytes.Equal(data, wantJSON[fp]) {
+			t.Fatalf("reopened GetJSON(%s) = (%s, %s, %v, %v), want %s and digest %s", fp, data, d, ok, err, wantJSON[fp], digest)
+		}
+	}
+	if st := s2.Stats(); st.Decodes != 0 {
+		t.Errorf("first reads after a reopen ran %d decodes, want 0", st.Decodes)
+	}
+}
+
+// TestPutRefusesUnreadableRecord checks that Put refuses a record whose
+// line would not read back: json.Marshal writes invalid UTF-8 in a
+// string as an escaped U+FFFD, so the line's record no longer matches
+// the digest Put computed from the record it was given. Put must fail
+// without writing, and the store must reopen with the records before.
+func TestPutRefusesUnreadableRecord(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := mustPut(t, s, testRecord("fp-good", 1, 0.5))
+	size := s.Stats().Bytes
+	bad := testRecord("fp-bad", 2, 0.5)
+	bad.Label = "tree \xff adaptive"
+	if _, err := s.Put(bad); err == nil || !strings.Contains(err.Error(), "digest verification") {
+		t.Fatalf("Put of a record with invalid UTF-8: err = %v, want a digest verification error", err)
+	}
+	if st := s.Stats(); st.Bytes != size || st.Records != 1 {
+		t.Errorf("refused Put left %d records in %d bytes, want 1 in %d", st.Records, st.Bytes, size)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatalf("reopen after a refused Put: %v", err)
+	}
+	defer s2.Close()
+	if got := s2.Fingerprints(); len(got) != 1 || got[0] != "fp-good" {
+		t.Errorf("reopened store holds %v, want [fp-good]", got)
+	}
+	if _, d, ok, err := s2.Get("fp-good"); err != nil || !ok || d != good {
+		t.Errorf("reopened Get(fp-good) = (%s, %v, %v), want %s", d, ok, err, good)
+	}
+}
+
+// TestGetHandsOutConfigCopies checks that every record Get returns owns
+// its Config: neither a later read nor the caller's own writes to it
+// change what another Get returns.
 // Every Get returns the decoded form, whose Config the segment line
 // holds compacted, never the record Put was given.
 func TestGetHandsOutConfigCopies(t *testing.T) {
@@ -657,43 +773,8 @@ func TestGetHandsOutConfigCopies(t *testing.T) {
 			got.Config[j] = 'x'
 		}
 	}
-	if st := s.Stats(); st.Decodes != 2 || st.MemoHits != 4 {
-		t.Errorf("%d decodes and %d memo hits, want 2 and 4", st.Decodes, st.MemoHits)
-	}
-}
-
-// TestMemoBounded checks that the memo holds at most memoCap verified
-// decodes, evicting the oldest first: reading more fingerprints than
-// that keeps the newest memoized and decodes the evicted ones again.
-func TestMemoBounded(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	n := memoCap + 10
-	fp := func(i int) string { return fmt.Sprintf("fp-%04d", i) }
-	for i := 0; i < n; i++ {
-		mustPut(t, s, testRecord(fp(i), uint64(i), 0.5))
-		if _, _, ok, err := s.Get(fp(i)); !ok || err != nil {
-			t.Fatalf("Get(%s): ok=%v err=%v", fp(i), ok, err)
-		}
-		if len(s.memo) > memoCap || len(s.memoOrder) > memoCap {
-			t.Fatalf("after %d reads the memo holds %d records and %d keys, cap %d", i+1, len(s.memo), len(s.memoOrder), memoCap)
-		}
-	}
-	if len(s.memo) != memoCap {
-		t.Fatalf("memo holds %d records after %d distinct reads, want %d", len(s.memo), n, memoCap)
-	}
-	before := s.Stats()
-	s.Get(fp(n - 1)) // newest: still memoized
-	s.Get(fp(0))     // oldest: evicted, decoded again
-	if st := s.Stats(); st.MemoHits != before.MemoHits+1 || st.Decodes != before.Decodes+1 {
-		t.Errorf("newest then oldest read: memo hits %d -> %d, decodes %d -> %d; want one each",
-			before.MemoHits, st.MemoHits, before.Decodes, st.Decodes)
-	}
-	if len(s.memo) != memoCap {
-		t.Errorf("memo holds %d records after re-reading an evicted one, want %d", len(s.memo), memoCap)
+	if st := s.Stats(); st.Decodes != 0 {
+		t.Errorf("%d decodes, want 0", st.Decodes)
 	}
 }
 
@@ -773,11 +854,10 @@ func TestConcurrentReadsAndWrites(t *testing.T) {
 
 // TestGetJSONMatchesMarshal checks that GetJSON answers with exactly the
 // bytes json.Marshal makes of Get's record, read after read: for lines
-// Put wrote, whose record span it records on the first read and hands
-// out after, and for a hand-written line that strict decoding accepts
-// but whose record is not its canonical JSON, which it never takes a
-// span of. The bytes are the caller's own, and a superseding Put is
-// read afresh.
+// Put wrote, whose record span the index holds, and for a hand-written
+// line that strict decoding accepts but whose record is not its
+// canonical JSON, which gets no span and is decoded on every read. The
+// bytes are the caller's own, and a superseding Put is read afresh.
 func TestGetJSONMatchesMarshal(t *testing.T) {
 	dir := t.TempDir()
 	hand := testRecord("fp-hand", 9, 0.5)
@@ -826,8 +906,8 @@ func TestGetJSONMatchesMarshal(t *testing.T) {
 				got[j] = 'x'
 			}
 		}
-		if v := s.memo[fp]; !v.recordChecked || (v.recordEnd > 0) != canonical {
-			t.Errorf("%s: span recorded = %v, want %v", fp, v.recordEnd > 0, canonical)
+		if l := s.index[fp]; (l.record > 0) != canonical {
+			t.Errorf("%s: span recorded = %v, want %v", fp, l.record > 0, canonical)
 		}
 	}
 	before := s.Stats()
@@ -835,9 +915,9 @@ func TestGetJSONMatchesMarshal(t *testing.T) {
 		check(fp, true)
 	}
 	check("fp-hand", false)
-	if st := s.Stats(); st.Decodes != before.Decodes+5 || st.MemoHits != before.MemoHits+15 {
-		t.Errorf("five entries read once by Get and three times by GetJSON: decodes %d -> %d, memo hits %d -> %d; want +5 and +15",
-			before.Decodes, st.Decodes, before.MemoHits, st.MemoHits)
+	if st := s.Stats(); st.Decodes != before.Decodes+4 {
+		t.Errorf("five entries read once by Get and three times by GetJSON: decodes %d -> %d, want +4 (the hand-written line's reads)",
+			before.Decodes, st.Decodes)
 	}
 	changed := testRecord("fp-plain", 0, 0.5)
 	changed.Sample.Accepted = 0.123
