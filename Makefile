@@ -40,6 +40,8 @@ fuzz:
 	$(GO) test ./internal/routing -run '^$$' -fuzz FuzzRouteCube -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/routing -run '^$$' -fuzz FuzzRouteTree -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/faults -run '^$$' -fuzz FuzzFaultSpec -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/faults -run '^$$' -fuzz FuzzDecodeSchedule -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/telemetry -run '^$$' -fuzz FuzzDecodeSidecar -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeEntry -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDecodeBatch -fuzztime $(FUZZTIME)
@@ -75,8 +77,9 @@ lint-shardsafe:
 	$(GO) test -race -run 'TestShard' ./internal/sim/ ./internal/wormhole/
 	$(GO) test -race -count=10 -run TestShardPool ./internal/sim/
 
-# End-to-end telemetry check: live /metrics scrape mid-sweep, sidecar
-# validation, and the kill-and-resume digest contract. See DESIGN.md §11.
+# End-to-end telemetry check: live /metrics scrape mid-sweep, sidecars
+# verified by cmd/manifest, and the kill-and-resume digest contract.
+# See DESIGN.md §11.
 telemetry-smoke:
 	bash scripts/telemetry_smoke.sh
 

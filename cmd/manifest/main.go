@@ -1,78 +1,130 @@
-// Command manifest inspects JSONL run manifests (smart/run/v1 through
-// v3) and fault schedules (smart/faults/v1).
+// Command manifest inspects the reproduction's JSONL files — run
+// manifests (smart/run/v1 through v3), fault schedules (smart/faults/v1)
+// and telemetry sidecars (smart/timeseries/v1, written by -timeseries on
+// sweep/batch/experiments/netsim) — telling them apart by the schema on
+// a file's first line.
 //
-//	manifest runs.jsonl              # per-file summary: records, failures, batches
-//	manifest faults.jsonl            # fault-schedule summary: events, canonical spec
-//	manifest -digest a.jsonl b.jsonl # canonical content digest per file
+//	manifest runs.jsonl                 # per-file summary: records, failures, batches
+//	manifest faults.jsonl               # fault-schedule summary: events, canonical spec
+//	manifest series.jsonl               # per-run time-series summary table
+//	manifest -events series.jsonl       # the same, then each run's congestion-event log
+//	manifest -plot -run 3 series.jsonl  # run 3's summary and its rate and utilization charts
+//	manifest -digest a.jsonl b.jsonl    # canonical content digest per file
 //
-// The digest is order- and wall-time-independent (see obs.Digest), so
-// it is the right equality for the checkpoint/resume contract: an
-// interrupted sweep resumed with -resume digests identically to an
-// uninterrupted reference run. CI's resume smoke job relies on exactly
-// this comparison. A fault schedule's digest hashes its canonical spec,
-// so re-encoded schedules with the same semantics digest equal.
+// Every file is verified as it decodes: unknown fields and schemas are
+// errors, and so is a sidecar record that breaks an invariant its
+// writer keeps (see telemetry.DecodeSidecar). A zero exit status is the
+// verdict that every file is well formed.
+//
+// The digest is order- and wall-time-independent (see obs.Digest and
+// telemetry.DigestRecords), so it is the right equality for the
+// checkpoint/resume contract: an interrupted sweep resumed with -resume
+// digests identically to an uninterrupted reference run, its manifest
+// and its sidecar alike. CI's resume and telemetry smoke jobs rely on
+// exactly this comparison. A fault schedule's digest hashes its
+// canonical spec, so re-encoded schedules with the same semantics
+// digest equal.
 package main
 
 import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"smart/internal/faults"
 	"smart/internal/obs"
 	"smart/internal/order"
+	"smart/internal/telemetry"
 )
 
 func main() {
-	digest := flag.Bool("digest", false, "print only the canonical content digest of each manifest")
+	var v view
+	flag.BoolVar(&v.digest, "digest", false, "print only the canonical content digest of each file")
+	flag.BoolVar(&v.events, "events", false, "with a sidecar, print each run's congestion-event log")
+	flag.BoolVar(&v.plot, "plot", false, "with a sidecar, render throughput and per-class utilization over time as ASCII charts")
+	flag.IntVar(&v.run, "run", -1, "with a sidecar, select one record by position in the file (default: all)")
 	flag.Parse()
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "manifest: at least one manifest file is required")
+		fmt.Fprintln(os.Stderr, "manifest: at least one file is required")
 		os.Exit(2)
 	}
 	for _, path := range flag.Args() {
-		data, err := os.ReadFile(path)
+		if err := inspect(os.Stdout, path, v); err != nil {
+			fmt.Fprintln(os.Stderr, "manifest:", err)
+			os.Exit(1)
+		}
+	}
+}
+
+// view is what the flags ask to see of each file.
+type view struct {
+	digest, events, plot bool
+	run                  int // a sidecar record's position, -1 for all
+}
+
+// inspect decodes the file at path by the schema on its first line and
+// prints what v asks for to w.
+func inspect(w io.Writer, path string, v view) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	switch schemaOf(data) {
+	case faults.Schema:
+		sched, err := faults.Decode(bytes.NewReader(data))
 		if err != nil {
-			fatal(err)
+			return fmt.Errorf("%s: %w", path, err)
 		}
-		if isFaultsFile(data) {
-			sched, err := faults.Decode(bytes.NewReader(data))
-			if err != nil {
-				fatal(fmt.Errorf("%s: %w", path, err))
-			}
-			if *digest {
-				sum := sha256.Sum256([]byte(sched.Canonical()))
-				fmt.Printf("%s  %s\n", hex.EncodeToString(sum[:]), path)
-				continue
-			}
-			summarizeFaults(path, sched)
-			continue
+		if v.digest {
+			sum := sha256.Sum256([]byte(sched.Canonical()))
+			fmt.Fprintf(w, "%s  %s\n", hex.EncodeToString(sum[:]), path)
+			return nil
 		}
+		summarizeFaults(w, path, sched)
+		return nil
+	case telemetry.Schema:
+		recs, err := telemetry.DecodeSidecar(data)
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+		if v.digest {
+			fmt.Fprintf(w, "%s  %s\n", telemetry.DigestRecords(recs), path)
+			return nil
+		}
+		return printSeries(w, path, recs, v)
+	default:
 		recs, err := obs.DecodeManifest(bytes.NewReader(data))
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", path, err))
+			return fmt.Errorf("%s: %w", path, err)
 		}
-		if *digest {
-			fmt.Printf("%s  %s\n", obs.Digest(recs), path)
-			continue
+		if v.digest {
+			fmt.Fprintf(w, "%s  %s\n", obs.Digest(recs), path)
+			return nil
 		}
-		summarize(path, recs)
+		summarize(w, path, recs)
+		return nil
 	}
 }
 
-// isFaultsFile sniffs the header line of a smart/faults/v1 schedule.
-func isFaultsFile(data []byte) bool {
-	line := data
-	if i := bytes.IndexByte(data, '\n'); i >= 0 {
-		line = data[:i]
+// schemaOf returns the schema named by the first value on data's first
+// line, "" when it names none.
+func schemaOf(data []byte) string {
+	line, _, _ := bytes.Cut(data, []byte{'\n'})
+	var head struct {
+		Schema string `json:"schema"`
 	}
-	return bytes.Contains(line, []byte(faults.Schema))
+	// A line that does not decode leaves the schema empty, and the file
+	// goes to the run-manifest decoder, whose error says what is wrong.
+	_ = json.NewDecoder(bytes.NewReader(line)).Decode(&head)
+	return head.Schema
 }
 
-func summarizeFaults(path string, sched faults.Schedule) {
+func summarizeFaults(w io.Writer, path string, sched faults.Schedule) {
 	downs, ups := 0, 0
 	for _, ev := range sched {
 		if ev.Kind == faults.LinkDown || ev.Kind == faults.RouterDown {
@@ -81,13 +133,13 @@ func summarizeFaults(path string, sched faults.Schedule) {
 			ups++
 		}
 	}
-	fmt.Printf("%s: fault schedule (%s), %d events (%d down, %d up)\n", path, faults.Schema, len(sched), downs, ups)
+	fmt.Fprintf(w, "%s: fault schedule (%s), %d events (%d down, %d up)\n", path, faults.Schema, len(sched), downs, ups)
 	if spec := sched.Canonical(); spec != "" {
-		fmt.Printf("  canonical: %s\n", spec)
+		fmt.Fprintf(w, "  canonical: %s\n", spec)
 	}
 }
 
-func summarize(path string, recs []obs.RunRecord) {
+func summarize(w io.Writer, path string, recs []obs.RunRecord) {
 	completed, failed, faulted := 0, 0, 0
 	batches := map[string]int{}
 	for _, rec := range recs {
@@ -101,25 +153,20 @@ func summarize(path string, recs []obs.RunRecord) {
 		}
 		batches[rec.Batch]++
 	}
-	fmt.Printf("%s: %d records (%d completed, %d failed), digest %s\n", path, len(recs), completed, failed, obs.Digest(recs))
+	fmt.Fprintf(w, "%s: %d records (%d completed, %d failed), digest %s\n", path, len(recs), completed, failed, obs.Digest(recs))
 	if faulted > 0 {
-		fmt.Printf("  %d records carry a fault schedule\n", faulted)
+		fmt.Fprintf(w, "  %d records carry a fault schedule\n", faulted)
 	}
 	for _, name := range order.Keys(batches) {
 		label := name
 		if label == "" {
 			label = "(unbatched)"
 		}
-		fmt.Printf("  %-40s %d records\n", label, batches[name])
+		fmt.Fprintf(w, "  %-40s %d records\n", label, batches[name])
 	}
 	for _, rec := range recs {
 		if rec.Failure != "" {
-			fmt.Printf("  FAILED %s index %d (%s): %s\n", rec.Label, rec.Index, rec.Fingerprint, rec.Failure)
+			fmt.Fprintf(w, "  FAILED %s index %d (%s): %s\n", rec.Label, rec.Index, rec.Fingerprint, rec.Failure)
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "manifest:", err)
-	os.Exit(1)
 }

@@ -7,7 +7,7 @@
 // at every hop and pays distance x length. This example runs the same
 // 16-ary 2-cube under both disciplines (plus virtual cut-through: deep
 // buffers without the store-and-forward gate) and prints the
-// latency-versus-distance profile from the analysis package — the
+// latency-versus-distance profile from the metrics package — the
 // flattening of that curve is wormhole's contribution.
 package main
 
@@ -15,8 +15,8 @@ import (
 	"fmt"
 	"log"
 
-	"smart/internal/analysis"
 	"smart/internal/core"
+	"smart/internal/metrics"
 )
 
 func main() {
@@ -41,7 +41,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		points, err := analysis.LatencyByDistance(sm.Fabric, sm.Top, m.cfg.Warmup, m.cfg.Horizon)
+		points, err := metrics.LatencyByDistance(sm.Fabric, sm.Top, m.cfg.Warmup, m.cfg.Horizon)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"log"
 
-	"smart/internal/analysis"
 	"smart/internal/core"
 	"smart/internal/plot"
 	"smart/internal/telemetry"
@@ -40,10 +39,7 @@ func main() {
 	if _, err := sm.Run(); err != nil {
 		log.Fatal(err)
 	}
-	rates, err := analysis.Rates(telemetry.RecordOf(sp))
-	if err != nil {
-		log.Fatal(err)
-	}
+	rates := telemetry.Rates(telemetry.RecordOf(sp))
 
 	nodes := float64(sm.Top.Nodes())
 	xs := make([]float64, len(rates))
@@ -64,7 +60,7 @@ func main() {
 	}
 	fmt.Print(out)
 	fmt.Println()
-	if cycle, ok := analysis.SteadyFrom(rates, 0.10); ok {
+	if cycle, ok := telemetry.SteadyFrom(rates, 0.10); ok {
 		fmt.Printf("throughput within 10%% of its final value from cycle %d on\n", cycle)
 		if cycle <= cfg.Warmup {
 			fmt.Printf("=> the paper's %d-cycle warm-up is sufficient at this load\n", cfg.Warmup)

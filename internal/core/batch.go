@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"smart/internal/obs"
 )
 
 // Batch is a named set of experiment configurations, loadable from JSON.
@@ -23,14 +25,12 @@ type Batch struct {
 	Configs []Config `json:"configs"`
 }
 
-// DecodeBatch reads a Batch from JSON, rejecting unknown fields so typos
-// in config files fail loudly, and validates that every configuration
-// assembles.
+// DecodeBatch reads a Batch from JSON, failing loudly on an unknown
+// field (a typo) or on anything after the study (a second study would
+// go unrun), and validates that every configuration assembles.
 func DecodeBatch(r io.Reader) (Batch, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var b Batch
-	if err := dec.Decode(&b); err != nil {
+	if err := obs.DecodeStrict(r, &b); err != nil {
 		return Batch{}, fmt.Errorf("core: decoding batch: %w", err)
 	}
 	if len(b.Configs) == 0 {

@@ -56,6 +56,23 @@ func TestDecodeBatchRejectsEmpty(t *testing.T) {
 	}
 }
 
+// TestDecodeBatchRejectsTrailingData checks that a study file holding
+// anything after its study is refused: a stray closer, or a second
+// study that would otherwise go silently unrun.
+func TestDecodeBatchRejectsTrailingData(t *testing.T) {
+	study := `{"name": "x", "configs": [{"Network": "tree", "VCs": 2, "K": 4, "N": 2}]}`
+	for name, trailer := range map[string]string{
+		"stray closer": " }",
+		"second study": ` {"name": "y"}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := DecodeBatch(strings.NewReader(study + trailer)); err == nil {
+				t.Fatalf("study followed by %q accepted", trailer)
+			}
+		})
+	}
+}
+
 func TestDecodeBatchRejectsInvalidConfig(t *testing.T) {
 	for _, cfg := range []string{
 		`{"Network": "tree", "Algorithm": "duato"}`,

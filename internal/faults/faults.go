@@ -23,6 +23,7 @@ import (
 	"strconv"
 	"strings"
 
+	"smart/internal/obs"
 	"smart/internal/sim"
 	"smart/internal/topology"
 )
@@ -444,8 +445,9 @@ func Encode(w io.Writer, s Schedule) error {
 }
 
 // Decode reads a smart/faults/v1 JSONL stream into a canonically
-// ordered schedule. Unknown fields are rejected; validation against a
-// topology is the caller's (Parse path's) job.
+// ordered schedule. Unknown fields and anything after a line's one
+// value are rejected; validation against a topology is the caller's
+// (Parse path's) job.
 func Decode(r io.Reader) (Schedule, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -456,9 +458,7 @@ func Decode(r io.Reader) (Schedule, error) {
 		return nil, fmt.Errorf("faults: empty schedule file")
 	}
 	var hdr schemaLine
-	hd := json.NewDecoder(strings.NewReader(sc.Text()))
-	hd.DisallowUnknownFields()
-	if err := hd.Decode(&hdr); err != nil || hdr.Schema != Schema {
+	if err := obs.DecodeStrict(strings.NewReader(sc.Text()), &hdr); err != nil || hdr.Schema != Schema {
 		return nil, fmt.Errorf("faults: missing or unsupported schema header (want %q)", Schema)
 	}
 	var out Schedule
@@ -470,9 +470,7 @@ func Decode(r io.Reader) (Schedule, error) {
 			continue
 		}
 		var ev Event
-		dec := json.NewDecoder(strings.NewReader(text))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&ev); err != nil {
+		if err := obs.DecodeStrict(strings.NewReader(text), &ev); err != nil {
 			return nil, fmt.Errorf("faults: line %d: %w", line, err)
 		}
 		out = append(out, ev)

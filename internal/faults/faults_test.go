@@ -140,14 +140,20 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// garbageSchedules are schedule files no writer produces, keyed by what
+// is wrong with each: Decode must refuse every one.
+var garbageSchedules = map[string]string{
+	"empty":                "",
+	"no header":            `{"cycle":1,"kind":"link-down","router":0,"port":0}`,
+	"wrong schema":         `{"schema":"smart/run/v3"}`,
+	"unknown field":        "{\"schema\":\"smart/faults/v1\"}\n{\"cycle\":1,\"kind\":\"link-down\",\"router\":0,\"port\":0,\"flux\":9}",
+	"unknown kind":         "{\"schema\":\"smart/faults/v1\"}\n{\"cycle\":1,\"kind\":\"link-sideways\",\"router\":0,\"port\":0}",
+	"header trailing data": `{"schema":"smart/faults/v1"} junk`,
+	"event trailing value": "{\"schema\":\"smart/faults/v1\"}\n{\"cycle\":1,\"kind\":\"link-down\",\"router\":0,\"port\":0} {\"x\":1}",
+}
+
 func TestDecodeRejectsGarbage(t *testing.T) {
-	for name, text := range map[string]string{
-		"empty":         "",
-		"no header":     `{"cycle":1,"kind":"link-down","router":0,"port":0}`,
-		"wrong schema":  `{"schema":"smart/run/v3"}`,
-		"unknown field": "{\"schema\":\"smart/faults/v1\"}\n{\"cycle\":1,\"kind\":\"link-down\",\"router\":0,\"port\":0,\"flux\":9}",
-		"unknown kind":  "{\"schema\":\"smart/faults/v1\"}\n{\"cycle\":1,\"kind\":\"link-sideways\",\"router\":0,\"port\":0}",
-	} {
+	for name, text := range garbageSchedules {
 		if _, err := Decode(strings.NewReader(text)); err == nil {
 			t.Errorf("%s: Decode accepted %q", name, text)
 		}

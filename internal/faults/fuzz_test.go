@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"smart/internal/order"
 	"smart/internal/topology"
 )
 
@@ -69,6 +70,41 @@ func FuzzFaultSpec(f *testing.F) {
 		}
 		if !reflect.DeepEqual(s, decoded) {
 			t.Fatalf("JSONL round-trip of %q diverged:\n%v\n%v", spec, s, decoded)
+		}
+	})
+}
+
+// FuzzDecodeSchedule feeds arbitrary schedule files to Decode, which
+// -faults <file> and cmd/manifest read through. It must never panic,
+// and a schedule it accepts must re-encode through Encode to a file it
+// accepts again with the same canonical spec, since the spec is what
+// lands in a config's fingerprint. The seeds are a valid schedule and
+// every file TestDecodeRejectsGarbage refuses.
+func FuzzDecodeSchedule(f *testing.F) {
+	f.Add([]byte(`{"schema":"smart/faults/v1"}
+{"cycle":400,"kind":"link-down","router":2,"port":1}
+{"cycle":600,"kind":"router-down","router":5,"port":0}
+{"cycle":1400,"kind":"router-up","router":5,"port":0}
+{"cycle":1800,"kind":"link-up","router":2,"port":1}
+`))
+	for _, name := range order.Keys(garbageSchedules) {
+		f.Add([]byte(garbageSchedules[name]))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Decode(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := Encode(&buf, s); err != nil {
+			t.Fatalf("encoding the accepted schedule of %q: %v", data, err)
+		}
+		again, err := Decode(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded schedule of %q does not decode: %v\n%s", data, err, buf.Bytes())
+		}
+		if got, want := again.Canonical(), s.Canonical(); got != want {
+			t.Fatalf("canonical spec %q became %q after a round trip of %q", want, got, data)
 		}
 	})
 }

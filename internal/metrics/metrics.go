@@ -14,6 +14,8 @@ import (
 	"math"
 	"sort"
 
+	"smart/internal/order"
+	"smart/internal/topology"
 	"smart/internal/wormhole"
 )
 
@@ -121,7 +123,7 @@ func (w *Window) Measure(end int64, offered float64) (Sample, error) {
 	packets := w.fabric.PacketRecords()
 	for i := range packets {
 		pk := &packets[i]
-		if pk.TailAt < w.warmup || pk.TailAt >= end || !pk.Delivered() {
+		if !inWindow(pk, w.warmup, end) {
 			continue
 		}
 		s.PacketsDelivered++
@@ -144,6 +146,54 @@ func (w *Window) Measure(end int64, offered float64) (Sample, error) {
 		s.P95Latency = lats[idx]
 	}
 	return s, nil
+}
+
+// inWindow reports whether a packet counts in the window [start, end):
+// it was delivered and its tail arrived inside the window. Measure and
+// LatencyByDistance read the packet table through this one rule.
+func inWindow(pk *wormhole.PacketInfo, start, end int64) bool {
+	return pk.Delivered() && pk.TailAt >= start && pk.TailAt < end
+}
+
+// DistancePoint is the latency profile at one topological distance.
+type DistancePoint struct {
+	Distance    int
+	Packets     int64
+	MeanLatency float64
+}
+
+// LatencyByDistance groups the packets delivered in the window [start,
+// end) by the minimal NIC-to-NIC distance of their (source,
+// destination) pair and reports the mean network latency per group —
+// the cost-of-distance profile. Wormhole switching should show a
+// shallow slope (latency dominated by the worm length),
+// store-and-forward a steep one.
+func LatencyByDistance(f *wormhole.Fabric, top topology.Topology, start, end int64) ([]DistancePoint, error) {
+	if end <= start {
+		return nil, fmt.Errorf("metrics: empty window [%d, %d)", start, end)
+	}
+	sums := map[int]*DistancePoint{}
+	for i := range f.Packets {
+		pk := &f.Packets[i]
+		if !inWindow(pk, start, end) {
+			continue
+		}
+		d := top.Distance(int(pk.Src), int(pk.Dst))
+		p := sums[d]
+		if p == nil {
+			p = &DistancePoint{Distance: d}
+			sums[d] = p
+		}
+		p.Packets++
+		p.MeanLatency += float64(pk.NetworkLatency())
+	}
+	out := make([]DistancePoint, 0, len(sums))
+	for _, d := range order.Keys(sums) {
+		p := sums[d]
+		p.MeanLatency /= float64(p.Packets)
+		out = append(out, *p)
+	}
+	return out, nil
 }
 
 // Tolerance is the saturation detector's slack: a sample is saturated

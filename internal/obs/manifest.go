@@ -129,3 +129,22 @@ func DecodeManifest(r io.Reader) ([]RunRecord, error) {
 		recs = append(recs, rec)
 	}
 }
+
+// DecodeStrict decodes the one JSON value r holds into v. Unknown fields
+// are errors, so a typoed field name cannot silently decode as a
+// different experiment, and only whitespace may follow the value:
+// anything else, a stray closing '}' or ']' or a second value, is an
+// error. Every decoder of a single value from a file or a request body
+// (a study file, a fault-schedule line, a store journal line, a served
+// request) reads through it.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
+}

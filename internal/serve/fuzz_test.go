@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"smart/internal/core"
+	"smart/internal/obs"
 	"smart/internal/store"
 )
 
@@ -52,7 +53,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	}
 	f.Add(spec)
 	f.Add([]byte(testConfigJSON))
-	// Trailing closers after a whole value, which decodeStrict refuses.
+	// Trailing closers after a whole value, which obs.DecodeStrict refuses.
 	f.Add([]byte(testConfigJSON + "}"))
 	f.Add(append(spec, "]]]]"...))
 
@@ -71,7 +72,7 @@ func FuzzDecodeRequest(f *testing.F) {
 			checkRepeatable(t, h, body)
 		}
 		var spec SweepSpec
-		if err := decodeStrict(bytes.NewReader(body), &spec); err == nil {
+		if err := obs.DecodeStrict(bytes.NewReader(body), &spec); err == nil {
 			for _, load := range spec.Loads {
 				cfg := spec.Config
 				cfg.Load = load
@@ -84,7 +85,7 @@ func FuzzDecodeRequest(f *testing.F) {
 // decodeConfig is /v1/run's decoding of a request body.
 func decodeConfig(r io.Reader) (core.Config, error) {
 	var cfg core.Config
-	err := decodeStrict(r, &cfg)
+	err := obs.DecodeStrict(r, &cfg)
 	return cfg, err
 }
 

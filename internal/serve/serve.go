@@ -336,22 +336,6 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, int, error) {
 	return body, http.StatusBadRequest, err
 }
 
-// decodeStrict decodes one JSON value: unknown fields and trailing data
-// are errors, so a typoed field name cannot silently fingerprint as a
-// different experiment. Only whitespace may follow the value: anything
-// else, a stray closing '}' or ']' included, fails the read to EOF.
-func decodeStrict(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return errors.New("trailing data after the JSON body")
-	}
-	return nil
-}
-
 // handleRun answers a body it has answered before through the request
 // memo and the store's verified record bytes. Any other body, or a
 // memoized one whose fingerprint the store does not answer (absent, or
@@ -373,7 +357,7 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var cfg core.Config
-	if err := decodeStrict(bytes.NewReader(body), &cfg); err != nil {
+	if err := obs.DecodeStrict(bytes.NewReader(body), &cfg); err != nil {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding config: %w", err))
 		return
 	}
@@ -421,7 +405,7 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 	body, status, err := readBody(w, r)
 	var spec SweepSpec
 	if err == nil {
-		err = decodeStrict(bytes.NewReader(body), &spec)
+		err = obs.DecodeStrict(bytes.NewReader(body), &spec)
 	}
 	if err != nil {
 		s.writeError(w, status, fmt.Errorf("decoding sweep spec: %w", err))

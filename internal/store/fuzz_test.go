@@ -45,7 +45,8 @@ func FuzzDecodeEntry(f *testing.F) {
 	f.Add(bytes.Replace(line, []byte(`{"schema"`), []byte(`{"extra":1,"schema"`), 1)) // unknown field
 	f.Add([]byte("{}"))
 	f.Add([]byte("null"))
-	f.Add(bytes.ReplaceAll(line, []byte(`,"`), []byte(`, "`))) // spaced
+	f.Add(bytes.ReplaceAll(line, []byte(`,"`), []byte(`, "`)))    // spaced
+	f.Add(append(bytes.Clone(line), ` trailing junk {"x":1}`...)) // bytes after the entry
 	e, err := decodeEntry(line)
 	if err != nil {
 		f.Fatal(err)

@@ -257,10 +257,8 @@ func removeSegments(dir string, names []string) error {
 // content digest — the read-side half of the content-addressing
 // contract.
 func decodeEntry(line []byte) (Entry, error) {
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.DisallowUnknownFields()
 	var e Entry
-	if err := dec.Decode(&e); err != nil {
+	if err := obs.DecodeStrict(bytes.NewReader(line), &e); err != nil {
 		return e, fmt.Errorf("corrupt entry: %w", err)
 	}
 	if e.Schema != Schema {

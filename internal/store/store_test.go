@@ -587,6 +587,17 @@ func TestOpenRejectsTampering(t *testing.T) {
 			t.Fatalf("unknown schema opened: err = %v", err)
 		}
 	})
+
+	t.Run("bytes after the entry", func(t *testing.T) {
+		dir := t.TempDir()
+		line := strings.TrimSuffix(journalLines(t, testRecord("fp-0", 0, 0.5))[0], "\n")
+		if err := os.WriteFile(filepath.Join(dir, segmentName(1)), []byte(line+` trailing junk {"x":1}`+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "line 1:") {
+			t.Fatalf("a line with bytes after its entry opened: err = %v", err)
+		}
+	})
 }
 
 func TestGetVerifiesOnRead(t *testing.T) {

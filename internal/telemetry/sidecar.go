@@ -5,11 +5,13 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"sort"
 	"sync"
 
+	"smart/internal/obs"
 	"smart/internal/store"
 )
 
@@ -156,23 +158,64 @@ func (s *Sidecar) Close() error {
 	return nil
 }
 
-// DecodeSidecar parses a complete sidecar file back into records,
-// rejecting unknown schemas and malformed lines (a torn tail is a
-// decode error here: readers see only finished files).
+// DecodeSidecar parses a complete sidecar file back into records and
+// verifies each line as it decodes it, so every reader relies on what
+// the writer keeps: one record per line, strictly decoded (unknown
+// fields and trailing data are errors), in a known schema, with a
+// non-empty fingerprint no earlier line carries, a positive cadence, as
+// many class link counts as class names, and samples at strictly
+// increasing cycles after zero, each with one class slot per class
+// name. A torn tail is a decode error here: readers see only finished
+// files.
 func DecodeSidecar(data []byte) ([]Record, error) {
 	var recs []Record
-	dec := json.NewDecoder(bytes.NewReader(data))
-	for dec.More() {
+	seen := map[string]bool{}
+	for line := 1; len(data) > 0; line++ {
+		text, rest, _ := bytes.Cut(data, []byte{'\n'})
+		data = rest
 		var rec Record
-		if err := dec.Decode(&rec); err != nil {
-			return nil, fmt.Errorf("telemetry: sidecar record %d: %w", len(recs)+1, err)
+		err := obs.DecodeStrict(bytes.NewReader(text), &rec)
+		if err == nil {
+			err = rec.check(seen)
 		}
-		if rec.Schema != Schema {
-			return nil, fmt.Errorf("telemetry: sidecar record %d has unknown schema %q (want %q)", len(recs)+1, rec.Schema, Schema)
+		if err != nil {
+			return nil, fmt.Errorf("telemetry: sidecar line %d: %w", line, err)
 		}
 		recs = append(recs, rec)
 	}
 	return recs, nil
+}
+
+// check verifies one decoded record against the sidecar invariants;
+// seen holds the fingerprints of the records before it.
+func (rec *Record) check(seen map[string]bool) error {
+	if rec.Schema != Schema {
+		return fmt.Errorf("unknown schema %q (want %q)", rec.Schema, Schema)
+	}
+	if rec.Fingerprint == "" {
+		return errors.New("no fingerprint")
+	}
+	if seen[rec.Fingerprint] {
+		return fmt.Errorf("duplicate fingerprint %s", rec.Fingerprint)
+	}
+	seen[rec.Fingerprint] = true
+	if rec.Every <= 0 {
+		return fmt.Errorf("non-positive cadence %d", rec.Every)
+	}
+	if len(rec.ClassNames) != len(rec.ClassLinks) {
+		return fmt.Errorf("%d class names but %d link counts", len(rec.ClassNames), len(rec.ClassLinks))
+	}
+	last := int64(0)
+	for i, p := range rec.Points {
+		if p.Cycle <= last {
+			return fmt.Errorf("sample %d: cycle %d not after %d", i, p.Cycle, last)
+		}
+		last = p.Cycle
+		if len(p.ClassFlits) != len(rec.ClassNames) {
+			return fmt.Errorf("sample %d: %d class slots, want %d", i, len(p.ClassFlits), len(rec.ClassNames))
+		}
+	}
+	return nil
 }
 
 // DigestRecords returns a canonical content hash of a set of sidecar

@@ -1,8 +1,10 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -118,6 +120,68 @@ func TestSidecarRejectsUnknownSchema(t *testing.T) {
 	}
 	if _, err := DecodeSidecar([]byte(`{"schema":"smart/timeseries/v99"}` + "\n")); err == nil {
 		t.Fatal("decode of unknown schema succeeded, want error")
+	}
+}
+
+// classedRecord is a valid record with two channel classes and two
+// samples, the shape every sidecar invariant constrains.
+func classedRecord(fingerprint string, index int) Record {
+	rec := sidecarRecord(fingerprint, index)
+	rec.ClassNames = []string{"up", "down"}
+	rec.ClassLinks = []int64{4, 4}
+	rec.Points = []Point{{Cycle: 100, ClassFlits: []int64{1, 2}}, {Cycle: 200, ClassFlits: []int64{3, 4}}}
+	return rec
+}
+
+// sidecarLines encodes records one per line, as Sidecar.Write does.
+func sidecarLines(t testing.TB, recs ...Record) string {
+	var b strings.Builder
+	for _, rec := range recs {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(line)
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// sidecarRefusals returns sidecar files no writer produces, keyed by
+// what is wrong with each: DecodeSidecar must refuse every one.
+func sidecarRefusals(t testing.TB) map[string]string {
+	broken := func(edit func(*Record)) string {
+		rec := classedRecord("fp-a", 0)
+		edit(&rec)
+		return sidecarLines(t, rec)
+	}
+	valid := sidecarLines(t, classedRecord("fp-a", 0))
+	return map[string]string{
+		"unknown field":         strings.Replace(valid, `"every"`, `"cadence":100,"every"`, 1),
+		"trailing data":         strings.TrimSuffix(valid, "\n") + " }\n",
+		"no fingerprint":        broken(func(r *Record) { r.Fingerprint = "" }),
+		"duplicate fingerprint": valid + sidecarLines(t, classedRecord("fp-a", 1)),
+		"zero cadence":          broken(func(r *Record) { r.Every = 0 }),
+		"class link count":      broken(func(r *Record) { r.ClassLinks = r.ClassLinks[:1] }),
+		"non-increasing cycles": broken(func(r *Record) { r.Points[1].Cycle = 100 }),
+		"class slot count":      broken(func(r *Record) { r.Points[1].ClassFlits = []int64{3} }),
+	}
+}
+
+// TestDecodeSidecarRefusals checks that every reader of a sidecar gets
+// it verified: DecodeSidecar accepts what the writer writes and refuses
+// each record that breaks an invariant the writer keeps.
+func TestDecodeSidecarRefusals(t *testing.T) {
+	valid := sidecarLines(t, classedRecord("fp-a", 0), classedRecord("fp-b", 1))
+	if recs, err := DecodeSidecar([]byte(valid)); err != nil || len(recs) != 2 {
+		t.Fatalf("valid sidecar: %d records, %v", len(recs), err)
+	}
+	for name, data := range sidecarRefusals(t) {
+		t.Run(name, func(t *testing.T) {
+			if _, err := DecodeSidecar([]byte(data)); err == nil {
+				t.Errorf("DecodeSidecar accepted %s", data)
+			}
+		})
 	}
 }
 

@@ -82,36 +82,34 @@ type RouterNamer interface {
 }
 
 // Timeline renders one packet's journey: creation, injection, each hop
-// with its dwell time, and delivery.
+// with its dwell time, and delivery. It is Record's listing: both come
+// from one assembly of the packet's timeline.
 func (r *Recorder) Timeline(f *wormhole.Fabric, namer RouterNamer, pkt wormhole.PacketID) (string, error) {
-	if int(pkt) < 0 || int(pkt) >= len(f.Packets) {
-		return "", fmt.Errorf("trace: packet %d does not exist", pkt)
+	rec, err := r.Record(f, namer, pkt)
+	if err != nil {
+		return "", err
 	}
-	info := f.Packet(pkt)
 	var b strings.Builder
-	fmt.Fprintf(&b, "packet %d: node %d -> node %d, %d flits\n", pkt, info.Src, info.Dst, info.Flits)
-	fmt.Fprintf(&b, "  c%-6d created\n", info.CreatedAt)
-	if info.InjectedAt >= 0 {
+	fmt.Fprintf(&b, "packet %d: node %d -> node %d, %d flits\n", rec.Packet, rec.Src, rec.Dst, rec.Flits)
+	fmt.Fprintf(&b, "  c%-6d created\n", rec.CreatedAt)
+	if rec.InjectedAt >= 0 {
 		fmt.Fprintf(&b, "  c%-6d header entered the injection lane (queued %d cycles)\n",
-			info.InjectedAt, info.InjectedAt-info.CreatedAt)
+			rec.InjectedAt, rec.InjectedAt-rec.CreatedAt)
 	}
-	events := r.events[pkt]
-	for i, ev := range events {
+	for i, hop := range rec.Hops {
 		dwell := ""
 		if i > 0 {
-			dwell = fmt.Sprintf(" (+%d)", ev.Cycle-events[i-1].Cycle)
+			dwell = fmt.Sprintf(" (+%d)", hop.Dwell)
 		}
 		fmt.Fprintf(&b, "  c%-6d routed at %s: in %s lane %d -> out %s lane %d%s\n",
-			ev.Cycle, namer.RouterName(ev.Router),
-			namer.PortName(ev.Router, ev.InPort), ev.InLane,
-			namer.PortName(ev.Router, ev.OutPort), ev.OutLane, dwell)
+			hop.Cycle, hop.RouterName, hop.InPortName, hop.InLane, hop.OutPortName, hop.OutLane, dwell)
 	}
-	if info.HeadAt >= 0 {
-		fmt.Fprintf(&b, "  c%-6d header delivered\n", info.HeadAt)
+	if rec.HeadAt >= 0 {
+		fmt.Fprintf(&b, "  c%-6d header delivered\n", rec.HeadAt)
 	}
-	if info.TailAt >= 0 {
+	if rec.TailAt >= 0 {
 		fmt.Fprintf(&b, "  c%-6d tail delivered (network latency %d cycles, %d switch hops)\n",
-			info.TailAt, info.NetworkLatency(), info.Hops)
+			rec.TailAt, rec.Latency, f.Packet(pkt).Hops)
 	} else {
 		b.WriteString("  (in flight)\n")
 	}

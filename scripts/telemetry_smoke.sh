@@ -4,8 +4,8 @@
 # 1. Runs a sweep with -metrics-addr and scrapes /metrics and
 #    /telemetry.json mid-run: the endpoint must serve live gauges while
 #    simulations are in flight.
-# 2. Runs a reference sweep with a -timeseries sidecar and validates it
-#    with `telemetry -check`.
+# 2. Runs a reference sweep with a -timeseries sidecar and verifies it
+#    with `manifest` (it exits 1 on a sidecar that breaks an invariant).
 # 3. Interrupts a checkpointed sweep mid-grid, resumes it, and requires
 #    the resumed sidecar to digest identically to the uninterrupted
 #    reference — the sidecar half of the kill-and-resume contract.
@@ -18,7 +18,7 @@ work="${1:-$(mktemp -d)}"
 mkdir -p "$work" bin
 
 go build -o bin/sweep ./cmd/sweep
-go build -o bin/telemetry ./cmd/telemetry
+go build -o bin/manifest ./cmd/manifest
 
 net=(-net tree -vcs 2 -k 4 -n 3)
 
@@ -49,11 +49,11 @@ snapshot=$(curl -fsS "http://$addr/telemetry.json")
 grep -q '"runs_active"' <<<"$snapshot" || { echo "/telemetry.json malformed"; kill "$pid"; exit 1; }
 echo "scraped live metrics from $addr mid-run"
 wait "$pid"
-bin/telemetry -check "$work/live.jsonl"
+bin/manifest "$work/live.jsonl"
 
 echo "== reference sidecar =="
 bin/sweep "${net[@]}" -timeseries "$work/ref.jsonl" > /dev/null
-bin/telemetry -check "$work/ref.jsonl"
+bin/manifest "$work/ref.jsonl"
 
 echo "== kill-and-resume sidecar =="
 bin/sweep "${net[@]}" -checkpoint "$work/sweep.ckpt" -timeseries "$work/resumed.jsonl" > /dev/null &
@@ -63,10 +63,10 @@ kill -INT "$pid"
 wait "$pid" || true
 echo "journal holds $(cat "$work"/sweep.ckpt/seg-*.jsonl | wc -l) completed runs, sidecar $(wc -l < "$work/resumed.jsonl") series"
 bin/sweep "${net[@]}" -checkpoint "$work/sweep.ckpt" -resume -timeseries "$work/resumed.jsonl" > /dev/null
-bin/telemetry -check "$work/resumed.jsonl"
-bin/telemetry -digest "$work/ref.jsonl" "$work/resumed.jsonl"
-ref=$(bin/telemetry -digest "$work/ref.jsonl" | cut -d' ' -f1)
-res=$(bin/telemetry -digest "$work/resumed.jsonl" | cut -d' ' -f1)
+bin/manifest "$work/resumed.jsonl"
+bin/manifest -digest "$work/ref.jsonl" "$work/resumed.jsonl"
+ref=$(bin/manifest -digest "$work/ref.jsonl" | cut -d' ' -f1)
+res=$(bin/manifest -digest "$work/resumed.jsonl" | cut -d' ' -f1)
 test "$ref" = "$res" || { echo "resumed sidecar digest differs from reference"; exit 1; }
 
 echo "telemetry smoke: OK"
