@@ -123,8 +123,8 @@ func run(b core.Batch, opts core.Options, flags *cli.Flags, csvPath string) erro
 	if flags.Manifest != "" {
 		fmt.Printf("\nrun manifest written to %s\n", flags.Manifest)
 	}
-	if flags.Telemetry.SidecarPath != "" {
-		fmt.Printf("\ntime series written to %s\n", flags.Telemetry.SidecarPath)
+	if flags.Timeseries != "" {
+		fmt.Printf("\ntime series written to %s\n", flags.Timeseries)
 	}
 	return nil
 }

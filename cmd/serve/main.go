@@ -19,7 +19,8 @@
 // The bound address is printed to stderr as "serve: serving on
 // http://HOST:PORT" so scripts can discover an ephemeral port. SIGINT
 // shuts down gracefully: in-flight requests finish (a second SIGINT
-// kills the process) and the store is synced. A connection whose
+// kills the process), the store is synced and the -cpuprofile,
+// -memprofile and -trace files are written. A connection whose
 // request headers have not arrived within readHeaderTimeout, whose
 // request body has not arrived within readTimeout, or that sits idle
 // between requests for idleTimeout is closed, and a listener that fails
@@ -78,17 +79,33 @@ func main() {
 		os.Exit(2)
 	}
 	opts.Logger = obsFlags.Logger()
+	stopProf, err := obsFlags.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "serve:", err)
+		os.Exit(1)
+	}
+	// finish stops the profiles, writing them, and exits 1 if the
+	// process failed; every path out of main after this point calls it.
+	finish := func(failed bool) {
+		if err := stopProf(); err != nil {
+			fmt.Fprintln(os.Stderr, "serve:", err)
+			failed = true
+		}
+		if failed {
+			os.Exit(1)
+		}
+	}
 
 	st, err := store.Open(*dir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
-		os.Exit(1)
+		finish(true)
 	}
 	if *compact {
 		before := st.Stats()
 		if err := st.Compact(); err != nil {
 			fmt.Fprintln(os.Stderr, "serve:", err)
-			os.Exit(1)
+			finish(true)
 		}
 		after := st.Stats()
 		fmt.Fprintf(os.Stderr, "serve: compacted %s: %d records, %d -> %d bytes\n",
@@ -103,7 +120,7 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		st.Close()
-		os.Exit(1)
+		finish(true)
 	}
 	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout, IdleTimeout: idleTimeout}
 	served := make(chan error, 1)
@@ -134,7 +151,5 @@ func main() {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		failed = true
 	}
-	if failed {
-		os.Exit(1)
-	}
+	finish(failed)
 }

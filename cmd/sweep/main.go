@@ -150,8 +150,8 @@ func run(cfg core.Config, loads []float64, opts core.Options, flags *cli.Flags, 
 	if flags.Manifest != "" {
 		fmt.Printf("run manifest written to %s\n", flags.Manifest)
 	}
-	if flags.Telemetry.SidecarPath != "" {
-		fmt.Printf("time series written to %s\n", flags.Telemetry.SidecarPath)
+	if flags.Timeseries != "" {
+		fmt.Printf("time series written to %s\n", flags.Timeseries)
 	}
 	return nil
 }

@@ -11,13 +11,15 @@
 //	finish(run(cfg, opts))
 //
 // Open starts the profiles, the signal context, the checkpoint, the
-// progress reporter, telemetry, the manifest and the store, and returns
-// them as core.Options. finish is the only exit path: on success, on a
-// failed run and on SIGINT it closes the sinks in one order — progress,
+// progress reporter, telemetry (the -metrics-addr listener, then the
+// -timeseries sidecar), the manifest and the store, and returns them as
+// core.Options. finish is the only exit path: on success, on a failed
+// run and on SIGINT it closes the sinks in one order — progress,
 // checkpoint, telemetry, store, manifest, profiles — so every journal
 // is synced before the process ends; on an error it then
 // reports it, prints the "rerun with -resume" hint when a checkpoint is
-// open, and exits 1.
+// open, and exits 1. A sink that fails to open is reported the same way,
+// after the ones already open are closed.
 package cli
 
 import (
@@ -26,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"os"
 
 	"smart/internal/core"
@@ -39,28 +42,31 @@ import (
 // Flags is the simulation commands' shared option set. After Open, Faults
 // holds the resolved schedule (a -faults file is read into its spec).
 type Flags struct {
-	obsFlags  *obs.Flags
-	Telemetry *telemetry.Flags
+	obsFlags *obs.Flags
 
-	Checkpoint string
-	Resume     bool
-	Watchdog   int64
-	Faults     string
-	Burst      string
-	Manifest   string
-	Store      string
-	Shards     int
-	SelfCheck  bool
+	MetricsAddr string
+	Timeseries  string
+	Checkpoint  string
+	Resume      bool
+	Watchdog    int64
+	Faults      string
+	Burst       string
+	Manifest    string
+	Store       string
+	Shards      int
+	SelfCheck   bool
 
 	stderr io.Writer
 	exit   func(int)
 }
 
-// AddFlags registers the shared option set on fs: the obs and telemetry
-// flags plus -checkpoint, -resume, -watchdog, -faults, -burst,
-// -manifest, -store, -shards and -selfcheck.
+// AddFlags registers the shared option set on fs: the obs flags plus
+// -metrics-addr, -timeseries, -checkpoint, -resume, -watchdog, -faults,
+// -burst, -manifest, -store, -shards and -selfcheck.
 func AddFlags(fs *flag.FlagSet) *Flags {
-	f := &Flags{obsFlags: obs.AddFlags(fs), Telemetry: telemetry.AddFlags(fs), stderr: os.Stderr, exit: os.Exit}
+	f := &Flags{obsFlags: obs.AddFlags(fs), stderr: os.Stderr, exit: os.Exit}
+	fs.StringVar(&f.MetricsAddr, "metrics-addr", "", "serve live telemetry on this `address` (/metrics Prometheus text, /telemetry.json)")
+	fs.StringVar(&f.Timeseries, "timeseries", "", "journal each run's time series to this JSONL `file` (schema "+telemetry.Schema+")")
 	fs.StringVar(&f.Checkpoint, "checkpoint", "", "journal completed runs to this `directory` as they finish (a store scoped to this grid)")
 	fs.BoolVar(&f.Resume, "resume", false, "skip runs already completed in the -checkpoint directory")
 	fs.Int64Var(&f.Watchdog, "watchdog", resilience.DefaultWatchdogCycles, "abort a run after this many `cycles` without progress (0 disables), for runs that set none")
@@ -135,7 +141,8 @@ type sinks struct {
 	ckpt     *resilience.Checkpoint
 	profiler *obs.StageProfiler
 	progress *obs.Progress
-	stopTel  func() error
+	metrics  net.Listener
+	sidecar  *telemetry.Sidecar
 	manifest *os.File
 	store    *store.Store
 }
@@ -171,21 +178,29 @@ func (f *Flags) open(name string, runs int) (core.Options, *sinks, error) {
 		s.progress.Start()
 		opts.Profiler = s.profiler
 	}
-	tel, addr, stopTel, err := f.Telemetry.Open(f.Resume)
-	if err != nil {
-		return opts, s, err
+	if f.MetricsAddr != "" || f.Timeseries != "" {
+		opts.Telemetry = &telemetry.Options{}
 	}
-	s.stopTel = stopTel
-	if tel != nil && tel.Server != nil {
+	if f.MetricsAddr != "" {
+		srv := telemetry.NewServer()
+		if s.metrics, err = srv.Serve(f.MetricsAddr); err != nil {
+			return opts, s, err
+		}
 		// Grid progress is served even without -v: an unstarted
 		// Progress never ticks but still snapshots.
 		if s.progress == nil {
 			s.progress = obs.NewProgress(f.stderr, runs, 0)
 		}
-		tel.Server.SetProgress(s.progress)
-		fmt.Fprintf(f.stderr, "%s: serving telemetry on http://%s/metrics\n", name, addr)
+		srv.SetProgress(s.progress)
+		opts.Telemetry.Server = srv
+		fmt.Fprintf(f.stderr, "%s: serving telemetry on http://%s/metrics\n", name, s.metrics.Addr())
 	}
-	opts.Telemetry = tel
+	if f.Timeseries != "" {
+		if s.sidecar, err = telemetry.OpenSidecar(f.Timeseries, f.Resume); err != nil {
+			return opts, s, err
+		}
+		opts.Telemetry.Sidecar = s.sidecar
+	}
 	opts.Progress = s.progress
 	if f.Manifest != "" {
 		if s.manifest, err = os.Create(f.Manifest); err != nil {
@@ -217,8 +232,11 @@ func (s *sinks) close(err error) error {
 	if s.ckpt != nil {
 		err = errors.Join(err, s.ckpt.Close())
 	}
-	if s.stopTel != nil {
-		err = errors.Join(err, s.stopTel())
+	if s.metrics != nil {
+		err = errors.Join(err, s.metrics.Close())
+	}
+	if s.sidecar != nil {
+		err = errors.Join(err, s.sidecar.Close())
 	}
 	if s.store != nil {
 		err = errors.Join(err, s.store.Close())

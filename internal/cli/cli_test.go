@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"net"
 	"os"
 	"path/filepath"
 	"sort"
@@ -244,10 +245,39 @@ func TestCheckpointRefusesJournalFile(t *testing.T) {
 	}
 }
 
+// TestOpenFailureExits checks that a sink that cannot open exits 1
+// with the command's prefix, and that the sinks opened before it are
+// closed: a listener bound beside a failing sidecar is released.
 func TestOpenFailureExits(t *testing.T) {
-	f, stderr, exitCode := newFlags(t, "-manifest", filepath.Join(t.TempDir(), "missing", "m.jsonl"))
-	f.Open("batch", 1)
-	if *exitCode != 1 || !strings.HasPrefix(stderr.String(), "batch: ") {
-		t.Fatalf("Open with an uncreatable manifest: exit %d, stderr %q", *exitCode, stderr.String())
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	missing := filepath.Join(t.TempDir(), "missing")
+	for _, args := range [][]string{
+		{"-manifest", filepath.Join(missing, "m.jsonl")},
+		{"-timeseries", filepath.Join(missing, "ts.jsonl")},
+		{"-metrics-addr", busy.Addr().String()},
+		{"-metrics-addr", "127.0.0.1:0", "-timeseries", filepath.Join(missing, "ts.jsonl")},
+	} {
+		f, stderr, exitCode := newFlags(t, args...)
+		f.Open("batch", 1)
+		if *exitCode != 1 || !strings.HasPrefix(stderr.String(), "batch: ") {
+			t.Fatalf("Open %v: exit %d, stderr %q", args, *exitCode, stderr.String())
+		}
+		if f.MetricsAddr != "127.0.0.1:0" {
+			continue
+		}
+		_, addr, ok := strings.Cut(stderr.String(), "serving telemetry on http://")
+		addr, _, _ = strings.Cut(addr, "/metrics")
+		if !ok {
+			t.Fatalf("Open %v printed no telemetry address: %q", args, stderr.String())
+		}
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			t.Fatalf("Open %v left the telemetry listener on %s open: %v", args, addr, err)
+		}
+		ln.Close()
 	}
 }

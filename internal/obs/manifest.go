@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -108,23 +110,29 @@ func (m *ManifestWriter) Write(rec RunRecord) error {
 	return nil
 }
 
-// DecodeManifest reads every record of a JSONL manifest, rejecting
-// unknown fields (mirroring core.DecodeBatch, so schema drift fails
-// loudly) and unknown schema versions.
+// DecodeManifest reads every record of a JSONL manifest, one strict
+// record per line as ManifestWriter writes them (unknown fields and
+// anything after a record on its line are errors, mirroring
+// core.DecodeBatch, so schema drift fails loudly), rejecting unknown
+// schema versions. Errors name the 1-based line.
 func DecodeManifest(r io.Reader) ([]RunRecord, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
+	br := bufio.NewReader(r)
 	var recs []RunRecord
-	for {
+	for n := 1; ; n++ {
+		// ReadBytes caps no line's length, as store.OpenJournal's scan.
+		line, err := br.ReadBytes('\n')
+		if err != nil && !errors.Is(err, io.EOF) {
+			return nil, fmt.Errorf("obs: reading manifest line %d: %w", n, err)
+		}
+		if len(line) == 0 {
+			return recs, nil
+		}
 		var rec RunRecord
-		if err := dec.Decode(&rec); err != nil {
-			if errors.Is(err, io.EOF) {
-				return recs, nil
-			}
-			return nil, fmt.Errorf("obs: decoding manifest record %d: %w", len(recs), err)
+		if err := DecodeStrict(bytes.NewReader(line), &rec); err != nil {
+			return nil, fmt.Errorf("obs: decoding manifest line %d: %w", n, err)
 		}
 		if rec.Schema != RunSchema && rec.Schema != RunSchemaV2 && rec.Schema != RunSchemaV1 {
-			return nil, fmt.Errorf("obs: manifest record %d has unknown schema %q (want %q)", len(recs), rec.Schema, RunSchema)
+			return nil, fmt.Errorf("obs: manifest line %d has unknown schema %q (want %q)", n, rec.Schema, RunSchema)
 		}
 		recs = append(recs, rec)
 	}

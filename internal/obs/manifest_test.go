@@ -78,6 +78,39 @@ func TestDecodeManifestRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// manifestLayouts returns manifests laid out as ManifestWriter never
+// writes them, keyed by how: DecodeManifest must refuse each at line 1.
+func manifestLayouts(t testing.TB) map[string]string {
+	first, second, _ := strings.Cut(string(writeManifest(t, sampleRecord(0), sampleRecord(1))), "\n")
+	return map[string]string{
+		"two records on one line":      first + " " + second,
+		"no newline between records":   first + second,
+		"record split over four lines": strings.Replace(first, `,"`, ",\n\"", 3) + "\n",
+	}
+}
+
+// writeManifest encodes recs through ManifestWriter.
+func writeManifest(t testing.TB, recs ...RunRecord) []byte {
+	var buf bytes.Buffer
+	w := NewManifestWriter(&buf)
+	for _, rec := range recs {
+		if err := w.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+func TestDecodeManifestRejectsLayouts(t *testing.T) {
+	for name, data := range manifestLayouts(t) {
+		t.Run(name, func(t *testing.T) {
+			if _, err := DecodeManifest(strings.NewReader(data)); err == nil || !strings.Contains(err.Error(), "line 1:") {
+				t.Fatalf("DecodeManifest(%q) = %v, want an error at line 1", data, err)
+			}
+		})
+	}
+}
+
 func TestDecodeManifestRejectsUnknownSchema(t *testing.T) {
 	var buf bytes.Buffer
 	rec := sampleRecord(0)

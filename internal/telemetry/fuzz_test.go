@@ -1,6 +1,9 @@
 package telemetry
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"smart/internal/order"
@@ -10,8 +13,11 @@ import (
 // decoder every sidecar reader goes through (cmd/manifest, bench's
 // traced pass). It must never panic, and the records it accepts must
 // re-marshal, one per line as Sidecar.Write journals them, to a file it
-// accepts again with the same DigestRecords. The seeds are a valid
-// two-record sidecar and one file per refusal DecodeSidecar makes.
+// accepts again with the same DigestRecords. A file that ends in a
+// newline (so holds no torn tail) must also resume exactly when it
+// decodes: OpenSidecar refuses what DecodeSidecar refuses and otherwise
+// holds one run per record. The seeds are a valid two-record sidecar
+// and one file per refusal DecodeSidecar makes.
 func FuzzDecodeSidecar(f *testing.F) {
 	f.Add([]byte(sidecarLines(f, classedRecord("fp-a", 0), sidecarRecord("fp-b", 1))))
 	refusals := sidecarRefusals(f)
@@ -20,6 +26,25 @@ func FuzzDecodeSidecar(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := DecodeSidecar(data)
+		if bytes.HasSuffix(data, []byte{'\n'}) {
+			path := filepath.Join(t.TempDir(), "series.jsonl")
+			if werr := os.WriteFile(path, data, 0o644); werr != nil {
+				t.Fatal(werr)
+			}
+			sc, rerr := OpenSidecar(path, true)
+			switch {
+			case err != nil && rerr == nil:
+				sc.Close()
+				t.Fatalf("resume accepted %q, which DecodeSidecar refuses: %v", data, err)
+			case err == nil && rerr != nil:
+				t.Fatalf("resume refused %q, which DecodeSidecar accepts: %v", data, rerr)
+			case err == nil:
+				if sc.Len() != len(recs) {
+					t.Fatalf("resume of %q holds %d runs, want %d", data, sc.Len(), len(recs))
+				}
+				sc.Close()
+			}
+		}
 		if err != nil {
 			return
 		}

@@ -16,15 +16,9 @@ type Ring struct {
 	total   int // points ever pushed
 }
 
-// NewRing returns a ring of the given capacity whose points carry
-// classes per-class flit deltas (0 for classless topologies).
-func NewRing(capacity, classes int) (*Ring, error) {
-	if capacity < 1 {
-		return nil, fmt.Errorf("telemetry: ring capacity %d must be positive", capacity)
-	}
-	if classes < 0 {
-		return nil, fmt.Errorf("telemetry: negative class count %d", classes)
-	}
+// NewRing returns a ring of the given positive capacity whose points
+// carry classes per-class flit deltas (0 for classless topologies).
+func NewRing(capacity, classes int) *Ring {
 	r := &Ring{
 		slots:   make([]Point, capacity),
 		backing: make([]int64, capacity*classes),
@@ -35,7 +29,7 @@ func NewRing(capacity, classes int) (*Ring, error) {
 			r.slots[i].ClassFlits = r.backing[i*classes : (i+1)*classes : (i+1)*classes]
 		}
 	}
-	return r, nil
+	return r
 }
 
 // Push records one point. p.ClassFlits is copied into the slot's own
@@ -57,9 +51,6 @@ func (r *Ring) Len() int {
 	}
 	return len(r.slots)
 }
-
-// Total returns the number of points ever pushed.
-func (r *Ring) Total() int { return r.total }
 
 // Dropped returns how many points were overwritten by wraparound.
 func (r *Ring) Dropped() int { return r.total - r.Len() }

@@ -1,8 +1,10 @@
 package telemetry_test
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"smart/internal/chanstats"
@@ -46,7 +48,7 @@ func TestIntervalDeltasMatchDense(t *testing.T) {
 	dense := make([]int64, classes.Len())
 	classes.Accumulate(s.Fabric.LinkFlits, dense)
 
-	points, _ := sp.Snapshot()
+	points := telemetry.RecordOf(sp).Points
 	if len(points) != 20 {
 		t.Fatalf("recorded %d points, want 20 (cadence 50 over 1000 cycles)", len(points))
 	}
@@ -80,7 +82,7 @@ func TestIntervalDeltasSurviveCounterReset(t *testing.T) {
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	points, _ := sp.Snapshot()
+	points := telemetry.RecordOf(sp).Points
 	if len(points) == 0 {
 		t.Fatal("no points recorded")
 	}
@@ -130,7 +132,8 @@ func TestIntervalDeltasSurviveCounterReset(t *testing.T) {
 }
 
 // TestFinishForcesTerminalSample checks that a run whose horizon is not
-// a cadence multiple still records its final state.
+// a cadence multiple still records its final state, and that a run that
+// dies before its first cycle records a sidecar line readers accept.
 func TestFinishForcesTerminalSample(t *testing.T) {
 	s := newSim(t, 0.3)
 	sp := telemetry.NewSampler(s.Fabric, s.Engine, telemetry.RunInfo{}, telemetry.Config{Every: 400})
@@ -139,7 +142,7 @@ func TestFinishForcesTerminalSample(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp.Finish("")
-	points, _ := sp.Snapshot()
+	points := telemetry.RecordOf(sp).Points
 	if len(points) == 0 {
 		t.Fatal("no points recorded")
 	}
@@ -149,9 +152,26 @@ func TestFinishForcesTerminalSample(t *testing.T) {
 	}
 	// Finish is idempotent: a second call must not duplicate the sample.
 	sp.Finish("")
-	again, _ := sp.Snapshot()
+	again := telemetry.RecordOf(sp).Points
 	if len(again) != len(points) {
 		t.Fatalf("second Finish added samples: %d -> %d", len(points), len(again))
+	}
+
+	s = newSim(t, 0.3)
+	run := telemetry.RunInfo{Fingerprint: s.Config.Fingerprint()}
+	sp = telemetry.NewSampler(s.Fabric, s.Engine, run, telemetry.Config{Every: 400})
+	sp.Register(s.Engine)
+	sp.Finish("failed before its first cycle")
+	line, err := json.Marshal(telemetry.RecordOf(sp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := telemetry.DecodeSidecar(append(line, '\n'))
+	if err != nil {
+		t.Fatalf("record of a run finished at cycle 0 is refused: %v", err)
+	}
+	if len(recs[0].Points) != 0 || recs[0].Failure == "" {
+		t.Fatalf("record of a run finished at cycle 0: %+v", recs[0])
 	}
 }
 
@@ -200,10 +220,8 @@ func TestSamplerRecordRoundTrips(t *testing.T) {
 	if len(rec.ClassNames) == 0 || len(rec.ClassNames) != len(rec.ClassLinks) {
 		t.Fatalf("class metadata: names %v links %v", rec.ClassNames, rec.ClassLinks)
 	}
-	pts, evs := sp.Snapshot()
-	if len(rec.Points) != len(pts) || len(rec.Events) != len(evs) {
-		t.Fatalf("record has %d/%d points/events, sampler %d/%d",
-			len(rec.Points), len(rec.Events), len(pts), len(evs))
+	if want := telemetry.RecordOf(sp); !reflect.DeepEqual(rec, want) {
+		t.Fatalf("decoded record differs from RecordOf:\n got %+v\nwant %+v", rec, want)
 	}
 }
 

@@ -31,10 +31,8 @@ type Server struct {
 // NewServer returns an empty telemetry server.
 func NewServer() *Server { return &Server{} }
 
-// Attach registers a run's sampler for serving. Finished samplers stay
-// attached (bounded by the grid size) so late scrapes can still read
-// terminal state; RunDone moves their counts into the cumulative
-// totals.
+// Attach registers a run's sampler for serving until Detach removes it
+// as the run finishes.
 func (s *Server) Attach(sp *Sampler) {
 	if s == nil || sp == nil {
 		return
@@ -160,10 +158,10 @@ func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	views := make([]runView, 0, len(st.samplers))
 	for _, sp := range st.samplers {
-		points, events := sp.Snapshot()
-		v := runView{run: sp.Run(), names: sp.ClassNames(), events: len(events), faulted: sp.HasFaults()}
-		if len(points) > 0 {
-			v.last = points[len(points)-1]
+		rec := RecordOf(sp)
+		v := runView{run: rec.RunInfo, names: rec.ClassNames, events: len(rec.Events), faulted: sp.HasFaults()}
+		if len(rec.Points) > 0 {
+			v.last = rec.Points[len(rec.Points)-1]
 			v.ok = true
 		}
 		views = append(views, v)
@@ -234,7 +232,7 @@ type jsonState struct {
 	RunsCompleted int64     `json:"runs_completed"`
 	RunsFailed    int64     `json:"runs_failed"`
 	Grid          *gridJSON `json:"grid,omitempty"`
-	Runs          []runJSON `json:"runs"`
+	Runs          []Record  `json:"runs"`
 }
 
 type gridJSON struct {
@@ -244,21 +242,13 @@ type gridJSON struct {
 	CyclesPerSec float64 `json:"cycles_per_sec"`
 }
 
-type runJSON struct {
-	RunInfo
-	Every      int64    `json:"every"`
-	ClassNames []string `json:"class_names,omitempty"`
-	Points     []Point  `json:"points"`
-	Events     []Event  `json:"events,omitempty"`
-}
-
 func (s *Server) serveJSON(w http.ResponseWriter, r *http.Request) {
 	st := s.state()
 	body := jsonState{
 		RunsActive:    len(st.samplers),
 		RunsCompleted: st.done,
 		RunsFailed:    st.failed,
-		Runs:          []runJSON{},
+		Runs:          []Record{},
 	}
 	if st.hasProg {
 		body.Grid = &gridJSON{
@@ -269,14 +259,7 @@ func (s *Server) serveJSON(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	for _, sp := range st.samplers {
-		points, events := sp.Snapshot()
-		body.Runs = append(body.Runs, runJSON{
-			RunInfo:    sp.Run(),
-			Every:      sp.Every(),
-			ClassNames: sp.ClassNames(),
-			Points:     points,
-			Events:     events,
-		})
+		body.Runs = append(body.Runs, RecordOf(sp))
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

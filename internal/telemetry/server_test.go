@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -104,9 +105,13 @@ func TestMetricsServesGridAndLifecycle(t *testing.T) {
 	}
 }
 
+// TestTelemetryJSONEndpoint checks that /telemetry.json serves each
+// attached run's sidecar record as it stands: RecordOf, and a line
+// DecodeSidecar accepts.
 func TestTelemetryJSONEndpoint(t *testing.T) {
 	s := newSim(t, 0.4)
-	sp := telemetry.NewSampler(s.Fabric, s.Engine, telemetry.RunInfo{Label: "x", Load: 0.4}, telemetry.Config{Every: 100})
+	run := telemetry.RunInfo{Label: "x", Load: 0.4, Fingerprint: s.Config.Fingerprint()}
+	sp := telemetry.NewSampler(s.Fabric, s.Engine, run, telemetry.Config{Every: 100})
 	sp.Register(s.Engine)
 	srv := telemetry.NewServer()
 	srv.Attach(sp)
@@ -118,12 +123,8 @@ func TestTelemetryJSONEndpoint(t *testing.T) {
 		t.Fatalf("/telemetry.json status %d", status)
 	}
 	var got struct {
-		RunsActive int `json:"runs_active"`
-		Runs       []struct {
-			Label  string            `json:"label"`
-			Every  int64             `json:"every"`
-			Points []telemetry.Point `json:"points"`
-		} `json:"runs"`
+		RunsActive int                `json:"runs_active"`
+		Runs       []telemetry.Record `json:"runs"`
 	}
 	if err := json.Unmarshal([]byte(body), &got); err != nil {
 		t.Fatalf("response is not JSON: %v\n%s", err, body)
@@ -131,7 +132,18 @@ func TestTelemetryJSONEndpoint(t *testing.T) {
 	if got.RunsActive != 1 || len(got.Runs) != 1 {
 		t.Fatalf("runs_active %d, runs %d", got.RunsActive, len(got.Runs))
 	}
-	if got.Runs[0].Label != "x" || got.Runs[0].Every != 100 || len(got.Runs[0].Points) == 0 {
-		t.Fatalf("run payload: %+v", got.Runs[0])
+	if want := telemetry.RecordOf(sp); !reflect.DeepEqual(got.Runs[0], want) || len(want.Points) == 0 {
+		t.Fatalf("served run\n got %+v\nwant RecordOf %+v", got.Runs[0], want)
+	}
+	var lines []byte
+	for _, rec := range got.Runs {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(append(lines, line...), '\n')
+	}
+	if _, err := telemetry.DecodeSidecar(lines); err != nil {
+		t.Fatalf("served runs are not sidecar records: %v", err)
 	}
 }

@@ -47,26 +47,28 @@ type Record struct {
 	Failure string `json:"failure,omitempty"`
 }
 
-// RecordOf assembles the sidecar record for a finished (or dying)
-// sampler.
+// RecordOf assembles the sidecar record of a sampler: deep copies of
+// its retained series and event log, oldest first. Safe to call from any
+// goroutine, mid-run (the live endpoint's view) or once the run is
+// finished (the sidecar line).
 func RecordOf(s *Sampler) Record {
-	points, events := s.Snapshot()
-	dp, de := s.Dropped()
-	s.mu.Lock()
-	failure := s.failure
-	s.mu.Unlock()
-	return Record{
-		Schema:        Schema,
-		RunInfo:       s.run,
-		Every:         s.cfg.Every,
-		ClassNames:    s.ClassNames(),
-		ClassLinks:    s.ClassLinks(),
-		Points:        points,
-		DroppedPoints: dp,
-		Events:        events,
-		DroppedEvents: de,
-		Failure:       failure,
+	rec := Record{
+		Schema:     Schema,
+		RunInfo:    s.run,
+		Every:      s.cfg.Every,
+		ClassNames: s.ClassNames(),
 	}
+	if s.classes != nil {
+		rec.ClassLinks = s.classes.Links
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rec.Points = s.ring.Snapshot(nil)
+	rec.DroppedPoints = s.ring.Dropped()
+	rec.Events = append([]Event(nil), s.events...)
+	rec.DroppedEvents = s.eventsTotal - len(s.events)
+	rec.Failure = s.failure
+	return rec
 }
 
 // Sidecar journals time-series records to a JSONL file next to the run
@@ -86,20 +88,15 @@ type Sidecar struct {
 }
 
 // OpenSidecar creates (or, with resume, reopens and scans) the sidecar
-// at path. Without resume an existing file is truncated.
+// at path. Without resume an existing file is truncated. The resume scan
+// verifies each line as DecodeSidecar does, so a sweep never appends to
+// a sidecar no reader accepts: a refused line fails the open, naming the
+// path and the line, and leaves the file as it was.
 func OpenSidecar(path string, resume bool) (*Sidecar, error) {
-	f, seen, _, err := store.OpenJournal(path, !resume, func(_ int64, line []byte) (string, bool, error) {
-		var rec struct {
-			Schema      string `json:"schema"`
-			Fingerprint string `json:"fingerprint"`
-		}
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return "", false, fmt.Errorf("corrupt record: %w", err)
-		}
-		if rec.Schema != Schema {
-			return "", false, fmt.Errorf("unknown schema %q (want %q)", rec.Schema, Schema)
-		}
-		return rec.Fingerprint, true, nil
+	seen := map[string]bool{}
+	f, _, _, err := store.OpenJournal(path, !resume, func(_ int64, line []byte) (string, bool, error) {
+		rec, err := decodeRecord(line, seen)
+		return rec.Fingerprint, true, err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: opening sidecar: %w", err)
@@ -173,17 +170,25 @@ func DecodeSidecar(data []byte) ([]Record, error) {
 	for line := 1; len(data) > 0; line++ {
 		text, rest, _ := bytes.Cut(data, []byte{'\n'})
 		data = rest
-		var rec Record
-		err := obs.DecodeStrict(bytes.NewReader(text), &rec)
-		if err == nil {
-			err = rec.check(seen)
-		}
+		rec, err := decodeRecord(text, seen)
 		if err != nil {
 			return nil, fmt.Errorf("telemetry: sidecar line %d: %w", line, err)
 		}
 		recs = append(recs, rec)
 	}
 	return recs, nil
+}
+
+// decodeRecord strictly decodes one sidecar line (newline excluded) and
+// checks it; seen holds the fingerprints of the lines before it and
+// gains this one.
+func decodeRecord(line []byte, seen map[string]bool) (Record, error) {
+	var rec Record
+	err := obs.DecodeStrict(bytes.NewReader(line), &rec)
+	if err == nil {
+		err = rec.check(seen)
+	}
+	return rec, err
 }
 
 // check verifies one decoded record against the sidecar invariants;

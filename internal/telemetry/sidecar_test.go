@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -170,16 +171,38 @@ func sidecarRefusals(t testing.TB) map[string]string {
 
 // TestDecodeSidecarRefusals checks that every reader of a sidecar gets
 // it verified: DecodeSidecar accepts what the writer writes and refuses
-// each record that breaks an invariant the writer keeps.
+// each record that breaks an invariant the writer keeps, and a resume
+// refuses the same file at the same line without touching it.
 func TestDecodeSidecarRefusals(t *testing.T) {
 	valid := sidecarLines(t, classedRecord("fp-a", 0), classedRecord("fp-b", 1))
 	if recs, err := DecodeSidecar([]byte(valid)); err != nil || len(recs) != 2 {
 		t.Fatalf("valid sidecar: %d records, %v", len(recs), err)
 	}
+	lineOf := regexp.MustCompile(`line \d+:`)
 	for name, data := range sidecarRefusals(t) {
 		t.Run(name, func(t *testing.T) {
-			if _, err := DecodeSidecar([]byte(data)); err == nil {
-				t.Errorf("DecodeSidecar accepted %s", data)
+			_, err := DecodeSidecar([]byte(data))
+			if err == nil {
+				t.Fatalf("DecodeSidecar accepted %s", data)
+			}
+			path := filepath.Join(t.TempDir(), "series.jsonl")
+			if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			line := lineOf.FindString(err.Error())
+			if line == "" {
+				t.Fatalf("DecodeSidecar error %q names no line", err)
+			}
+			sc, rerr := OpenSidecar(path, true)
+			if rerr == nil {
+				sc.Close()
+				t.Fatalf("resume accepted %s", data)
+			}
+			if !strings.Contains(rerr.Error(), path+" "+line) {
+				t.Errorf("resume error %q does not name %s %s", rerr, path, line)
+			}
+			if got, err := os.ReadFile(path); err != nil || string(got) != data {
+				t.Errorf("refused resume changed the file to %q (%v)", got, err)
 			}
 		})
 	}

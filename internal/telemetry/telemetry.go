@@ -82,6 +82,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Options is the assembled telemetry configuration the experiment layer
+// (core.Options.Telemetry) consumes: where live state is served, where
+// series are journaled, and how samplers are tuned. Either sink may be
+// nil.
+type Options struct {
+	Server  *Server
+	Sidecar *Sidecar
+	Config  Config
+}
+
 const (
 	// ringCap bounds the retained time series; older points scroll off
 	// and are counted as dropped.
@@ -145,17 +155,13 @@ func NewSampler(f *wormhole.Fabric, e *sim.Engine, run RunInfo, cfg Config) *Sam
 	if classes != nil {
 		n = classes.Len()
 	}
-	ring, err := NewRing(ringCap, n)
-	if err != nil {
-		panic(err) // unreachable: ringCap is positive
-	}
 	s := &Sampler{
 		fabric:     f,
 		engine:     e,
 		run:        run,
 		cfg:        cfg,
 		classes:    classes,
-		ring:       ring,
+		ring:       NewRing(ringCap, n),
 		det:        newDetector(n),
 		prevClass:  make([]int64, n),
 		curClass:   make([]int64, n),
@@ -174,9 +180,6 @@ func (s *Sampler) Register(e *sim.Engine) {
 	e.RegisterFunc("telemetry", s.tick)
 }
 
-// Every returns the sampling cadence in cycles.
-func (s *Sampler) Every() int64 { return s.cfg.Every }
-
 // HasFaults reports whether the recorded fabric carries fault state; the
 // metrics server gates the degraded-mode lines on it so unfaulted runs
 // render exactly as before.
@@ -189,15 +192,6 @@ func (s *Sampler) ClassNames() []string {
 		return nil
 	}
 	return s.classes.Names
-}
-
-// ClassLinks returns the physical channel count of each class, nil for
-// classless topologies.
-func (s *Sampler) ClassLinks() []int64 {
-	if s.classes == nil {
-		return nil
-	}
-	return s.classes.Links
 }
 
 // tick runs once per cycle as an engine stage and samples every
@@ -312,6 +306,8 @@ func (s *Sampler) NoteStall(st *sim.StallError) {
 // Finish marks the run complete, records the failure reason (empty for
 // success), and forces a final sample at the fabric's current cycle so
 // the series always ends with the run's terminal state even off-cadence.
+// A run that dies before its first cycle keeps no sample: a cycle-0
+// point would give Rates a zero-width first interval.
 func (s *Sampler) Finish(failure string) {
 	var cycle int64
 	if s.engine != nil {
@@ -321,7 +317,7 @@ func (s *Sampler) Finish(failure string) {
 	done := s.done
 	s.done = true
 	s.failure = failure
-	last := int64(-1)
+	var last int64
 	if s.ring.Len() > 0 {
 		last = s.ring.At(s.ring.Len() - 1).Cycle
 	}
@@ -333,24 +329,3 @@ func (s *Sampler) Finish(failure string) {
 		s.sample(cycle)
 	}
 }
-
-// Snapshot returns deep copies of the retained time series and event
-// log, oldest first. Safe to call from any goroutine, mid-run or after.
-func (s *Sampler) Snapshot() (points []Point, events []Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	points = s.ring.Snapshot(nil)
-	events = append([]Event(nil), s.events...)
-	return points, events
-}
-
-// Dropped returns how many samples scrolled off the ring and how many
-// events overflowed the log.
-func (s *Sampler) Dropped() (points, events int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ring.Dropped(), s.eventsTotal - len(s.events)
-}
-
-// Run returns the run identity the sampler was built with.
-func (s *Sampler) Run() RunInfo { return s.run }

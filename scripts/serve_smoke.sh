@@ -14,8 +14,9 @@
 # 3. POSTs a sweep grid and requires the response digest to equal the
 #    manifest digest of a direct cmd/sweep over the same grid — the
 #    served cache and the command line are the same experiment.
-# 4. Restarts the server on the same store: the cache must survive the
-#    process, answering with the same ETag without re-running.
+# 4. Restarts the server on the same store, with -cpuprofile: the cache
+#    must survive the process, answering with the same ETag without
+#    re-running, and SIGINT must leave a non-empty CPU profile.
 #
 # Usage: scripts/serve_smoke.sh [workdir]
 set -euo pipefail
@@ -36,8 +37,10 @@ reordered='{ "Load": 0.5, "Horizon": 1000, "Warmup": 200, "Seed": 1,
   "N": 2, "K": 4, "VCs": 2, "Network": "tree" }'
 sweep_spec='{"config":{"Network":"tree","VCs":2,"K":4,"N":2,"Seed":1,"Warmup":200,"Horizon":1000},"loads":[0.25,0.5,0.75,1.0]}'
 
+# start_serve ERRFILE [FLAG...] starts bin/serve with its stderr in
+# ERRFILE and any extra flags, and sets pid and addr.
 start_serve() {
-    bin/serve -store "$work/store" -addr 127.0.0.1:0 2>"$1" &
+    bin/serve -store "$work/store" -addr 127.0.0.1:0 "${@:2}" 2>"$1" &
     pid=$!
     addr=""
     for _ in $(seq 1 50); do
@@ -127,11 +130,12 @@ curl -fsS "http://$addr/metrics" | grep -q '^smart_store_records' || { echo "no 
 echo "== the cache survives a restart =="
 kill -INT "$pid"
 wait "$pid" || { echo "serve exited nonzero on SIGINT"; exit 1; }
-start_serve "$work/serve2.err"
+start_serve "$work/serve2.err" -cpuprofile "$work/cpu.prof"
 curl -fsS -D "$work/h3" -o "$work/b3" -d "$config" "http://$addr/v1/run"
 grep -qi '^x-smart-cache: hit' "$work/h3" || { echo "restarted server missed a stored config"; cat "$work/h3"; exit 1; }
 cmp "$work/b1" "$work/b3" || { echo "restarted body differs"; exit 1; }
 kill -INT "$pid"
 wait "$pid" || true
+test -s "$work/cpu.prof" || { echo "serve wrote no -cpuprofile on SIGINT"; cat "$work/serve2.err"; exit 1; }
 
 echo "serve smoke ok"

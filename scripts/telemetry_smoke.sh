@@ -9,6 +9,9 @@
 # 3. Interrupts a checkpointed sweep mid-grid, resumes it, and requires
 #    the resumed sidecar to digest identically to the uninterrupted
 #    reference — the sidecar half of the kill-and-resume contract.
+# 4. Resumes onto a copy of the reference sidecar with a zero-cadence
+#    line appended: the resume must refuse it, naming the line, and
+#    leave the copy as it was.
 #
 # Usage: scripts/telemetry_smoke.sh [workdir]
 set -euo pipefail
@@ -45,8 +48,16 @@ done
 grep -q '^smart_runs_active' <<<"$metrics" || { echo "no smart_runs_active in /metrics"; kill "$pid"; exit 1; }
 grep -q '^smart_run_flits_injected_total' <<<"$metrics" || { echo "no live run counters in /metrics"; kill "$pid"; exit 1; }
 grep -q '^smart_grid_total' <<<"$metrics" || { echo "no grid progress in /metrics"; kill "$pid"; exit 1; }
-snapshot=$(curl -fsS "http://$addr/telemetry.json")
+# /telemetry.json serves each attached run's sidecar record; retry in
+# case the scrape lands between two runs.
+snapshot=""
+for _ in $(seq 1 50); do
+    snapshot=$(curl -fsS "http://$addr/telemetry.json" || true)
+    grep -q '"schema": *"smart/timeseries/v1"' <<<"$snapshot" && break
+    sleep 0.2
+done
 grep -q '"runs_active"' <<<"$snapshot" || { echo "/telemetry.json malformed"; kill "$pid"; exit 1; }
+grep -q '"schema": *"smart/timeseries/v1"' <<<"$snapshot" || { echo "/telemetry.json serves no sidecar record"; kill "$pid"; exit 1; }
 echo "scraped live metrics from $addr mid-run"
 wait "$pid"
 bin/manifest "$work/live.jsonl"
@@ -68,5 +79,16 @@ bin/manifest -digest "$work/ref.jsonl" "$work/resumed.jsonl"
 ref=$(bin/manifest -digest "$work/ref.jsonl" | cut -d' ' -f1)
 res=$(bin/manifest -digest "$work/resumed.jsonl" | cut -d' ' -f1)
 test "$ref" = "$res" || { echo "resumed sidecar digest differs from reference"; exit 1; }
+
+echo "== resume refuses a sidecar no reader accepts =="
+cp "$work/ref.jsonl" "$work/bad.jsonl"
+echo '{"schema":"smart/timeseries/v1","index":0,"seed":1,"load":0.1,"fingerprint":"zero-cadence","every":0,"points":null}' >>"$work/bad.jsonl"
+cp "$work/bad.jsonl" "$work/bad.orig"
+code=0
+bin/sweep "${net[@]}" -checkpoint "$work/sweep.ckpt" -resume -timeseries "$work/bad.jsonl" >/dev/null 2>"$work/bad.err" || code=$?
+[ "$code" = 1 ] || { echo "resume over a zero-cadence sidecar line exited $code, want 1"; exit 1; }
+grep -q 'line' "$work/bad.err" || { echo "resume refusal names no line:"; cat "$work/bad.err"; exit 1; }
+cmp "$work/bad.jsonl" "$work/bad.orig" || { echo "refused resume changed the sidecar"; exit 1; }
+cat "$work/bad.err"
 
 echo "telemetry smoke: OK"
