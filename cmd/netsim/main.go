@@ -81,8 +81,7 @@ func run(cfg core.Config, opts core.Options, util bool, packets int, timelines s
 		if namer, err = trace.NamerFor(sm.Top); err != nil {
 			return err
 		}
-		rec = trace.NewRecorder(packets)
-		sm.Fabric.Tracer = rec
+		rec = trace.NewRecorder(sm.Fabric, packets)
 	}
 	res, err := sm.RunWith(opts)
 	if err != nil {
@@ -99,7 +98,7 @@ func run(cfg core.Config, opts core.Options, util bool, packets int, timelines s
 	}
 	fmt.Printf("\nhop-by-hop timelines of the first %d packets:\n\n", packets)
 	for _, pkt := range rec.Packets() {
-		out, err := rec.Timeline(sm.Fabric, namer, pkt)
+		out, err := rec.Timeline(namer, pkt)
 		if err != nil {
 			return err
 		}
@@ -112,7 +111,7 @@ func run(cfg core.Config, opts core.Options, util bool, packets int, timelines s
 	if err != nil {
 		return err
 	}
-	return errors.Join(rec.WriteJSON(f, sm.Fabric, namer), f.Close())
+	return errors.Join(rec.WriteJSON(f, namer), f.Close())
 }
 
 // report prints the run's configuration and measurements.

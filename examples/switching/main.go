@@ -37,14 +37,16 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		profile, err := metrics.NewLatencyByDistance(sm.Fabric, sm.Top, m.cfg.Warmup, m.cfg.Horizon)
+		if err != nil {
+			log.Fatal(err)
+		}
+		sm.Fabric.Tracer = profile
 		res, err := sm.Run()
 		if err != nil {
 			log.Fatal(err)
 		}
-		points, err := metrics.LatencyByDistance(sm.Fabric, sm.Top, m.cfg.Warmup, m.cfg.Horizon)
-		if err != nil {
-			log.Fatal(err)
-		}
+		points := profile.Points()
 		fmt.Printf("%s — mean latency %.0f cycles\n", m.name, res.Sample.AvgLatency)
 		fmt.Printf("  distance: ")
 		for _, p := range points {

@@ -114,15 +114,18 @@ func (f *Flags) Apply(cfg *core.Config) {
 // that will make runs simulations (the progress total), and returns the
 // options to run under plus finish, the command's only exit path. If a
 // sink fails to open, Open closes the ones already open, reports the
-// error and exits 1.
+// error and exits 1. Only a failure after Open returned (an interrupted
+// or failed grid) gets the "rerun with -resume" hint: a rerun would meet
+// a sink that failed to open the same way.
 func (f *Flags) Open(name string, runs int) (core.Options, func(error)) {
 	opts, s, err := f.open(name, runs)
+	opened := err == nil
 	finish := func(err error) {
 		if err = s.close(err); err == nil {
 			return
 		}
 		fmt.Fprintf(f.stderr, "%s: %v\n", name, err)
-		if s.ckpt != nil {
+		if opened && s.ckpt != nil {
 			fmt.Fprintf(f.stderr, "%s: checkpoint %s holds %d completed runs; rerun with -resume to continue\n", name, s.ckpt.Dir(), s.ckpt.Len())
 		}
 		f.exit(1)

@@ -245,6 +245,28 @@ func TestCheckpointRefusesJournalFile(t *testing.T) {
 	}
 }
 
+// TestOpenFailureGivesNoResumeHint checks that a sink failing to open
+// under -checkpoint -resume reports its error without the "rerun with
+// -resume" hint, which a grid that failed after Open gets
+// (TestFinishOnFailure): the rerun would refuse the same sidecar.
+func TestOpenFailureGivesNoResumeHint(t *testing.T) {
+	dir := t.TempDir()
+	bad := filepath.Join(dir, "bad.jsonl")
+	// A zero cadence is a record no reader accepts, so a resume refuses it.
+	if err := os.WriteFile(bad, []byte(`{"schema":"smart/timeseries/v1","fingerprint":"a","every":0,"points":null}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, stderr, exitCode := newFlags(t, "-checkpoint", filepath.Join(dir, "ckpt"), "-resume", "-timeseries", bad)
+	f.Open("sweep", 1)
+	out := stderr.String()
+	if *exitCode != 1 || !strings.HasPrefix(out, "sweep: ") || !strings.Contains(out, bad+" line 1: ") {
+		t.Fatalf("Open over a refused sidecar: exit %d, stderr %q", *exitCode, out)
+	}
+	if strings.Contains(out, "rerun with -resume") {
+		t.Fatalf("a sink that failed to open printed the resume hint:\n%s", out)
+	}
+}
+
 // TestOpenFailureExits checks that a sink that cannot open exits 1
 // with the command's prefix, and that the sinks opened before it are
 // closed: a listener bound beside a failing sidecar is released.

@@ -10,9 +10,10 @@ import (
 	"smart/internal/wormhole"
 )
 
-// uniformRun simulates uniform traffic on a 16-node cube and returns the fabric,
-// the cube and the horizon.
-func uniformRun(t *testing.T, rate float64, storeAndForward bool) (*wormhole.Fabric, *topology.Cube, int64) {
+// uniformRun simulates uniform traffic on a 16-node cube for 6000 cycles
+// and returns the latency-by-distance profile of the window [start,
+// end).
+func uniformRun(t *testing.T, rate float64, storeAndForward bool, start, end int64) []DistancePoint {
 	t.Helper()
 	cube, err := topology.NewCube(4, 2)
 	if err != nil {
@@ -33,23 +34,23 @@ func uniformRun(t *testing.T, rate float64, storeAndForward bool) (*wormhole.Fab
 	if err != nil {
 		t.Fatal(err)
 	}
+	profile, err := NewLatencyByDistance(f, cube, start, end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Tracer = profile
 	e := sim.NewEngine()
 	inj.Register(e)
 	f.Register(e)
-	const horizon = 6000
-	e.Run(horizon)
-	return f, cube, horizon
+	e.Run(6000)
+	return profile.Points()
 }
 
 func TestLatencyByDistanceMonotoneUnderSAF(t *testing.T) {
 	// Store-and-forward pays the worm length per hop, so mean latency
 	// must climb steeply and monotonically with distance on an idle-ish
 	// network.
-	f, cube, horizon := uniformRun(t, 0.005, true)
-	points, err := LatencyByDistance(f, cube, 0, horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
+	points := uniformRun(t, 0.005, true, 0, 6000)
 	if len(points) < 3 {
 		t.Fatalf("only %d distance groups", len(points))
 	}
@@ -67,11 +68,7 @@ func TestLatencyByDistanceMonotoneUnderSAF(t *testing.T) {
 }
 
 func TestLatencyByDistanceShallowUnderWormhole(t *testing.T) {
-	f, cube, horizon := uniformRun(t, 0.005, false)
-	points, err := LatencyByDistance(f, cube, 0, horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
+	points := uniformRun(t, 0.005, false, 0, 6000)
 	first, last := points[0], points[len(points)-1]
 	hops := float64(last.Distance - first.Distance)
 	perHop := (last.MeanLatency - first.MeanLatency) / hops
@@ -83,8 +80,15 @@ func TestLatencyByDistanceShallowUnderWormhole(t *testing.T) {
 }
 
 func TestLatencyByDistanceEmptyWindowErrors(t *testing.T) {
-	f, cube, _ := uniformRun(t, 0.02, false)
-	if _, err := LatencyByDistance(f, cube, 100, 100); err == nil {
+	cube, err := topology.NewCube(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := wormhole.NewFabric(cube, wormhole.Config{VCs: 4, BufDepth: 8, PacketFlits: 8, InjLanes: 1}, routing.NewDuato(cube))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewLatencyByDistance(f, cube, 100, 100); err == nil {
 		t.Error("empty distance window accepted")
 	}
 }

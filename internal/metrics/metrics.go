@@ -12,7 +12,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"smart/internal/order"
 	"smart/internal/topology"
@@ -55,27 +54,30 @@ type Sample struct {
 }
 
 // Source is the read side a measurement window consumes: running counter
-// totals, the node count, the packet length and the per-packet records.
-// Both the optimized wormhole.Fabric and the reference simulator in
-// internal/oracle implement it, so a differential run computes both
-// Samples through this one code path.
+// and delivery totals, the node count and the packet length. Both the
+// optimized wormhole.Fabric (running totals, kept at tail delivery) and
+// the reference simulator in internal/oracle (a walk of its packet
+// table) implement it, so a differential run computes both Samples
+// through this one code path.
 type Source interface {
 	Counters() wormhole.Counters
+	Deliveries() wormhole.Deliveries
 	Nodes() int
 	PacketFlits() int
-	PacketRecords() []wormhole.PacketInfo
 }
 
-// Window measures a network over [warmup, horizon). Snapshot the counters
+// Window measures a network over [warmup, horizon). Snapshot the totals
 // with Start at the warm-up boundary, run the engine to the horizon, then
-// call Measure.
+// call Measure: the window holds the packets whose tails arrived in
+// between.
 type Window struct {
-	fabric         Source
-	warmup         int64
-	startCounters  wormhole.Counters
-	started        bool
-	capacityFlits  float64
-	flitsPerPacket float64
+	fabric          Source
+	warmup          int64
+	startCounters   wormhole.Counters
+	startDeliveries wormhole.Deliveries
+	started         bool
+	capacityFlits   float64
+	flitsPerPacket  float64
 }
 
 // NewWindow prepares a measurement over the network. capacityFlits is the
@@ -95,11 +97,13 @@ func NewWindow(f Source, capacityFlits float64) (*Window, error) {
 func (w *Window) Start(cycle int64) {
 	w.warmup = cycle
 	w.startCounters = w.fabric.Counters()
+	w.startDeliveries = w.fabric.Deliveries()
 	w.started = true
 }
 
-// Measure computes the sample for the window ending at the given cycle.
-// offered is the nominal load fraction driving the injection process.
+// Measure computes the sample for the window ending at the given cycle,
+// from the totals now less the totals at Start. offered is the nominal
+// load fraction driving the injection process.
 func (w *Window) Measure(end int64, offered float64) (Sample, error) {
 	if !w.started {
 		return Sample{}, fmt.Errorf("metrics: Measure called before Start")
@@ -118,41 +122,39 @@ func (w *Window) Measure(end int64, offered float64) (Sample, error) {
 	s.PacketsCreated = now.PacketsCreated - w.startCounters.PacketsCreated
 	s.CreatedLoad = float64(s.PacketsCreated) * w.flitsPerPacket / cycles / nodes / w.capacityFlits
 
-	var latSum, headSum, hopSum float64
-	var lats []float64
-	packets := w.fabric.PacketRecords()
-	for i := range packets {
-		pk := &packets[i]
-		if !inWindow(pk, w.warmup, end) {
-			continue
-		}
-		s.PacketsDelivered++
-		lat := float64(pk.NetworkLatency())
-		latSum += lat
-		lats = append(lats, lat)
-		headSum += float64(pk.HeadAt - pk.InjectedAt)
-		hopSum += float64(pk.Hops)
-	}
+	// The totals are integers, and so exact in float64 below 2^53: a
+	// mean of differences equals the mean of the window's own packets.
+	d, d0 := w.fabric.Deliveries(), &w.startDeliveries
+	s.PacketsDelivered = d.Packets - d0.Packets
 	if s.PacketsDelivered > 0 {
 		n := float64(s.PacketsDelivered)
-		s.AvgLatency = latSum / n
-		s.AvgHeadLatency = headSum / n
-		s.AvgHops = hopSum / n
-		sort.Float64s(lats)
-		idx := int(math.Ceil(0.95*float64(len(lats)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		s.P95Latency = lats[idx]
+		s.AvgLatency = float64(d.Latency-d0.Latency) / n
+		s.AvgHeadLatency = float64(d.HeadLatency-d0.HeadLatency) / n
+		s.AvgHops = float64(d.Hops-d0.Hops) / n
+		s.P95Latency = float64(percentile95(d.ByLatency, d0.ByLatency, s.PacketsDelivered))
 	}
 	return s, nil
 }
 
-// inWindow reports whether a packet counts in the window [start, end):
-// it was delivered and its tail arrived inside the window. Measure and
-// LatencyByDistance read the packet table through this one rule.
-func inWindow(pk *wormhole.PacketInfo, start, end int64) bool {
-	return pk.Delivered() && pk.TailAt >= start && pk.TailAt < end
+// percentile95 returns the 95th-percentile latency of the n packets
+// counted by hist less base (histograms of packets by latency): the
+// latency at rank ceil(0.95 n) - 1 of the sorted latencies. n must be
+// positive.
+func percentile95(hist, base []int64, n int64) int64 {
+	rank := int64(math.Ceil(0.95*float64(n))) - 1
+	if rank < 0 {
+		rank = 0
+	}
+	var seen int64
+	for lat, c := range hist {
+		if lat < len(base) {
+			c -= base[lat]
+		}
+		if seen += c; seen > rank {
+			return int64(lat)
+		}
+	}
+	panic(fmt.Sprintf("metrics: latency histogram holds %d packets, want %d", seen, n))
 }
 
 // DistancePoint is the latency profile at one topological distance.
@@ -167,33 +169,57 @@ type DistancePoint struct {
 // destination) pair and reports the mean network latency per group —
 // the cost-of-distance profile. Wormhole switching should show a
 // shallow slope (latency dominated by the worm length),
-// store-and-forward a steep one.
-func LatencyByDistance(f *wormhole.Fabric, top topology.Topology, start, end int64) ([]DistancePoint, error) {
+// store-and-forward a steep one. It is a wormhole.Tracer: attach it as
+// the fabric's Tracer before the run, and it reads each packet's record
+// when the tail is delivered, under the window rule Measure applies.
+type LatencyByDistance struct {
+	f          *wormhole.Fabric
+	top        topology.Topology
+	start, end int64
+	// sums[d] is the group at distance d, its MeanLatency holding the
+	// latency sum until Points divides it.
+	sums map[int]*DistancePoint
+}
+
+// NewLatencyByDistance prepares the profile of fabric f over top for the
+// window [start, end).
+func NewLatencyByDistance(f *wormhole.Fabric, top topology.Topology, start, end int64) (*LatencyByDistance, error) {
 	if end <= start {
 		return nil, fmt.Errorf("metrics: empty window [%d, %d)", start, end)
 	}
-	sums := map[int]*DistancePoint{}
-	for i := range f.Packets {
-		pk := &f.Packets[i]
-		if !inWindow(pk, start, end) {
-			continue
-		}
-		d := top.Distance(int(pk.Src), int(pk.Dst))
-		p := sums[d]
-		if p == nil {
-			p = &DistancePoint{Distance: d}
-			sums[d] = p
-		}
-		p.Packets++
-		p.MeanLatency += float64(pk.NetworkLatency())
+	return &LatencyByDistance{f: f, top: top, start: start, end: end, sums: map[int]*DistancePoint{}}, nil
+}
+
+// HeaderRouted implements wormhole.Tracer; routing events are not used.
+func (l *LatencyByDistance) HeaderRouted(int64, wormhole.PacketID, int, int, int, int, int) {}
+
+// PacketDelivered implements wormhole.Tracer: a packet whose tail
+// arrives inside the window joins its distance group.
+func (l *LatencyByDistance) PacketDelivered(cycle int64, id wormhole.PacketID) {
+	if cycle < l.start || cycle >= l.end {
+		return
 	}
-	out := make([]DistancePoint, 0, len(sums))
-	for _, d := range order.Keys(sums) {
-		p := sums[d]
+	pk := l.f.Packet(id)
+	d := l.top.Distance(int(pk.Src), int(pk.Dst))
+	p := l.sums[d]
+	if p == nil {
+		p = &DistancePoint{Distance: d}
+		l.sums[d] = p
+	}
+	p.Packets++
+	p.MeanLatency += float64(pk.NetworkLatency())
+}
+
+// Points returns the profile so far, one point per distance in
+// ascending order.
+func (l *LatencyByDistance) Points() []DistancePoint {
+	out := make([]DistancePoint, 0, len(l.sums))
+	for _, d := range order.Keys(l.sums) {
+		p := *l.sums[d]
 		p.MeanLatency /= float64(p.Packets)
-		out = append(out, *p)
+		out = append(out, p)
 	}
-	return out, nil
+	return out
 }
 
 // Tolerance is the saturation detector's slack: a sample is saturated

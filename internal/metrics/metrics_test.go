@@ -26,6 +26,26 @@ func (a plusAlg) Route(f wormhole.Router, r, ip, il int, pkt wormhole.PacketID) 
 	return 0, 0, false
 }
 
+// recorded copies each packet's record when its tail is delivered,
+// before the fabric retires it.
+type recorded struct {
+	f    *wormhole.Fabric
+	recs []wormhole.PacketInfo
+}
+
+func (r *recorded) HeaderRouted(int64, wormhole.PacketID, int, int, int, int, int) {}
+
+func (r *recorded) PacketDelivered(_ int64, id wormhole.PacketID) {
+	r.recs = append(r.recs, *r.f.Packet(id))
+}
+
+// record attaches a recorded tracer to f.
+func record(f *wormhole.Fabric) *recorded {
+	r := &recorded{f: f}
+	f.Tracer = r
+	return r
+}
+
 func measured(t *testing.T) (*wormhole.Fabric, *sim.Engine) {
 	t.Helper()
 	cube, err := topology.NewCube(8, 1)
@@ -79,6 +99,7 @@ func TestSinglePacketSample(t *testing.T) {
 	f, e := measured(t)
 	w, _ := NewWindow(f, 1.0)
 	w.Start(0)
+	rec := record(f)
 	f.EnqueuePacket(0, 2, 0)
 	e.Run(100)
 	s, err := w.Measure(100, 0.25)
@@ -93,7 +114,7 @@ func TestSinglePacketSample(t *testing.T) {
 	if math.Abs(s.AcceptedFlits-want) > 1e-12 || math.Abs(s.Accepted-want) > 1e-12 {
 		t.Fatalf("accepted %v flits, want %v", s.AcceptedFlits, want)
 	}
-	pk := f.Packet(0)
+	pk := rec.recs[0]
 	if s.AvgLatency != float64(pk.NetworkLatency()) {
 		t.Fatalf("avg latency %v, want %d", s.AvgLatency, pk.NetworkLatency())
 	}
@@ -140,6 +161,7 @@ func TestP95Latency(t *testing.T) {
 	f, e := measured(t)
 	w, _ := NewWindow(f, 1.0)
 	w.Start(0)
+	rec := record(f)
 	for i := 0; i < 20; i++ {
 		f.EnqueuePacket(0, 4, 0)
 	}
@@ -155,8 +177,8 @@ func TestP95Latency(t *testing.T) {
 		t.Fatalf("p95 %v below mean %v", s.P95Latency, s.AvgLatency)
 	}
 	found := false
-	for i := range f.Packets {
-		if float64(f.Packets[i].NetworkLatency()) == s.P95Latency {
+	for _, pk := range rec.recs {
+		if float64(pk.NetworkLatency()) == s.P95Latency {
 			found = true
 		}
 	}

@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"fmt"
+	"slices"
 
 	"smart/internal/sim"
 	"smart/internal/traffic"
@@ -27,10 +28,37 @@ type Network interface {
 type Pair struct {
 	A, B Network
 	// EngA and EngB are the two engines; exposed so harnesses can attach
-	// stops or step the sides manually between comparisons.
+	// stages before the first Step. Step and Drain are the only ways to
+	// advance them: the packet tables are rebuilt between their cycles.
 	EngA, EngB *sim.Engine
 	// InjA and InjB are the two traffic processes.
 	InjA, InjB *traffic.Injector
+	// tabA and tabB rebuild the two packet tables for ComparePackets.
+	tabA, tabB table
+}
+
+// table rebuilds one side's packet table as its packets deliver. The
+// fabric keeps a record only through the cycle that delivers its tail,
+// so after every lockstep cycle the table copies the records that cycle
+// delivered; the oracle's records are read the same way.
+type table struct {
+	recs []wormhole.PacketInfo
+	// pending lists the created packets not yet delivered.
+	pending []wormhole.PacketID
+}
+
+// update copies the records of the packets n delivered since the last
+// update.
+func (t *table) update(n Network) {
+	for id := int64(len(t.recs)); id < n.Counters().PacketsCreated; id++ {
+		t.recs = append(t.recs, wormhole.PacketInfo{})
+		t.pending = append(t.pending, wormhole.PacketID(id))
+	}
+	t.pending = slices.DeleteFunc(t.pending, func(id wormhole.PacketID) bool {
+		pk := n.Packet(id)
+		t.recs[id] = *pk
+		return pk.Delivered()
+	})
 }
 
 // NewPair assembles a differential run over two already-built networks.
@@ -63,6 +91,8 @@ func (p *Pair) Step(n int64) error {
 		cycle := p.EngA.Cycle()
 		p.EngA.Step()
 		p.EngB.Step()
+		p.tabA.update(p.A)
+		p.tabB.update(p.B)
 		oa, ob := p.A.Observe(), p.B.Observe()
 		if oa != ob {
 			return &DivergenceError{Cycle: cycle, A: oa, B: ob}
@@ -97,12 +127,12 @@ func (p *Pair) Drain(maxExtra int64) error {
 	return nil
 }
 
-// ComparePackets checks the two packet tables field by field: creation,
-// injection and delivery timestamps, hop counts and routing state must
-// match per packet id. (The tables cannot be compared with == because the
-// fabric's records carry private delivery-assertion state.)
+// ComparePackets checks the two rebuilt packet tables field by field:
+// creation, injection and delivery timestamps, hop counts and routing
+// state must match per packet id. (The records cannot be compared with
+// == because the fabric's carry private delivery-assertion state.)
 func (p *Pair) ComparePackets() error {
-	pa, pb := p.A.PacketRecords(), p.B.PacketRecords()
+	pa, pb := p.tabA.recs, p.tabB.recs
 	if len(pa) != len(pb) {
 		return fmt.Errorf("oracle: packet table lengths differ: %d vs %d", len(pa), len(pb))
 	}
@@ -114,6 +144,18 @@ func (p *Pair) ComparePackets() error {
 			a.HeadAt != b.HeadAt || a.TailAt != b.TailAt {
 			return fmt.Errorf("oracle: packet %d diverged: A %+v vs B %+v", id, *a, *b)
 		}
+	}
+	return nil
+}
+
+// CompareDeliveries checks the two sides' delivery totals: the fabric's
+// running sums, kept at tail delivery, against the oracle's walk of its
+// packet table. Equal totals at a window's two ends mean equal windows.
+func (p *Pair) CompareDeliveries() error {
+	da, db := p.A.Deliveries(), p.B.Deliveries()
+	if da.Packets != db.Packets || da.Latency != db.Latency || da.HeadLatency != db.HeadLatency ||
+		da.Hops != db.Hops || !slices.Equal(da.ByLatency, db.ByLatency) {
+		return fmt.Errorf("oracle: delivery totals diverged: A %+v vs B %+v", da, db)
 	}
 	return nil
 }

@@ -20,6 +20,14 @@ func newEngineFor(inj *traffic.Injector, net Network) *sim.Engine {
 	return e
 }
 
+// logTable registers a stage on e, after net's, that rebuilds net's
+// packet table as its packets deliver, the way Pair.Step does.
+func logTable(e *sim.Engine, net Network) *table {
+	tab := &table{}
+	e.RegisterFunc("packet-table", func(int64) { tab.update(net) })
+	return tab
+}
+
 // diffSpec is one differential configuration: a topology, an algorithm,
 // a fabric config, a workload and a cycle budget.
 type diffSpec struct {

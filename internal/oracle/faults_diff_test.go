@@ -26,7 +26,8 @@ type faulted interface {
 // buildFaultedPair assembles fabric-vs-oracle with the identical fault
 // schedule replayed onto each side by its own controller, registered —
 // like core.NewSimulationShards does — ahead of traffic and the
-// network, so an event at cycle C is in force for all of cycle C.
+// network, so an event at cycle C is in force for all of cycle C. The
+// fabric runs on sp.shards shards.
 func buildFaultedPair(t *testing.T, sp diffSpec, spec string, seed uint64) *Pair {
 	t.Helper()
 	top, algF := sp.buildTopAlg(t)
@@ -35,6 +36,9 @@ func buildFaultedPair(t *testing.T, sp diffSpec, spec string, seed uint64) *Pair
 	fab, err := wormhole.NewFabric(top, cfg, algF)
 	if err != nil {
 		t.Fatalf("NewFabric: %v", err)
+	}
+	if err := fab.SetShards(max(sp.shards, 1)); err != nil {
+		t.Fatal(err)
 	}
 	ora, err := New(top, cfg, algO)
 	if err != nil {
@@ -178,15 +182,11 @@ func TestMetamorphicFaultMonotonicity(t *testing.T) {
 					if !net.Drained() {
 						t.Fatalf("%s: faulted=%v run failed to drain after the schedule lifted", side.name, spec != "")
 					}
-					var sum, n int64
-					for _, pk := range net.PacketRecords() {
-						sum += pk.NetworkLatency()
-						n++
-					}
-					if n == 0 {
+					d := net.Deliveries()
+					if d.Packets == 0 {
 						t.Fatalf("%s: no packets delivered; the relation is vacuous", side.name)
 					}
-					return delivered, float64(sum) / float64(n)
+					return delivered, float64(d.Latency) / float64(d.Packets)
 				}
 				cleanDelivered, cleanLat := run("")
 				faultDelivered, faultLat := run(tc.spec)

@@ -36,6 +36,7 @@ func runScript(t *testing.T, net Network, events []scriptEvent, drainBudget int6
 	t.Helper()
 	eng := sim.NewEngine()
 	net.Register(eng)
+	tab := logTable(eng, net)
 	next := 0
 	for next < len(events) {
 		for next < len(events) && events[next].at == eng.Cycle() {
@@ -51,7 +52,7 @@ func runScript(t *testing.T, net Network, events []scriptEvent, drainBudget int6
 	if !net.Drained() {
 		t.Fatalf("network failed to drain within %d extra cycles", drainBudget)
 	}
-	return net.PacketRecords()
+	return tab.recs
 }
 
 // newFabricFor builds a fabric (with a fresh algorithm instance) for a
@@ -227,6 +228,7 @@ func TestMetamorphicZeroLoadLatency(t *testing.T) {
 			} {
 				eng := sim.NewEngine()
 				side.net.Register(eng)
+				tab := logTable(eng, side.net)
 				nodes := side.top.Nodes()
 				for src := 0; src < nodes; src++ {
 					for _, off := range []int{1, 3, nodes / 2, nodes - 1} {
@@ -241,7 +243,7 @@ func TestMetamorphicZeroLoadLatency(t *testing.T) {
 						if !side.net.Drained() {
 							t.Fatalf("%s: packet %d->%d never drained", side.name, src, dst)
 						}
-						pk := side.net.PacketRecords()[id]
+						pk := tab.recs[id]
 						dist := side.top.Distance(src, dst)
 						want := zeroLoadCycles(dist, sp.flits, sp.wire)
 						if got := pk.NetworkLatency(); got != want {
@@ -293,9 +295,10 @@ func TestMetamorphicLoadMonotonicity(t *testing.T) {
 					t.Fatal(err)
 				}
 				eng := newEngineFor(inj, fab)
+				tab := logTable(eng, fab)
 				eng.Run(cycles)
 				created := map[creation]bool{}
-				for _, pk := range fab.PacketRecords() {
+				for _, pk := range tab.recs {
 					created[creation{pk.Src, pk.CreatedAt}] = true
 				}
 				if prev != nil {

@@ -233,8 +233,31 @@ func (s *Sim) Nodes() int { return s.Top.Nodes() }
 // PacketFlits returns the configured packet length in flits.
 func (s *Sim) PacketFlits() int { return s.Cfg.PacketFlits }
 
-// PacketRecords returns the oracle's packet table.
+// PacketRecords returns the oracle's packet table: every packet it ever
+// created, delivered or not.
 func (s *Sim) PacketRecords() []wormhole.PacketInfo { return s.packets }
+
+// Deliveries walks the packet table for the delivery totals the fabric
+// keeps running — the reference its online sums are checked against.
+func (s *Sim) Deliveries() wormhole.Deliveries {
+	var d wormhole.Deliveries
+	for i := range s.packets {
+		pk := &s.packets[i]
+		if pk.TailAt < 0 {
+			continue
+		}
+		lat := pk.TailAt - pk.InjectedAt
+		d.Packets++
+		d.Latency += lat
+		d.HeadLatency += pk.HeadAt - pk.InjectedAt
+		d.Hops += int64(pk.Hops)
+		if lat >= int64(len(d.ByLatency)) {
+			d.ByLatency = append(d.ByLatency, make([]int64, lat+1-int64(len(d.ByLatency)))...)
+		}
+		d.ByLatency[lat]++
+	}
+	return d
+}
 
 // InFlight returns the number of flits inside the network.
 func (s *Sim) InFlight() int64 { return s.inFlight }

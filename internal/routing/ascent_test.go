@@ -41,11 +41,10 @@ func TestAllAscentPoliciesRouteMinimally(t *testing.T) {
 			t.Fatal(err)
 		}
 		pattern, _ := traffic.NewUniform(tree.Nodes())
-		f, inj, e, _ := buildSim(t, tree, alg, pattern, 0.02, 8)
+		f, inj, e, tr := buildSim(t, tree, alg, pattern, 0.02, 8)
 		e.Run(3000)
 		drainOrFail(t, f, inj, e, 50000)
-		for i := range f.Packets {
-			pk := &f.Packets[i]
+		for i, pk := range tr.delivered() {
 			m := tree.NCALevel(int(pk.Src), int(pk.Dst))
 			if int(pk.Hops) != 2*m+1 {
 				t.Fatalf("policy %v: packet %d hops %d, want %d", policy, i, pk.Hops, 2*m+1)
@@ -66,7 +65,7 @@ func TestDigitAlignedRoutesComplementConflictFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	pattern, _ := traffic.NewComplement(tree.Nodes())
-	f, inj, e, _ := buildSim(t, tree, alg, pattern, 0.04, 8)
+	f, inj, e, tr := buildSim(t, tree, alg, pattern, 0.04, 8)
 	e.Run(4000)
 	drainOrFail(t, f, inj, e, 50000)
 	// Complement on a 4-ary 2-tree: every pair has its NCA at the top
@@ -84,8 +83,7 @@ func TestDigitAlignedRoutesComplementConflictFree(t *testing.T) {
 	// margin.
 	ideal := int64(3*3 + 8 - 1)
 	var sum, count int64
-	for i := range f.Packets {
-		pk := &f.Packets[i]
+	for i, pk := range tr.delivered() {
 		lat := pk.NetworkLatency()
 		sum += lat
 		count++

@@ -22,11 +22,10 @@ func TestMeshRoutingMinimalAndDeadlockFree(t *testing.T) {
 			}
 			mesh := top.(*topology.Cube)
 			pattern, _ := traffic.NewUniform(mesh.Nodes())
-			f, inj, e, _ := buildSim(t, mesh, alg, pattern, 0.1, 8)
+			f, inj, e, tr := buildSim(t, mesh, alg, pattern, 0.1, 8)
 			e.Run(3000)
 			drainOrFail(t, f, inj, e, 100000)
-			for i := range f.Packets {
-				pk := &f.Packets[i]
+			for i, pk := range tr.delivered() {
 				if int(pk.Hops) != mesh.Distance(int(pk.Src), int(pk.Dst))-1 {
 					t.Fatalf("packet %d hops %d, want minimal %d",
 						i, pk.Hops, mesh.Distance(int(pk.Src), int(pk.Dst))-1)

@@ -3,6 +3,7 @@ package routing
 import (
 	"testing"
 
+	"smart/internal/order"
 	"smart/internal/sim"
 	"smart/internal/topology"
 	"smart/internal/traffic"
@@ -14,20 +15,34 @@ type hop struct {
 	router, outPort, outLane int
 }
 
-// pathTracer accumulates per-packet hop sequences.
+// pathTracer accumulates per-packet hop sequences, and copies each
+// packet's record when it is delivered (the fabric retires it after).
 type pathTracer struct {
+	f     *wormhole.Fabric
 	paths map[wormhole.PacketID][]hop
+	recs  map[wormhole.PacketID]wormhole.PacketInfo
 }
 
-func newPathTracer() *pathTracer {
-	return &pathTracer{paths: map[wormhole.PacketID][]hop{}}
+func newPathTracer(f *wormhole.Fabric) *pathTracer {
+	return &pathTracer{f: f, paths: map[wormhole.PacketID][]hop{}, recs: map[wormhole.PacketID]wormhole.PacketInfo{}}
 }
 
 func (t *pathTracer) HeaderRouted(cycle int64, pkt wormhole.PacketID, r, ip, il, op, ol int) {
 	t.paths[pkt] = append(t.paths[pkt], hop{router: r, outPort: op, outLane: ol})
 }
 
-func (t *pathTracer) PacketDelivered(cycle int64, pkt wormhole.PacketID) {}
+func (t *pathTracer) PacketDelivered(cycle int64, pkt wormhole.PacketID) {
+	t.recs[pkt] = *t.f.Packet(pkt)
+}
+
+// delivered returns the records of the delivered packets in id order.
+func (t *pathTracer) delivered() []wormhole.PacketInfo {
+	out := make([]wormhole.PacketInfo, 0, len(t.recs))
+	for _, id := range order.Keys(t.recs) {
+		out = append(out, t.recs[id])
+	}
+	return out
+}
 
 // buildSim assembles a fabric with the given topology and algorithm, an
 // injector at the given load (packets/node/cycle), and a tracer.
@@ -39,7 +54,7 @@ func buildSim(t *testing.T, top topology.Topology, alg wormhole.RoutingAlgorithm
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := newPathTracer()
+	tr := newPathTracer(f)
 	f.Tracer = tr
 	inj, err := traffic.NewInjector(f, pattern, rate, 12345)
 	if err != nil {
@@ -110,7 +125,7 @@ func TestTreeAdaptivePathShape(t *testing.T) {
 
 		checked := 0
 		for pkt, path := range tr.paths {
-			info := f.Packet(pkt)
+			info := tr.recs[pkt]
 			dst := int(info.Dst)
 			m := tree.NCALevel(int(info.Src), dst)
 			if len(path) != 2*m+1 {
@@ -156,11 +171,10 @@ func TestTreeAdaptiveHopsMatchDistance(t *testing.T) {
 	tree, _ := topology.NewTree(4, 2)
 	alg, _ := NewTreeAdaptive(tree, 2)
 	pattern, _ := traffic.NewBitReversal(tree.Nodes())
-	f, inj, e, _ := buildSim(t, tree, alg, pattern, 0.02, 8)
+	f, inj, e, tr := buildSim(t, tree, alg, pattern, 0.02, 8)
 	e.Run(3000)
 	drainOrFail(t, f, inj, e, 20000)
-	for i := range f.Packets {
-		pk := &f.Packets[i]
+	for i, pk := range tr.delivered() {
 		m := tree.NCALevel(int(pk.Src), int(pk.Dst))
 		if int(pk.Hops) != 2*m+1 {
 			t.Fatalf("packet %d hops %d, want %d", i, pk.Hops, 2*m+1)
@@ -232,7 +246,7 @@ func TestDORPathProperties(t *testing.T) {
 
 	checked := 0
 	for pkt, path := range tr.paths {
-		info := f.Packet(pkt)
+		info := tr.recs[pkt]
 		dst := int(info.Dst)
 		cur := int(info.Src)
 		prevDim := -1
@@ -310,7 +324,7 @@ func TestDuatoPathProperties(t *testing.T) {
 
 	checked, escapes := 0, 0
 	for pkt, path := range tr.paths {
-		info := f.Packet(pkt)
+		info := tr.recs[pkt]
 		dst := int(info.Dst)
 		cur := int(info.Src)
 		wrapped := [2]bool{}
@@ -403,11 +417,10 @@ func TestDuatoOddRadix(t *testing.T) {
 	cube, _ := topology.NewCube(5, 2)
 	alg := NewDuato(cube)
 	pattern, _ := traffic.NewUniform(cube.Nodes())
-	f, inj, e, _ := buildSim(t, cube, alg, pattern, 0.05, 8)
+	f, inj, e, tr := buildSim(t, cube, alg, pattern, 0.05, 8)
 	e.Run(3000)
 	drainOrFail(t, f, inj, e, 50000)
-	for i := range f.Packets {
-		pk := &f.Packets[i]
+	for i, pk := range tr.delivered() {
 		if int(pk.Hops) != cube.Distance(int(pk.Src), int(pk.Dst))-1 {
 			t.Fatalf("packet %d not minimal on odd radix", i)
 		}

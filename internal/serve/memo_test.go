@@ -245,6 +245,29 @@ func TestMemoFollowsSupersede(t *testing.T) {
 // TestMemoBounded checks the request memo never holds more than
 // requestMemoCap bodies and evicts the oldest first; a body memorized
 // again keeps its place.
+// TestMemoSecondChance checks that a body recalled between fresh misses
+// stays in the memo however many of them arrive, while a body never
+// recalled is evicted like any other.
+func TestMemoSecondChance(t *testing.T) {
+	svc := New(nil, Options{})
+	key := func(i int) [sha256.Size]byte { return sha256.Sum256([]byte(fmt.Sprint(i))) }
+	hot, cold := key(-1), key(-2)
+	svc.memorize(hot, "fp-hot")
+	svc.memorize(cold, "fp-cold")
+	for i := 0; i < 3*requestMemoCap; i++ {
+		svc.memorize(key(i), fmt.Sprint("fp-", i))
+		if fp, ok := svc.recall(hot); !ok || fp != "fp-hot" {
+			t.Fatalf("the hot body was evicted after %d fresh misses (recall = %q, %v)", i+1, fp, ok)
+		}
+		if len(svc.memo) > requestMemoCap {
+			t.Fatalf("memo holds %d entries, cap %d", len(svc.memo), requestMemoCap)
+		}
+	}
+	if _, ok := svc.recall(cold); ok {
+		t.Fatal("a body never recalled outlived 3 x requestMemoCap fresh misses")
+	}
+}
+
 func TestMemoBounded(t *testing.T) {
 	svc := New(nil, Options{})
 	key := func(i int) [sha256.Size]byte { return sha256.Sum256([]byte(fmt.Sprint(i))) }

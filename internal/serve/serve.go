@@ -20,8 +20,8 @@
 //
 // A repeated /v1/run is answered as bytes in, bytes out. The service
 // remembers the SHA-256 of each body it has answered and the
-// fingerprint that body decoded to, in a bounded first-in-first-out
-// request memo (requestMemoCap bodies), so a body seen before goes
+// fingerprint that body decoded to, in a bounded second-chance request
+// memo (requestMemoCap bodies), so a body seen before goes
 // straight to the store without being decoded, normalized or
 // fingerprinted. Every /v1/run and /v1/result answer frames the
 // record's canonical JSON, which the store hands out verified
@@ -94,11 +94,15 @@ type Service struct {
 	sem     chan struct{}
 
 	// memo maps the SHA-256 of each /v1/run body answered to the
-	// fingerprint it decoded to (under mu); memoOrder lists its keys
-	// oldest first, and memoNext is the slot the next insertion
-	// overwrites once requestMemoCap keys are held.
-	memo      map[[sha256.Size]byte]string
+	// fingerprint it decoded to and its slot in memoOrder (under mu).
+	// memoOrder holds the keys by slot; memoRef[i] records that slot
+	// i's body was recalled since the eviction hand memoNext last
+	// passed it. Once requestMemoCap keys are held, an insertion moves
+	// the hand past recalled slots, clearing their bits (their second
+	// chance), and overwrites the first slot not recalled.
+	memo      map[[sha256.Size]byte]memoEntry
 	memoOrder [][sha256.Size]byte
+	memoRef   []bool
 	memoNext  int
 
 	// Counters (under mu). Requests counts every handled request;
@@ -112,6 +116,13 @@ type Service struct {
 // hash and a 16-hex-digit fingerprint, about 0.1 KiB with the map's
 // overhead, so a full memo holds about 0.05 MiB.
 const requestMemoCap = 512
+
+// memoEntry is one request memo entry: the fingerprint a body decoded
+// to and the body's slot in memoOrder.
+type memoEntry struct {
+	fp   string
+	slot int
+}
 
 // flight is one in-progress execution that concurrent requests for the
 // same fingerprint share; its requests read the record from the store
@@ -138,7 +149,7 @@ func New(st *store.Store, opts Options) *Service {
 		run:     core.RunWith,
 		flights: map[string]*flight{},
 		sem:     make(chan struct{}, opts.Workers),
-		memo:    map[[sha256.Size]byte]string{},
+		memo:    map[[sha256.Size]byte]memoEntry{},
 	}
 }
 
@@ -373,31 +384,43 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 // recall returns the fingerprint of the answered /v1/run body whose
-// SHA-256 is sum.
+// SHA-256 is sum, and marks the body recalled.
 func (s *Service) recall(sum [sha256.Size]byte) (string, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	fp, ok := s.memo[sum]
-	return fp, ok
+	e, ok := s.memo[sum]
+	if ok {
+		s.memoRef[e.slot] = true
+	}
+	return e.fp, ok
 }
 
 // memorize enters an answered /v1/run body's SHA-256 and fingerprint
-// into the request memo, evicting the oldest body once requestMemoCap
-// are held; a body already held keeps its place.
+// into the request memo. Once requestMemoCap bodies are held it evicts
+// the first body from the hand on that was not recalled since the hand
+// last passed it, so a body hit between misses stays; a body already
+// held keeps its place.
 func (s *Service) memorize(sum [sha256.Size]byte, fp string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.memo[sum]; ok {
 		return
 	}
-	if len(s.memoOrder) < requestMemoCap {
+	slot := len(s.memoOrder)
+	if slot < requestMemoCap {
 		s.memoOrder = append(s.memoOrder, sum)
+		s.memoRef = append(s.memoRef, false)
 	} else {
-		delete(s.memo, s.memoOrder[s.memoNext])
-		s.memoOrder[s.memoNext] = sum
-		s.memoNext = (s.memoNext + 1) % requestMemoCap
+		for s.memoRef[s.memoNext] {
+			s.memoRef[s.memoNext] = false
+			s.memoNext = (s.memoNext + 1) % requestMemoCap
+		}
+		slot = s.memoNext
+		delete(s.memo, s.memoOrder[slot])
+		s.memoOrder[slot] = sum
+		s.memoNext = (slot + 1) % requestMemoCap
 	}
-	s.memo[sum] = fp
+	s.memo[sum] = memoEntry{fp: fp, slot: slot}
 }
 
 func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {

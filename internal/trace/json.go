@@ -49,11 +49,11 @@ type TimelineRecord struct {
 }
 
 // Record assembles one packet's machine-readable timeline.
-func (r *Recorder) Record(f *wormhole.Fabric, namer RouterNamer, pkt wormhole.PacketID) (TimelineRecord, error) {
-	if int(pkt) < 0 || int(pkt) >= len(f.Packets) {
-		return TimelineRecord{}, fmt.Errorf("trace: packet %d does not exist", pkt)
+func (r *Recorder) Record(namer RouterNamer, pkt wormhole.PacketID) (TimelineRecord, error) {
+	info, err := r.info(pkt)
+	if err != nil {
+		return TimelineRecord{}, err
 	}
-	info := f.Packet(pkt)
 	rec := TimelineRecord{
 		Schema:     TraceSchema,
 		Packet:     int(pkt),
@@ -93,10 +93,10 @@ func (r *Recorder) Record(f *wormhole.Fabric, namer RouterNamer, pkt wormhole.Pa
 
 // WriteJSON emits the recorded packets' timelines as JSONL, one record
 // per line in packet-id order.
-func (r *Recorder) WriteJSON(w io.Writer, f *wormhole.Fabric, namer RouterNamer) error {
+func (r *Recorder) WriteJSON(w io.Writer, namer RouterNamer) error {
 	enc := json.NewEncoder(w)
 	for _, pkt := range r.Packets() {
-		rec, err := r.Record(f, namer, pkt)
+		rec, err := r.Record(namer, pkt)
 		if err != nil {
 			return err
 		}

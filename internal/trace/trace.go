@@ -21,21 +21,28 @@ type Event struct {
 }
 
 // Recorder captures the timelines of the first Limit packets (by id) and
-// their delivery cycles. A zero Limit records everything — use with care
-// on long runs.
+// a copy of each one's record when its tail is delivered — the fabric
+// retires a delivered packet's record after that cycle. A zero Limit
+// records everything — use with care on long runs.
 type Recorder struct {
 	Limit     int
 	events    map[wormhole.PacketID][]Event
-	delivered map[wormhole.PacketID]int64
+	delivered map[wormhole.PacketID]wormhole.PacketInfo
+	f         *wormhole.Fabric
 }
 
-// NewRecorder returns a recorder for the first limit packets.
-func NewRecorder(limit int) *Recorder {
-	return &Recorder{
+// NewRecorder returns a recorder for the first limit packets of f and
+// attaches it as f's Tracer. Build it before f runs: the record of a
+// packet delivered before then is gone.
+func NewRecorder(f *wormhole.Fabric, limit int) *Recorder {
+	r := &Recorder{
 		Limit:     limit,
 		events:    map[wormhole.PacketID][]Event{},
-		delivered: map[wormhole.PacketID]int64{},
+		delivered: map[wormhole.PacketID]wormhole.PacketInfo{},
+		f:         f,
 	}
+	f.Tracer = r
+	return r
 }
 
 // HeaderRouted implements wormhole.Tracer.
@@ -54,7 +61,7 @@ func (r *Recorder) PacketDelivered(cycle int64, pkt wormhole.PacketID) {
 	if r.Limit > 0 && int(pkt) >= r.Limit {
 		return
 	}
-	r.delivered[pkt] = cycle
+	r.delivered[pkt] = *r.f.Packet(pkt)
 }
 
 // Packets returns the recorded packet ids in order.
@@ -67,10 +74,25 @@ func (r *Recorder) Events(pkt wormhole.PacketID) []Event { return r.events[pkt] 
 
 // DeliveredAt returns the tail-delivery cycle, or -1 if unrecorded.
 func (r *Recorder) DeliveredAt(pkt wormhole.PacketID) int64 {
-	if c, ok := r.delivered[pkt]; ok {
-		return c
+	if info, ok := r.delivered[pkt]; ok {
+		return info.TailAt
 	}
 	return -1
+}
+
+// info returns packet pkt's record: the copy taken at delivery, or the
+// fabric's live record while the packet is queued or in flight.
+func (r *Recorder) info(pkt wormhole.PacketID) (wormhole.PacketInfo, error) {
+	if info, ok := r.delivered[pkt]; ok {
+		return info, nil
+	}
+	if pkt < 0 || int64(pkt) >= r.f.Counters().PacketsCreated {
+		return wormhole.PacketInfo{}, fmt.Errorf("trace: packet %d does not exist", pkt)
+	}
+	if r.Limit > 0 && int(pkt) >= r.Limit {
+		return wormhole.PacketInfo{}, fmt.Errorf("trace: packet %d is past the recorder's limit %d", pkt, r.Limit)
+	}
+	return *r.f.Packet(pkt), nil
 }
 
 // RouterNamer annotates router and port indices with topology-specific
@@ -84,11 +106,12 @@ type RouterNamer interface {
 // Timeline renders one packet's journey: creation, injection, each hop
 // with its dwell time, and delivery. It is Record's listing: both come
 // from one assembly of the packet's timeline.
-func (r *Recorder) Timeline(f *wormhole.Fabric, namer RouterNamer, pkt wormhole.PacketID) (string, error) {
-	rec, err := r.Record(f, namer, pkt)
+func (r *Recorder) Timeline(namer RouterNamer, pkt wormhole.PacketID) (string, error) {
+	rec, err := r.Record(namer, pkt)
 	if err != nil {
 		return "", err
 	}
+	info, _ := r.info(pkt) // Record found it
 	var b strings.Builder
 	fmt.Fprintf(&b, "packet %d: node %d -> node %d, %d flits\n", rec.Packet, rec.Src, rec.Dst, rec.Flits)
 	fmt.Fprintf(&b, "  c%-6d created\n", rec.CreatedAt)
@@ -109,7 +132,7 @@ func (r *Recorder) Timeline(f *wormhole.Fabric, namer RouterNamer, pkt wormhole.
 	}
 	if rec.TailAt >= 0 {
 		fmt.Fprintf(&b, "  c%-6d tail delivered (network latency %d cycles, %d switch hops)\n",
-			rec.TailAt, rec.Latency, f.Packet(pkt).Hops)
+			rec.TailAt, rec.Latency, info.Hops)
 	} else {
 		b.WriteString("  (in flight)\n")
 	}

@@ -43,6 +43,17 @@ func testFabric(t *testing.T, nodes int) (*wormhole.Fabric, *sim.Engine) {
 	return f, e
 }
 
+// created returns the records of every packet f created. A testFabric
+// is never registered on its engine, so no packet is delivered and
+// every record stays live.
+func created(f *wormhole.Fabric) []wormhole.PacketInfo {
+	recs := make([]wormhole.PacketInfo, f.Counters().PacketsCreated)
+	for id := range recs {
+		recs[id] = *f.Packet(wormhole.PacketID(id))
+	}
+	return recs
+}
+
 func TestInjectorRate(t *testing.T) {
 	f, e := testFabric(t, 16)
 	pattern, _ := NewUniform(16)
@@ -121,8 +132,8 @@ func TestInjectorSkipsFixedPoints(t *testing.T) {
 	if got := f.Counters().PacketsCreated; got != 12*100 {
 		t.Fatalf("created %d, want 1200", got)
 	}
-	for i := range f.Packets {
-		if f.Packets[i].Src == f.Packets[i].Dst {
+	for _, pk := range created(f) {
+		if pk.Src == pk.Dst {
 			t.Fatal("self packet enqueued")
 		}
 	}
@@ -135,7 +146,7 @@ func TestInjectorDeterministicAcrossRuns(t *testing.T) {
 		inj, _ := NewInjector(f, pattern, 0.3, seed)
 		inj.Register(e)
 		e.Run(300)
-		return append([]wormhole.PacketInfo(nil), f.Packets...)
+		return created(f)
 	}
 	a, b := build(42), build(42)
 	if len(a) != len(b) {
@@ -167,8 +178,7 @@ func TestInjectorDestinationsFollowPattern(t *testing.T) {
 	inj, _ := NewInjector(f, pattern, 0.5, 7)
 	inj.Register(e)
 	e.Run(200)
-	for i := range f.Packets {
-		pk := &f.Packets[i]
+	for i, pk := range created(f) {
 		if int(pk.Dst) != ^int(pk.Src)&15 {
 			t.Fatalf("packet %d dest %d, want complement of %d", i, pk.Dst, pk.Src)
 		}

@@ -16,7 +16,7 @@ func TestSingleFlitPackets(t *testing.T) {
 		f.EnqueuePacket(src, (src+1)%4, 0)
 		f.EnqueuePacket(src, (src+2)%4, 0)
 	}
-	runFabric(f, 200)
+	log := runLogged(f, 200)
 	if !f.Drained() {
 		t.Fatal("single-flit traffic did not drain")
 	}
@@ -24,7 +24,7 @@ func TestSingleFlitPackets(t *testing.T) {
 	if c.PacketsDelivered != 8 || c.FlitsDelivered != 8 {
 		t.Fatalf("delivered %d packets / %d flits, want 8 / 8", c.PacketsDelivered, c.FlitsDelivered)
 	}
-	for id, pk := range f.PacketRecords() {
+	for id, pk := range log.all() {
 		if pk.TailAt != pk.HeadAt {
 			t.Errorf("packet %d: single-flit tail at %d differs from head at %d", id, pk.TailAt, pk.HeadAt)
 		}
@@ -121,13 +121,12 @@ func TestFabricAccessors(t *testing.T) {
 	}
 
 	f.EnqueuePacket(0, 2, 0)
-	runFabric(f, 100)
+	recs := runLogged(f, 100).all()
 	if !f.Drained() {
 		t.Fatal("packet did not drain")
 	}
-	recs := f.PacketRecords()
 	if len(recs) != 1 || recs[0].Src != 0 || recs[0].Dst != 2 {
-		t.Fatalf("PacketRecords() = %+v, want one 0->2 record", recs)
+		t.Fatalf("packet records %+v, want one 0->2 record", recs)
 	}
 	// 0 -> 2 crosses two Plus links; each carried the whole packet.
 	if got := f.LinkFlits(0, port); got != 2 {

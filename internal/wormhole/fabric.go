@@ -147,8 +147,8 @@ func (c *Counters) add(other Counters) {
 }
 
 // Fabric is a complete simulated network: topology, routers, NICs and the
-// packet table, advanced one cycle at a time by the stages it registers on
-// a sim.Engine.
+// records of the packets still queued or in flight (packets.go), advanced
+// one cycle at a time by the stages it registers on a sim.Engine.
 //
 // Router state is flattened for locality: all input and output lane
 // headers live in two contiguous per-fabric arrays indexed by
@@ -174,13 +174,6 @@ type Fabric struct {
 	Top topology.Topology
 	Cfg Config
 	Alg RoutingAlgorithm
-	// Packets is the packet table; PacketID indexes it. Routing
-	// algorithms may mutate RouteBits; everything else is owned by the
-	// fabric. During a cycle a packet's record is only touched by the
-	// shard its flits currently occupy.
-	//
-	//smartlint:shardindexed
-	Packets []PacketInfo
 	// Tracer, when non-nil, observes routing and delivery events. A
 	// sharded fabric with a Tracer runs its phases on the serial
 	// schedule so callbacks never fire concurrently.
@@ -266,6 +259,17 @@ type Fabric struct {
 	// is injected, so unfaulted runs pay one nil check per gate.
 	// Written only by the serial faults stage, read by all shards.
 	flt *faultState
+
+	// The packet records (packets.go): chunks[id>>chunkBits] holds the
+	// record of packet id, nil once every packet of the chunk has been
+	// retired; freeChunks are retired chunks awaiting reuse; nextID is
+	// the id the next packet gets. Routing algorithms may mutate a
+	// record's RouteBits; everything else is owned by the fabric. During
+	// a cycle a packet's record is only touched by the shard its flits
+	// currently occupy. Written outside the stage phases only.
+	chunks     []*packetChunk
+	freeChunks []*packetChunk
+	nextID     PacketID
 }
 
 // flight is one flit in transit on a pipelined wire.
@@ -468,10 +472,6 @@ func (f *Fabric) Nodes() int { return f.Top.Nodes() }
 // PacketFlits returns the configured packet length in flits.
 func (f *Fabric) PacketFlits() int { return f.Cfg.PacketFlits }
 
-// PacketRecords returns the full packet table; measurement layers walk it
-// for per-packet latency. The returned slice is the fabric's own.
-func (f *Fabric) PacketRecords() []PacketInfo { return f.Packets }
-
 // InFlight returns the number of flits currently inside the network
 // (injected but not delivered).
 func (f *Fabric) InFlight() int64 {
@@ -511,8 +511,7 @@ func (f *Fabric) EnqueuePacket(src, dst int, cycle int64) PacketID {
 	if src == dst {
 		panic("wormhole: EnqueuePacket with src == dst")
 	}
-	id := PacketID(len(f.Packets))
-	f.Packets = append(f.Packets, PacketInfo{
+	id := f.newPacket(PacketInfo{
 		Src: int32(src), Dst: int32(dst), Flits: int32(f.Cfg.PacketFlits),
 		CreatedAt: cycle, InjectedAt: -1, HeadAt: -1, TailAt: -1,
 	})
@@ -524,11 +523,8 @@ func (f *Fabric) EnqueuePacket(src, dst int, cycle int64) PacketID {
 	return id
 }
 
-// Packet returns the record of packet id.
-func (f *Fabric) Packet(id PacketID) *PacketInfo { return &f.Packets[id] }
-
 // Dest returns the destination node of packet id.
-func (f *Fabric) Dest(id PacketID) int { return int(f.Packets[id].Dst) }
+func (f *Fabric) Dest(id PacketID) int { return int(f.Packet(id).Dst) }
 
 // OutLaneFree reports whether output lane (port, lane) of router r can
 // accept a new packet: neither full nor bound to another input lane (§4).
@@ -661,7 +657,8 @@ func (f *Fabric) pushWire(sh *shardState, pid int32, fl flight) {
 	w.push(fl)
 }
 
-// begin records the cycle about to execute. Input lanes stamp arrivals
+// begin records the cycle about to execute and retires the records of
+// the packets the previous cycle delivered. Input lanes stamp arrivals
 // as an int32, so the fabric refuses to run past math.MaxInt32 rather
 // than wrap a stamp; core rejects horizons beyond it up front.
 func (f *Fabric) begin(cycle int64) {
@@ -669,6 +666,7 @@ func (f *Fabric) begin(cycle int64) {
 		panic(fmt.Sprintf("wormhole: cycle %d exceeds the int32 lane stamp range", cycle))
 	}
 	f.cycle = cycle
+	f.retire()
 }
 
 // phase runs one stage: fn(w) for every shard w, in parallel on the
@@ -814,11 +812,13 @@ func (f *Fabric) commitWireArrivals(sh *shardState, cycle int64) {
 // switching must deliver each packet's flits exactly once and in order;
 // the fabric asserts it on every flit. The ejection port and its NIC
 // belong to sh, and a packet is only ever in flight toward one
-// destination, so its record is written by exactly one shard.
+// destination, so its record is written by exactly one shard. The tail
+// folds the packet into the shard's delivery totals and lists its id
+// for the next cycle's retire.
 //
 //smartlint:hotpath
 func (f *Fabric) deliver(sh *shardState, fl Flit, cycle int64) {
-	pk := &f.Packets[fl.Packet]
+	pk := f.Packet(fl.Packet)
 	if int32(fl.Seq) != pk.deliverNext {
 		panic(fmt.Sprintf("wormhole: packet %d delivered flit %d out of order (expected %d)", fl.Packet, fl.Seq, pk.deliverNext))
 	}
@@ -832,6 +832,8 @@ func (f *Fabric) deliver(sh *shardState, fl Flit, cycle int64) {
 	if fl.Kind.IsTail() {
 		pk.TailAt = cycle
 		sh.counters.PacketsDelivered++
+		sh.deliveries.add(pk)
+		sh.delivered = append(sh.delivered, fl.Packet)
 		if f.Tracer != nil {
 			//smartlint:allow shardsafe — a Tracer forces the serial schedule (Fabric.phase uses RunSerial), so callbacks never run concurrently
 			f.Tracer.PacketDelivered(cycle, fl.Packet)
@@ -941,7 +943,7 @@ func (f *Fabric) routeRouter(sh *shardState, r int, cycle int64) {
 		if !fl.Kind.IsHead() {
 			panic(fmt.Sprintf("wormhole: unbound non-header flit at router %d port %d lane %d", r, p, l))
 		}
-		if f.Cfg.StoreAndForward && !il.holdsWholePacket(buf, &f.Packets[fl.Packet]) {
+		if f.Cfg.StoreAndForward && !il.holdsWholePacket(buf, f.Packet(fl.Packet)) {
 			continue
 		}
 		f.routeRR[r] = int32(ringNext(idx, n))
@@ -953,7 +955,7 @@ func (f *Fabric) routeRouter(sh *shardState, r int, cycle int64) {
 			}
 			il.bound = packRef(op, ol)
 			out.boundIn = il.self
-			f.Packets[fl.Packet].Hops++
+			f.Packet(fl.Packet).Hops++
 			sh.headersRouted++
 			sh.progress++
 			f.dropUnrouted(sh, r)
@@ -1026,7 +1028,7 @@ func (f *Fabric) injectNIC(sh *shardState, n32 int32, cycle int64) {
 		if st.credit == 0 {
 			continue
 		}
-		pk := &f.Packets[st.cur]
+		pk := f.Packet(st.cur)
 		var kind FlitKind
 		if st.nextSeq == 0 {
 			kind |= FlitHead

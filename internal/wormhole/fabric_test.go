@@ -74,6 +74,54 @@ func runFabric(f *Fabric, cycles int64) *sim.Engine {
 	return e
 }
 
+// packetLog keeps packet records past their retirement in a test: a
+// stage registered after the fabric's copies the records of the packets
+// each cycle delivered, before the next cycle retires them.
+type packetLog struct {
+	f    *Fabric
+	recs map[PacketID]PacketInfo
+}
+
+// logPackets starts logging f's deliveries on e, which f is registered on.
+func logPackets(f *Fabric, e *sim.Engine) *packetLog {
+	l := &packetLog{f: f, recs: map[PacketID]PacketInfo{}}
+	e.RegisterFunc("packet-log", func(int64) {
+		for i := range f.shards {
+			for _, id := range f.shards[i].delivered {
+				l.recs[id] = *f.Packet(id)
+			}
+		}
+	})
+	return l
+}
+
+// get returns packet id's record: the copy taken at delivery, or the
+// live record of a packet still queued or in flight.
+func (l *packetLog) get(id PacketID) *PacketInfo {
+	if pk, ok := l.recs[id]; ok {
+		return &pk
+	}
+	return l.f.Packet(id)
+}
+
+// all returns every packet's record in id order.
+func (l *packetLog) all() []PacketInfo {
+	out := make([]PacketInfo, l.f.nextID)
+	for id := range out {
+		out[id] = *l.get(PacketID(id))
+	}
+	return out
+}
+
+// runLogged is runFabric with a packetLog.
+func runLogged(f *Fabric, cycles int64) *packetLog {
+	e := sim.NewEngine()
+	f.Register(e)
+	l := logPackets(f, e)
+	e.Run(cycles)
+	return l
+}
+
 func TestConfigValidation(t *testing.T) {
 	cube, _ := topology.NewCube(4, 1)
 	good := Config{VCs: 1, BufDepth: 4, PacketFlits: 4, InjLanes: 1}
@@ -155,8 +203,7 @@ func TestSinglePacketExactTiming(t *testing.T) {
 	const flits = 6
 	f, _ := ringFabric(t, 8, Config{VCs: 1, BufDepth: 4, PacketFlits: flits, InjLanes: 1})
 	f.EnqueuePacket(0, 3, 0)
-	runFabric(f, 200)
-	pk := f.Packet(0)
+	pk := runLogged(f, 200).get(0)
 	if pk.InjectedAt != 0 {
 		t.Fatalf("InjectedAt = %d, want 0", pk.InjectedAt)
 	}
@@ -178,8 +225,7 @@ func TestSinglePacketExactTiming(t *testing.T) {
 func TestSingleFlitPacket(t *testing.T) {
 	f, _ := ringFabric(t, 4, Config{VCs: 1, BufDepth: 2, PacketFlits: 1, InjLanes: 1})
 	f.EnqueuePacket(0, 1, 0)
-	runFabric(f, 100)
-	pk := f.Packet(0)
+	pk := runLogged(f, 100).get(0)
 	if !pk.Delivered() {
 		t.Fatal("single-flit packet not delivered")
 	}
@@ -196,8 +242,8 @@ func TestSourceThrottlingSerializesInjection(t *testing.T) {
 	f, _ := ringFabric(t, 8, Config{VCs: 1, BufDepth: 4, PacketFlits: flits, InjLanes: 1})
 	f.EnqueuePacket(0, 2, 0)
 	f.EnqueuePacket(0, 3, 0)
-	runFabric(f, 300)
-	p0, p1 := f.Packet(0), f.Packet(1)
+	log := runLogged(f, 300)
+	p0, p1 := log.get(0), log.get(1)
 	if !p0.Delivered() || !p1.Delivered() {
 		t.Fatal("packets not delivered")
 	}
@@ -215,8 +261,8 @@ func TestMultipleInjectionLanesOverlap(t *testing.T) {
 	f.Alg.(*greedyRing).vcs = 2
 	f.EnqueuePacket(0, 2, 0)
 	f.EnqueuePacket(0, 3, 0)
-	runFabric(f, 300)
-	p0, p1 := f.Packet(0), f.Packet(1)
+	log := runLogged(f, 300)
+	p0, p1 := log.get(0), log.get(1)
 	if !p0.Delivered() || !p1.Delivered() {
 		t.Fatal("packets not delivered")
 	}
@@ -230,10 +276,10 @@ func TestNICQueueIsFIFO(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		f.EnqueuePacket(0, 1+i%6, 0)
 	}
-	runFabric(f, 500)
+	log := runLogged(f, 500)
 	var prev int64 = -1
 	for i := 0; i < 5; i++ {
-		pk := f.Packet(PacketID(i))
+		pk := log.get(PacketID(i))
 		if !pk.Delivered() {
 			t.Fatalf("packet %d undelivered", i)
 		}
@@ -269,7 +315,7 @@ func TestCountersAndConservation(t *testing.T) {
 			want++
 		}
 	}
-	runFabric(f, 2000)
+	log := runLogged(f, 2000)
 	c := f.Counters()
 	if c.PacketsCreated != want || c.PacketsInjected != want || c.PacketsDelivered != want {
 		t.Fatalf("packet counters %+v, want all %d", c, want)
@@ -280,10 +326,9 @@ func TestCountersAndConservation(t *testing.T) {
 	if !f.Drained() || f.InFlight() != 0 || f.QueuedPackets() != 0 {
 		t.Fatal("fabric not drained")
 	}
-	for i := range f.Packets {
-		pk := &f.Packets[i]
+	for i, pk := range log.all() {
 		if pk.InjectedAt < pk.CreatedAt || pk.HeadAt < pk.InjectedAt || pk.TailAt < pk.HeadAt+int64(flits)-1 {
-			t.Fatalf("packet %d has inconsistent timeline %+v", i, *pk)
+			t.Fatalf("packet %d has inconsistent timeline %+v", i, pk)
 		}
 	}
 }
@@ -360,8 +405,8 @@ func TestHeaderPipelinesThroughNetwork(t *testing.T) {
 	f, _ := ringFabric(t, 8, Config{VCs: 1, BufDepth: 4, PacketFlits: 4, InjLanes: 1})
 	f.EnqueuePacket(0, 2, 0)
 	f.EnqueuePacket(4, 6, 0)
-	runFabric(f, 100)
-	p0, p1 := f.Packet(0), f.Packet(1)
+	log := runLogged(f, 100)
+	p0, p1 := log.get(0), log.get(1)
 	if p0.TailAt != p1.TailAt {
 		t.Fatalf("disjoint equal-length paths delivered at %d and %d, want simultaneous", p0.TailAt, p1.TailAt)
 	}
@@ -377,16 +422,15 @@ func TestLinkTransfersOneFlitPerCycle(t *testing.T) {
 	baseline := func(src, dst int) int64 {
 		alone, _ := ringFabric(t, 8, cfg)
 		alone.EnqueuePacket(src, dst, 0)
-		runFabric(alone, 500)
-		return alone.Packet(0).TailAt
+		return runLogged(alone, 500).get(0).TailAt
 	}
 	base0, base1 := baseline(0, 4), baseline(1, 5)
 
 	f, _ := ringFabric(t, 8, cfg)
 	f.EnqueuePacket(0, 4, 0) // passes through routers 1,2,3
 	f.EnqueuePacket(1, 5, 0) // overlaps on links 1->2, 2->3, 3->4
-	runFabric(f, 500)
-	p0, p1 := f.Packet(0), f.Packet(1)
+	log := runLogged(f, 500)
+	p0, p1 := log.get(0), log.get(1)
 	if !p0.Delivered() || !p1.Delivered() {
 		t.Fatal("packets not delivered")
 	}

@@ -49,8 +49,8 @@ func TestLinkArbitrationIsFair(t *testing.T) {
 	// shared.
 	f.EnqueuePacket(0, 5, 0)
 	f.EnqueuePacket(0, 5, 0)
-	runFabric(f, 2000)
-	p0, p1 := f.Packet(0), f.Packet(1)
+	log := runLogged(f, 2000)
+	p0, p1 := log.get(0), log.get(1)
 	if !p0.Delivered() || !p1.Delivered() {
 		t.Fatal("worms not delivered")
 	}
@@ -68,8 +68,7 @@ func TestLinkArbitrationIsFair(t *testing.T) {
 	// link was genuinely shared.
 	solo, _ := ringFabric(t, 8, Config{VCs: 1, BufDepth: 4, PacketFlits: flits, InjLanes: 1})
 	solo.EnqueuePacket(0, 5, 0)
-	runFabric(solo, 2000)
-	soloTail := solo.Packet(0).TailAt
+	soloTail := runLogged(solo, 2000).get(0).TailAt
 	if p0.TailAt < soloTail+flits/2 {
 		t.Fatalf("shared worm finished at %d, solo at %d: no multiplexing cost visible", p0.TailAt, soloTail)
 	}
@@ -90,8 +89,8 @@ func TestEjectionArbitrationServesAllLanes(t *testing.T) {
 	}
 	f.EnqueuePacket(0, 2, 0)
 	f.EnqueuePacket(1, 2, 0)
-	runFabric(f, 2000)
-	p0, p1 := f.Packet(0), f.Packet(1)
+	log := runLogged(f, 2000)
+	p0, p1 := log.get(0), log.get(1)
 	if !p0.Delivered() || !p1.Delivered() {
 		t.Fatal("worms not delivered")
 	}

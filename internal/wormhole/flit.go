@@ -11,7 +11,9 @@
 // per configuration from the Chien cost model in internal/cost.
 package wormhole
 
-// PacketID indexes the fabric's packet table.
+// PacketID names a packet: ids are handed out in creation order from 0
+// and never reused, so they also order packets across runs and sides of
+// a differential.
 type PacketID int32
 
 // NoPacket marks the absence of a packet.
@@ -52,9 +54,10 @@ type Flit struct {
 }
 
 // PacketInfo is the per-packet record kept for routing state and
-// measurement. Times are cycle indices; -1 means "not yet". During a
-// cycle a packet's flits occupy lanes of a single router's neighborhood,
-// so exactly one shard writes the record.
+// measurement while the packet is queued or in flight (packets.go).
+// Times are cycle indices; -1 means "not yet". During a cycle a packet's
+// flits occupy lanes of a single router's neighborhood, so exactly one
+// shard writes the record.
 //
 //smartlint:shardowned
 type PacketInfo struct {

@@ -33,6 +33,16 @@ func hotLoadedFabric(t *testing.T, shards, linkCycles int) (*Fabric, *sim.Engine
 	return f, e
 }
 
+// deliveryCaps returns every shard's delivered-list and latency
+// histogram capacities.
+func deliveryCaps(f *Fabric) []int {
+	var caps []int
+	for i := range f.shards {
+		caps = append(caps, cap(f.shards[i].delivered), cap(f.shards[i].deliveries.ByLatency))
+	}
+	return caps
+}
+
 // TestCycleAllocFree is the dynamic guard behind the //smartlint:hotpath
 // annotations: after warm-up, a fabric cycle under load performs zero
 // heap allocations, its five stage phases run on a 1-worker pool (plain
@@ -60,9 +70,16 @@ func TestCycleAllocFree(t *testing.T) {
 				t.Fatalf("fabric has %d shards, want %d", f.Shards(), tc.shards)
 			}
 			delivered := f.Counters().FlitsDelivered
+			caps := deliveryCaps(f)
 			allocs := testing.AllocsPerRun(200, func() { e.Step() })
 			if allocs != 0 {
 				t.Fatalf("cycle allocates %.1f objects per step, want 0", allocs)
+			}
+			// AllocsPerRun divides in integers, so a rare amortized growth
+			// reads 0: the delivered lists and latency histograms must not
+			// have grown at all.
+			if got := deliveryCaps(f); !slices.Equal(got, caps) {
+				t.Fatalf("delivered-list and histogram capacities grew during measurement: %v -> %v", caps, got)
 			}
 			if f.Drained() || f.Counters().FlitsDelivered == delivered {
 				t.Fatal("fabric drained or stalled during measurement; the cycles were idle")

@@ -32,11 +32,13 @@ type CycleObs struct {
 
 // Observable is the observation interface shared by the optimized fabric
 // and the reference oracle: everything the differential harness compares,
-// and everything the measurement layer needs.
+// and everything the measurement layer needs. Packet reads a record from
+// its creation to the end of the cycle that delivers the packet.
 type Observable interface {
 	Observe() CycleObs
 	Counters() Counters
-	PacketRecords() []PacketInfo
+	Deliveries() Deliveries
+	Packet(id PacketID) *PacketInfo
 	Drained() bool
 }
 

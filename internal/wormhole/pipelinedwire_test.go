@@ -15,8 +15,7 @@ func TestPipelinedWireExactTiming(t *testing.T) {
 	for _, L := range []int{1, 2, 3} {
 		f, _ := ringFabric(t, 8, Config{VCs: 1, BufDepth: 4, PacketFlits: flits, InjLanes: 1, LinkCycles: L})
 		f.EnqueuePacket(0, 3, 0)
-		runFabric(f, 400)
-		pk := f.Packet(0)
+		pk := runLogged(f, 400).get(0)
 		if !pk.Delivered() {
 			t.Fatalf("L=%d: packet not delivered", L)
 		}
@@ -44,8 +43,7 @@ func TestPipelinedWireBandwidthDelayProduct(t *testing.T) {
 		for i := 0; i < packets; i++ {
 			f.EnqueuePacket(0, 2, 0)
 		}
-		runFabric(f, 2000)
-		last := f.Packet(PacketID(packets - 1))
+		last := runLogged(f, 2000).get(PacketID(packets - 1))
 		if !last.Delivered() {
 			t.Fatalf("L=%d depth=%d: stream not delivered", L, depth)
 		}

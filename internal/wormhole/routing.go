@@ -1,7 +1,7 @@
 package wormhole
 
 // Router is the view of switch state a routing algorithm consults when
-// binding a header: the packet table and the occupancy/credit state of
+// binding a header: the packet records and the occupancy/credit state of
 // the candidate output lanes. Both the optimized Fabric and the naive
 // reference simulator in internal/oracle implement it, so one routing
 // implementation drives both sides of the differential harness.

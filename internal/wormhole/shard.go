@@ -74,6 +74,12 @@ type shardState struct {
 	creditStalls  int64
 	faultStalls   int64
 
+	// deliveries are the shard's delivery totals; delivered lists the
+	// packets whose tails it delivered this cycle, retired when the
+	// next cycle begins.
+	deliveries Deliveries
+	delivered  []PacketID
+
 	// Outgoing mailboxes, indexed by destination shard: boundary flits
 	// to push into a neighbour shard's input lanes, and credit acks to
 	// an upstream router across the cut. Drained at commit in ascending
@@ -101,8 +107,8 @@ type arrival struct {
 // count is an execution detail — results are bit-identical for every
 // value — so it is deliberately absent from config fingerprints.
 func (f *Fabric) SetShards(s int) error {
-	if f.cycle != 0 || len(f.Packets) != 0 {
-		return fmt.Errorf("wormhole: SetShards on a running fabric (cycle %d, %d packets)", f.cycle, len(f.Packets))
+	if f.cycle != 0 || f.nextID != 0 {
+		return fmt.Errorf("wormhole: SetShards on a running fabric (cycle %d, %d packets)", f.cycle, f.nextID)
 	}
 	routers := f.Top.Routers()
 	if s < 1 {
@@ -213,6 +219,11 @@ func (f *Fabric) initShards(cuts []int) error {
 	for s := 0; s < S; s++ {
 		sh := &f.shards[s]
 		sh.nicActive = newDenseSet(sh.nLo, sh.nHi-sh.nLo)
+		// A shard's ejection ports deliver at most one tail each per
+		// cycle, and latencies below latencyHistCap never grow the
+		// histogram, so neither grows in a cycle once sized here.
+		sh.delivered = make([]PacketID, 0, sh.nHi-sh.nLo)
+		sh.deliveries.ByLatency = make([]int64, 0, latencyHistCap)
 	}
 	return nil
 }

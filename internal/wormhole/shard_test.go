@@ -1,6 +1,7 @@
 package wormhole
 
 import (
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -190,13 +191,14 @@ func TestShardMailboxCreditDrain(t *testing.T) {
 // oracle package carries the exhaustive cycle-by-cycle differential;
 // this catches drain-order regressions without leaving the package.)
 func TestShardOneVsManyDelivery(t *testing.T) {
-	run := func(shards int) *Fabric {
+	run := func(shards int) (*Fabric, []PacketInfo) {
 		f := shardTestFabric(t, Config{VCs: 1, BufDepth: 4, PacketFlits: 4, InjLanes: 1})
 		if err := f.SetShards(shards); err != nil {
 			t.Fatal(err)
 		}
 		e := sim.NewEngine()
 		f.Register(e)
+		log := logPackets(f, e)
 		rng := sim.NewRNG(7)
 		for cycle := int64(0); cycle < 500; cycle++ {
 			if cycle < 300 && rng.Bernoulli(0.25) {
@@ -206,24 +208,27 @@ func TestShardOneVsManyDelivery(t *testing.T) {
 			}
 			e.Step()
 		}
-		return f
+		return f, log.all()
 	}
-	seq := run(1)
+	seq, seqRecs := run(1)
 	if seq.Counters().PacketsDelivered == 0 {
 		t.Fatal("sequential run delivered nothing; the comparison is vacuous")
 	}
 	for _, shards := range []int{2, 4, 16} {
-		shd := run(shards)
+		shd, shdRecs := run(shards)
 		if shd.Shards() != shards {
 			t.Fatalf("SetShards(%d) left %d shards", shards, shd.Shards())
 		}
-		if len(shd.Packets) != len(seq.Packets) {
-			t.Fatalf("shards=%d produced %d packets, sequential %d", shards, len(shd.Packets), len(seq.Packets))
+		if len(shdRecs) != len(seqRecs) {
+			t.Fatalf("shards=%d produced %d packets, sequential %d", shards, len(shdRecs), len(seqRecs))
 		}
-		for i := range seq.Packets {
-			if seq.Packets[i] != shd.Packets[i] {
-				t.Fatalf("shards=%d: packet %d diverged:\nseq %+v\nshd %+v", shards, i, seq.Packets[i], shd.Packets[i])
+		for i := range seqRecs {
+			if seqRecs[i] != shdRecs[i] {
+				t.Fatalf("shards=%d: packet %d diverged:\nseq %+v\nshd %+v", shards, i, seqRecs[i], shdRecs[i])
 			}
+		}
+		if a, b := seq.Deliveries(), shd.Deliveries(); !reflect.DeepEqual(a, b) {
+			t.Fatalf("shards=%d: delivery totals diverged:\nseq %+v\nshd %+v", shards, a, b)
 		}
 		if seq.Counters() != shd.Counters() {
 			t.Fatalf("shards=%d: counters diverged:\nseq %+v\nshd %+v", shards, seq.Counters(), shd.Counters())

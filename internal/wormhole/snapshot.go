@@ -175,7 +175,7 @@ func (f *Fabric) snapshot() *StallSnapshot {
 				if !fl.Kind.IsHead() {
 					continue
 				}
-				pk := &f.Packets[fl.Packet]
+				pk := f.Packet(fl.Packet)
 				atFault := false
 				if f.flt != nil {
 					if f.flt.routerDown[r] > 0 {
@@ -213,7 +213,7 @@ func (f *Fabric) snapshot() *StallSnapshot {
 				if !fl.Kind.IsHead() {
 					continue
 				}
-				pk := &f.Packets[fl.Packet]
+				pk := f.Packet(fl.Packet)
 				atFault := false
 				if f.flt != nil {
 					atFault = f.flt.routerDown[r] > 0 || f.flt.blocked(int32(pid), f.deg)

@@ -15,8 +15,7 @@ func TestStoreAndForwardLatencyProduct(t *testing.T) {
 	run := func(cfg Config) int64 {
 		f, _ := ringFabric(t, 8, cfg)
 		f.EnqueuePacket(0, 4, 0) // 5 switches
-		runFabric(f, 2000)
-		pk := f.Packet(0)
+		pk := runLogged(f, 2000).get(0)
 		if !pk.Delivered() {
 			t.Fatal("packet not delivered")
 		}
@@ -73,8 +72,7 @@ func TestRouteEveryStretchesHeaderLatency(t *testing.T) {
 		cfg.RouteEvery = every
 		f, _ := ringFabric(t, 8, cfg)
 		f.EnqueuePacket(0, 4, 0)
-		runFabric(f, 2000)
-		return f.Packet(0).HeadAt
+		return runLogged(f, 2000).get(0).HeadAt
 	}
 	fast, slow := run(1), run(3)
 	if slow <= fast {
