@@ -14,6 +14,7 @@ package smart_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"smart"
@@ -276,6 +277,19 @@ func BenchmarkExtensionPipelinedWires(b *testing.B) {
 	}
 }
 
+// scaleNets are the networks BenchmarkFabric and BenchmarkAssemble
+// time: the paper's two 256-node networks and their 4096-node
+// counterparts.
+var scaleNets = []struct {
+	network     smart.NetworkKind
+	k, n, nodes int
+}{
+	{smart.NetworkTree, 4, 4, 256},
+	{smart.NetworkTree, 8, 4, 4096},
+	{smart.NetworkCube, 16, 2, 256},
+	{smart.NetworkCube, 16, 3, 4096},
+}
+
 // BenchmarkFabric is the tracked hot-path suite: the raw per-cycle cost
 // of one-shard fabrics at low, medium and saturation offered loads, on
 // the paper's two 256-node networks (4-ary 4-tree, 16-ary 2-cube) and
@@ -285,16 +299,7 @@ func BenchmarkExtensionPipelinedWires(b *testing.B) {
 // densest at scale (DESIGN.md §4b). End-to-end timings with repetitions
 // and spreads come from bench/ (bash bench/run.sh).
 func BenchmarkFabric(b *testing.B) {
-	nets := []struct {
-		network     smart.NetworkKind
-		k, n, nodes int
-	}{
-		{smart.NetworkTree, 4, 4, 256},
-		{smart.NetworkTree, 8, 4, 4096},
-		{smart.NetworkCube, 16, 2, 256},
-		{smart.NetworkCube, 16, 3, 4096},
-	}
-	for _, net := range nets {
+	for _, net := range scaleNets {
 		for _, load := range []float64{0.2, 0.6, 0.9} {
 			cfg := smart.Config{Network: net.network, K: net.k, N: net.n, Load: load, Seed: 1}
 			b.Run(fmt.Sprintf("%s/nodes=%d/load=%.1f", net.network, net.nodes, load), func(b *testing.B) {
@@ -310,5 +315,30 @@ func BenchmarkFabric(b *testing.B) {
 				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/sec")
 			})
 		}
+	}
+}
+
+// BenchmarkAssemble times assembling a simulation (topology, fabric,
+// routing, traffic and metrics) on the scaleNets networks: the setup
+// every run pays before its first cycle. ns/op is one NewSimulation;
+// B/node is what it allocates per processing node, mostly lane state
+// (DESIGN.md §4b).
+func BenchmarkAssemble(b *testing.B) {
+	for _, net := range scaleNets {
+		cfg := smart.Config{Network: net.network, K: net.k, N: net.n, Load: 0.5, Seed: 1}
+		b.Run(fmt.Sprintf("%s/nodes=%d", net.network, net.nodes), func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := smart.NewSimulation(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/float64(net.nodes), "B/node")
+		})
 	}
 }

@@ -33,3 +33,27 @@ func TestPaperRunAllocation(t *testing.T) {
 		t.Fatalf("the run allocated %.1f MiB, want under %.0f MiB", float64(got)/(1<<20), float64(bound)/(1<<20))
 	}
 }
+
+// TestScaleAssemblyAllocation bounds what assembling the 16-ary 3-cube
+// with 4 VCs allocates: 217,088 lanes, whose headers and packet slots
+// are the bulk of it. Lanes hold packet runs (wormhole/lane.go), so the
+// assembly allocates 7.7 MiB; when every lane kept a slot of BufDepth
+// 8-byte flits it allocated 11.8 MiB.
+func TestScaleAssemblyAllocation(t *testing.T) {
+	cfg := Config{Network: NetworkCube, K: 16, N: 3, Algorithm: AlgDuato, VCs: 4, Pattern: PatternUniform, Load: 0.5, Seed: 1}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	sm, err := NewSimulation(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if sm.Fabric.Nodes() != 4096 {
+		t.Fatalf("assembled %d nodes, want 4096", sm.Fabric.Nodes())
+	}
+	const bound = 8 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got >= bound {
+		t.Fatalf("the assembly allocated %.1f MiB, want under %.0f MiB", float64(got)/(1<<20), float64(bound)/(1<<20))
+	}
+}

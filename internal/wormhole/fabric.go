@@ -152,15 +152,19 @@ func (c *Counters) add(other Counters) {
 //
 // Router state is flattened for locality: all input and output lane
 // headers live in two contiguous per-fabric arrays indexed by
-// precomputed (router, port) offsets, their flit buffers in two arenas
-// indexed by lane, and the topology's port tables are cached in a flat
-// array, so the per-cycle stages never chase jagged slices or call back
-// through the Topology interface. On top of that layout the fabric keeps
-// incremental active-set work lists — bitmaps recording which output
-// ports hold flits, which input lanes are bound to an output, which
-// routers present an unrouted header, which NICs have pending traffic —
-// maintained at the points where occupancy, binding and queue state
-// change. Every stage walks its list in ascending index order, so it
+// precomputed (router, port) offsets, the packets queued in them in two
+// arenas indexed by lane, and the topology's port tables are cached in
+// a flat array, so the per-cycle stages never chase jagged slices or
+// call back through the Topology interface. The per-flit path goes
+// further and reaches lanes by flat id alone: each router port knows
+// the first input lane across its link (peerIn), each input lane the
+// output lane its acks credit (ackOut), and each shard owns contiguous
+// lane ranges, so ownership is a range test. On top of that layout the
+// fabric keeps incremental active-set work lists — bitmaps recording
+// which output ports hold flits, which input lanes are bound to an
+// output, which routers present an unrouted header, which NICs have
+// pending traffic — maintained at the points where occupancy, binding
+// and queue state change. Every stage walks its list in ascending index order, so it
 // touches only the entities with work and streams forward through the
 // flat arrays. See DESIGN.md ("Hot path") for the membership invariants.
 //
@@ -193,15 +197,24 @@ type Fabric struct {
 	out    []outLane
 	inOff  []int32
 	outOff []int32
-	// inBuf and outBuf are the flit arenas behind the lane headers:
-	// input lane id buffers its flits in inSlot(id), BufDepth flits at
-	// inBuf[id*BufDepth:], and likewise for output lanes. A slot belongs
-	// to the shard owning its lane.
+	// inPkts and outPkts are the packet arenas behind the lane headers
+	// (lane.go): input lane id queues the packets behind its front one
+	// in inSlot(id), slotLen ids at inPkts[id*slotLen:], and likewise
+	// for output lanes. A slot belongs to the shard owning its lane.
 	//
 	//smartlint:shardindexed
-	inBuf []Flit
+	inPkts []PacketID
 	//smartlint:shardindexed
-	outBuf []Flit
+	outPkts []PacketID
+	slotLen int
+	// Flat lane ids for the per-flit path, read-only after assembly:
+	// peerIn[pid] is the first input lane across router port pid (-1 on
+	// node and unused ports), so lane l of the port feeds input lane
+	// peerIn[pid]+l; ackOut[id] is the output lane across the link that
+	// input lane id acks, or ^(node*packRadix+lane) for the NIC stream
+	// feeding an injection lane.
+	peerIn []int32
+	ackOut []int32
 
 	// Round-robin arbitration pointers: routeRR indexes a router's
 	// input-lane scan range, linkRR a port's output lanes. Global arrays
@@ -227,11 +240,13 @@ type Fabric struct {
 	nics []nic
 
 	// Sharding (shard.go): shards[i] owns routers
-	// [shards[i].rLo, shards[i].rHi); routerShard and nodeShard map an
-	// index to its owning shard. Always at least one shard.
-	shards      []shardState
-	routerShard []int32
-	nodeShard   []int32
+	// [shards[i].rLo, shards[i].rHi) and their lanes, input lanes
+	// [inCuts[i], inCuts[i+1]) and output lanes [outCuts[i],
+	// outCuts[i+1]); nodeShard maps a node to its owning shard. Always
+	// at least one shard.
+	shards          []shardState
+	inCuts, outCuts []int32
+	nodeShard       []int32
 	// pool has one worker per shard; the five stage phases are bound
 	// once by SetShards so a cycle allocates nothing.
 	pool                                        *sim.Pool
@@ -312,12 +327,6 @@ func (w *wireFIFO) pop() flight {
 	return f
 }
 
-// laneRefAt addresses an output lane anywhere in the fabric.
-type laneRefAt struct {
-	router int32
-	ref    laneRef
-}
-
 // laneCounts returns the input/output lane complement of a port kind.
 // The node port's input side is the injection channel; its output side
 // is the ejection channel with the full complement of virtual channels
@@ -363,16 +372,32 @@ func NewFabric(top topology.Topology, cfg Config, alg RoutingAlgorithm) (*Fabric
 	f.inOff[nPorts] = inTotal
 	f.outOff[nPorts] = outTotal
 
-	// Second pass: the lane headers and their flit arenas.
+	// Second pass: the lane headers, their packet arenas and the flat
+	// lane ids of the per-flit path.
 	f.in = make([]inLane, inTotal)
 	f.out = make([]outLane, outTotal)
-	f.inBuf = make([]Flit, int(inTotal)*cfg.BufDepth)
-	f.outBuf = make([]Flit, int(outTotal)*cfg.BufDepth)
+	f.slotLen = (cfg.BufDepth + cfg.PacketFlits - 2) / cfg.PacketFlits
+	f.inPkts = make([]PacketID, int(inTotal)*f.slotLen)
+	f.outPkts = make([]PacketID, int(outTotal)*f.slotLen)
+	f.peerIn = make([]int32, nPorts)
+	f.ackOut = make([]int32, inTotal)
 	for r := 0; r < routers; r++ {
 		for p := 0; p < deg; p++ {
 			pid := r*deg + p
+			port := f.ports[pid]
+			f.peerIn[pid] = -1
+			if port.Kind == topology.PortRouter {
+				f.peerIn[pid] = f.inOff[port.Peer*deg+port.PeerPort]
+			}
 			for l := f.inOff[pid]; l < f.inOff[pid+1]; l++ {
-				f.in[l] = inLane{router: int32(r), bound: noRef, self: packRef(p, int(l-f.inOff[pid]))}
+				lane := l - f.inOff[pid]
+				f.in[l] = inLane{router: int32(r), out: -1, bound: noRef, self: packRef(p, int(lane))}
+				switch port.Kind {
+				case topology.PortRouter:
+					f.ackOut[l] = f.outOff[port.Peer*deg+port.PeerPort] + lane
+				case topology.PortNode:
+					f.ackOut[l] = ^(int32(port.Peer)*packRadix + lane)
+				}
 			}
 			for l := f.outOff[pid]; l < f.outOff[pid+1]; l++ {
 				f.out[l] = outLane{credits: uint16(cfg.BufDepth), boundIn: noRef}
@@ -417,22 +442,40 @@ func (f *Fabric) inLanesOf(pid int) []inLane { return f.in[f.inOff[pid]:f.inOff[
 // outLanesOf returns the output lanes of port pid.
 func (f *Fabric) outLanesOf(pid int) []outLane { return f.out[f.outOff[pid]:f.outOff[pid+1]] }
 
-// inSlot returns the flit buffer of input lane id.
+// inSlot returns the packet slot of input lane id.
 //
 //smartlint:hotpath
-func (f *Fabric) inSlot(id int32) []Flit {
-	d := f.Cfg.BufDepth
+func (f *Fabric) inSlot(id int32) []PacketID {
+	d := f.slotLen
 	o := int(id) * d
-	return f.inBuf[o : o+d : o+d]
+	return f.inPkts[o : o+d : o+d]
 }
 
-// outSlot returns the flit buffer of output lane id.
+// outSlot returns the packet slot of output lane id.
 //
 //smartlint:hotpath
-func (f *Fabric) outSlot(id int32) []Flit {
-	d := f.Cfg.BufDepth
+func (f *Fabric) outSlot(id int32) []PacketID {
+	d := f.slotLen
 	o := int(id) * d
-	return f.outBuf[o : o+d : o+d]
+	return f.outPkts[o : o+d : o+d]
+}
+
+// laneOwner returns the shard owning lane id, given the ascending lane
+// cuts of the shards (inCuts or outCuts). Only traffic crossing a shard
+// boundary asks.
+//
+//smartlint:hotpath
+func laneOwner(cuts []int32, id int32) int {
+	lo, hi := 0, len(cuts)-2
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if cuts[m+1] <= id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // Register installs the fabric's pipeline on the engine: link transfer,
@@ -560,7 +603,9 @@ func (f *Fabric) FreeLanes(r, port, lo, hi int) int {
 //smartlint:hotpath
 func (f *Fabric) pushIn(sh *shardState, id int32, fl Flit, cycle int64) {
 	il := &f.in[id]
-	il.push(f.inSlot(id), fl)
+	if !il.pushNext(f.Cfg.BufDepth, f.Cfg.PacketFlits, fl) {
+		il.push(f.inSlot(id), f.Cfg.BufDepth, f.Cfg.PacketFlits, fl)
+	}
 	il.lastIn = int32(cycle)
 	if il.n != 1 {
 		return
@@ -572,21 +617,21 @@ func (f *Fabric) pushIn(sh *shardState, id int32, fl Flit, cycle int64) {
 	}
 }
 
-// sendIn lands a flit in input lane id of router peer during cycle:
-// directly when the router belongs to sh, through the destination
-// shard's mailbox otherwise (committed in the credits phase, in
-// ascending source-shard order, stamped with the same cycle). Either way
-// the flit is invisible to this cycle's crossbar and routing stages — a
-// local arrival into an empty lane is held by the arrival stamp, and
-// one behind older flits is not the front — so deferral does not change
-// the simulation. This is the sole sanctioned cross-shard channel of
-// the stage phases — the shardsafe rule trusts it as a sink and audits
-// everything else.
+// sendIn lands a flit in input lane id during cycle: directly when the
+// lane belongs to sh, through the owning shard's mailbox otherwise
+// (committed in the credits phase, in ascending source-shard order,
+// stamped with the same cycle). Either way the flit is invisible to
+// this cycle's crossbar and routing stages — a local arrival into an
+// empty lane is held by the arrival stamp, and one behind older flits
+// is not the front — so deferral does not change the simulation. This
+// is the sole sanctioned cross-shard channel of the stage phases — the
+// shardsafe rule trusts it as a sink and audits everything else.
 //
 //smartlint:shardsink
 //smartlint:hotpath
-func (f *Fabric) sendIn(sh *shardState, peer int, id int32, fl Flit, cycle int64) {
-	if d := f.routerShard[peer]; int(d) != sh.id {
+func (f *Fabric) sendIn(sh *shardState, id int32, fl Flit, cycle int64) {
+	if id < sh.inLo || id >= sh.inHi {
+		d := laneOwner(f.inCuts, id)
 		sh.mailFlits[d] = append(sh.mailFlits[d], arrival{lane: id, fl: fl})
 		return
 	}
@@ -627,7 +672,9 @@ func (f *Fabric) pushOut(sh *shardState, pid, oid int32, fl Flit) {
 			sh.linkActive.add(pid)
 		}
 	}
-	ol.push(f.outSlot(oid), fl)
+	if !ol.pushNext(f.Cfg.BufDepth, f.Cfg.PacketFlits, fl) {
+		ol.push(f.outSlot(oid), f.Cfg.BufDepth, f.Cfg.PacketFlits, fl)
+	}
 }
 
 // popOut removes the front flit of output lane oid of port pid,
@@ -636,7 +683,10 @@ func (f *Fabric) pushOut(sh *shardState, pid, oid int32, fl Flit) {
 //smartlint:hotpath
 func (f *Fabric) popOut(sh *shardState, pid, oid int32) Flit {
 	ol := &f.out[oid]
-	fl := ol.pop(f.outSlot(oid))
+	fl, ok := ol.popBody(f.Cfg.PacketFlits)
+	if !ok {
+		fl = ol.pop(f.outSlot(oid), f.Cfg.PacketFlits)
+	}
 	if ol.n == 0 {
 		f.portOcc[pid]--
 		if f.portOcc[pid] == 0 {
@@ -726,14 +776,12 @@ func (f *Fabric) linkPort(sh *shardState, pid int32, cycle int64) {
 		sh.faultStalls++
 		return
 	}
-	port := &f.ports[pid]
 	base := f.outOff[pid]
 	lanes := f.out[base:f.outOff[pid+1]]
 	n := len(lanes)
 	start := int(f.linkRR[pid])
-	switch port.Kind {
-	case topology.PortRouter:
-		peerBase := f.inOff[port.Peer*f.deg+port.PeerPort]
+	if peer := f.peerIn[pid]; peer >= 0 {
+		// Router link: lane l feeds input lane peer+l across it.
 		for i, l := 0, start; i < n; i, l = i+1, ringNext(l, n) {
 			ol := &lanes[l]
 			if ol.n == 0 {
@@ -748,14 +796,14 @@ func (f *Fabric) linkPort(sh *shardState, pid int32, cycle int64) {
 			if f.wires != nil {
 				f.pushWire(sh, pid, flight{fl: moved, lane: int16(l), at: cycle + int64(f.Cfg.LinkCycles) - 1})
 			} else {
-				f.sendIn(sh, port.Peer, peerBase+int32(l), moved, cycle)
+				f.sendIn(sh, peer+int32(l), moved, cycle)
 			}
 			f.linkRR[pid] = int32(ringNext(l, n))
 			f.linkFlits[pid]++
 			sh.progress++
 			break
 		}
-	case topology.PortNode:
+	} else {
 		// Ejection channel: the node consumes one flit per cycle;
 		// its buffers never back-pressure the router.
 		for i, l := 0, start; i < n; i, l = i+1, ringNext(l, n) {
@@ -790,13 +838,12 @@ func (f *Fabric) commitWireArrivals(sh *shardState, cycle int64) {
 		for ; word != 0; word &= word - 1 {
 			pid := sh.wireActive.at(wi, word)
 			w := &f.wires[pid]
-			port := &f.ports[pid]
+			peer := f.peerIn[pid]
 			for !w.empty() && w.front().at <= cycle {
 				fl := w.pop()
-				switch port.Kind {
-				case topology.PortRouter:
-					f.sendIn(sh, port.Peer, f.inOff[port.Peer*f.deg+port.PeerPort]+int32(fl.lane), fl.fl, cycle)
-				case topology.PortNode:
+				if peer >= 0 {
+					f.sendIn(sh, peer+int32(fl.lane), fl.fl, cycle)
+				} else {
 					f.deliver(sh, fl.fl, fl.at)
 				}
 				sh.progress++
@@ -876,17 +923,19 @@ func (f *Fabric) xbarLane(sh *shardState, id int32, cycle int64) {
 	if f.flt != nil && f.flt.routerDown[r] > 0 {
 		return // dead router: crossbar frozen, bindings held
 	}
-	op, olIdx := il.bound.unpack()
-	opid := int32(r*f.deg + op)
-	oid := f.outOff[opid] + int32(olIdx)
+	oid := il.out
 	if f.out[oid].full(f.Cfg.BufDepth) {
 		return
 	}
-	moved := il.pop(f.inSlot(id))
-	f.pushOut(sh, opid, oid, moved)
+	op, _ := il.bound.unpack()
+	moved, ok := il.popBody(f.Cfg.PacketFlits)
+	if !ok {
+		moved = il.pop(f.inSlot(id), f.Cfg.PacketFlits)
+	}
+	f.pushOut(sh, int32(r*f.deg+op), oid, moved)
 	sh.progress++
 	if moved.Kind.IsTail() {
-		il.bound = noRef
+		il.bound, il.out = noRef, -1
 		f.out[oid].boundIn = noRef
 		sh.xbarActive.remove(id)
 		if il.n > 0 {
@@ -898,31 +947,26 @@ func (f *Fabric) xbarLane(sh *shardState, id int32, cycle int64) {
 		sh.xbarActive.remove(id)
 	}
 	// Ack to the upstream side: a buffer slot was released in
-	// this input lane. A router peer may live in another shard, so the
-	// ack goes to that shard's mailbox; a NIC peer is attached to this
-	// router and is always shard-local.
-	ip, lane := il.self.unpack()
-	port := &f.ports[r*f.deg+ip]
-	switch port.Kind {
-	case topology.PortRouter:
-		cr := laneRefAt{router: int32(port.Peer), ref: packRef(port.PeerPort, lane)}
-		if d := f.routerShard[port.Peer]; int(d) != sh.id {
-			sh.mailCredits[d] = append(sh.mailCredits[d], cr)
-		} else {
-			sh.pendingCredits = append(sh.pendingCredits, cr)
-		}
-	case topology.PortNode:
-		sh.pendingNIC = append(sh.pendingNIC, int32(port.Peer)*packRadix+int32(lane))
+	// this input lane. The output lane across the link may live in
+	// another shard, so the ack goes to that shard's mailbox; a NIC
+	// stream is attached to this router and is always shard-local.
+	switch a := f.ackOut[id]; {
+	case a < 0:
+		sh.pendingNIC = append(sh.pendingNIC, ^a)
+	case a >= sh.outLo && a < sh.outHi:
+		sh.pendingCredits = append(sh.pendingCredits, a)
+	default:
+		d := laneOwner(f.outCuts, a)
+		sh.mailCredits[d] = append(sh.mailCredits[d], a)
 	}
 }
 
 // routeRouter gives router r its one routing decision for the cycle: a
 // round-robin scan over the router's contiguous input-lane range, in the
 // same (port, lane) order a dense per-port scan would use. The scan
-// reads lane headers only; a flit buffer is touched once a candidate
-// header is found. Routing takes T_routing = 1 cycle without a stamp:
-// the crossbar, which moves the routed header, has already run this
-// cycle.
+// reads lane headers only. Routing takes T_routing = 1 cycle without a
+// stamp: the crossbar, which moves the routed header, has already run
+// this cycle.
 //
 //smartlint:hotpath
 func (f *Fabric) routeRouter(sh *shardState, r int, cycle int64) {
@@ -937,32 +981,32 @@ func (f *Fabric) routeRouter(sh *shardState, r int, cycle int64) {
 		if il.n == 0 || il.bound != noRef || il.arrivedNow(cycle) {
 			continue
 		}
-		buf := f.inSlot(id)
-		fl := il.front(buf)
 		p, l := il.self.unpack()
-		if !fl.Kind.IsHead() {
+		if il.seq != 0 {
 			panic(fmt.Sprintf("wormhole: unbound non-header flit at router %d port %d lane %d", r, p, l))
 		}
-		if f.Cfg.StoreAndForward && !il.holdsWholePacket(buf, f.Packet(fl.Packet)) {
+		if f.Cfg.StoreAndForward && !il.holdsWholePacket(f.Cfg.PacketFlits) {
 			continue
 		}
 		f.routeRR[r] = int32(ringNext(idx, n))
-		op, ol, ok := f.Alg.Route(f, r, p, l, fl.Packet)
+		pkt := il.pkt
+		op, ol, ok := f.Alg.Route(f, r, p, l, pkt)
 		if ok {
-			out := f.outLaneAt(r, op, ol)
+			oid := f.outOff[r*f.deg+op] + int32(ol)
+			out := &f.out[oid]
 			if !out.free(f.Cfg.BufDepth) {
 				panic(fmt.Sprintf("wormhole: algorithm %s allocated non-free lane (%d,%d) at router %d", f.Alg.Name(), op, ol, r))
 			}
-			il.bound = packRef(op, ol)
+			il.bound, il.out = packRef(op, ol), oid
 			out.boundIn = il.self
-			f.Packet(fl.Packet).Hops++
+			f.Packet(pkt).Hops++
 			sh.headersRouted++
 			sh.progress++
 			f.dropUnrouted(sh, r)
 			sh.xbarActive.add(id)
 			if f.Tracer != nil {
 				//smartlint:allow shardsafe — a Tracer forces the serial schedule (Fabric.phase uses RunSerial), so callbacks never run concurrently
-				f.Tracer.HeaderRouted(cycle, fl.Packet, r, p, l, op, ol)
+				f.Tracer.HeaderRouted(cycle, pkt, r, p, l, op, ol)
 			}
 		}
 		break // one routing decision per switch per cycle
@@ -1085,12 +1129,11 @@ func (f *Fabric) creditShard(sh *shardState) {
 	sh.pendingNIC = sh.pendingNIC[:0]
 }
 
-// applyCredit returns one buffer slot to the addressed output lane.
+// applyCredit returns one buffer slot to output lane oid.
 //
 //smartlint:hotpath
-func (f *Fabric) applyCredit(c laneRefAt) {
-	p, l := c.ref.unpack()
-	ol := f.outLaneAt(int(c.router), p, l)
+func (f *Fabric) applyCredit(oid int32) {
+	ol := &f.out[oid]
 	ol.credits++
 	if int(ol.credits) > f.Cfg.BufDepth {
 		panic("wormhole: credit overflow")
@@ -1119,7 +1162,7 @@ func (f *Fabric) CheckInvariants() error {
 	// Count pending acks per (router, out lane), including acks still in
 	// cross-shard mailboxes (empty between cycles, but CheckInvariants
 	// should not depend on that).
-	pending := map[laneRefAt]int{}
+	pending := map[int32]int{}
 	for si := range f.shards {
 		sh := &f.shards[si]
 		for _, c := range sh.pendingCredits {
@@ -1141,6 +1184,7 @@ func (f *Fabric) CheckInvariants() error {
 			outLanes := f.outLanesOf(pid)
 			for l := range outLanes {
 				ol := &outLanes[l]
+				oid := f.outOff[pid] + int32(l)
 				remote := f.inLaneAt(port.Peer, port.PeerPort, l)
 				onWire := 0
 				if f.wires != nil {
@@ -1151,7 +1195,7 @@ func (f *Fabric) CheckInvariants() error {
 						}
 					}
 				}
-				got := int(ol.credits) + remote.len() + onWire + pending[laneRefAt{router: int32(r), ref: packRef(p, l)}]
+				got := int(ol.credits) + remote.len() + onWire + pending[oid]
 				if got != f.Cfg.BufDepth {
 					return fmt.Errorf("wormhole: credit conservation violated at router %d port %d lane %d: credits %d + remote %d + wire %d + pending = %d, want %d",
 						r, p, l, ol.credits, remote.n, onWire, got, f.Cfg.BufDepth)
@@ -1166,11 +1210,18 @@ func (f *Fabric) CheckInvariants() error {
 			inLanes := f.inLanesOf(pid)
 			for l := range inLanes {
 				il := &inLanes[l]
-				if il.bound != noRef {
-					op, olIdx := il.bound.unpack()
-					if f.outLaneAt(r, op, olIdx).boundIn != packRef(p, l) {
-						return fmt.Errorf("wormhole: asymmetric binding at router %d: in (%d,%d) claims out (%d,%d)", r, p, l, op, olIdx)
+				if il.bound == noRef {
+					if il.out != -1 {
+						return fmt.Errorf("wormhole: unbound input lane (%d,%d) at router %d names output lane %d", p, l, r, il.out)
 					}
+					continue
+				}
+				op, olIdx := il.bound.unpack()
+				if oid := f.outOff[r*f.deg+op] + int32(olIdx); il.out != oid {
+					return fmt.Errorf("wormhole: input lane (%d,%d) at router %d bound to out (%d,%d) names output lane %d, want %d", p, l, r, op, olIdx, il.out, oid)
+				}
+				if f.outLaneAt(r, op, olIdx).boundIn != packRef(p, l) {
+					return fmt.Errorf("wormhole: asymmetric binding at router %d: in (%d,%d) claims out (%d,%d)", r, p, l, op, olIdx)
 				}
 			}
 		}

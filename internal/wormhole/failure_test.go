@@ -131,7 +131,7 @@ func TestCreditOverflowPanics(t *testing.T) {
 		lanes := f.outLanesOf(pid)
 		for l := range lanes {
 			if int(lanes[l].credits) == f.Cfg.BufDepth {
-				f.shards[0].pendingCredits = append(f.shards[0].pendingCredits, laneRefAt{router: int32(pid / f.deg), ref: packRef(pid%f.deg, l)})
+				f.shards[0].pendingCredits = append(f.shards[0].pendingCredits, f.outOff[pid]+int32(l))
 				defer func() {
 					if recover() == nil {
 						t.Fatal("credit overflow not detected")

@@ -2,13 +2,14 @@ package wormhole
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
 )
 
-// TestFlitSize pins the flit at 8 bytes: lane buffers are the flit
-// arenas, and a per-flit stamp or a wider field would double them.
+// TestFlitSize pins the flit at 8 bytes: wires and mailboxes carry
+// flits, and a per-flit stamp or a wider field would double them.
 func TestFlitSize(t *testing.T) {
 	if got := unsafe.Sizeof(Flit{}); got != 8 {
 		t.Fatalf("Flit is %d bytes, want 8", got)
@@ -16,15 +17,17 @@ func TestFlitSize(t *testing.T) {
 }
 
 // TestLaneSize pins the lane headers and the mailbox and wire records
-// that carry flits: the stages decide holds and full outputs from the
+// that carry flits: a lane header holds its buffered flits as a packet
+// run (lane.go), and the stages decide holds and full outputs from the
 // headers alone, so these are the per-cycle working set.
 func TestLaneSize(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		got, want uintptr
 	}{
-		{"inLane", unsafe.Sizeof(inLane{}), 16},
-		{"outLane", unsafe.Sizeof(outLane{}), 8},
+		{"fifo", unsafe.Sizeof(fifo{}), 8},
+		{"inLane", unsafe.Sizeof(inLane{}), 24},
+		{"outLane", unsafe.Sizeof(outLane{}), 12},
 		{"arrival", unsafe.Sizeof(arrival{}), 12},
 		{"flight", unsafe.Sizeof(flight{}), 24},
 	} {
@@ -96,24 +99,31 @@ func TestPacketInfoAccessors(t *testing.T) {
 	}
 }
 
+// flitOf returns flit seq of packet id in a packet of pf flits.
+func flitOf(id PacketID, seq, pf int) Flit {
+	return Flit{Packet: id, Seq: uint16(seq), Kind: kindOf(seq, pf)}
+}
+
 func TestFifoPushPop(t *testing.T) {
 	var f fifo
-	buf := make([]Flit, 3)
-	if f.len() != 0 || f.full(len(buf)) {
+	const depth, pf = 3, 3
+	pkts := make([]PacketID, (depth+pf-2)/pf)
+	if f.len() != 0 || f.full(depth) {
 		t.Fatal("fresh fifo state wrong")
 	}
-	for i := uint16(0); i < 3; i++ {
-		f.push(buf, Flit{Seq: i})
+	for i := 0; i < 3; i++ {
+		f.push(pkts, depth, pf, flitOf(7, i, pf))
 	}
-	if !f.full(len(buf)) {
+	if !f.full(depth) {
 		t.Fatal("fifo not full after cap pushes")
 	}
-	for i := uint16(0); i < 3; i++ {
-		if f.front(buf).Seq != i {
-			t.Fatalf("front seq %d, want %d", f.front(buf).Seq, i)
+	for i := 0; i < 3; i++ {
+		want := flitOf(7, i, pf)
+		if got := f.front(pf); got != want {
+			t.Fatalf("front %+v, want %+v", got, want)
 		}
-		if got := f.pop(buf); got.Seq != i {
-			t.Fatalf("pop seq %d, want %d", got.Seq, i)
+		if got := f.pop(pkts, pf); got != want {
+			t.Fatalf("pop %+v, want %+v", got, want)
 		}
 	}
 	if f.len() != 0 {
@@ -121,27 +131,41 @@ func TestFifoPushPop(t *testing.T) {
 	}
 }
 
+// TestFifoWrapsAround streams packets through a lane that always holds
+// the tail of one and the head of the next, so the queued packet moves
+// to the front at every tail.
 func TestFifoWrapsAround(t *testing.T) {
 	var f fifo
-	buf := make([]Flit, 2)
-	for round := uint16(0); round < 10; round++ {
-		f.push(buf, Flit{Seq: round})
-		if got := f.pop(buf); got.Seq != round {
-			t.Fatalf("round %d: popped %d", round, got.Seq)
+	const depth, pf = 3, 2
+	pkts := make([]PacketID, (depth+pf-2)/pf)
+	var in, out []Flit
+	for id := PacketID(0); id < 10; id++ {
+		for seq := 0; seq < pf; seq++ {
+			fl := flitOf(id, seq, pf)
+			in = append(in, fl)
+			f.push(pkts, depth, pf, fl)
+			if f.len() == depth {
+				out = append(out, f.pop(pkts, pf))
+			}
 		}
+	}
+	for f.len() > 0 {
+		out = append(out, f.pop(pkts, pf))
+	}
+	if !slices.Equal(in, out) {
+		t.Fatalf("popped %v, pushed %v", out, in)
 	}
 }
 
 func TestFifoPushFullPanics(t *testing.T) {
 	var f fifo
-	buf := make([]Flit, 1)
-	f.push(buf, Flit{})
+	f.push(nil, 1, 2, flitOf(0, 0, 2))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("push into full fifo did not panic")
 		}
 	}()
-	f.push(buf, Flit{})
+	f.push(nil, 1, 2, flitOf(0, 1, 2))
 }
 
 func TestFifoPopEmptyPanics(t *testing.T) {
@@ -151,23 +175,23 @@ func TestFifoPopEmptyPanics(t *testing.T) {
 			t.Fatal("pop from empty fifo did not panic")
 		}
 	}()
-	f.pop(make([]Flit, 1))
+	f.pop(nil, 1)
 }
 
 func TestOutLaneFree(t *testing.T) {
 	o := outLane{credits: 2, boundIn: noRef}
-	buf := make([]Flit, 2)
-	if !o.free(len(buf)) {
+	const depth, pf = 2, 4
+	if !o.free(depth) {
 		t.Fatal("fresh lane not free")
 	}
 	o.boundIn = packRef(1, 0)
-	if o.free(len(buf)) {
+	if o.free(depth) {
 		t.Fatal("bound lane reported free")
 	}
 	o.boundIn = noRef
-	o.push(buf, Flit{})
-	o.push(buf, Flit{})
-	if o.free(len(buf)) {
+	o.push(nil, depth, pf, flitOf(0, 0, pf))
+	o.push(nil, depth, pf, flitOf(0, 1, pf))
+	if o.free(depth) {
 		t.Fatal("full lane reported free")
 	}
 }

@@ -1,17 +1,26 @@
 package wormhole
 
-// fifo is the ring-buffer state of one virtual-channel lane: the index
-// of the oldest flit and the number buffered. The flits themselves live
-// in the fabric's in/out flit arenas, where lane id's ring is the slot
-// [id*BufDepth, (id+1)*BufDepth); every operation takes that slot as
-// buf, whose length is the buffer depth (4 flits in the paper's
-// experiments). Both counters are uint16, which is why Config.BufDepth
-// is bounded by math.MaxUint16. The per-cycle operations never
-// allocate.
+// fifo is one virtual-channel lane's buffer, held as a run of packets
+// rather than as flits. Every packet is Cfg.PacketFlits long and
+// wormhole switching keeps a lane's flits in packet order: a lane holds
+// the rest of its front packet, then whole packets, then the first
+// flits of the newest one. So the front flit's packet and sequence number, the
+// flit count and the ids of the packets queued behind the front one
+// determine every buffered flit. Those ids live in the fabric's packet
+// arenas: lane id's slot holds up to (BufDepth+PacketFlits-2) /
+// PacketFlits ids (one in every paper configuration, none at BufDepth
+// 1), in arrival order from its first entry. Every operation takes
+// that slot as pkts and the packet length as pf; front, pop and at
+// rebuild each Flit, its head and tail bits from its sequence number.
+// The count and sequence number are uint16, which is why
+// Config.BufDepth and Config.PacketFlits are bounded by
+// math.MaxUint16. The per-cycle operations never allocate.
 //
 //smartlint:shardowned
 type fifo struct {
-	head, n uint16
+	pkt PacketID // packet of the front flit
+	seq uint16   // sequence number of the front flit
+	n   uint16   // flits buffered
 }
 
 func (q *fifo) len() int { return int(q.n) }
@@ -19,42 +28,140 @@ func (q *fifo) len() int { return int(q.n) }
 // full reports whether a buffer of the given depth has no free slot.
 func (q *fifo) full(depth int) bool { return int(q.n) == depth }
 
-// front returns a pointer to the oldest flit; it must not be called on an
-// empty fifo.
+// kindOf returns the kind of the flit with sequence number seq in a
+// packet of pf flits.
 //
 //smartlint:hotpath
-func (q *fifo) front(buf []Flit) *Flit { return &buf[q.head] }
+func kindOf(seq, pf int) FlitKind {
+	var k FlitKind
+	if seq == 0 {
+		k = FlitHead
+	}
+	if seq == pf-1 {
+		k |= FlitTail
+	}
+	return k
+}
 
+// front returns the oldest flit; it must not be called on an empty fifo.
+//
 //smartlint:hotpath
-func (q *fifo) push(buf []Flit, fl Flit) {
-	if int(q.n) == len(buf) {
+func (q *fifo) front(pf int) Flit {
+	return Flit{Packet: q.pkt, Seq: q.seq, Kind: kindOf(int(q.seq), pf)}
+}
+
+// push appends fl to a lane of the given depth. Into a non-empty lane
+// fl must be the newest flit's successor: the same packet at the next
+// sequence number, or a header after a tail, which is the only flit
+// that writes pkts.
+//
+//smartlint:hotpath
+func (q *fifo) push(pkts []PacketID, depth, pf int, fl Flit) {
+	n := int(q.n)
+	if n == depth {
 		panic("wormhole: push into full lane buffer")
 	}
-	i := int(q.head) + int(q.n)
-	if i >= len(buf) {
-		i -= len(buf)
+	if n == 0 {
+		q.pkt, q.seq, q.n = fl.Packet, fl.Seq, 1
+		return
 	}
-	buf[i] = fl
+	// The new flit takes position end, counted in flits from the front
+	// packet's header: sequence number s of the lane's i-th packet, the
+	// front one being the 0th.
+	end := int(q.seq) + n
+	i, s := 0, end
+	if end >= pf {
+		i, s = 1, end-pf
+		if s >= pf {
+			i, s = end/pf, end%pf
+		}
+	}
+	if s == 0 {
+		if fl.Seq != 0 {
+			panic("wormhole: lane buffer expects a header after a tail")
+		}
+		pkts[i-1] = fl.Packet
+	} else {
+		last := q.pkt
+		if i > 0 {
+			last = pkts[i-1]
+		}
+		if fl.Packet != last || int(fl.Seq) != s {
+			panic("wormhole: flit is not the successor of the lane buffer's newest flit")
+		}
+	}
 	q.n++
 }
 
+// pushNext is push's common case, small enough to inline: it appends fl
+// and reports true when fl is the front packet's next flit and the lane
+// has room. An empty lane qualifies when fl follows the last flit that
+// left it, whose packet and sequence number the lane kept. Otherwise it
+// changes nothing and the caller falls back to push.
+//
 //smartlint:hotpath
-func (q *fifo) pop(buf []Flit) Flit {
+func (q *fifo) pushNext(depth, pf int, fl Flit) bool {
+	end := int(q.seq) + int(q.n)
+	if int(q.n) == depth || end >= pf || fl.Packet != q.pkt || int(fl.Seq) != end {
+		return false
+	}
+	q.n++
+	return true
+}
+
+// pop removes and returns the oldest flit. When a tail leaves, the
+// first queued packet becomes the front and the rest move up a slot.
+//
+//smartlint:hotpath
+func (q *fifo) pop(pkts []PacketID, pf int) Flit {
 	if q.n == 0 {
 		panic("wormhole: pop from empty lane buffer")
 	}
-	fl := buf[q.head]
-	q.head = uint16(ringNext(int(q.head), len(buf)))
+	fl := q.front(pf)
 	q.n--
+	if int(q.seq) < pf-1 {
+		q.seq++
+		return fl
+	}
+	q.seq = 0
+	if n := int(q.n); n > 0 {
+		q.pkt = pkts[0]
+		if n > pf {
+			copy(pkts, pkts[1:(n+pf-1)/pf])
+		}
+	}
 	return fl
 }
 
+// popBody is pop's common case, small enough to inline: it removes and
+// returns the front flit, and true, when that flit is not a tail.
+// Otherwise it changes nothing and the caller falls back to pop.
+//
+//smartlint:hotpath
+func (q *fifo) popBody(pf int) (Flit, bool) {
+	if q.n == 0 || int(q.seq) >= pf-1 {
+		return Flit{}, false
+	}
+	fl := Flit{Packet: q.pkt, Seq: q.seq}
+	if q.seq == 0 {
+		fl.Kind = FlitHead
+	}
+	q.seq++
+	q.n--
+	return fl, true
+}
+
 // at returns the i-th buffered flit counted from the front.
-func (q *fifo) at(buf []Flit, i int) *Flit {
+func (q *fifo) at(pkts []PacketID, pf, i int) Flit {
 	if i < 0 || i >= int(q.n) {
 		panic("wormhole: fifo index out of range")
 	}
-	return &buf[(int(q.head)+i)%len(buf)]
+	p := int(q.seq) + i
+	if p < pf {
+		return Flit{Packet: q.pkt, Seq: uint16(p), Kind: kindOf(p, pf)}
+	}
+	s := p % pf
+	return Flit{Packet: pkts[p/pf-1], Seq: uint16(s), Kind: kindOf(s, pf)}
 }
 
 // ringNext returns (i+1) mod n for i in [0, n) without a division.
@@ -68,14 +175,15 @@ func ringNext(i, n int) int {
 	return i
 }
 
-// inLane is the 16-byte header of one virtual channel's input buffer:
+// inLane is the 24-byte header of one virtual channel's input buffer:
 // flits arriving from the upstream link wait here for the crossbar.
-// bound identifies the output lane the current packet was allocated
-// (noRef while the header is still unrouted or the lane is empty). The
-// router and the lane's own (port, lane) pair, self, are fixed at
-// construction so the crossbar and routing stages, which reach lanes
-// through flat-index work lists, can recover them without a reverse
-// lookup.
+// bound identifies the output lane the current packet was allocated as
+// a (port, lane) pair of the router, and out as its flat index (noRef
+// and -1 while the header is still unrouted or the lane is empty), so
+// the crossbar reaches it without a lookup. The router and the lane's
+// own (port, lane) pair, self, are fixed at construction so the
+// crossbar and routing stages, which reach lanes through flat-index
+// work lists, can recover them without a reverse lookup.
 //
 // lastIn is the cycle the newest buffered flit entered the lane, the
 // only state the one-stage-per-cycle rule needs: at most one flit
@@ -88,6 +196,7 @@ func ringNext(i, n int) int {
 type inLane struct {
 	router int32
 	lastIn int32
+	out    int32
 	bound  laneRef
 	self   laneRef
 	fifo
@@ -106,16 +215,13 @@ func (l *inLane) arrivedNow(cycle int64) bool {
 
 // holdsWholePacket reports whether the lane buffers every flit of the
 // packet whose header sits at the front — the store-and-forward gate.
-// buf is the lane's arena slot.
-func (l *inLane) holdsWholePacket(buf []Flit, pk *PacketInfo) bool {
-	if int(l.n) < int(pk.Flits) {
-		return false
-	}
-	tail := l.at(buf, int(pk.Flits)-1)
-	return tail.Kind.IsTail() && tail.Packet == l.front(buf).Packet
+// Packets are pf flits long and follow each other in order, so that is
+// a header at the front and at least pf flits.
+func (l *inLane) holdsWholePacket(pf int) bool {
+	return int(l.n) >= pf && l.seq == 0
 }
 
-// outLane is the 8-byte header of one virtual channel's output buffer.
+// outLane is the 12-byte header of one virtual channel's output buffer.
 // credits counts the free positions in the matching input lane across
 // the link, initialized to the buffer depth, decremented when the link
 // transmits a flit and incremented when the ack line reports the remote

@@ -192,6 +192,7 @@ func (f *Fabric) Observe() CycleObs {
 		Queued:   f.QueuedPackets(),
 	}
 	d := NewDigest()
+	pf := f.Cfg.PacketFlits
 	nPorts := len(f.ports)
 	for pid := 0; pid < nPorts; pid++ {
 		for id := f.inOff[pid]; id < f.inOff[pid+1]; id++ {
@@ -200,7 +201,7 @@ func (f *Fabric) Observe() CycleObs {
 			if il.bound != noRef {
 				bp, bl = il.bound.unpack()
 			}
-			d.InLane(il.len(), bp, bl, func(i int) Flit { return *il.at(buf, i) })
+			d.InLane(il.len(), bp, bl, func(i int) Flit { return il.at(buf, pf, i) })
 			if il.n > 0 {
 				obs.OccupiedLanes++
 				obs.BufferedFlits += il.len()
@@ -212,7 +213,7 @@ func (f *Fabric) Observe() CycleObs {
 			if ol.boundIn != noRef {
 				bp, bl = ol.boundIn.unpack()
 			}
-			d.OutLane(ol.len(), int(ol.credits), bp, bl, func(i int) Flit { return *ol.at(buf, i) })
+			d.OutLane(ol.len(), int(ol.credits), bp, bl, func(i int) Flit { return ol.at(buf, pf, i) })
 			if ol.n > 0 {
 				obs.OccupiedLanes++
 				obs.BufferedFlits += ol.len()

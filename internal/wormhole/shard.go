@@ -27,6 +27,7 @@ package wormhole
 
 import (
 	"fmt"
+	"sort"
 
 	"smart/internal/sim"
 	"smart/internal/topology"
@@ -42,12 +43,13 @@ type shardState struct {
 	id int
 
 	// Owned contiguous ranges: routers [rLo, rHi), ports [pLo, pHi),
-	// input lanes [inLo, inHi), NICs/nodes [nLo, nHi). Output lanes and
-	// wires follow the port range.
-	rLo, rHi   int
-	pLo, pHi   int
-	inLo, inHi int32
-	nLo, nHi   int
+	// input lanes [inLo, inHi), output lanes [outLo, outHi), NICs/nodes
+	// [nLo, nHi). Wires follow the port range.
+	rLo, rHi     int
+	pLo, pHi     int
+	inLo, inHi   int32
+	outLo, outHi int32
+	nLo, nHi     int
 
 	// Active-set work lists over the shard's own ranges; membership
 	// invariants as documented on Fabric.
@@ -58,8 +60,9 @@ type shardState struct {
 	wireActive  denseSet
 
 	// Deferred credit returns to lanes this shard owns, applied at the
-	// end of the cycle to model the one-cycle ack lines.
-	pendingCredits []laneRefAt
+	// end of the cycle to model the one-cycle ack lines: output lane
+	// ids, and NIC streams as node*packRadix+lane.
+	pendingCredits []int32
 	pendingNIC     []int32
 
 	// Counter deltas; fabric getters sum them across shards. inFlight
@@ -82,10 +85,10 @@ type shardState struct {
 
 	// Outgoing mailboxes, indexed by destination shard: boundary flits
 	// to push into a neighbour shard's input lanes, and credit acks to
-	// an upstream router across the cut. Drained at commit in ascending
-	// source order.
+	// its output lanes (by id) across the cut. Drained at commit in
+	// ascending source order.
 	mailFlits   [][]arrival
-	mailCredits [][]laneRefAt
+	mailCredits [][]int32
 }
 
 // arrival is one boundary flit addressed to input lane `lane`.
@@ -168,36 +171,37 @@ func (f *Fabric) Shards() int { return len(f.shards) }
 // which holds for the tree (nodes attach to level-0 switches in index
 // order) and the grids (node n attaches to router n).
 func (f *Fabric) initShards(cuts []int) error {
-	routers, nodes := f.Top.Routers(), f.Top.Nodes()
+	nodes := f.Top.Nodes()
 	S := len(cuts) - 1
 	f.shards = make([]shardState, S)
-	if f.routerShard == nil {
-		f.routerShard = make([]int32, routers)
-	}
+	f.inCuts = make([]int32, S+1)
+	f.outCuts = make([]int32, S+1)
 	if f.nodeShard == nil {
 		f.nodeShard = make([]int32, nodes)
+	}
+	for s := 0; s <= S; s++ {
+		f.inCuts[s], f.outCuts[s] = f.inOff[cuts[s]*f.deg], f.outOff[cuts[s]*f.deg]
 	}
 	for s := 0; s < S; s++ {
 		sh := &f.shards[s]
 		sh.id = s
 		sh.rLo, sh.rHi = cuts[s], cuts[s+1]
 		sh.pLo, sh.pHi = sh.rLo*f.deg, sh.rHi*f.deg
-		sh.inLo, sh.inHi = f.inOff[sh.pLo], f.inOff[sh.pHi]
+		sh.inLo, sh.inHi = f.inCuts[s], f.inCuts[s+1]
+		sh.outLo, sh.outHi = f.outCuts[s], f.outCuts[s+1]
 		sh.linkActive = newDenseSet(sh.pLo, sh.pHi-sh.pLo)
 		sh.xbarActive = newDenseSet(int(sh.inLo), int(sh.inHi-sh.inLo))
 		sh.routeActive = newDenseSet(sh.rLo, sh.rHi-sh.rLo)
 		if f.wires != nil {
 			sh.wireActive = newDenseSet(sh.pLo, sh.pHi-sh.pLo)
 		}
-		for r := sh.rLo; r < sh.rHi; r++ {
-			f.routerShard[r] = int32(s)
-		}
 		sh.mailFlits = make([][]arrival, S)
-		sh.mailCredits = make([][]laneRefAt, S)
+		sh.mailCredits = make([][]int32, S)
 	}
 	cur := 0
 	for n := 0; n < nodes; n++ {
-		s := int(f.routerShard[f.Top.NodeAttach(n).Router])
+		// The shard whose router range holds the attach router.
+		s := sort.SearchInts(cuts[1:], f.Top.NodeAttach(n).Router+1)
 		if s < cur {
 			return fmt.Errorf("wormhole: topology %s attaches node %d out of shard order (shard %d after %d): sharding needs contiguous node ranges", f.Top.Name(), n, s, cur)
 		}

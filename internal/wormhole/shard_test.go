@@ -45,9 +45,20 @@ func TestShardSetShardsPartitions(t *testing.T) {
 			t.Fatalf("shard %d starts at router %d, want %d", i, sh.rLo, seenR)
 		}
 		seenR = sh.rHi
-		for r := sh.rLo; r < sh.rHi; r++ {
-			if int(f.routerShard[r]) != i {
-				t.Fatalf("router %d mapped to shard %d, owned by %d", r, f.routerShard[r], i)
+		// A shard's lane ranges are its routers' lanes, and the cuts
+		// the boundary traffic searches name the shard owning each.
+		if sh.inLo != f.inOff[sh.pLo] || sh.inHi != f.inOff[sh.pHi] || sh.outLo != f.outOff[sh.pLo] || sh.outHi != f.outOff[sh.pHi] {
+			t.Fatalf("shard %d lanes in [%d,%d) out [%d,%d), want in [%d,%d) out [%d,%d)", i,
+				sh.inLo, sh.inHi, sh.outLo, sh.outHi, f.inOff[sh.pLo], f.inOff[sh.pHi], f.outOff[sh.pLo], f.outOff[sh.pHi])
+		}
+		for id := sh.inLo; id < sh.inHi; id++ {
+			if got := laneOwner(f.inCuts, id); got != i {
+				t.Fatalf("input lane %d mapped to shard %d, owned by %d", id, got, i)
+			}
+		}
+		for id := sh.outLo; id < sh.outHi; id++ {
+			if got := laneOwner(f.outCuts, id); got != i {
+				t.Fatalf("output lane %d mapped to shard %d, owned by %d", id, got, i)
 			}
 		}
 		for n := sh.nLo; n < sh.nHi; n++ {
@@ -132,28 +143,36 @@ func TestShardMailboxDrainAscendingSourceOrder(t *testing.T) {
 	}
 	dst := &f.shards[1]
 	lane := dst.inLo
-	stage := func(src int, seq uint16) {
+	stage := func(src int, fl Flit) {
 		sh := &f.shards[src]
-		sh.mailFlits[dst.id] = append(sh.mailFlits[dst.id], arrival{lane: lane, fl: Flit{Seq: seq}})
+		sh.mailFlits[dst.id] = append(sh.mailFlits[dst.id], arrival{lane: lane, fl: fl})
 	}
 	// Staged out of source order; source 0 stages two flits so the
-	// per-source FIFO property is observable too.
-	stage(3, 30)
-	stage(0, 1)
-	stage(0, 2)
-	stage(2, 20)
-	f.commitShard(dst, 7)
+	// per-source FIFO property is observable too. The lane takes only
+	// each flit's successor, so any other order panics.
+	want := []Flit{{Packet: 0, Seq: 1}, {Packet: 0, Seq: 2}, {Packet: 0, Seq: 3, Kind: FlitTail}, {Packet: 1, Seq: 0, Kind: FlitHead}}
+	stage(3, want[3])
+	stage(0, want[0])
+	stage(0, want[1])
+	stage(2, want[2])
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("commit refused a flit: drain is not ascending by source shard: %v", r)
+			}
+		}()
+		f.commitShard(dst, 7)
+	}()
 	il := &f.in[lane]
-	want := []uint16{1, 2, 20, 30}
 	if il.len() != len(want) {
 		t.Fatalf("destination lane holds %d flits after commit, want %d", il.len(), len(want))
 	}
 	if il.lastIn != 7 {
 		t.Fatalf("destination lane stamped cycle %d after the cycle-7 commit", il.lastIn)
 	}
-	for i, seq := range want {
-		if got := il.at(f.inSlot(lane), i).Seq; got != seq {
-			t.Fatalf("lane position %d holds seq %d, want %d: drain is not ascending by source shard", i, got, seq)
+	for i, fl := range want {
+		if got := il.at(f.inSlot(lane), f.Cfg.PacketFlits, i); got != fl {
+			t.Fatalf("lane position %d holds %+v, want %+v: drain is not ascending by source shard", i, got, fl)
 		}
 	}
 	for i := range f.shards {
@@ -175,7 +194,7 @@ func TestShardMailboxCreditDrain(t *testing.T) {
 	ol := f.outLaneAt(dst.rLo, 0, 0)
 	ol.credits-- // as if the link had consumed a buffer slot
 	src := &f.shards[1]
-	src.mailCredits[dst.id] = append(src.mailCredits[dst.id], laneRefAt{router: int32(dst.rLo), ref: packRef(0, 0)})
+	src.mailCredits[dst.id] = append(src.mailCredits[dst.id], dst.outLo)
 	f.commitShard(dst, 1)
 	if int(ol.credits) != f.Cfg.BufDepth {
 		t.Fatalf("output lane has %d credits after commit, want %d", ol.credits, f.Cfg.BufDepth)

@@ -156,7 +156,7 @@ func (f *Fabric) snapshot() *StallSnapshot {
 			s.DownLinks = append(s.DownLinks, DownLink{Router: pid / f.deg, Port: pid % f.deg})
 		}
 	}
-	depth := f.Cfg.BufDepth
+	depth, pf := f.Cfg.BufDepth, f.Cfg.PacketFlits
 	for pid := range f.ports {
 		r, p := pid/f.deg, pid%f.deg
 		port := f.ports[pid]
@@ -171,7 +171,7 @@ func (f *Fabric) snapshot() *StallSnapshot {
 				Flits: il.len(), Depth: depth, Credits: -1, Bound: il.bound != noRef, Age: age,
 			})
 			for i := 0; i < il.len(); i++ {
-				fl := il.at(buf, i)
+				fl := il.at(buf, pf, i)
 				if !fl.Kind.IsHead() {
 					continue
 				}
@@ -209,7 +209,7 @@ func (f *Fabric) snapshot() *StallSnapshot {
 				Flits: ol.len(), Depth: depth, Credits: int(ol.credits), Bound: ol.boundIn != noRef, Age: age,
 			})
 			for i := 0; i < ol.len(); i++ {
-				fl := ol.at(buf, i)
+				fl := ol.at(buf, pf, i)
 				if !fl.Kind.IsHead() {
 					continue
 				}

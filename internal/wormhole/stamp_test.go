@@ -23,17 +23,18 @@ type flitKey struct {
 // placeFlits maps every flit inside the network to its place.
 func placeFlits(f *Fabric) map[flitKey]flitPlace {
 	at := map[flitKey]flitPlace{}
+	pf := f.Cfg.PacketFlits
 	for id := range f.in {
 		il, buf := &f.in[id], f.inSlot(int32(id))
 		for i := 0; i < il.len(); i++ {
-			fl := il.at(buf, i)
+			fl := il.at(buf, pf, i)
 			at[flitKey{fl.Packet, fl.Seq}] = flitPlace{'i', int32(id)}
 		}
 	}
 	for id := range f.out {
 		ol, buf := &f.out[id], f.outSlot(int32(id))
 		for i := 0; i < ol.len(); i++ {
-			fl := ol.at(buf, i)
+			fl := ol.at(buf, pf, i)
 			at[flitKey{fl.Packet, fl.Seq}] = flitPlace{'o', int32(id)}
 		}
 	}
@@ -84,7 +85,7 @@ func TestArrivalStampHoldsFront(t *testing.T) {
 					for id := range f.in {
 						occupied[id], frontBefore[id] = f.in[id].len(), NoPacket
 						if occupied[id] > 0 {
-							frontBefore[id] = f.in[id].front(f.inSlot(int32(id))).Packet
+							frontBefore[id] = f.in[id].pkt
 						}
 					}
 					e.Step()
@@ -111,7 +112,7 @@ func TestArrivalStampHoldsFront(t *testing.T) {
 						}
 						// k landed in input lane now.id this cycle.
 						il := &f.in[now.id]
-						fl := il.front(f.inSlot(now.id))
+						fl := il.front(f.Cfg.PacketFlits)
 						if fl.Packet != k.pkt || fl.Seq != k.seq {
 							continue
 						}

@@ -92,34 +92,44 @@ func TestRouteEveryValidation(t *testing.T) {
 
 func TestFifoAt(t *testing.T) {
 	var f fifo
-	buf := make([]Flit, 3)
-	f.push(buf, Flit{Seq: 0})
-	f.push(buf, Flit{Seq: 1})
-	f.pop(buf)
-	f.push(buf, Flit{Seq: 2})
-	f.push(buf, Flit{Seq: 3}) // wraps the ring
-	if f.at(buf, 0).Seq != 1 || f.at(buf, 1).Seq != 2 || f.at(buf, 2).Seq != 3 {
-		t.Fatalf("at() wrong across wrap: %d %d %d", f.at(buf, 0).Seq, f.at(buf, 1).Seq, f.at(buf, 2).Seq)
+	const depth, pf = 5, 2
+	pkts := make([]PacketID, (depth+pf-2)/pf)
+	f.push(pkts, depth, pf, flitOf(1, 0, pf))
+	f.push(pkts, depth, pf, flitOf(1, 1, pf))
+	f.pop(pkts, pf)
+	f.push(pkts, depth, pf, flitOf(2, 0, pf))
+	f.push(pkts, depth, pf, flitOf(2, 1, pf))
+	f.push(pkts, depth, pf, flitOf(3, 0, pf)) // a second queued packet
+	want := []Flit{flitOf(1, 1, pf), flitOf(2, 0, pf), flitOf(2, 1, pf), flitOf(3, 0, pf)}
+	for i, fl := range want {
+		if got := f.at(pkts, pf, i); got != fl {
+			t.Fatalf("at(%d) = %+v, want %+v", i, got, fl)
+		}
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-range at() did not panic")
 		}
 	}()
-	f.at(buf, 3)
+	f.at(pkts, pf, len(want))
 }
 
 func TestHoldsWholePacket(t *testing.T) {
 	l := inLane{bound: noRef}
-	buf := make([]Flit, 4)
-	pk := PacketInfo{Flits: 3}
-	l.push(buf, Flit{Packet: 1, Seq: 0, Kind: FlitHead})
-	if l.holdsWholePacket(buf, &pk) {
+	const depth, pf = 4, 3
+	pkts := make([]PacketID, (depth+pf-2)/pf)
+	l.push(pkts, depth, pf, flitOf(1, 0, pf))
+	if l.holdsWholePacket(pf) {
 		t.Fatal("partial packet reported whole")
 	}
-	l.push(buf, Flit{Packet: 1, Seq: 1})
-	l.push(buf, Flit{Packet: 1, Seq: 2, Kind: FlitTail})
-	if !l.holdsWholePacket(buf, &pk) {
+	l.push(pkts, depth, pf, flitOf(1, 1, pf))
+	l.push(pkts, depth, pf, flitOf(1, 2, pf))
+	if !l.holdsWholePacket(pf) {
 		t.Fatal("complete packet not recognized")
+	}
+	l.pop(pkts, pf)
+	l.push(pkts, depth, pf, flitOf(2, 0, pf))
+	if l.holdsWholePacket(pf) {
+		t.Fatal("a lane fronted by a body flit reported a whole packet")
 	}
 }
