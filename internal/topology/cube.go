@@ -21,7 +21,8 @@ type Cube struct {
 	nodes int
 	// strides[d] = K^d, so that digit d of node id x is (x / strides[d]) % K.
 	strides []int
-	ports   [][]Port
+	// ports holds router r's port table at [r*Degree(), (r+1)*Degree()).
+	ports []Port
 }
 
 // Direction of travel along a dimension's ring.
@@ -63,24 +64,22 @@ func newGrid(k, n int, wrap bool) (*Cube, error) {
 		c.strides[d] = s
 		s *= k
 	}
-	degree := 2*n + 1
-	c.ports = make([][]Port, nodes)
-	flat := make([]Port, nodes*degree)
+	c.ports = make([]Port, nodes*c.Degree())
 	for r := 0; r < nodes; r++ {
-		c.ports[r] = flat[r*degree : (r+1)*degree : (r+1)*degree]
+		ports := c.RouterPorts(r)
 		for d := 0; d < n; d++ {
 			// On the mesh, the border ports that would carry the wrap
 			// link stay unused.
 			if wrap || c.Digit(r, d) != k-1 {
 				up := c.neighbor(r, d, Plus)
-				c.ports[r][PortOf(d, Plus)] = Port{Kind: PortRouter, Peer: up, PeerPort: PortOf(d, Minus)}
+				ports[PortOf(d, Plus)] = Port{Kind: PortRouter, Peer: up, PeerPort: PortOf(d, Minus)}
 			}
 			if wrap || c.Digit(r, d) != 0 {
 				down := c.neighbor(r, d, Minus)
-				c.ports[r][PortOf(d, Minus)] = Port{Kind: PortRouter, Peer: down, PeerPort: PortOf(d, Plus)}
+				ports[PortOf(d, Minus)] = Port{Kind: PortRouter, Peer: down, PeerPort: PortOf(d, Plus)}
 			}
 		}
-		c.ports[r][2*n] = Port{Kind: PortNode, Peer: r}
+		ports[2*n] = Port{Kind: PortNode, Peer: r}
 	}
 	return c, nil
 }
@@ -122,7 +121,10 @@ func (c *Cube) Nodes() int { return c.nodes }
 func (c *Cube) Degree() int { return 2*c.N + 1 }
 
 // RouterPorts implements Topology.
-func (c *Cube) RouterPorts(r int) []Port { return c.ports[r] }
+func (c *Cube) RouterPorts(r int) []Port {
+	deg := c.Degree()
+	return c.ports[r*deg : (r+1)*deg : (r+1)*deg]
+}
 
 // NodeAttach implements Topology.
 func (c *Cube) NodeAttach(node int) Attach { return Attach{Router: node, Port: 2 * c.N} }

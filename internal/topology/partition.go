@@ -2,18 +2,6 @@ package topology
 
 import "fmt"
 
-// Partitioner is implemented by topologies that can cut their router
-// index range into contiguous shards along structural boundaries, so a
-// sharded fabric engine crosses shards on as few links as possible.
-// PartitionRouters returns cuts+1 ascending points over [0, Routers()]:
-// shard i owns routers [cuts[i], cuts[i+1]). Implementations clamp the
-// requested count to [1, Routers()] rather than emit empty shards —
-// callers derive the effective count from len(cuts)-1 and check the
-// plan with ValidateCuts, which rejects empty shards outright.
-type Partitioner interface {
-	PartitionRouters(shards int) []int
-}
-
 // clampShards bounds a requested shard count to what the router range
 // can populate: at least one shard, at most one router per shard. A
 // single-router (or degenerate zero-router) topology always collapses
@@ -26,18 +14,6 @@ func clampShards(routers, shards int) int {
 		return routers
 	}
 	return shards
-}
-
-// EvenCuts is the structure-blind fallback partition: contiguous router
-// ranges of near-equal size. The shard count is clamped to
-// [1, routers], so no shard is ever empty.
-func EvenCuts(routers, shards int) []int {
-	shards = clampShards(routers, shards)
-	cuts := make([]int, shards+1)
-	for i := 0; i <= shards; i++ {
-		cuts[i] = i * routers / shards
-	}
-	return cuts
 }
 
 // weightedCuts spreads routers over shards so that each shard carries
@@ -83,7 +59,7 @@ func partitionGrain(routers, shards, blockMax, k int) int {
 	return grain
 }
 
-// PartitionRouters implements Partitioner for the cube: shards are
+// PartitionRouters implements Topology for the cube: shards are
 // slabs of whole (n-1)-dimensional planes along the highest dimension
 // (the router layout is digit-major, so a plane is a contiguous index
 // range and only the two slab faces carry cross-shard links). When
@@ -96,7 +72,7 @@ func (c *Cube) PartitionRouters(shards int) []int {
 	return weightedCuts(c.nodes, shards, grain, func(int) int { return 1 })
 }
 
-// PartitionRouters implements Partitioner for the tree. Switch indices
+// PartitionRouters implements Topology for the tree. Switch indices
 // are level-major (level l occupies [l*spl, (l+1)*spl)), so contiguous
 // shards cannot hold whole subtrees; instead the cuts snap to sibling
 // groups — blocks of k switches that share their parents — whenever the
@@ -109,7 +85,7 @@ func (t *Tree) PartitionRouters(shards int) []int {
 	grain := partitionGrain(t.Routers(), shards, t.K, t.K)
 	return weightedCuts(t.Routers(), shards, grain, func(r int) int {
 		n := 0
-		for _, p := range t.ports[r] {
+		for _, p := range t.RouterPorts(r) {
 			if p.Kind != PortUnused {
 				n++
 			}

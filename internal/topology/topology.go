@@ -58,6 +58,15 @@ type Topology interface {
 	RouterPorts(r int) []Port
 	// NodeAttach returns where node i plugs into the fabric.
 	NodeAttach(node int) Attach
+	// PartitionRouters cuts the router index range into contiguous
+	// shards along structural boundaries, so a sharded fabric engine
+	// crosses shards on as few links as possible. It returns cuts+1
+	// ascending points over [0, Routers()]: shard i owns routers
+	// [cuts[i], cuts[i+1]). The requested count is clamped to
+	// [1, Routers()] rather than padded with empty shards, so callers
+	// derive the effective count from len(cuts)-1 (ValidateCuts rejects
+	// empty shards outright).
+	PartitionRouters(shards int) []int
 	// Distance returns the number of physical link traversals on a
 	// minimal path from the source NIC to the destination NIC, including
 	// the injection and ejection links, and 0 when src == dst (such
@@ -81,20 +90,6 @@ func Pow(base, exp int) (int, error) {
 		result *= base
 	}
 	return result, nil
-}
-
-// FlattenPorts copies every router's port table into one contiguous
-// slice of length Routers()*Degree(), indexed by r*Degree()+p. The
-// wormhole fabric caches it at construction so its per-cycle inner loops
-// index a flat array instead of calling back through the Topology
-// interface.
-func FlattenPorts(t Topology) []Port {
-	deg := t.Degree()
-	flat := make([]Port, t.Routers()*deg)
-	for r := 0; r < t.Routers(); r++ {
-		copy(flat[r*deg:(r+1)*deg], t.RouterPorts(r))
-	}
-	return flat
 }
 
 // Validate checks that a topology's port tables are mutually consistent:

@@ -20,8 +20,8 @@ type Tree struct {
 	nodes, spl int
 	// strides[i] = K^i for digit extraction from node ids and labels.
 	strides []int
-	ports   [][]Port
-	attach  []Attach
+	// ports holds switch s's port table at [s*Degree(), (s+1)*Degree()).
+	ports []Port
 }
 
 // NewTree builds a k-ary n-tree. k must be at least 2 and n at least 1.
@@ -43,21 +43,12 @@ func NewTree(k, n int) (*Tree, error) {
 		t.strides[i] = s
 		s *= k
 	}
-	degree := 2 * k
-	numSwitches := n * t.spl
-	t.ports = make([][]Port, numSwitches)
-	flat := make([]Port, numSwitches*degree)
-	for sw := 0; sw < numSwitches; sw++ {
-		t.ports[sw] = flat[sw*degree : (sw+1)*degree : (sw+1)*degree]
-	}
-	t.attach = make([]Attach, nodes)
+	t.ports = make([]Port, t.Routers()*t.Degree())
 
 	// Processor attachments: node nd = (label * k) + downPort at level 0.
 	for nd := 0; nd < nodes; nd++ {
-		sw := t.SwitchIndex(0, nd/k)
-		port := nd % k
-		t.ports[sw][port] = Port{Kind: PortNode, Peer: nd}
-		t.attach[nd] = Attach{Router: sw, Port: port}
+		at := t.NodeAttach(nd)
+		t.RouterPorts(at.Router)[at.Port] = Port{Kind: PortNode, Peer: nd}
 	}
 
 	// Inter-level wiring: switch (w, l) up port j connects to parent
@@ -70,8 +61,8 @@ func NewTree(k, n int) (*Tree, error) {
 			for j := 0; j < k; j++ {
 				parentLabel := label + (j-childDigit)*t.strides[l]
 				parent := t.SwitchIndex(l+1, parentLabel)
-				t.ports[child][t.UpPort(j)] = Port{Kind: PortRouter, Peer: parent, PeerPort: childDigit}
-				t.ports[parent][childDigit] = Port{Kind: PortRouter, Peer: child, PeerPort: t.UpPort(j)}
+				t.RouterPorts(child)[t.UpPort(j)] = Port{Kind: PortRouter, Peer: parent, PeerPort: childDigit}
+				t.RouterPorts(parent)[childDigit] = Port{Kind: PortRouter, Peer: child, PeerPort: t.UpPort(j)}
 			}
 		}
 	}
@@ -92,10 +83,16 @@ func (t *Tree) Nodes() int { return t.nodes }
 func (t *Tree) Degree() int { return 2 * t.K }
 
 // RouterPorts implements Topology.
-func (t *Tree) RouterPorts(r int) []Port { return t.ports[r] }
+func (t *Tree) RouterPorts(r int) []Port {
+	deg := t.Degree()
+	return t.ports[r*deg : (r+1)*deg : (r+1)*deg]
+}
 
-// NodeAttach implements Topology.
-func (t *Tree) NodeAttach(node int) Attach { return t.attach[node] }
+// NodeAttach implements Topology: node p_0 p_1 ... p_(n-1) plugs into
+// down port p_0 of the level-0 switch labelled p_1 ... p_(n-1).
+func (t *Tree) NodeAttach(node int) Attach {
+	return Attach{Router: t.SwitchIndex(0, node/t.K), Port: node % t.K}
+}
 
 // SwitchIndex maps a (level, label) pair to the router index.
 func (t *Tree) SwitchIndex(level, label int) int { return level*t.spl + label }

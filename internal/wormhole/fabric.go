@@ -152,14 +152,16 @@ func (c *Counters) add(other Counters) {
 //
 // Router state is flattened for locality: all input and output lane
 // headers live in two contiguous per-fabric arrays indexed by
-// precomputed (router, port) offsets, the packets queued in them in two
-// arenas indexed by lane, and the topology's port tables are cached in
-// a flat array, so the per-cycle stages never chase jagged slices or
-// call back through the Topology interface. The per-flit path goes
-// further and reaches lanes by flat id alone: each router port knows
-// the first input lane across its link (peerIn), each input lane the
-// output lane its acks credit (ackOut), and each shard owns contiguous
-// lane ranges, so ownership is a range test. On top of that layout the
+// precomputed (router, port) offsets, and the packets queued in them in
+// two arenas indexed by lane, so the per-cycle stages never chase jagged
+// slices. No stage reads a port table or calls back through the
+// Topology interface: the per-flit path reaches lanes by flat id alone.
+// Each router port knows the first input lane across its link (peerIn),
+// each input lane the output lane its acks credit (ackOut), and each
+// shard owns contiguous lane ranges, so ownership is a range test. The
+// same tables tell port kinds apart: a port with a peer is a router
+// link, one with output lanes and no peer the node port, and one with
+// no lanes is unused. On top of that layout the
 // fabric keeps incremental active-set work lists — bitmaps recording
 // which output ports hold flits, which input lanes are bound to an
 // output, which routers present an unrouted header, which NICs have
@@ -189,8 +191,7 @@ type Fabric struct {
 	// laid out router-major, a router's input lanes form the contiguous
 	// range in[inOff[r*deg]:inOff[(r+1)*deg]] — the routing stage's scan
 	// list, in the same (port, lane) order the jagged layout used.
-	deg   int
-	ports []topology.Port
+	deg int
 	//smartlint:shardindexed
 	in []inLane
 	//smartlint:shardindexed
@@ -355,19 +356,24 @@ func NewFabric(top topology.Topology, cfg Config, alg RoutingAlgorithm) (*Fabric
 	f := &Fabric{Top: top, Cfg: cfg, Alg: alg}
 	routers, deg := top.Routers(), top.Degree()
 	f.deg = deg
-	f.ports = topology.FlattenPorts(top)
 	nPorts := routers * deg
 
 	// First pass: lane offsets per port.
 	f.inOff = make([]int32, nPorts+1)
 	f.outOff = make([]int32, nPorts+1)
 	var inTotal, outTotal int32
-	for pid := 0; pid < nPorts; pid++ {
-		f.inOff[pid] = inTotal
-		f.outOff[pid] = outTotal
-		inN, outN := laneCounts(f.ports[pid].Kind, cfg)
-		inTotal += int32(inN)
-		outTotal += int32(outN)
+	for r := 0; r < routers; r++ {
+		for p, port := range top.RouterPorts(r) {
+			pid := r*deg + p
+			f.inOff[pid] = inTotal
+			f.outOff[pid] = outTotal
+			inN, outN := laneCounts(port.Kind, cfg)
+			if outN > 0 && p >= maxRefPorts {
+				return nil, fmt.Errorf("wormhole: %s wires router %d port %d, but lane bindings address ports below %d only", top.Name(), r, p, maxRefPorts)
+			}
+			inTotal += int32(inN)
+			outTotal += int32(outN)
+		}
 	}
 	f.inOff[nPorts] = inTotal
 	f.outOff[nPorts] = outTotal
@@ -382,9 +388,8 @@ func NewFabric(top topology.Topology, cfg Config, alg RoutingAlgorithm) (*Fabric
 	f.peerIn = make([]int32, nPorts)
 	f.ackOut = make([]int32, inTotal)
 	for r := 0; r < routers; r++ {
-		for p := 0; p < deg; p++ {
+		for p, port := range top.RouterPorts(r) {
 			pid := r*deg + p
-			port := f.ports[pid]
 			f.peerIn[pid] = -1
 			if port.Kind == topology.PortRouter {
 				f.peerIn[pid] = f.inOff[port.Peer*deg+port.PeerPort]
@@ -1175,9 +1180,8 @@ func (f *Fabric) CheckInvariants() error {
 		}
 	}
 	for r := 0; r < f.Top.Routers(); r++ {
-		for p := 0; p < f.deg; p++ {
+		for p, port := range f.Top.RouterPorts(r) {
 			pid := r*f.deg + p
-			port := f.ports[pid]
 			if port.Kind != topology.PortRouter {
 				continue
 			}

@@ -153,6 +153,36 @@ func TestNewFabricVCMismatch(t *testing.T) {
 	}
 }
 
+// TestNewFabricRefusesUnpackablePorts checks the laneRef port limit. The
+// 513-ary 2-tree wires up ports 1024 and 1025, which a laneRef cannot
+// pack, so it is refused before any lane exists; the 513-ary 1-tree's
+// ports past 1023 are unused top-level up ports, so it assembles, and
+// every lane it has packs its own coordinates.
+func TestNewFabricRefusesUnpackablePorts(t *testing.T) {
+	cfg := Config{VCs: 1, BufDepth: 4, PacketFlits: 4, InjLanes: 1}
+	wide, err := topology.NewTree(513, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewFabric(wide, cfg, &greedyRing{vcs: 1}); err == nil || !strings.Contains(err.Error(), "below 1024") {
+		t.Fatalf("%s: got %v, want a refusal naming the 1024-port limit", wide.Name(), err)
+	}
+	flat, err := topology.NewTree(513, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewFabric(flat, cfg, &greedyRing{vcs: 1})
+	if err != nil {
+		t.Fatalf("%s refused: %v", flat.Name(), err)
+	}
+	for id := range f.in {
+		p, l := f.in[id].self.unpack()
+		if int32(id) != f.inOff[p]+int32(l) {
+			t.Fatalf("%s: input lane %d packs port %d lane %d", flat.Name(), id, p, l)
+		}
+	}
+}
+
 func TestFabricLaneLayout(t *testing.T) {
 	tree, err := topology.NewTree(4, 2)
 	if err != nil {

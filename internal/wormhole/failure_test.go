@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"smart/internal/sim"
-	"smart/internal/topology"
 )
 
 // Failure-injection tests: deliberately corrupt fabric state and verify
@@ -32,9 +31,9 @@ func loadedFabric(t *testing.T) (*Fabric, *sim.Engine) {
 func TestInjectedCreditLossDetected(t *testing.T) {
 	f, _ := loadedFabric(t)
 	// Steal a credit from a lane that currently has some.
-	for pid := range f.ports {
-		if f.ports[pid].Kind != topology.PortRouter {
-			continue
+	for pid, peer := range f.peerIn {
+		if peer < 0 {
+			continue // not a router link
 		}
 		lanes := f.outLanesOf(pid)
 		for l := range lanes {
@@ -54,9 +53,9 @@ func TestInjectedCreditLossDetected(t *testing.T) {
 
 func TestInjectedCreditDuplicationDetected(t *testing.T) {
 	f, _ := loadedFabric(t)
-	for pid := range f.ports {
-		if f.ports[pid].Kind != topology.PortRouter {
-			continue
+	for pid, peer := range f.peerIn {
+		if peer < 0 {
+			continue // not a router link
 		}
 		lanes := f.outLanesOf(pid)
 		for l := range lanes {
@@ -124,9 +123,9 @@ func TestShortPacketTailPanics(t *testing.T) {
 func TestCreditOverflowPanics(t *testing.T) {
 	f, _ := loadedFabric(t)
 	// Queue a bogus ack for a lane that is already at full credit.
-	for pid := range f.ports {
-		if f.ports[pid].Kind != topology.PortRouter {
-			continue
+	for pid, peer := range f.peerIn {
+		if peer < 0 {
+			continue // not a router link
 		}
 		lanes := f.outLanesOf(pid)
 		for l := range lanes {

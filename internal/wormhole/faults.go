@@ -45,7 +45,7 @@ func (f *Fabric) ensureFaults() {
 		return
 	}
 	f.flt = &faultState{
-		linkDown:   make([]int16, len(f.ports)),
+		linkDown:   make([]int16, len(f.peerIn)),
 		routerDown: make([]int16, f.Top.Routers()),
 	}
 }
@@ -97,12 +97,11 @@ func (f *Fabric) setLinkMask(pid, rev int, down bool) {
 // are validated against the topology before they reach the fabric.
 func (f *Fabric) SetLinkDown(r, p int, down bool) {
 	f.ensureFaults()
-	pid := r*f.deg + p
-	port := f.ports[pid]
+	port := f.Top.RouterPorts(r)[p]
 	if port.Kind != topology.PortRouter {
 		panic(fmt.Sprintf("wormhole: SetLinkDown(%d, %d) is not a router-router link", r, p))
 	}
-	f.setLinkMask(pid, port.Peer*f.deg+port.PeerPort, down)
+	f.setLinkMask(r*f.deg+p, port.Peer*f.deg+port.PeerPort, down)
 }
 
 // SetRouterDown masks (or unmasks) router r: on the 0↔1 transition all
@@ -132,21 +131,18 @@ func (f *Fabric) SetRouterDown(r int, down bool) {
 	} else {
 		flt.downRouters--
 	}
-	base := r * f.deg
-	for p := 0; p < f.deg; p++ {
-		port := f.ports[base+p]
-		if port.Kind != topology.PortRouter {
-			continue
+	for p, port := range f.Top.RouterPorts(r) {
+		if port.Kind == topology.PortRouter {
+			f.setLinkMask(r*f.deg+p, port.Peer*f.deg+port.PeerPort, now)
 		}
-		f.setLinkMask(base+p, port.Peer*f.deg+port.PeerPort, now)
 	}
 }
 
 // LinkUp implements Router: it reports whether routing out of router
 // r's port is currently permitted. Ejection ports are up whenever the
-// router is; unused ports (mesh borders, tree top-level up ports) are
-// never up. Without fault state every port the algorithms would pick is
-// up by construction.
+// router is; unused ports (mesh borders, tree top-level up ports), which
+// have no output lanes, are never up. Without fault state every port
+// the algorithms would pick is up by construction.
 func (f *Fabric) LinkUp(r, port int) bool {
 	flt := f.flt
 	if flt == nil {
@@ -156,13 +152,10 @@ func (f *Fabric) LinkUp(r, port int) bool {
 		return false
 	}
 	pid := r*f.deg + port
-	switch f.ports[pid].Kind {
-	case topology.PortRouter:
+	if f.peerIn[pid] >= 0 {
 		return flt.linkDown[pid] == 0
-	case topology.PortNode:
-		return true
 	}
-	return false
+	return f.outOff[pid] < f.outOff[pid+1]
 }
 
 // NodeUp reports whether node n's attach router is alive; the traffic

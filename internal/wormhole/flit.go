@@ -101,6 +101,11 @@ const noRef laneRef = -1
 // laneRef.
 const packRadix = 32
 
+// maxRefPorts bounds the port indices a laneRef can pack without
+// overflowing its int16; NewFabric refuses a topology that wires a port
+// at or past it.
+const maxRefPorts = (1 << 15) / packRadix
+
 func packRef(port, lane int) laneRef { return laneRef(port*packRadix + lane) }
 
 func (r laneRef) unpack() (port, lane int) { return int(r) / packRadix, int(r) % packRadix }

@@ -148,9 +148,8 @@ type Gauges struct {
 	// flit; BufferedFlits totals the flits they hold.
 	OccupiedLanes, BufferedFlits int
 	// MaxNICQueue is the deepest source queue (packets waiting at one
-	// node); NICQueued totals packets across all source queues, part-way
-	// injected packets excluded.
-	MaxNICQueue, NICQueued int64
+	// node), part-way injected packets excluded.
+	MaxNICQueue int64
 }
 
 // ReadGauges walks the lane and NIC arrays densely and returns the
@@ -171,11 +170,7 @@ func (f *Fabric) ReadGauges() Gauges {
 		}
 	}
 	for n := range f.nics {
-		q := int64(f.nics[n].qlen())
-		g.NICQueued += q
-		if q > g.MaxNICQueue {
-			g.MaxNICQueue = q
-		}
+		g.MaxNICQueue = max(g.MaxNICQueue, int64(f.nics[n].qlen()))
 	}
 	return g
 }
@@ -193,8 +188,7 @@ func (f *Fabric) Observe() CycleObs {
 	}
 	d := NewDigest()
 	pf := f.Cfg.PacketFlits
-	nPorts := len(f.ports)
-	for pid := 0; pid < nPorts; pid++ {
+	for pid := range f.peerIn {
 		for id := f.inOff[pid]; id < f.inOff[pid+1]; id++ {
 			il, buf := &f.in[id], f.inSlot(id)
 			bp, bl := -1, -1

@@ -102,38 +102,25 @@ type arrival struct {
 // be called on a pristine fabric — before the first cycle, the first
 // packet and Register.
 //
-// s is clamped to [1, Routers()], and a structural partitioner may
-// clamp further when the topology's grain admits fewer shards; Shards()
-// reports the effective count. Store-and-forward switching forces a
-// single shard: its whole-packet routing gate inspects same-cycle
-// arrivals, which the deferred cross-shard commit hides. The shard
-// count is an execution detail — results are bit-identical for every
-// value — so it is deliberately absent from config fingerprints.
+// The topology's PartitionRouters cuts the plan and clamps s to
+// [1, Routers()]; Shards() reports the effective count. Store-and-forward
+// switching forces a single shard: its whole-packet routing gate
+// inspects same-cycle arrivals, which the deferred cross-shard commit
+// hides. The shard count is an execution detail — results are
+// bit-identical for every value — so it is deliberately absent from
+// config fingerprints.
 func (f *Fabric) SetShards(s int) error {
 	if f.cycle != 0 || f.nextID != 0 {
 		return fmt.Errorf("wormhole: SetShards on a running fabric (cycle %d, %d packets)", f.cycle, f.nextID)
 	}
-	routers := f.Top.Routers()
-	if s < 1 {
-		s = 1
-	}
-	if s > routers {
-		s = routers
-	}
 	if f.Cfg.StoreAndForward {
 		s = 1
 	}
-	var cuts []int
-	if p, ok := f.Top.(topology.Partitioner); ok && s > 1 {
-		cuts = p.PartitionRouters(s)
-	} else {
-		cuts = topology.EvenCuts(routers, s)
-	}
-	// Partitioners clamp unreachable shard counts (more shards than a
-	// structural grain admits) instead of padding the plan with empty
+	// The plan clamps the count instead of padding it with empty
 	// shards, so the effective count is the plan's, not the request's.
+	cuts := f.Top.PartitionRouters(s)
 	s = len(cuts) - 1
-	if err := topology.ValidateCuts(cuts, routers, s); err != nil {
+	if err := topology.ValidateCuts(cuts, f.Top.Routers(), s); err != nil {
 		return err
 	}
 	if err := f.initShards(cuts); err != nil {

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"smart/internal/sim"
-	"smart/internal/topology"
 )
 
 // The fabric is the engine watchdog's canonical target: flit movements
@@ -149,17 +148,17 @@ func (f *Fabric) snapshot() *StallSnapshot {
 			if c == 0 {
 				continue
 			}
-			port := f.ports[pid]
+			r, p := pid/f.deg, pid%f.deg
+			port := f.Top.RouterPorts(r)[p]
 			if rev := port.Peer*f.deg + port.PeerPort; rev < pid {
 				continue // report the canonical direction only
 			}
-			s.DownLinks = append(s.DownLinks, DownLink{Router: pid / f.deg, Port: pid % f.deg})
+			s.DownLinks = append(s.DownLinks, DownLink{Router: r, Port: p})
 		}
 	}
 	depth, pf := f.Cfg.BufDepth, f.Cfg.PacketFlits
-	for pid := range f.ports {
+	for pid, peer := range f.peerIn {
 		r, p := pid/f.deg, pid%f.deg
-		port := f.ports[pid]
 		for l, id := 0, f.inOff[pid]; id < f.inOff[pid+1]; l, id = l+1, id+1 {
 			il, buf := &f.in[id], f.inSlot(id)
 			if il.n == 0 {
@@ -201,8 +200,8 @@ func (f *Fabric) snapshot() *StallSnapshot {
 				continue
 			}
 			age := int64(-1)
-			if port.Kind == topology.PortRouter {
-				age = f.cycle - int64(f.inLaneAt(port.Peer, port.PeerPort, l).lastIn)
+			if peer >= 0 {
+				age = f.cycle - int64(f.in[peer+int32(l)].lastIn)
 			}
 			s.recordLane(LaneState{
 				Router: r, Port: p, Lane: l, Dir: "out",

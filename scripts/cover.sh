@@ -4,13 +4,13 @@
 # Runs `go test -cover` over the library packages, prints the five worst
 # packages, and fails if any package named in FLOOR_PKGS is below the
 # floor (first argument, default 85%). The floor guards the verification
-# pyramid's foundations: the fabric, the routing algorithms and the
-# differential oracle must stay almost fully exercised by their own
-# package tests.
+# pyramid's foundations: the topology (the fabric's only wiring source),
+# the fabric, the routing algorithms and the differential oracle must
+# stay almost fully exercised by their own package tests.
 set -eu
 
 FLOOR=${1:-85}
-FLOOR_PKGS="smart/internal/wormhole smart/internal/routing smart/internal/oracle"
+FLOOR_PKGS="smart/internal/topology smart/internal/wormhole smart/internal/routing smart/internal/oracle"
 
 out=$(go test -count=1 -cover ./internal/...) || { echo "$out"; exit 1; }
 echo "$out"
