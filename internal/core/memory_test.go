@@ -39,8 +39,11 @@ func TestPaperRunAllocation(t *testing.T) {
 // 3-cube's 217,088 lanes and the 8-ary 4-tree's 229,376, whose headers
 // and packet slots are the bulk of it. The wiring is held once, in the
 // topology's flat port table, so the assemblies allocate 7.0 and
-// 7.1 MiB; a second, fabric-side copy of that table and a slice header
-// per router would take them to 7.7 and 8.0 MiB, past the bound.
+// 7.2 MiB; a second, fabric-side copy of that table and a slice header
+// per router would take them past the bound. It also bounds the number
+// of allocations, 74 per assembly: the tables are per network, and
+// anything allocated once per node (a NIC's injection streams, a
+// node's traffic generator) would add 4096.
 func TestScaleAssemblyAllocation(t *testing.T) {
 	for _, cfg := range []Config{
 		{Network: NetworkCube, K: 16, N: 3, Algorithm: AlgDuato, VCs: 4, Pattern: PatternUniform, Load: 0.5, Seed: 1},
@@ -60,6 +63,10 @@ func TestScaleAssemblyAllocation(t *testing.T) {
 		const bound = 7.5 * (1 << 20)
 		if got := after.TotalAlloc - before.TotalAlloc; got >= bound {
 			t.Fatalf("%s: the assembly allocated %.2f MiB, want under %.1f MiB", sm.Top.Name(), float64(got)/(1<<20), float64(bound)/(1<<20))
+		}
+		const maxAllocs = 200
+		if got := after.Mallocs - before.Mallocs; got >= maxAllocs {
+			t.Fatalf("%s: the assembly made %d allocations, want under %d", sm.Top.Name(), got, maxAllocs)
 		}
 	}
 }

@@ -44,14 +44,21 @@ type RNG struct {
 // NewRNG returns a generator seeded from seed via SplitMix64, per the
 // xoshiro authors' recommendation. A zero seed is valid.
 func NewRNG(seed uint64) *RNG {
-	sm := NewSplitMix64(seed)
-	r := &RNG{s0: sm.Next(), s1: sm.Next(), s2: sm.Next(), s3: sm.Next()}
+	r := new(RNG)
+	r.Seed(seed)
+	return r
+}
+
+// Seed resets r in place to the stream NewRNG(seed) starts, so a slice
+// of generators held by value needs no allocation per generator.
+func (r *RNG) Seed(seed uint64) {
+	sm := SplitMix64{state: seed}
+	*r = RNG{s0: sm.Next(), s1: sm.Next(), s2: sm.Next(), s3: sm.Next()}
 	// The all-zero state is the one invalid state of xoshiro; SplitMix64
 	// cannot produce four consecutive zeros, but guard anyway.
 	if r.s0|r.s1|r.s2|r.s3 == 0 {
 		r.s3 = 1
 	}
-	return r
 }
 
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }

@@ -18,7 +18,8 @@ type Injector struct {
 	pattern Pattern
 	// prob is the per-node, per-cycle packet creation probability.
 	prob float64
-	rngs []*sim.RNG
+	// rngs holds one generator per node, by value in one array.
+	rngs []sim.RNG
 	// enabled gates generation; draining a network at the end of a
 	// measurement turns it off.
 	enabled bool
@@ -59,10 +60,10 @@ func NewInjector(f Network, p Pattern, packetRate float64, seed uint64) (*Inject
 	nodes := f.Nodes()
 	inj := &Injector{fabric: f, pattern: p, prob: packetRate, enabled: true}
 	inj.cp, _ = p.(CyclePattern)
-	inj.rngs = make([]*sim.RNG, nodes)
+	inj.rngs = make([]sim.RNG, nodes)
 	sm := sim.NewSplitMix64(seed)
 	for n := range inj.rngs {
-		inj.rngs[n] = sim.NewRNG(sm.Next())
+		inj.rngs[n].Seed(sm.Next())
 	}
 	return inj, nil
 }
@@ -116,7 +117,7 @@ func (inj *Injector) tick(cycle int64) {
 		}
 	}
 	for n := range inj.rngs {
-		rng := inj.rngs[n]
+		rng := &inj.rngs[n]
 		// Bernoulli consumes one draw whatever prob is, so modulation
 		// never desynchronizes the per-node streams.
 		if !rng.Bernoulli(prob) {

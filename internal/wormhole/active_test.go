@@ -116,6 +116,33 @@ func checkBitmap(t *testing.T, s *denseSet) {
 	}
 }
 
+// shardCutFabric returns a 200-router ring with pipelined wires cut into
+// the given number of shards, whose work-list universes have bases that
+// are not multiples of 64 and ranges that straddle word boundaries.
+func shardCutFabric(t *testing.T, shards int) *Fabric {
+	t.Helper()
+	top, err := topology.NewCube(200, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewFabric(top, Config{VCs: 2, BufDepth: 4, PacketFlits: 4, InjLanes: 1, LinkCycles: 3}, &greedyRing{cube: top, vcs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.SetShards(shards); err != nil {
+		t.Fatal(err)
+	}
+	if f.Shards() != shards {
+		t.Fatalf("fabric has %d shards, want %d", f.Shards(), shards)
+	}
+	return f
+}
+
+// workLists returns a shard's five bitmap work lists.
+func (sh *shardState) workLists() []*denseSet {
+	return []*denseSet{&sh.linkActive, &sh.xbarActive, &sh.headers, &sh.nicActive, &sh.wireActive}
+}
+
 // TestDenseSetBitmapAtShardCuts runs the bitmap contract over the real
 // per-shard universes of a 200-router ring cut into 3 and 8 shards. Their
 // bases are not multiples of 64 and their ranges straddle word
@@ -125,24 +152,11 @@ func checkBitmap(t *testing.T, s *denseSet) {
 func TestDenseSetBitmapAtShardCuts(t *testing.T) {
 	for _, shards := range []int{3, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			top, err := topology.NewCube(200, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f, err := NewFabric(top, Config{VCs: 2, BufDepth: 4, PacketFlits: 4, InjLanes: 1, LinkCycles: 3}, &greedyRing{cube: top, vcs: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := f.SetShards(shards); err != nil {
-				t.Fatal(err)
-			}
-			if f.Shards() != shards {
-				t.Fatalf("fabric has %d shards, want %d", f.Shards(), shards)
-			}
+			f := shardCutFabric(t, shards)
 			var unaligned, ragged int
 			for si := range f.shards {
 				sh := &f.shards[si]
-				for _, s := range []*denseSet{&sh.linkActive, &sh.xbarActive, &sh.routeActive, &sh.nicActive, &sh.wireActive} {
+				for _, s := range sh.workLists() {
 					if s.base%64 != 0 {
 						unaligned++
 					}
@@ -168,6 +182,56 @@ func TestDenseSetBitmapAtShardCuts(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDenseSetNext checks next, the routing stage's search, against a
+// linear scan for every range [from, to) of the ragged, unaligned
+// universes of TestDenseSetBitmapAtShardCuts, with members on both sides
+// of each word boundary and gaps longer than a word.
+func TestDenseSetNext(t *testing.T) {
+	for _, shards := range []int{3, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			f := shardCutFabric(t, shards)
+			for si := range f.shards {
+				for _, s := range f.shards[si].workLists() {
+					base, end := s.base, s.base+s.n
+					for v := base; v < end; v++ {
+						if off := v - base; off%64 == 0 || off%64 == 63 || (off/70)%2 == 0 && off%3 == 1 {
+							s.add(v)
+						}
+					}
+					for from := base; from <= end; from++ {
+						for to := from; to <= end; to++ {
+							want := to
+							for v := from; v < to; v++ {
+								if s.contains(v) {
+									want = v
+									break
+								}
+							}
+							if got := s.next(from, to); got != want {
+								t.Fatalf("shard %d, set over [%d,%d): next(%d, %d) = %d, want %d", si, base, end, from, to, got, want)
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// parkedLanes returns the input lanes that are bound and hold flits
+// behind a full output lane: the lanes the crossbar list leaves out
+// until the link stage frees a slot.
+func parkedLanes(f *Fabric) []int32 {
+	var ids []int32
+	for id := range f.in {
+		il := &f.in[id]
+		if il.bound != noRef && il.n > 0 && f.out[il.out].full(f.Cfg.BufDepth) {
+			ids = append(ids, int32(id))
+		}
+	}
+	return ids
 }
 
 // TestInjectedWorkListCorruptionDetected verifies that CheckInvariants
@@ -198,13 +262,30 @@ func TestInjectedWorkListCorruptionDetected(t *testing.T) {
 	}
 	f.shards[0].queued--
 
-	// Drop a router from the routing work list, if any are pending.
-	if routers := f.shards[0].routeActive.members(); len(routers) > 0 {
-		r := routers[0]
-		f.shards[0].routeActive.remove(r)
-		if err := f.CheckInvariants(); err == nil {
-			t.Fatal("routing work-list corruption not detected")
-		}
-		f.shards[0].routeActive.add(r)
+	// On a saturated ring, drop a lane presenting a header from the
+	// header bitmap, and list a lane that waits behind a full output
+	// lane for the crossbar.
+	hot, _ := hotLoadedFabric(t, 1, 1)
+	sh := &hot.shards[0]
+	heads := sh.headers.members()
+	if len(heads) == 0 {
+		t.Fatal("loaded ring has no lane presenting a header")
+	}
+	sh.headers.remove(heads[0])
+	if err := hot.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "header-bitmap") {
+		t.Fatalf("header-bitmap corruption not detected: %v", err)
+	}
+	sh.headers.add(heads[0])
+	parked := parkedLanes(hot)
+	if len(parked) == 0 {
+		t.Fatal("loaded ring has no lane behind a full output lane")
+	}
+	sh.xbarActive.add(parked[0])
+	if err := hot.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "crossbar work-list") {
+		t.Fatalf("parked lane on the crossbar list not detected: %v", err)
+	}
+	sh.xbarActive.remove(parked[0])
+	if err := hot.CheckInvariants(); err != nil {
+		t.Fatalf("loaded ring unhealthy after restore: %v", err)
 	}
 }

@@ -161,14 +161,18 @@ func (c *Counters) add(other Counters) {
 // shard owns contiguous lane ranges, so ownership is a range test. The
 // same tables tell port kinds apart: a port with a peer is a router
 // link, one with output lanes and no peer the node port, and one with
-// no lanes is unused. On top of that layout the
-// fabric keeps incremental active-set work lists — bitmaps recording
-// which output ports hold flits, which input lanes are bound to an
-// output, which routers present an unrouted header, which NICs have
-// pending traffic — maintained at the points where occupancy, binding
-// and queue state change. Every stage walks its list in ascending index order, so it
-// touches only the entities with work and streams forward through the
-// flat arrays. See DESIGN.md ("Hot path") for the membership invariants.
+// no lanes is unused. On top of that layout the fabric keeps
+// incremental active-set work lists, each holding exactly what its
+// stage can act on: bitmaps of the output ports holding flits, the
+// bound input lanes holding flits whose output lane has room, the
+// unbound input lanes presenting a header, and the NICs with pending
+// traffic, maintained at the points where occupancy, binding and queue
+// state change. A lane behind a full output lane is parked until the
+// link stage frees a slot, and a lane the link stage fills from empty
+// waits on its shard's landed list until routing is done, so neither
+// costs a visit before it can move. Every stage walks its list in
+// ascending index order and streams forward through the flat arrays.
+// See DESIGN.md ("Hot path") for the membership invariants.
 //
 // The fabric is always partitioned into one or more shards — contiguous
 // router ranges, each with its own work lists, deferred-credit lists and
@@ -227,15 +231,12 @@ type Fabric struct {
 	//smartlint:shardindexed
 	linkRR []int32
 
-	// Per-entry occupancy behind the shards' work lists: portOcc[pid]
-	// counts occupied output lanes, unrouted[r] input lanes presenting
-	// an unrouted header. Each entry is owned by the shard owning its
+	// portOcc[pid] counts the occupied output lanes of port pid, behind
+	// the link work list; each entry is owned by the shard owning its
 	// router.
 	//
 	//smartlint:shardindexed
 	portOcc []int32
-	//smartlint:shardindexed
-	unrouted []int32
 
 	//smartlint:shardindexed
 	nics []nic
@@ -414,20 +415,20 @@ func NewFabric(top topology.Topology, cfg Config, alg RoutingAlgorithm) (*Fabric
 	f.linkRR = make([]int32, nPorts)
 	f.linkFlits = make([]int64, nPorts)
 	f.portOcc = make([]int32, nPorts)
-	f.unrouted = make([]int32, routers)
 
 	if cfg.LinkCycles > 1 {
 		f.wires = make([]wireFIFO, nPorts)
 	}
 
 	f.nics = make([]nic, top.Nodes())
+	streams := make([]nicLane, top.Nodes()*cfg.InjLanes)
+	for l := range streams {
+		streams[l] = nicLane{cur: NoPacket, credit: uint16(cfg.BufDepth)}
+	}
 	for n := range f.nics {
-		lanes := make([]nicLane, cfg.InjLanes)
-		for l := range lanes {
-			lanes[l] = nicLane{cur: NoPacket, credit: uint16(cfg.BufDepth)}
-		}
 		at := top.NodeAttach(n)
-		f.nics[n] = nic{lanes: lanes, base: f.inOff[at.Router*deg+at.Port]}
+		lo, hi := n*cfg.InjLanes, (n+1)*cfg.InjLanes
+		f.nics[n] = nic{lanes: streams[lo:hi:hi], base: f.inOff[at.Router*deg+at.Port]}
 	}
 	if err := f.SetShards(1); err != nil {
 		return nil, err
@@ -600,37 +601,50 @@ func (f *Fabric) FreeLanes(r, port, lo, hi int) int {
 	return free
 }
 
-// pushIn places a flit into input lane id, which must belong to sh, and
-// stamps the lane with the arrival cycle. A lane transitioning from
-// empty enters the crossbar work list (if it is bound to an output) or
-// becomes a routing candidate (if not).
+// pushIn places a flit into input lane id and stamps the lane with the
+// arrival cycle. It reports whether the lane was empty, in which case
+// the caller puts the lane on a work list: at once through join, or,
+// for a link-stage landing, through the shard's landed list.
 //
 //smartlint:hotpath
-func (f *Fabric) pushIn(sh *shardState, id int32, fl Flit, cycle int64) {
+func (f *Fabric) pushIn(id int32, fl Flit, cycle int64) bool {
 	il := &f.in[id]
 	if !il.pushNext(f.Cfg.BufDepth, f.Cfg.PacketFlits, fl) {
 		il.push(f.inSlot(id), f.Cfg.BufDepth, f.Cfg.PacketFlits, fl)
 	}
 	il.lastIn = int32(cycle)
-	if il.n != 1 {
-		return
-	}
-	if il.bound != noRef {
+	return il.n == 1
+}
+
+// join puts input lane id, which belongs to sh, on the work list of the
+// stage that can act on it: the header bitmap when it presents an
+// unbound header, the crossbar list when it is bound and its output
+// lane has room. A bound lane behind a full output lane stays parked
+// until popOut frees a slot. It is the only way a lane enters either
+// list.
+//
+//smartlint:hotpath
+func (f *Fabric) join(sh *shardState, id int32) {
+	il := &f.in[id]
+	switch {
+	case il.n == 0:
+	case il.bound == noRef:
+		sh.headers.add(id)
+	case !f.out[il.out].full(f.Cfg.BufDepth):
 		sh.xbarActive.add(id)
-	} else {
-		f.addUnrouted(sh, int(il.router))
 	}
 }
 
-// sendIn lands a flit in input lane id during cycle: directly when the
-// lane belongs to sh, through the owning shard's mailbox otherwise
-// (committed in the credits phase, in ascending source-shard order,
-// stamped with the same cycle). Either way the flit is invisible to
-// this cycle's crossbar and routing stages — a local arrival into an
-// empty lane is held by the arrival stamp, and one behind older flits
-// is not the front — so deferral does not change the simulation. This
-// is the sole sanctioned cross-shard channel of the stage phases — the
-// shardsafe rule trusts it as a sink and audits everything else.
+// sendIn lands a flit in input lane id during the link stage of cycle:
+// directly when the lane belongs to sh, through the owning shard's
+// mailbox otherwise (committed in the credits phase, in ascending
+// source-shard order, stamped with the same cycle). Either way the flit
+// is invisible to this cycle's crossbar and routing stages — a local
+// arrival into an empty lane is held by the arrival stamp and waits on
+// the landed list, and one behind older flits is not the front — so
+// deferral does not change the simulation. This is the sole sanctioned
+// cross-shard channel of the stage phases — the shardsafe rule trusts
+// it as a sink and audits everything else.
 //
 //smartlint:shardsink
 //smartlint:hotpath
@@ -640,28 +654,8 @@ func (f *Fabric) sendIn(sh *shardState, id int32, fl Flit, cycle int64) {
 		sh.mailFlits[d] = append(sh.mailFlits[d], arrival{lane: id, fl: fl})
 		return
 	}
-	f.pushIn(sh, id, fl, cycle)
-}
-
-// addUnrouted records that one more input lane of router r presents an
-// unrouted header.
-//
-//smartlint:hotpath
-func (f *Fabric) addUnrouted(sh *shardState, r int) {
-	f.unrouted[r]++
-	if f.unrouted[r] == 1 {
-		sh.routeActive.add(int32(r))
-	}
-}
-
-// dropUnrouted records that an input lane of router r stopped presenting
-// an unrouted header (it was bound, or drained).
-//
-//smartlint:hotpath
-func (f *Fabric) dropUnrouted(sh *shardState, r int) {
-	f.unrouted[r]--
-	if f.unrouted[r] == 0 {
-		sh.routeActive.remove(int32(r))
+	if f.pushIn(id, fl, cycle) {
+		sh.landed = append(sh.landed, id)
 	}
 }
 
@@ -683,14 +677,21 @@ func (f *Fabric) pushOut(sh *shardState, pid, oid int32, fl Flit) {
 }
 
 // popOut removes the front flit of output lane oid of port pid,
-// deactivating the port when its last occupied lane drains.
+// deactivating the port when its last occupied lane drains. Taking a
+// flit from a full lane wakes the input lane bound to it, which shares
+// its router and so its shard.
 //
 //smartlint:hotpath
 func (f *Fabric) popOut(sh *shardState, pid, oid int32) Flit {
 	ol := &f.out[oid]
+	wake := ol.full(f.Cfg.BufDepth) && ol.boundIn != noRef
 	fl, ok := ol.popBody(f.Cfg.PacketFlits)
 	if !ok {
 		fl = ol.pop(f.outSlot(oid), f.Cfg.PacketFlits)
+	}
+	if wake {
+		p, l := ol.boundIn.unpack()
+		f.join(sh, f.inOff[int(pid)-int(pid)%f.deg+p]+int32(l))
 	}
 	if ol.n == 0 {
 		f.portOcc[pid]--
@@ -899,12 +900,15 @@ func (f *Fabric) deliver(sh *shardState, fl Flit, cycle int64) {
 // output lanes — one flit per lane per cycle, any number of lanes in
 // parallel ("multiple virtual channels can be active at the input and
 // output ports of the crossbar", §4) — and sends the credit back to the
-// upstream switch. The tail flit's passage releases both bindings. A
-// flit that landed this cycle waits (inLane.arrivedNow), and so does one
-// bound for a full output lane; both are decided from the lane headers
-// alone. Only lanes on the bound-and-occupied work list are visited;
-// per-lane moves are independent because every output lane has exactly
-// one bound input, so the visiting order cannot change the outcome.
+// upstream switch. The tail flit's passage releases both bindings. Only
+// lanes on the crossbar work list are visited: bound, holding flits, and
+// with room in their output lane, which only this lane fills. A lane
+// leaves the list when a move fills its output lane, and popOut puts it
+// back when the link stage frees a slot. A flit that landed this cycle
+// waits (inLane.arrivedNow): such a lane is on the list only when a
+// popOut wake put it there. Per-lane moves are independent because every
+// output lane has exactly one bound input, so the visiting order cannot
+// change the outcome.
 //
 //smartlint:shardentry
 //smartlint:hotpath
@@ -921,7 +925,7 @@ func (f *Fabric) xbarShard(sh *shardState, cycle int64) {
 //smartlint:hotpath
 func (f *Fabric) xbarLane(sh *shardState, id int32, cycle int64) {
 	il := &f.in[id]
-	if il.n == 0 || il.bound == noRef || il.arrivedNow(cycle) {
+	if il.arrivedNow(cycle) {
 		return
 	}
 	r := int(il.router)
@@ -929,9 +933,6 @@ func (f *Fabric) xbarLane(sh *shardState, id int32, cycle int64) {
 		return // dead router: crossbar frozen, bindings held
 	}
 	oid := il.out
-	if f.out[oid].full(f.Cfg.BufDepth) {
-		return
-	}
 	op, _ := il.bound.unpack()
 	moved, ok := il.popBody(f.Cfg.PacketFlits)
 	if !ok {
@@ -943,12 +944,10 @@ func (f *Fabric) xbarLane(sh *shardState, id int32, cycle int64) {
 		il.bound, il.out = noRef, -1
 		f.out[oid].boundIn = noRef
 		sh.xbarActive.remove(id)
-		if il.n > 0 {
-			// The next packet's header is already buffered behind
-			// the departed tail: the lane presents it for routing.
-			f.addUnrouted(sh, r)
-		}
-	} else if il.n == 0 {
+		// The next packet's header, if already buffered behind the
+		// departed tail, is presented for routing.
+		f.join(sh, id)
+	} else if il.n == 0 || f.out[oid].full(f.Cfg.BufDepth) {
 		sh.xbarActive.remove(id)
 	}
 	// Ack to the upstream side: a buffer slot was released in
@@ -967,9 +966,10 @@ func (f *Fabric) xbarLane(sh *shardState, id int32, cycle int64) {
 }
 
 // routeRouter gives router r its one routing decision for the cycle: a
-// round-robin scan over the router's contiguous input-lane range, in the
-// same (port, lane) order a dense per-port scan would use. The scan
-// reads lane headers only. Routing takes T_routing = 1 cycle without a
+// round-robin search of the header bitmap over the router's contiguous
+// input-lane range, from routeRR in ring order, which is the (port,
+// lane) order a dense per-port scan would use. It reads the headers of
+// presenting lanes only. Routing takes T_routing = 1 cycle without a
 // stamp: the crossbar, which moves the routed header, has already run
 // this cycle.
 //
@@ -978,65 +978,86 @@ func (f *Fabric) routeRouter(sh *shardState, r int, cycle int64) {
 	if f.flt != nil && f.flt.routerDown[r] > 0 {
 		return // dead router: headers stay presented until revival
 	}
-	base := f.inOff[r*f.deg]
-	n := int(f.inOff[(r+1)*f.deg] - base)
-	for i, idx := 0, int(f.routeRR[r]); i < n; i, idx = i+1, ringNext(idx, n) {
-		id := base + int32(idx)
-		il := &f.in[id]
-		if il.n == 0 || il.bound != noRef || il.arrivedNow(cycle) {
-			continue
+	base, end := f.inOff[r*f.deg], f.inOff[(r+1)*f.deg]
+	rr := base + f.routeRR[r]
+	id := f.presented(sh, rr, end, cycle)
+	if id == end {
+		if id = f.presented(sh, base, rr, cycle); id == rr {
+			return
 		}
-		p, l := il.self.unpack()
-		if il.seq != 0 {
-			panic(fmt.Sprintf("wormhole: unbound non-header flit at router %d port %d lane %d", r, p, l))
-		}
-		if f.Cfg.StoreAndForward && !il.holdsWholePacket(f.Cfg.PacketFlits) {
-			continue
-		}
-		f.routeRR[r] = int32(ringNext(idx, n))
-		pkt := il.pkt
-		op, ol, ok := f.Alg.Route(f, r, p, l, pkt)
-		if ok {
-			oid := f.outOff[r*f.deg+op] + int32(ol)
-			out := &f.out[oid]
-			if !out.free(f.Cfg.BufDepth) {
-				panic(fmt.Sprintf("wormhole: algorithm %s allocated non-free lane (%d,%d) at router %d", f.Alg.Name(), op, ol, r))
-			}
-			il.bound, il.out = packRef(op, ol), oid
-			out.boundIn = il.self
-			f.Packet(pkt).Hops++
-			sh.headersRouted++
-			sh.progress++
-			f.dropUnrouted(sh, r)
-			sh.xbarActive.add(id)
-			if f.Tracer != nil {
-				//smartlint:allow shardsafe — a Tracer forces the serial schedule (Fabric.phase uses RunSerial), so callbacks never run concurrently
-				f.Tracer.HeaderRouted(cycle, pkt, r, p, l, op, ol)
-			}
-		}
-		break // one routing decision per switch per cycle
+	}
+	f.routeRR[r] = int32(ringNext(int(id-base), int(end-base)))
+	il := &f.in[id]
+	p, l := il.self.unpack()
+	pkt := il.pkt
+	op, ol, ok := f.Alg.Route(f, r, p, l, pkt)
+	if !ok {
+		return
+	}
+	oid := f.outOff[r*f.deg+op] + int32(ol)
+	out := &f.out[oid]
+	if !out.free(f.Cfg.BufDepth) {
+		panic(fmt.Sprintf("wormhole: algorithm %s allocated non-free lane (%d,%d) at router %d", f.Alg.Name(), op, ol, r))
+	}
+	il.bound, il.out = packRef(op, ol), oid
+	out.boundIn = il.self
+	f.Packet(pkt).Hops++
+	sh.headersRouted++
+	sh.progress++
+	sh.headers.remove(id)
+	f.join(sh, id)
+	if f.Tracer != nil {
+		//smartlint:allow shardsafe — a Tracer forces the serial schedule (Fabric.phase uses RunSerial), so callbacks never run concurrently
+		f.Tracer.HeaderRouted(cycle, pkt, r, p, l, op, ol)
 	}
 }
 
+// presented returns the first lane of the header bitmap in [from, to)
+// whose header routing may take this cycle, or to if there is none. A
+// header that landed this cycle waits (a tail's departure can present
+// one), and so does one the store-and-forward gate holds.
+//
+//smartlint:hotpath
+func (f *Fabric) presented(sh *shardState, from, to int32, cycle int64) int32 {
+	for id := sh.headers.next(from, to); id < to; id = sh.headers.next(id+1, to) {
+		il := &f.in[id]
+		if il.seq != 0 {
+			p, l := il.self.unpack()
+			panic(fmt.Sprintf("wormhole: unbound non-header flit at router %d port %d lane %d", il.router, p, l))
+		}
+		if !il.arrivedNow(cycle) && (!f.Cfg.StoreAndForward || il.holdsWholePacket(f.Cfg.PacketFlits)) {
+			return id
+		}
+	}
+	return to
+}
+
 // routeShard routes at most one header per switch per cycle (§4): a
-// round-robin arbiter picks the next input lane presenting an unrouted
-// header and asks the routing algorithm for an output lane. On success
-// the lanes are bound; on failure the cycle is spent and the arbiter
-// moves on, so a blocked header cannot starve the others. Only routers
-// with at least one presented header are visited; routing decisions are
-// per-router local, so the visiting order is immaterial.
+// round-robin arbiter picks the next input lane presenting a header and
+// asks the routing algorithm for an output lane. On success the lanes
+// are bound; on failure the cycle is spent and the arbiter moves on, so
+// a blocked header cannot starve the others. It walks the header bitmap
+// a router at a time: the lowest presenting lane names a router, which
+// takes its decision, and the walk resumes past the router's lanes.
+// Routing decisions are per-router local, so the visiting order is
+// immaterial. Then, every cycle, including those RouteEvery skips, the
+// lanes the link stage filled from empty join their work lists, so
+// routing adds to the header bitmap only after its walk.
 //
 //smartlint:shardentry
 //smartlint:hotpath
 func (f *Fabric) routeShard(sh *shardState, cycle int64) {
-	if f.Cfg.RouteEvery > 1 && cycle%int64(f.Cfg.RouteEvery) != 0 {
-		return
-	}
-	for wi, w := range sh.routeActive.words {
-		for ; w != 0; w &= w - 1 {
-			f.routeRouter(sh, int(sh.routeActive.at(wi, w)), cycle)
+	if f.Cfg.RouteEvery <= 1 || cycle%int64(f.Cfg.RouteEvery) == 0 {
+		for id := sh.headers.next(sh.inLo, sh.inHi); id < sh.inHi; {
+			r := int(f.in[id].router)
+			f.routeRouter(sh, r, cycle)
+			id = sh.headers.next(f.inOff[(r+1)*f.deg], sh.inHi)
 		}
 	}
+	for _, id := range sh.landed {
+		f.join(sh, id)
+	}
+	sh.landed = sh.landed[:0]
 }
 
 // injectShard advances the NIC injection streams: each stream pushes
@@ -1085,7 +1106,9 @@ func (f *Fabric) injectNIC(sh *shardState, n32 int32, cycle int64) {
 		if st.nextSeq == pk.Flits-1 {
 			kind |= FlitTail
 		}
-		f.pushIn(sh, nc.base+int32(l), Flit{Packet: st.cur, Seq: uint16(st.nextSeq), Kind: kind}, cycle)
+		if id := nc.base + int32(l); f.pushIn(id, Flit{Packet: st.cur, Seq: uint16(st.nextSeq), Kind: kind}, cycle) {
+			f.join(sh, id)
+		}
 		st.credit--
 		sh.counters.FlitsInjected++
 		sh.inFlight++
@@ -1241,10 +1264,13 @@ func (f *Fabric) checkWorkLists() error {
 	var queued int64
 	for si := range f.shards {
 		sh := &f.shards[si]
-		for _, s := range []*denseSet{&sh.linkActive, &sh.xbarActive, &sh.routeActive, &sh.nicActive, &sh.wireActive} {
+		for _, s := range []*denseSet{&sh.linkActive, &sh.xbarActive, &sh.headers, &sh.nicActive, &sh.wireActive} {
 			if s.stray() {
 				return fmt.Errorf("wormhole: shard %d work list over [%d,%d) has a member past its range", si, s.base, s.base+s.n)
 			}
+		}
+		if len(sh.landed) != 0 {
+			return fmt.Errorf("wormhole: shard %d holds %d landed lanes between cycles", si, len(sh.landed))
 		}
 		for pid := sh.pLo; pid < sh.pHi; pid++ {
 			var occ int32
@@ -1262,26 +1288,16 @@ func (f *Fabric) checkWorkLists() error {
 		}
 		for id := sh.inLo; id < sh.inHi; id++ {
 			il := &f.in[id]
-			want := il.bound != noRef && il.n > 0
-			if want != sh.xbarActive.contains(id) {
-				p, l := il.self.unpack()
+			p, l := il.self.unpack()
+			xbar := il.bound != noRef && il.n > 0 && !f.out[il.out].full(f.Cfg.BufDepth)
+			if xbar != sh.xbarActive.contains(id) {
 				return fmt.Errorf("wormhole: input lane %d (router %d port %d lane %d) crossbar work-list membership %v, want %v",
-					id, il.router, p, l, !want, want)
+					id, il.router, p, l, !xbar, xbar)
 			}
-		}
-		for r := sh.rLo; r < sh.rHi; r++ {
-			var cand int32
-			base := f.inOff[r*f.deg]
-			for id := base; id < f.inOff[(r+1)*f.deg]; id++ {
-				if f.in[id].n > 0 && f.in[id].bound == noRef {
-					cand++
-				}
-			}
-			if cand != f.unrouted[r] {
-				return fmt.Errorf("wormhole: router %d unrouted count %d, want %d", r, f.unrouted[r], cand)
-			}
-			if (cand > 0) != sh.routeActive.contains(int32(r)) {
-				return fmt.Errorf("wormhole: router %d routing work-list membership %v disagrees with %d candidates", r, sh.routeActive.contains(int32(r)), cand)
+			header := il.bound == noRef && il.n > 0
+			if header != sh.headers.contains(id) {
+				return fmt.Errorf("wormhole: input lane %d (router %d port %d lane %d) header-bitmap membership %v, want %v",
+					id, il.router, p, l, !header, header)
 			}
 		}
 		for n := sh.nLo; n < sh.nHi; n++ {

@@ -11,10 +11,13 @@ import (
 // every node holds many queued packets and dateline routing keeps the
 // ring deadlock-free, so each measured cycle below does real link,
 // crossbar, routing and injection work (and, with linkCycles > 1, wire
-// sends and arrivals).
+// sends and arrivals). A 16-flit packet spans more than two 4-flit
+// lanes, so a blocked worm fills the output lane ahead of an input lane
+// that still holds its flits: the crossbar parks that lane and the link
+// stage wakes it.
 func hotLoadedFabric(t *testing.T, shards, linkCycles int) (*Fabric, *sim.Engine) {
 	t.Helper()
-	f := shardTestFabric(t, Config{VCs: 2, BufDepth: 4, PacketFlits: 8, InjLanes: 2, LinkCycles: linkCycles})
+	f := shardTestFabric(t, Config{VCs: 2, BufDepth: 4, PacketFlits: 16, InjLanes: 2, LinkCycles: linkCycles})
 	f.Alg.(*greedyRing).dateline = true
 	if err := f.SetShards(shards); err != nil {
 		t.Fatal(err)
@@ -33,12 +36,13 @@ func hotLoadedFabric(t *testing.T, shards, linkCycles int) (*Fabric, *sim.Engine
 	return f, e
 }
 
-// deliveryCaps returns every shard's delivered-list and latency
-// histogram capacities.
-func deliveryCaps(f *Fabric) []int {
+// listCaps returns every shard's delivered-list, latency histogram and
+// landed-list capacities.
+func listCaps(f *Fabric) []int {
 	var caps []int
 	for i := range f.shards {
-		caps = append(caps, cap(f.shards[i].delivered), cap(f.shards[i].deliveries.ByLatency))
+		sh := &f.shards[i]
+		caps = append(caps, cap(sh.delivered), cap(sh.deliveries.ByLatency), cap(sh.landed))
 	}
 	return caps
 }
@@ -51,7 +55,9 @@ func deliveryCaps(f *Fabric) []int {
 // 2-vCPU host, so there the pool's polling hand-off is measured; four
 // oversubscribe it, so there its parking hand-off is. The static
 // hotalloc rule catches escapes the compiler can prove; this catches
-// the amortization assumptions it cannot.
+// the amortization assumptions it cannot. The fixture holds lanes
+// parked behind full output lanes before and after the measurement, so
+// the crossbar's park and the link stage's wake run inside the guard.
 func TestCycleAllocFree(t *testing.T) {
 	cases := []struct {
 		name               string
@@ -69,17 +75,23 @@ func TestCycleAllocFree(t *testing.T) {
 			if f.Shards() != tc.shards {
 				t.Fatalf("fabric has %d shards, want %d", f.Shards(), tc.shards)
 			}
+			if len(parkedLanes(f)) == 0 {
+				t.Fatal("no lane parked behind a full output lane after warm-up")
+			}
 			delivered := f.Counters().FlitsDelivered
-			caps := deliveryCaps(f)
+			caps := listCaps(f)
 			allocs := testing.AllocsPerRun(200, func() { e.Step() })
 			if allocs != 0 {
 				t.Fatalf("cycle allocates %.1f objects per step, want 0", allocs)
 			}
 			// AllocsPerRun divides in integers, so a rare amortized growth
-			// reads 0: the delivered lists and latency histograms must not
-			// have grown at all.
-			if got := deliveryCaps(f); !slices.Equal(got, caps) {
-				t.Fatalf("delivered-list and histogram capacities grew during measurement: %v -> %v", caps, got)
+			// reads 0: the delivered and landed lists and the latency
+			// histograms must not have grown at all.
+			if got := listCaps(f); !slices.Equal(got, caps) {
+				t.Fatalf("delivered-list, histogram and landed-list capacities grew during measurement: %v -> %v", caps, got)
+			}
+			if len(parkedLanes(f)) == 0 {
+				t.Fatal("no lane parked behind a full output lane after measurement")
 			}
 			if f.Drained() || f.Counters().FlitsDelivered == delivered {
 				t.Fatal("fabric drained or stalled during measurement; the cycles were idle")

@@ -18,8 +18,9 @@ package wormhole
 // bit-identical for every shard count: a flit arriving over a link is
 // invisible to the same-cycle crossbar and routing stages whether it is
 // physically present (local push: it is either behind the front or the
-// front its lane's arrival stamp holds) or still in a mailbox (deferred
-// push) — the one observable skew, the store-and-forward whole-packet
+// front its lane's arrival stamp holds, its lane waiting on the landed
+// list until routing is done) or still in a mailbox (deferred push) —
+// the one observable skew, the store-and-forward whole-packet
 // gate, forces a single shard. Credits are commutative integer
 // increments applied at end of cycle either way. Counters are per-shard
 // and summed on read, which is exact for integers. See the determinism
@@ -52,12 +53,16 @@ type shardState struct {
 	nLo, nHi     int
 
 	// Active-set work lists over the shard's own ranges; membership
-	// invariants as documented on Fabric.
-	linkActive  denseSet
-	xbarActive  denseSet
-	routeActive denseSet
-	nicActive   denseSet
-	wireActive  denseSet
+	// invariants as documented on Fabric. headers is the routing
+	// stage's: the input lanes presenting a header. landed lists the
+	// input lanes the link stage filled from empty this cycle, which
+	// join their list once routing is done.
+	linkActive denseSet
+	xbarActive denseSet
+	headers    denseSet
+	nicActive  denseSet
+	wireActive denseSet
+	landed     []int32
 
 	// Deferred credit returns to lanes this shard owns, applied at the
 	// end of the cycle to model the one-cycle ack lines: output lane
@@ -123,8 +128,11 @@ func (f *Fabric) SetShards(s int) error {
 	if err := topology.ValidateCuts(cuts, f.Top.Routers(), s); err != nil {
 		return err
 	}
-	if err := f.initShards(cuts); err != nil {
-		return err
+	// A pristine fabric keeps the one-shard state NewFabric built.
+	if s > 1 || len(f.shards) != 1 {
+		if err := f.initShards(cuts); err != nil {
+			return err
+		}
 	}
 	// A pool of the wrong size is closed now rather than left to its
 	// finalizer with idle goroutines.
@@ -178,7 +186,10 @@ func (f *Fabric) initShards(cuts []int) error {
 		sh.outLo, sh.outHi = f.outCuts[s], f.outCuts[s+1]
 		sh.linkActive = newDenseSet(sh.pLo, sh.pHi-sh.pLo)
 		sh.xbarActive = newDenseSet(int(sh.inLo), int(sh.inHi-sh.inLo))
-		sh.routeActive = newDenseSet(sh.rLo, sh.rHi-sh.rLo)
+		sh.headers = newDenseSet(int(sh.inLo), int(sh.inHi-sh.inLo))
+		// At most one flit lands per input port per cycle, so the
+		// list never grows once sized here.
+		sh.landed = make([]int32, 0, sh.pHi-sh.pLo)
 		if f.wires != nil {
 			sh.wireActive = newDenseSet(sh.pLo, sh.pHi-sh.pLo)
 		}
@@ -223,9 +234,10 @@ func (f *Fabric) initShards(cuts []int) error {
 // every source shard's mailboxes addressed here — flit arrivals first,
 // in ascending source order — then apply the shard's own deferred
 // credits. Arrivals touch input-lane state (at most one flit per lane
-// per cycle), credits touch output-lane and NIC credit counts; the two
-// are disjoint, and credit increments and work-list adds commute, so
-// the order within the phase is immaterial.
+// per cycle) and land after routing, so a lane they fill from empty
+// joins its work list at once; credits touch output-lane and NIC credit
+// counts. The two are disjoint, and credit increments and work-list
+// adds commute, so the order within the phase is immaterial.
 //
 // It and the four other per-shard stage bodies (linkShard, xbarShard,
 // routeShard, injectShard) are the shardsafe roots: they run
@@ -239,7 +251,9 @@ func (f *Fabric) commitShard(sh *shardState, cycle int64) {
 	for i := range f.shards {
 		src := &f.shards[i]
 		for _, a := range src.mailFlits[sh.id] {
-			f.pushIn(sh, a.lane, a.fl, cycle)
+			if f.pushIn(a.lane, a.fl, cycle) {
+				f.join(sh, a.lane)
+			}
 		}
 		src.mailFlits[sh.id] = src.mailFlits[sh.id][:0]
 		for _, c := range src.mailCredits[sh.id] {
