@@ -128,11 +128,8 @@ func (f *Fabric) SetShards(s int) error {
 	if err := topology.ValidateCuts(cuts, f.Top.Routers(), s); err != nil {
 		return err
 	}
-	// A pristine fabric keeps the one-shard state NewFabric built.
-	if s > 1 || len(f.shards) != 1 {
-		if err := f.initShards(cuts); err != nil {
-			return err
-		}
+	if err := f.initShards(cuts); err != nil {
+		return err
 	}
 	// A pool of the wrong size is closed now rather than left to its
 	// finalizer with idle goroutines.
